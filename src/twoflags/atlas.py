@@ -9,7 +9,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classify import singularity_locus_equations
 from .ekr import Word
@@ -35,14 +34,14 @@ def enumerate_words(r: int) -> list[Word]:
     return words
 
 
-@lru_cache(maxsize=None)
-def _count_rule(length_left: int, running_max: int, top: int) -> int:
-    if length_left == 0:
-        return 1
-    total = 0
-    for letter in range(1, min(running_max + 1, top) + 1):
-        total += _count_rule(length_left - 1, max(running_max, letter), top)
-    return total
+def _count_rule(length: int, top: int) -> int:
+    """Words of the given length over {1, ..., top} starting with 1 whose
+    letters never jump past the running maximum plus one."""
+    prefixes = [0, 1] + [0] * (top - 1)  # running maximum -> number of prefixes
+    for _ in range(length - 1):
+        # a letter up to the maximum keeps it, the letter above it raises it
+        prefixes = [0] + [m * prefixes[m] + prefixes[m - 1] for m in range(1, top + 1)]
+    return sum(prefixes)
 
 
 def count_classes(m: int, r: int) -> int:
@@ -56,7 +55,7 @@ def count_classes(m: int, r: int) -> int:
         raise ChartMismatch(f"width and length must be >= 1, got m={m}, r={r}")
     if m == 1:
         return 2 ** (r - 2) if r >= 2 else 1
-    return _count_rule(r - 1, 1, m + 1)
+    return _count_rule(r, m + 1)
 
 
 def codimension(word: Word) -> int:

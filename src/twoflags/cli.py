@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from . import atlas as atlas_mod
 from .classify import singularity_class_at
-from .ekr import EkrBuild, EkrSpec, Word, build_ekr, model, model_build, MODEL_NAMES
+from .ekr import EkrBuild, EkrSpec, Word, _admits_b, _admits_c, build_ekr, model, model_build, MODEL_NAMES
 from .errors import (
+    BadSyntax,
     DegeneratePivot,
     GeneratorBlowup,
     NotSpecialFlag,
@@ -52,9 +53,9 @@ def draw_constants(word: Word, rng: random.Random) -> EkrSpec:
     b = {}
     c = {}
     for step, letter in enumerate(word.letters, start=1):
-        if letter == 1:
+        if _admits_b(letter):
             b[step] = draw_nonzero_rational(rng)
-        if letter in (1, 2):
+        if _admits_c(letter):
             c[step] = draw_nonzero_rational(rng)
     return EkrSpec(word, b, c)
 
@@ -107,39 +108,30 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _parse_assignments(pairs: list[str] | None) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ValueError(f"expected l=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        out[int(key)] = parse_rational(value)
-    return out
+def _constants(args) -> dict:
+    """The --constants file with the --b/--c flags laid over it, in the form
+    of EkrSpec.from_json without the word; steps and values stay text."""
+    data = {}
+    if args.constants:
+        with open(args.constants) as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+            raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')
+    for kind, pairs in (("b", args.b), ("c", args.c)):
+        for pair in pairs or []:
+            step, equals, value = pair.partition("=")
+            if not equals:
+                raise ValueError(f"expected l=value, got {pair!r}")
+            data.setdefault(kind, {})[step] = value
+    return data
 
 
 def _build_subject(args) -> EkrBuild | Distribution:
     """The object to classify: a pseudo-normal form or a raw model distribution."""
-    b = _parse_assignments(args.b)
-    c = _parse_assignments(args.c)
-    if args.constants:
-        with open(args.constants) as handle:
-            data = json.load(handle)
-        file_b = {int(k): parse_rational(str(v)) for k, v in data.get("b", {}).items()}
-        file_c = {int(k): parse_rational(str(v)) for k, v in data.get("c", {}).items()}
-        b = {**file_b, **b}
-        c = {**file_c, **c}
+    constants = _constants(args)
     if args.word:
-        word = Word.parse(args.word)
-        return build_ekr(EkrSpec(word, b, c))
-    params = {}
-    for step, value in b.items():
-        params[f"b{step}"] = value
-    for step, value in c.items():
-        params[f"c{step}"] = value
-    built = model_build(args.model, **params)
-    if built is not None:
-        return built
-    return model(args.model, **params)
+        return build_ekr(EkrSpec.from_json({"word": args.word, **constants}))
+    return model_build(args.model, constants) or model(args.model, constants)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -272,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be >= 1, got {args.cap}")
         return args.func(args)
     except (NotSpecialFlag, DegeneratePivot, GeneratorBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)

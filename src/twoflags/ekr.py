@@ -18,6 +18,7 @@ here; they default to 0.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -33,6 +34,8 @@ from .exactalg import Poly, format_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
+# a word segment or constant step: ASCII decimal digits without a leading zero
+_SEGMENT_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True, order=True)
@@ -65,7 +68,7 @@ class Word:
         parts = text.split(".")
         letters = []
         for part in parts:
-            if not part.isdigit():
+            if not _SEGMENT_RE.fullmatch(part):
                 raise BadSyntax(f"bad segment {part!r} in word {text!r}")
             letters.append(int(part))
         return cls(tuple(letters))
@@ -94,6 +97,19 @@ def _admits_c(letter: int) -> bool:
     return letter in (1, 2)
 
 
+def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
+    """The ``kind`` ("b" or "c") entry of a spec mapping as step -> rational."""
+    values = data.get(kind, {})
+    if not isinstance(values, Mapping):
+        raise BadSyntax(f"spec entry {kind!r} must map steps to rationals")
+    out = {}
+    for step, value in values.items():
+        if not _SEGMENT_RE.fullmatch(str(step)):
+            raise BadSyntax(f"bad step {step!r} in the {kind} constants")
+        out[int(step)] = parse_rational(str(value))
+    return out
+
+
 @dataclass(frozen=True)
 class EkrSpec:
     """A word plus its admitted shift constants (1-based step -> value).
@@ -108,22 +124,16 @@ class EkrSpec:
     c: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", {int(k): Fraction(v) for k, v in self.b.items()})
-        object.__setattr__(self, "c", {int(k): Fraction(v) for k, v in self.c.items()})
-        for step in self.b:
-            if not 1 <= step <= self.word.length:
-                raise ConstantNotAdmitted(f"b[{step}] is outside the word of length {self.word.length}")
-            if not _admits_b(self.word.letters[step - 1]):
-                raise ConstantNotAdmitted(
-                    f"operation {self.word.letters[step - 1]} at step {step} admits no b constant"
-                )
-        for step in self.c:
-            if not 1 <= step <= self.word.length:
-                raise ConstantNotAdmitted(f"c[{step}] is outside the word of length {self.word.length}")
-            if not _admits_c(self.word.letters[step - 1]):
-                raise ConstantNotAdmitted(
-                    f"operation {self.word.letters[step - 1]} at step {step} admits no c constant"
-                )
+        for kind, admits in (("b", _admits_b), ("c", _admits_c)):
+            values = {int(k): Fraction(v) for k, v in getattr(self, kind).items()}
+            object.__setattr__(self, kind, values)
+            for step in values:
+                if not 1 <= step <= self.word.length:
+                    raise ConstantNotAdmitted(f"{kind}[{step}] is outside the word of length {self.word.length}")
+                if not admits(self.word.letters[step - 1]):
+                    raise ConstantNotAdmitted(
+                        f"operation {self.word.letters[step - 1]} at step {step} admits no {kind} constant"
+                    )
 
     def b_at(self, step: int) -> Fraction:
         return self.b.get(step, Fraction(0))
@@ -140,17 +150,18 @@ class EkrSpec:
 
     @classmethod
     def from_json(cls, data: str | Mapping) -> "EkrSpec":
+        """The one parser of constants: {"word": text, "b": {step: value}, "c": {...}},
+        or its JSON text; steps and values may be text, ints or Fractions."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, Mapping):
+            raise BadSyntax("a spec must be a JSON object")
         unknown = set(data) - {"word", "b", "c"}
         if unknown:
             raise ConstantNotAdmitted(f"unknown keys in spec: {sorted(unknown)}")
         if "word" not in data:
             raise BadSyntax("spec needs a 'word' entry")
-        word = Word.parse(data["word"])
-        b = {int(k): parse_rational(str(v)) for k, v in data.get("b", {}).items()}
-        c = {int(k): parse_rational(str(v)) for k, v in data.get("c", {}).items()}
-        return cls(word, b, c)
+        return cls(Word.parse(str(data["word"])), _parse_constants(data, "b"), _parse_constants(data, "c"))
 
     def to_json(self) -> dict:
         out: dict = {"word": str(self.word)}
@@ -192,12 +203,12 @@ class EkrBuild:
             raise IndexOutOfRange(f"flag member {j} outside 0..{r}")
         if j == 0:
             gens = [VectorField.versor(self.chart, i) for i in range(self.chart.dim)]
-            return Distribution(self.chart, tuple(gens), rank_hint=self.chart.dim)
+            return Distribution(self.chart, tuple(gens))
         gens = [self.leading[j - 1]]
         for k in range(j, r + 1):
             gens.append(VectorField.versor(self.chart, self.chart.x_index(k)))
             gens.append(VectorField.versor(self.chart, self.chart.y_index(k)))
-        return Distribution(self.chart, tuple(gens), rank_hint=2 * (r - j) + 3)
+        return Distribution(self.chart, tuple(gens))
 
     def prefix_build(self, s: int) -> "EkrBuild":
         """The length-s build of the word prefix; its distribution is the
@@ -236,7 +247,7 @@ def build_ekr(spec: EkrSpec) -> EkrBuild:
         z2 = versor(chart.x_index(step))
         z3 = versor(chart.y_index(step))
         leading.append(z1)
-    dist = Distribution(chart, (z1, z2, z3), rank_hint=3)
+    dist = Distribution(chart, (z1, z2, z3))
     return EkrBuild(spec, chart, tuple(leading), dist)
 
 
@@ -254,7 +265,7 @@ def closed_form_F(r: int) -> Distribution:
     for k in range(1, r + 1):
         gens.append(VectorField.versor(chart, chart.x_index(k)))
         gens.append(VectorField.versor(chart, chart.y_index(k)))
-    return Distribution(chart, tuple(gens), rank_hint=2 * r)
+    return Distribution(chart, tuple(gens))
 
 
 def closed_form_L(j: int, r: int) -> Distribution:
@@ -266,40 +277,12 @@ def closed_form_L(j: int, r: int) -> Distribution:
     for k in range(j + 1, r + 1):
         gens.append(VectorField.versor(chart, chart.x_index(k)))
         gens.append(VectorField.versor(chart, chart.y_index(k)))
-    return Distribution(chart, tuple(gens), rank_hint=2 * (r - j))
+    return Distribution(chart, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
 # Concrete models
 # ---------------------------------------------------------------------------
-
-
-def _jet_like_model(singular: bool) -> Distribution:
-    chart = Chart.for_length(2)
-    n = chart.dim
-    t = VectorField.versor(chart, 0)
-    x1 = Poly.variable(n, chart.x_index(1))
-    y1 = Poly.variable(n, chart.y_index(1))
-    x2 = Poly.variable(n, chart.x_index(2))
-    y2 = Poly.variable(n, chart.y_index(2))
-    dx0 = VectorField.versor(chart, chart.x_index(0))
-    dy0 = VectorField.versor(chart, chart.y_index(0))
-    dx1 = VectorField.versor(chart, chart.x_index(1))
-    dy1 = VectorField.versor(chart, chart.y_index(1))
-    core = t + dx0.scaled(x1) + dy0.scaled(y1)
-    if singular:
-        lead = core.scaled(x2) + dx1 + dy1.scaled(y2)
-    else:
-        lead = core + dx1.scaled(x2) + dy1.scaled(y2)
-    return Distribution(
-        chart,
-        (
-            lead,
-            VectorField.versor(chart, chart.x_index(2)),
-            VectorField.versor(chart, chart.y_index(2)),
-        ),
-        rank_hint=3,
-    )
 
 
 def bcd_chart(m: int, n: int) -> Chart:
@@ -316,76 +299,63 @@ def _bcd_model(m: int, n: int) -> Distribution:
         y_i = Poly.variable(dim, chart.index(f"y{i}"))
         lead = lead + VectorField.versor(chart, chart.index(f"x{i}")).scaled(y_i)
     gens = [lead] + [VectorField.versor(chart, chart.index(f"y{j}")) for j in range(1, n + 1)]
-    return Distribution(chart, tuple(gens), rank_hint=n + 1)
+    return Distribution(chart, tuple(gens))
 
 
+# name -> (word, the constants the model admits).  bcd, the corank-m model
+# with params m and n, is the one named model that is not a pseudo-normal form.
+MODELS = {
+    "ca_2": ("1.1", ()),  # the homogeneous length-2 jet-bundle model
+    "ex_2": ("1.2", ()),  # the length-2 model singular on {x2 = 0}
+    "appxB_D": ("1.2.1.2", ("b3", "c3", "c4")),  # 3-parameter length-4 family
+    "appxB_E": ("1.2.1.3", ("b3", "c3")),  # 2-parameter length-4 family
+}
+MODEL_NAMES = ("ca_2", "ex_2", "bcd", "appxB_D", "appxB_E")
 _ZERO = Fraction(0)
+
+
+def model_spec(name: str, constants: Mapping | None = None) -> EkrSpec:
+    """The pseudo-normal form behind a named model.
+
+    ``constants`` is the {"b": {step: value}, "c": {step: value}} part of an
+    EkrSpec.from_json mapping; a constant the model does not admit raises
+    ConstantNotAdmitted.
+    """
+    if name not in MODELS:
+        raise BadModelName(f"no pseudo-normal form for model {name!r}")
+    word, admitted = MODELS[name]
+    constants = constants or {}
+    if "word" in constants:
+        raise ConstantNotAdmitted(f"model {name} has the fixed word {word}")
+    spec = EkrSpec.from_json({**constants, "word": word})
+    for kind, values in (("b", spec.b), ("c", spec.c)):
+        for step in values:
+            if f"{kind}{step}" not in admitted:
+                raise ConstantNotAdmitted(f"model {name} admits no {kind}{step} constant")
+    return spec
 
 
 def appendix_b_spec(which: str, b3: Fraction = _ZERO, c3: Fraction = _ZERO, c4: Fraction = _ZERO) -> EkrSpec:
     """The two length-4 families living in one sandwich class: the
-    3-parameter family D (word 1.2.1.2) and the 2-parameter family E
-    (word 1.2.1.3)."""
-    if which == "D":
-        return EkrSpec(Word.parse("1.2.1.2"), b={3: b3}, c={3: c3, 4: c4})
-    if which == "E":
-        if c4 != 0:
-            raise ConstantNotAdmitted("family E admits no c4 constant")
-        return EkrSpec(Word.parse("1.2.1.3"), b={3: b3}, c={3: c3})
-    raise BadModelName(f"unknown appendix family {which!r}")
+    3-parameter family D (word 1.2.1.2, model appxB_D) and the 2-parameter
+    family E (word 1.2.1.3, model appxB_E).  A zero constant counts as not
+    given."""
+    given = {"b": {3: b3}, "c": {3: c3, 4: c4}}
+    nonzero = {kind: {step: v for step, v in values.items() if v} for kind, values in given.items()}
+    return model_spec(f"appxB_{which}", nonzero)
 
 
-def model(name: str, **params) -> Distribution:
-    """Concrete model distributions by name.
-
-    ca_2      -- the homogeneous length-2 jet-bundle model
-    ex_2      -- the length-2 model singular on the hypersurface {x2 = 0}
-    bcd       -- corank-m model (params m, n)
-    appxB_D   -- 3-parameter length-4 family (params b3, c3, c4)
-    appxB_E   -- 2-parameter length-4 family (params b3, c3)
-    """
-    if name == "ca_2":
-        return _jet_like_model(singular=False)
-    if name == "ex_2":
-        return _jet_like_model(singular=True)
-    if name == "bcd":
-        return _bcd_model(int(params.get("m", 2)), int(params.get("n", 3)))
-    if name == "appxB_D":
-        spec = appendix_b_spec(
-            "D",
-            Fraction(params.get("b3", 0)),
-            Fraction(params.get("c3", 0)),
-            Fraction(params.get("c4", 0)),
-        )
-        return build_ekr(spec).distribution
-    if name == "appxB_E":
-        spec = appendix_b_spec("E", Fraction(params.get("b3", 0)), Fraction(params.get("c3", 0)))
-        return build_ekr(spec).distribution
-    raise BadModelName(f"unknown model {name!r}")
-
-
-def model_build(name: str, **params) -> EkrBuild | None:
-    """The EKR presentation behind a model name, when there is one."""
-    if name == "ca_2":
-        return build_ekr(EkrSpec(Word.parse("1.1")))
-    if name == "ex_2":
-        return build_ekr(EkrSpec(Word.parse("1.2")))
-    if name == "appxB_D":
-        return build_ekr(
-            appendix_b_spec(
-                "D",
-                Fraction(params.get("b3", 0)),
-                Fraction(params.get("c3", 0)),
-                Fraction(params.get("c4", 0)),
-            )
-        )
-    if name == "appxB_E":
-        return build_ekr(
-            appendix_b_spec("E", Fraction(params.get("b3", 0)), Fraction(params.get("c3", 0)))
-        )
+def model_build(name: str, constants: Mapping | None = None) -> EkrBuild | None:
+    """The EKR presentation behind a model name; None for bcd, which has none."""
     if name == "bcd":
         return None
-    raise BadModelName(f"unknown model {name!r}")
+    return build_ekr(model_spec(name, constants))
 
 
-MODEL_NAMES = ("ca_2", "ex_2", "bcd", "appxB_D", "appxB_E")
+def model(name: str, constants: Mapping | None = None, m: int = 2, n: int = 3) -> Distribution:
+    """Concrete model distributions by name (see MODELS); m and n shape bcd."""
+    if name != "bcd":
+        return model_build(name, constants).distribution
+    if constants:
+        raise ConstantNotAdmitted("model bcd admits no constants")
+    return _bcd_model(m, n)

@@ -24,7 +24,7 @@ from .errors import ChartMismatch, DegeneratePivot
 # ((var, exp), ...) sorted by var, every exp > 0; () is the monomial 1
 Mono = tuple[tuple[int, int], ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -87,9 +87,9 @@ class Poly:
     """Sparse multivariate polynomial with exact Fraction coefficients.
 
     ``terms`` maps monomials to nonzero coefficients; canonical form never
-    stores a zero coefficient, so equality is plain dict equality (plus
-    matching arity).  Arithmetic across different arities raises
-    ChartMismatch.
+    stores a zero coefficient and the constructor rejects monomials that are
+    not canonical, so equality is plain dict equality (plus matching arity).
+    Arithmetic across different arities raises ChartMismatch.
     """
 
     __slots__ = ("arity", "terms")
@@ -101,8 +101,13 @@ class Poly:
         for mono, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
-            if mono and mono[-1][0] >= arity:
-                raise ChartMismatch(f"variable index {mono[-1][0]} >= arity {arity}")
+            previous = -1
+            for var, exp in mono:
+                if var <= previous or exp < 1:
+                    raise ValueError(f"monomial {mono!r} is not canonical (increasing variables, positive exponents)")
+                previous = var
+            if previous >= arity:
+                raise ChartMismatch(f"variable index {previous} >= arity {arity}")
             clean[mono] = Fraction(coeff)
         self.arity = arity
         self.terms = clean
@@ -133,9 +138,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def signature(self) -> tuple:
         """Hashable canonical form (terms sorted by monomial)."""
@@ -233,9 +235,13 @@ class Poly:
                     new = mono[:pos] + mono[pos + 1 :]
                 else:
                     new = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
-                out[new] = out.get(new, Fraction(0)) + coeff * e
+                # distinct monomials have distinct derivatives, so nothing collides or cancels
+                out[new] = coeff * e
                 break
-        return Poly(self.arity, out)
+        poly = Poly.__new__(Poly)
+        poly.arity = self.arity
+        poly.terms = out
+        return poly
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point (length must equal the arity)."""
@@ -400,9 +406,6 @@ class RationalMatrix:
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows([self.column(j) for j in range(self.cols)])
 
     def mat_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:

@@ -190,15 +190,10 @@ class OneForm:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Finitely generated module of vector fields over a chart.
-
-    rank_hint, when set, records the expected pointwise rank at reference
-    points; it is checked by the flag routines, not at construction.
-    """
+    """Finitely generated module of vector fields over a chart."""
 
     chart: Chart
     generators: tuple[VectorField, ...]
-    rank_hint: int | None = None
 
     def __post_init__(self):
         if not self.generators:
@@ -206,10 +201,6 @@ class Distribution:
         for gen in self.generators:
             if gen.chart != self.chart:
                 raise ChartMismatch("generator lives on a different chart")
-
-    @classmethod
-    def spanned_by(cls, chart: Chart, fields: Iterable[VectorField], rank_hint: int | None = None) -> "Distribution":
-        return cls(chart, tuple(fields), rank_hint)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,10 @@ def test_count_width_two_formula():
     assert count_classes(2, 4) == 14
 
 
+def test_count_long_length_needs_no_recursion():
+    assert count_classes(2, 5000) == (3**4999 + 1) // 2
+
+
 def test_count_matches_enumeration():
     for r in range(1, 7):
         assert count_classes(2, r) == len(enumerate_words(r))

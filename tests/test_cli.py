@@ -140,6 +140,40 @@ def test_locus_command(capsys):
     }
 
 
+# each bad input, and the start of its one-line message; an argument after
+# --constants is the text of the constants file
+BAD_INPUTS = [
+    (("classify", "--model", "appxB_E", "--c", "4=5"), "operation 3 at step 4 admits no c constant"),
+    (("classify", "--model", "ex_2", "--b", "1=2"), "model ex_2 admits no b1 constant"),
+    (("classify", "--model", "bcd", "--b", "1=2"), "model bcd admits no constants"),
+    (("classify", "--word", "1.2", "--constants", '{"d": {}}'), "unknown keys in spec: ['d']"),
+    (("classify", "--model", "ca_2", "--constants", '{"d": {}}'), "unknown keys in spec: ['d']"),
+    (("classify", "--word", "1.2", "--constants", '{"word": "1.1"}'), "constants file holds"),
+    (("classify", "--word", "1.2", "--constants", '{"b": ["1"]}'), "constants file holds"),
+    (("classify", "--word", "1.2", "--constants", '{"word": {}}'), "bad segment"),
+    (("classify", "--word", "1.2", "--constants", '{"b": {"\u0661": "1"}}'), "bad step"),
+    (("classify", "--word", "1.2.1.3", "--cap", "0"), "--cap must be >= 1, got 0"),
+    (("verify", "--length", "2", "--cap", "-5"), "--cap must be >= 1, got -5"),
+    (("classify", "--word", "1.02"), "bad segment '02'"),
+    (("classify", "--word", "1.\u0662"), "bad segment"),
+    (("classify", "--word", "1.2", "--b", "1=\u0663/4"), "not a rational literal"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS, ids=[" ".join(case[0]) for case in BAD_INPUTS])
+def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
+    argv = list(argv)
+    if "--constants" in argv:
+        at = argv.index("--constants") + 1
+        constants = tmp_path / "constants.json"
+        constants.write_text(argv[at])
+        argv[at] = str(constants)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # neither --word nor --model

@@ -14,6 +14,7 @@ from twoflags.ekr import (
     closed_form_L,
     model,
     model_build,
+    model_spec,
     validate_word,
 )
 from twoflags.errors import (
@@ -45,7 +46,7 @@ def test_rule_violations(text):
         validate_word(text)
 
 
-@pytest.mark.parametrize("text", ["", "1..2", "1.a", "1,2", ".1"])
+@pytest.mark.parametrize("text", ["", "1..2", "1.a", "1,2", ".1", "1.02", "1.\u0662", "1.\u00b2", "1.+2"])
 def test_bad_syntax(text):
     with pytest.raises(BadSyntax):
         validate_word(text)
@@ -278,6 +279,51 @@ def test_builds_behind_length_two_models():
 def test_model_unknown_name():
     with pytest.raises(BadModelName):
         model("nope")
+
+
+def test_model_constants_go_through_the_spec_parser():
+    spec = model_spec("appxB_D", {"b": {"3": "1/2"}, "c": {3: F(-2), "4": "5/3"}})
+    assert spec == appendix_b_spec("D", F(1, 2), F(-2), F(5, 3))
+    assert appendix_b_spec("E", c4=F(0)) == model_spec("appxB_E")
+
+
+@pytest.mark.parametrize(
+    "name, constants",
+    [
+        ("ex_2", {"b": {"1": "2"}}),  # the word admits b1, the model does not
+        ("ca_2", {"c": {"2": "1"}}),
+        ("appxB_E", {"c": {"4": "5"}}),
+        ("appxB_D", {"b": {"1": "1"}}),
+        ("appxB_D", {"word": "1.2.1.3"}),
+        ("appxB_D", {"d": {}}),
+        ("bcd", {"b": {"1": "2"}}),
+    ],
+)
+def test_model_rejects_constants_it_does_not_admit(name, constants):
+    with pytest.raises(ConstantNotAdmitted):
+        model(name, constants)
+
+
+def test_appendix_family_E_rejects_a_nonzero_c4():
+    with pytest.raises(ConstantNotAdmitted):
+        appendix_b_spec("E", c4=F(1))
+    with pytest.raises(BadModelName):
+        appendix_b_spec("F")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"word": "1.2", "b": {"\u0661": "1"}},
+        {"word": "1.2", "b": {"01": "1"}},
+        {"word": "1.2", "b": {" 1": "1"}},
+        {"word": "1.2", "b": ["1"]},
+        ["1.2"],
+    ],
+)
+def test_spec_json_rejects_malformed_steps_and_shapes(data):
+    with pytest.raises(BadSyntax):
+        EkrSpec.from_json(data)
 
 
 def test_builds_are_special_flags():

@@ -98,7 +98,7 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "1.5", "3e2", "2/0", "1/-2", "--3", "a/b"])
+@pytest.mark.parametrize("text", ["", "1.5", "3e2", "2/0", "1/-2", "--3", "a/b", "\u0663/4", "1/\u0664", "1_000"])
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -148,6 +148,21 @@ def test_arity_mismatch():
         Poly.variable(2, 0) + Poly.variable(3, 0)
     with pytest.raises(ChartMismatch):
         Poly.variable(2, 0) * Poly.variable(3, 0)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 0),), ((0, -1),), ((-1, 1),)],
+)
+def test_poly_rejects_non_canonical_monomials(mono):
+    with pytest.raises(ValueError):
+        Poly(3, {mono: F(1)})
+
+
+def test_poly_canonical_monomials_compare_equal():
+    assert Poly(3, {((0, 1), (1, 1)): F(1)}) == Poly.variable(3, 0) * Poly.variable(3, 1)
+    with pytest.raises(ChartMismatch):
+        Poly(3, {((0, 1), (3, 1)): F(1)})
 
 
 def test_partial_power_rule():

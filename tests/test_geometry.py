@@ -262,7 +262,7 @@ def hand_built_family(which: str, b3, c3, c4=None) -> Distribution:
         lead = inner.scaled(var("x4")) + versor("x3") + versor("y3").scaled(var("y4") + c4)
     else:
         lead = inner.scaled(var("x4")) + versor("x3").scaled(var("y4")) + versor("y3")
-    return Distribution(chart, (lead, versor("x4"), versor("y4")), rank_hint=3)
+    return Distribution(chart, (lead, versor("x4"), versor("y4")))
 
 
 def proportional(a: VectorField, b: VectorField) -> bool:
