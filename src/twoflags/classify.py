@@ -96,6 +96,11 @@ class ClassificationReport:
         return json.dumps(self.to_json())
 
 
+def _closed_target(nu: int, r: int) -> Distribution:
+    """The target of position nu on the length-r chart: F, or L(D^(nu-2)) for nu > 2."""
+    return closed_form_F(r) if nu == 2 else closed_form_L(nu - 2, r)
+
+
 class _ClosedGeometry:
     """Flag members and subflag targets of a pseudo-normal form.
 
@@ -114,33 +119,30 @@ class _ClosedGeometry:
             raise ChartMismatch(
                 f"point has {len(self.point)} coordinates, chart has {build.chart.dim}"
             )
+        self.targets = {nu: value_at(_closed_target(nu, self.r), self.point) for nu in range(2, self.r + 1)}
 
     def flag_value(self, j: int) -> Subspace:
         return value_at(self.build.flag_member(j), self.point)
-
-    def target_value(self, nu: int) -> Subspace:
-        dist = closed_form_F(self.r) if nu == 2 else closed_form_L(nu - 2, self.r)
-        return value_at(dist, self.point)
 
     def refinement_inclusion(self, s: int, nu: int, member: int) -> bool:
         prefix = self.build.prefix_build(s)
         sub_point = self.point[: prefix.chart.dim]
         flag = small_flag(prefix.distribution, member, cap=self.cap)
         small_value = value_at(flag[-1], sub_point)
-        target = closed_form_F(s) if nu == 2 else closed_form_L(nu - 2, s)
-        return value_at(target, sub_point).includes(small_value)
+        return value_at(_closed_target(nu, s), sub_point).includes(small_value)
 
 
 class _GenericGeometry:
-    """Flag members and subflag targets recomputed from the raw distribution."""
+    """Flag members and subflag targets recomputed from the raw distribution, each target once."""
 
     def __init__(self, dist: Distribution, point: Sequence[Fraction], cap: int):
-        self.dist = dist
         self.point = tuple(point)
         self.cap = cap
-        tower = big_flag(dist, self.point, cap=cap)
-        self.r = len(tower) - 1
-        self.tower = tower  # [D^r, ..., D^0]
+        self.tower = big_flag(dist, self.point, cap=cap)  # [D^r, ..., D^0]
+        self.r = len(self.tower) - 1
+        self.targets = {2: covariant_at(self.member(1), self.point)} if self.r >= 2 else {}
+        for nu in range(3, self.r + 1):
+            self.targets[nu] = cauchy_char_at(self.member(nu - 2), self.point)
 
     def member(self, j: int) -> Distribution:
         return self.tower[self.r - j]
@@ -148,15 +150,10 @@ class _GenericGeometry:
     def flag_value(self, j: int) -> Subspace:
         return value_at(self.member(j), self.point)
 
-    def target_value(self, nu: int) -> Subspace:
-        if nu == 2:
-            return covariant_at(self.member(1), self.point)
-        return cauchy_char_at(self.member(nu - 2), self.point)
-
     def refinement_inclusion(self, s: int, nu: int, member: int) -> bool:
         flag = small_flag(self.member(s), member, cap=self.cap)
         small_value = value_at(flag[-1], self.point)
-        return self.target_value(nu).includes(small_value)
+        return self.targets[nu].includes(small_value)
 
 
 def _geometry(obj, point, generic: bool, cap: int):
@@ -180,7 +177,7 @@ def sandwich_class_at(
 def _sandwich(geo) -> SandwichWord:
     letters = [1]
     for j in range(2, geo.r + 1):
-        included = geo.target_value(j).includes(geo.flag_value(j))
+        included = geo.targets[j].includes(geo.flag_value(j))
         letters.append(2 if included else 1)
     return SandwichWord(tuple(letters))
 

@@ -108,20 +108,39 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that keeps aside the keys it held more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
+
+
 def _constants(args) -> dict:
     """The --constants file with the --b/--c flags laid over it, in the form
-    of EkrSpec.from_json without the word; steps and values stay text."""
+    of EkrSpec.from_json without the word; steps and values stay text.  A
+    step given twice in the file, or twice by the flags, is an error."""
     data = {}
     if args.constants:
         with open(args.constants) as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_JsonObject)
         if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
             raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')
+        if data.repeated:
+            raise BadSyntax(f"{args.constants}: repeated entry {data.repeated[0]!r}")
+        for kind, steps in data.items():
+            if steps.repeated:
+                raise BadSyntax(f"{args.constants}: repeated {kind} constant at step {steps.repeated[0]}")
     for kind, pairs in (("b", args.b), ("c", args.c)):
+        given = set()
         for pair in pairs or []:
             step, equals, value = pair.partition("=")
             if not equals:
                 raise ValueError(f"expected l=value, got {pair!r}")
+            if step in given:
+                raise ValueError(f"repeated {kind} constant at step {step}")
+            given.add(step)
             data.setdefault(kind, {})[step] = value
     return data
 
@@ -152,6 +171,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     outcomes = run_verification(
         length=args.length,
         trials=args.trials,
@@ -160,6 +181,8 @@ def _cmd_verify(args) -> int:
         cap=args.cap,
         generic=args.generic_geometry,
     )
+    if not outcomes:
+        raise ValueError("verify made no classification: --trials is 0 and --zero-constants is not set")
     failures = [o for o in outcomes if not o.passed]
     lines = []
     for outcome in failures:

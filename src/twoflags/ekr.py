@@ -204,11 +204,7 @@ class EkrBuild:
         if j == 0:
             gens = [VectorField.versor(self.chart, i) for i in range(self.chart.dim)]
             return Distribution(self.chart, tuple(gens))
-        gens = [self.leading[j - 1]]
-        for k in range(j, r + 1):
-            gens.append(VectorField.versor(self.chart, self.chart.x_index(k)))
-            gens.append(VectorField.versor(self.chart, self.chart.y_index(k)))
-        return Distribution(self.chart, tuple(gens))
+        return Distribution(self.chart, (self.leading[j - 1],) + _versors_from(self.chart, j))
 
     def prefix_build(self, s: int) -> "EkrBuild":
         """The length-s build of the word prefix; its distribution is the
@@ -256,16 +252,21 @@ def build_ekr(spec: EkrSpec) -> EkrBuild:
 # ---------------------------------------------------------------------------
 
 
+def _versors_from(chart: Chart, first: int) -> tuple[VectorField, ...]:
+    """The versors d/dx_k, d/dy_k for k = first, ..., length of a flag chart."""
+    return tuple(
+        VectorField.versor(chart, index(k))
+        for k in range(first, chart.length + 1)
+        for index in (chart.x_index, chart.y_index)
+    )
+
+
 def closed_form_F(r: int) -> Distribution:
     """F = (d/dx1, d/dy1, ..., d/dxr, d/dyr) on the length-r flag chart."""
     if r < 1:
         raise IndexOutOfRange(f"length must be >= 1, got {r}")
     chart = Chart.for_length(r)
-    gens = []
-    for k in range(1, r + 1):
-        gens.append(VectorField.versor(chart, chart.x_index(k)))
-        gens.append(VectorField.versor(chart, chart.y_index(k)))
-    return Distribution(chart, tuple(gens))
+    return Distribution(chart, _versors_from(chart, 1))
 
 
 def closed_form_L(j: int, r: int) -> Distribution:
@@ -273,11 +274,7 @@ def closed_form_L(j: int, r: int) -> Distribution:
     if not 1 <= j <= r - 1:
         raise IndexOutOfRange(f"L is a distribution only for 1 <= j <= {r - 1}, got {j}")
     chart = Chart.for_length(r)
-    gens = []
-    for k in range(j + 1, r + 1):
-        gens.append(VectorField.versor(chart, chart.x_index(k)))
-        gens.append(VectorField.versor(chart, chart.y_index(k)))
-    return Distribution(chart, tuple(gens))
+    return Distribution(chart, _versors_from(chart, j + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -274,16 +274,15 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 class _Dedup:
     """Generator list that drops zero fields and scalar multiples of known fields."""
 
-    def __init__(self, chart: Chart, cap: int):
-        self.chart = chart
+    def __init__(self, cap: int):
         self.cap = cap
         self.fields: list[VectorField] = []
         self.seen: set[tuple] = set()
 
-    def add(self, candidate: VectorField, normalized: bool = False) -> None:
+    def add(self, candidate: VectorField) -> None:
         if candidate.is_zero():
             return
-        normal = candidate if normalized else candidate.normalized()
+        normal = candidate.normalized()
         key = normal.signature()
         if key in self.seen:
             return
@@ -299,7 +298,7 @@ class _Dedup:
 
 def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
     """[D, D]: the generators of D together with all pairwise brackets, deduplicated."""
-    pool = _Dedup(dist.chart, cap)
+    pool = _Dedup(cap)
     pool.extend(dist.generators)
     gens = list(pool.fields)
     for i in range(len(gens)):
@@ -359,7 +358,7 @@ def small_flag(
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
-    pool = _Dedup(dist.chart, cap)
+    pool = _Dedup(cap)
     pool.extend(dist.generators)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
@@ -449,6 +448,26 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     return [OneForm(dist.chart, cov) for cov in polynomial_nullspace(matrix, point)]
 
 
+def _curvature_pairings(
+    dist: Distribution, point: tuple[Fraction, ...], basis: RationalMatrix
+) -> list[list[list[Fraction]]]:
+    """For each annihilating form omega, the pairing of the basis columns v_a
+    of D(p) under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p)."""
+    n = dist.chart.dim
+    columns = [basis.column(a) for a in range(basis.cols)]
+    pairings = []
+    for form in annihilator_at(dist, point):
+        sparse = _exterior_sparse(form, point)
+        images = [_sparse_apply(sparse, col, n) for col in columns]
+        pairings.append(
+            [
+                [sum((w[i] * v for i, v in image.items()), Fraction(0)) for w in columns]
+                for image in images
+            ]
+        )
+    return pairings
+
+
 def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise Cauchy-characteristic space of D at p.
 
@@ -457,30 +476,15 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     module this equals the value of the Cauchy-characteristic module.
     """
     point = _check_point(dist.chart, point)
-    n = dist.chart.dim
-    basis = value_at(dist, point).basis
-    d = basis.cols
-    forms = annihilator_at(dist, point)
-    if not forms:
-        return Subspace.from_vectors(n, [basis.column(j) for j in range(d)])
-    columns = [basis.column(a) for a in range(d)]
-    constraint_rows: list[list[Fraction]] = []
-    for form in forms:
-        sparse = _exterior_sparse(form, point)
-        # image_a = dmat @ v_a, then one constraint row per basis vector w
-        images = [_sparse_apply(sparse, col, n) for col in columns]
-        for b in range(d):
-            w = columns[b]
-            constraint_rows.append(
-                [
-                    sum((w[i] * v for i, v in images[a].items()), Fraction(0))
-                    for a in range(d)
-                ]
-            )
-    matrix = RationalMatrix.from_rows(constraint_rows)
-    _, kernel = rank_and_nullspace(matrix)
-    vectors = [basis.mat_vec(lam) for lam in kernel]
-    return Subspace.from_vectors(n, vectors)
+    value = value_at(dist, point)
+    basis = value.basis
+    pairings = _curvature_pairings(dist, point, basis)
+    if not pairings:
+        return value
+    # one constraint row per form and basis vector w: lambda -> d(omega)(w, v(lambda))
+    rows = [row for pair in pairings for row in zip(*pair)]
+    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows))
+    return Subspace.from_vectors(dist.chart.dim, [basis.mat_vec(lam) for lam in kernel])
 
 
 def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
@@ -498,26 +502,16 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
         raise UnexpectedCovariantDimension(
             f"covariant subspace needs corank 2, got corank {n - d}"
         )
-    forms = annihilator_at(dist, point)
     columns = [basis.column(a) for a in range(d)]
     rows: list[list[Fraction]] = []
-    for form in forms:
-        sparse = _exterior_sparse(form, point)
-        pair = [[None] * d for _ in range(d)]
-        for a in range(d):
-            image = _sparse_apply(sparse, columns[a], n)
-            for b in range(d):
-                pair[a][b] = sum((columns[b][i] * v for i, v in image.items()), Fraction(0))
+    for pair in _curvature_pairings(dist, point, basis):
         for a in range(d):
             for b in range(a + 1, d):
                 for c in range(b + 1, d):
-                    row = [Fraction(0)] * n
-                    for i in range(n):
-                        row[i] = (
-                            columns[a][i] * pair[b][c]
-                            - columns[b][i] * pair[a][c]
-                            + columns[c][i] * pair[a][b]
-                        )
+                    row = [
+                        columns[a][i] * pair[b][c] - columns[b][i] * pair[a][c] + columns[c][i] * pair[a][b]
+                        for i in range(n)
+                    ]
                     if any(v != 0 for v in row):
                         rows.append(row)
     if rows:

@@ -138,6 +138,25 @@ def test_generic_mode_agrees_on_appendix_families():
         assert str(generic.word) == expected
 
 
+def test_generic_mode_agrees_on_full_reports_up_to_length_four():
+    # sandwich, word and refinement evidence of the two routes, for every word
+    # of length <= 4 with seeded constants, at the origin and at a seeded
+    # point with no zero coordinate
+    from twoflags.atlas import enumerate_words
+
+    for r in range(1, 5):
+        for word in enumerate_words(r):
+            build = build_ekr(random_spec(word, f"agree|{word}"))
+            rng = random.Random(f"agree-point|{word}")
+            point = tuple(
+                F(rng.randint(1, 7), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(build.chart.dim)
+            )
+            for p in (build.chart.origin(), point):
+                closed = singularity_class_at(build, p)
+                generic = singularity_class_at(build, p, generic=True)
+                assert closed.to_json() == generic.to_json(), (str(word), p)
+
+
 def test_report_json_shape():
     build = build_ekr(appendix_b_spec("E", b3=F(1), c3=F(1)))
     report = singularity_class_at(build, build.chart.origin())

@@ -157,6 +157,10 @@ BAD_INPUTS = [
     (("classify", "--word", "1.02"), "bad segment '02'"),
     (("classify", "--word", "1.\u0662"), "bad segment"),
     (("classify", "--word", "1.2", "--b", "1=\u0663/4"), "not a rational literal"),
+    (("classify", "--word", "1.2", "--c", "1=2", "--c", "1=3"), "repeated c constant at step 1"),
+    (("classify", "--word", "1.2", "--constants", '{"c": {"1": "2", "1": "5"}}'), "repeated c constant at step 1"),
+    (("verify", "--length", "2", "--trials", "-1"), "--trials must be >= 0, got -1"),
+    (("verify", "--length", "2", "--trials", "0"), "verify made no classification"),
 ]
 
 
