@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ChartMismatch
@@ -96,18 +97,24 @@ class ClassificationReport:
         return json.dumps(self.to_json())
 
 
-def _closed_target(nu: int, r: int) -> Distribution:
-    """The target of position nu on the length-r chart: F, or L(D^(nu-2)) for nu > 2."""
-    return closed_form_F(r) if nu == 2 else closed_form_L(nu - 2, r)
+@lru_cache(maxsize=256)
+def _closed_target(nu: int, r: int) -> Subspace:
+    """The target of position nu on the length-r chart: F, or L(D^(nu-2)) for nu > 2.
+
+    Both are spanned by coordinate versors, so the value is the same at
+    every point; it is computed once per (nu, r).
+    """
+    target = closed_form_F(r) if nu == 2 else closed_form_L(nu - 2, r)
+    return value_at(target, target.chart.origin())
 
 
 class _ClosedGeometry:
     """Flag members and subflag targets of a pseudo-normal form.
 
     Flag member j is presented by the step-j leading field plus versors;
-    F and L come from their closed forms, valid at every point of the
-    chart.  The small-flag member for a refinement at position s is
-    computed on the length-s prefix chart.
+    F and L come from their closed forms, whose values are the same at
+    every point of the chart.  The small-flag member for a refinement at
+    position s is computed on the length-s prefix chart.
     """
 
     def __init__(self, build: EkrBuild, point: Sequence[Fraction], cap: int):
@@ -119,7 +126,7 @@ class _ClosedGeometry:
             raise ChartMismatch(
                 f"point has {len(self.point)} coordinates, chart has {build.chart.dim}"
             )
-        self.targets = {nu: value_at(_closed_target(nu, self.r), self.point) for nu in range(2, self.r + 1)}
+        self.targets = {nu: _closed_target(nu, self.r) for nu in range(2, self.r + 1)}
 
     def flag_value(self, j: int) -> Subspace:
         return value_at(self.build.flag_member(j), self.point)
@@ -129,7 +136,7 @@ class _ClosedGeometry:
         sub_point = self.point[: prefix.chart.dim]
         flag = small_flag(prefix.distribution, member, cap=self.cap)
         small_value = value_at(flag[-1], sub_point)
-        return value_at(_closed_target(nu, s), sub_point).includes(small_value)
+        return _closed_target(nu, s).includes(small_value)
 
 
 class _GenericGeometry:

@@ -26,6 +26,9 @@ Mono = tuple[tuple[int, int], ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse the exact text format: optional sign, integer, optional '/' positive integer."""
@@ -108,7 +111,7 @@ class Poly:
                 previous = var
             if previous >= arity:
                 raise ChartMismatch(f"variable index {previous} >= arity {arity}")
-            clean[mono] = Fraction(coeff)
+            clean[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         self.arity = arity
         self.terms = clean
 
@@ -167,7 +170,7 @@ class Poly:
         self._check_same_arity(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+            s = out.get(mono, _ZERO) + coeff
             if s:
                 out[mono] = s
             else:
@@ -201,7 +204,7 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = _mono_mul(ma, mb)
-                s = out.get(mono, Fraction(0)) + ca * cb
+                s = out.get(mono, _ZERO) + ca * cb
                 if s:
                     out[mono] = s
                 else:
@@ -214,7 +217,8 @@ class Poly:
     __rmul__ = __mul__
 
     def scaled(self, factor: Fraction | int) -> "Poly":
-        factor = Fraction(factor)
+        if not isinstance(factor, Fraction):
+            factor = Fraction(factor)
         poly = Poly.__new__(Poly)
         poly.arity = self.arity
         poly.terms = {} if factor == 0 else {m: c * factor for m, c in self.terms.items()}
@@ -247,16 +251,16 @@ class Poly:
         """Exact value at a rational point (length must equal the arity)."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
-        total = Fraction(0)
+        total = _ZERO
         for mono, coeff in self.terms.items():
             value = coeff
             for var, exp in mono:
                 base = point[var]
-                if base == 0:
-                    value = Fraction(0)
+                if not base:
                     break
-                value *= Fraction(base) ** exp
-            total += value
+                value *= base**exp
+            else:
+                total += value
         return total
 
     # -- dunder plumbing -----------------------------------------------------
@@ -381,8 +385,8 @@ class RationalMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ChartMismatch("ragged rows")
-            flat.extend(Fraction(v) for v in row)
-        return cls(nrows, ncols, tuple(flat))
+            flat.extend(row)
+        return cls(nrows, ncols, tuple(v if isinstance(v, Fraction) else Fraction(v) for v in flat))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], ambient: int | None = None) -> "RationalMatrix":
@@ -416,11 +420,33 @@ class RationalMatrix:
         )
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[int, list[int], list[int]]:
-    """In-place Gauss-Jordan on non-pivot rows.
+def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, divided by the gcd of the result.
 
-    Returns (rank, pivot row indices in pivot order, pivot column indices).
-    Row indices refer to the incoming order, which is preserved.
+    Scaling a row by a nonzero number changes neither the kernel nor which
+    entries become zero during elimination, so the pivots stay the same.
+    """
+    out = []
+    for row in rows:
+        pairs = [(v.numerator, v.denominator) for v in row]
+        den = lcm(*[d for _, d in pairs])
+        ints = [n * (den // d) for n, d in pairs] if den > 1 else [n for n, _ in pairs]
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
+    return out
+
+
+def _eliminate(rows: list[list[int]], reduce: bool) -> tuple[list[int], list[int]]:
+    """In-place fraction-free elimination of integer rows.
+
+    Column by column, the pivot is the first unused row with a nonzero entry
+    p there; every other row with a nonzero entry f in that column becomes
+    p * row - f * pivot_row, divided by the gcd of its entries.  Without
+    ``reduce`` only unused rows are cleared (row echelon form: rank and
+    pivot columns); with it the pivot rows are cleared too, which leaves a
+    row-scaled reduced echelon form.  Row order is preserved.
+
+    Returns (pivot row indices, pivot column indices) in pivot order.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -428,35 +454,51 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[int, list[int], list[int]]:
     pivot_cols: list[int] = []
     used = [False] * nrows
     for col in range(ncols):
-        pivot = next((r for r in range(nrows) if not used[r] and rows[r][col] != 0), None)
+        if len(pivot_rows) == nrows:
+            break
+        pivot = next((r for r in range(nrows) if not used[r] and rows[r][col]), None)
         if pivot is None:
             continue
         used[pivot] = True
         pivot_rows.append(pivot)
         pivot_cols.append(col)
-        inv = 1 / rows[pivot][col]
-        rows[pivot] = [v * inv for v in rows[pivot]]
+        prow = rows[pivot]
+        p = prow[col]
         for r in range(nrows):
-            if r == pivot or rows[r][col] == 0:
+            row = rows[r]
+            f = row[col]
+            if not f or r == pivot or (used[r] and not reduce):
                 continue
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
-    return len(pivot_cols), pivot_rows, pivot_cols
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(row, prow)]
+            g = gcd(*new)
+            rows[r] = [x // g for x in new] if g > 1 else new
+    return pivot_rows, pivot_cols
 
 
 def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact rank and a basis of the (right) kernel {v : Mv = 0}."""
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    rank, pivot_rows, pivot_cols = _eliminate(rows)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    """Exact rank and a basis of the (right) kernel {v : Mv = 0}.
+
+    The basis has one vector per free column, with 1 in that column; it is
+    read off the reduced echelon form, which is unique, so the basis is too.
+    """
+    rows = _integer_rows(matrix.row(i) for i in range(matrix.rows))
+    pivot_rows, pivot_cols = _eliminate(rows, reduce=True)
+    pivots = list(zip(pivot_rows, pivot_cols))
+    is_pivot = set(pivot_cols)
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            vec[pcol] = -rows[prow][free]
+    for free in range(matrix.cols):
+        if free in is_pivot:
+            continue
+        vec = [_ZERO] * matrix.cols
+        vec[free] = _ONE
+        for prow, pcol in pivots:
+            entry = rows[prow][free]
+            if entry:
+                vec[pcol] = Fraction(-entry, rows[prow][pcol])
         basis.append(tuple(vec))
-    return rank, basis
+    return len(pivot_cols), basis
 
 
 def matrix_rank(matrix: RationalMatrix) -> int:
@@ -473,12 +515,13 @@ def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
 
 
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:
-    """Select a deterministic independent subset of ``columns`` spanning their space."""
+    """Select a deterministic independent subset of ``columns`` spanning their space:
+    each column that is not in the span of the columns before it."""
     if not columns:
         return RationalMatrix(ambient, 0, ())
-    matrix = RationalMatrix.from_columns(columns, ambient=ambient)
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
-    _, _, pivot_cols = _eliminate(rows)
+    if any(len(col) != ambient for col in columns):
+        raise ChartMismatch(f"columns must have {ambient} entries")
+    _, pivot_cols = _eliminate(_integer_rows(zip(*columns)), reduce=False)
     return RationalMatrix.from_columns([columns[c] for c in pivot_cols], ambient=ambient)
 
 
@@ -604,9 +647,9 @@ def polynomial_nullspace(
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
     # constraint matrix: one row per generator, one column per ambient coordinate
     constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
-    evaluated = [[entry.eval_at(at_point) for entry in row] for row in constraints]
-    rank_at_point, pivot_rows, pivot_cols = _eliminate(evaluated)
-    if len(_structural_pivots(constraints)[1]) > rank_at_point:
+    evaluated = _integer_rows([entry.eval_at(at_point) for entry in row] for row in constraints)
+    pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
+    if len(_structural_pivots(constraints)[1]) > len(pivot_cols):
         raise DegeneratePivot(
             "generator matrix drops rank at the reference point; no valid pivot permutation"
         )

@@ -90,7 +90,7 @@ class Chart:
 def _check_point(chart: Chart, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(point) != chart.dim:
         raise ChartMismatch(f"point has {len(point)} coordinates, chart has {chart.dim}")
-    return tuple(Fraction(v) for v in point)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in point)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class VectorField:
 
     @classmethod
     def versor(cls, chart: Chart, index: int) -> "VectorField":
-        comps = [Poly.zero(chart.dim) for _ in range(chart.dim)]
+        comps = [Poly.zero(chart.dim)] * chart.dim
         comps[index] = Poly.const(chart.dim, 1)
         return cls(chart, tuple(comps))
 
@@ -246,27 +246,33 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
+def _variables(poly: Poly) -> set[int]:
+    return {var for mono in poly.terms for var, _ in mono}
+
+
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Coordinate Lie bracket [X,Y]_j = sum_i (X_i dY_j/du_i - Y_i dX_j/du_i)."""
+    """Coordinate Lie bracket [X,Y]_j = sum_i (X_i dY_j/du_i - Y_i dX_j/du_i).
+
+    Only the nonzero terms are formed: dY_j/du_i is taken only when X_i is
+    nonzero and Y_j contains u_i, and likewise for dX_j/du_i.
+    """
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
     n = x.chart.dim
+    xs, ys = x.components, y.components
+    x_support = {i for i, c in enumerate(xs) if c.terms}
+    y_support = {i for i, c in enumerate(ys) if c.terms}
     components = []
     for j in range(n):
         out = Poly.zero(n)
-        yj = y.components[j]
-        xj = x.components[j]
-        for i in range(n):
-            xi = x.components[i]
-            if not xi.is_zero():
-                d = yj.partial(i)
-                if not d.is_zero():
-                    out = out + xi * d
-            yi = y.components[i]
-            if not yi.is_zero():
-                d = xj.partial(i)
-                if not d.is_zero():
-                    out = out - yi * d
+        yj, xj = ys[j], xs[j]
+        plus = _variables(yj) & x_support
+        minus = _variables(xj) & y_support
+        for i in sorted(plus | minus):
+            if i in plus:
+                out = out + xs[i] * yj.partial(i)
+            if i in minus:
+                out = out - ys[i] * xj.partial(i)
         components.append(out)
     return VectorField(x.chart, tuple(components))
 
@@ -427,18 +433,23 @@ def _structural_annihilator(dist: Distribution) -> tuple[tuple[Poly, ...], ...]:
     return tuple(polynomial_nullspace_structural(matrix))
 
 
-def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneForm]:
+def annihilator_at(
+    dist: Distribution, point: Sequence[Fraction], *, value: Subspace | None = None
+) -> list[OneForm]:
     """Polynomial 1-forms annihilating the distribution, with pivots regular at ``point``.
 
     The covector basis is point-independent (it annihilates the generators
     identically), so it is cached per distribution; when the cached basis
     degenerates at the requested point the elimination is redone with pivots
-    chosen there, which raises DegeneratePivot if none exist.
+    chosen there, which raises DegeneratePivot if none exist.  ``value`` is
+    D(p) when the caller has computed it already.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
     covectors = _structural_annihilator(dist)
-    corank = n - value_at(dist, point).dim
+    if value is None:
+        value = value_at(dist, point)
+    corank = n - value.dim
     if len(covectors) == corank:
         values = [tuple(p.eval_at(point) for p in cov) for cov in covectors]
         matrix = RationalMatrix.from_columns(values, ambient=n)
@@ -449,14 +460,14 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
 
 
 def _curvature_pairings(
-    dist: Distribution, point: tuple[Fraction, ...], basis: RationalMatrix
+    dist: Distribution, point: tuple[Fraction, ...], value: Subspace
 ) -> list[list[list[Fraction]]]:
     """For each annihilating form omega, the pairing of the basis columns v_a
-    of D(p) under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p)."""
+    of D(p) = ``value`` under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p)."""
     n = dist.chart.dim
-    columns = [basis.column(a) for a in range(basis.cols)]
+    columns = value.basis.columns()
     pairings = []
-    for form in annihilator_at(dist, point):
+    for form in annihilator_at(dist, point, value=value):
         sparse = _exterior_sparse(form, point)
         images = [_sparse_apply(sparse, col, n) for col in columns]
         pairings.append(
@@ -478,7 +489,7 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     point = _check_point(dist.chart, point)
     value = value_at(dist, point)
     basis = value.basis
-    pairings = _curvature_pairings(dist, point, basis)
+    pairings = _curvature_pairings(dist, point, value)
     if not pairings:
         return value
     # one constraint row per form and basis vector w: lambda -> d(omega)(w, v(lambda))
@@ -496,7 +507,8 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
-    basis = value_at(dist, point).basis
+    value = value_at(dist, point)
+    basis = value.basis
     d = basis.cols
     if n - d != 2:
         raise UnexpectedCovariantDimension(
@@ -504,7 +516,7 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
         )
     columns = [basis.column(a) for a in range(d)]
     rows: list[list[Fraction]] = []
-    for pair in _curvature_pairings(dist, point, basis):
+    for pair in _curvature_pairings(dist, point, value):
         for a in range(d):
             for b in range(a + 1, d):
                 for c in range(b + 1, d):

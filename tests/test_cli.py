@@ -1,10 +1,16 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twoflags.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -107,6 +113,14 @@ def test_count_table_values(capsys):
     assert code == 0 and out.strip() == "365"
     code, out, _ = run(capsys, "count", "--width", "6", "--length", "7")
     assert code == 0 and out.strip() == "877"
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    argv = ["count", "--width", "2", "--length", "3"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "twoflags", *argv], env=env, capture_output=True, text=True, timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out) == (0, "5\n")
 
 
 def test_atlas_csv_row_count(capsys):

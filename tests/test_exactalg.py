@@ -16,6 +16,7 @@ from twoflags.errors import ChartMismatch, DegeneratePivot
 from twoflags.exactalg import (
     Poly,
     RationalMatrix,
+    column_space_basis,
     format_rational,
     parse_rational,
     poly_content,
@@ -72,6 +73,35 @@ def oracle_det(rows) -> Fraction:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * rows[0][j] * oracle_det(minor)
     return total
+
+
+def oracle_gauss_jordan(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]], list[int]]:
+    """Fraction Gauss-Jordan with the library's pivot rule (first unused row with a
+    nonzero entry): (rank, kernel basis with 1 in each free column, pivot columns)."""
+    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+    pivot_rows, pivot_cols = [], []
+    used = [False] * matrix.rows
+    for col in range(matrix.cols):
+        pivot = next((r for r in range(matrix.rows) if not used[r] and rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        used[pivot] = True
+        pivot_rows.append(pivot)
+        pivot_cols.append(col)
+        inv = 1 / rows[pivot][col]
+        rows[pivot] = [v * inv for v in rows[pivot]]
+        for r in range(matrix.rows):
+            if r != pivot and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
+    basis = []
+    for free in (c for c in range(matrix.cols) if c not in pivot_cols):
+        vec = [F(0)] * matrix.cols
+        vec[free] = F(1)
+        for prow, pcol in zip(pivot_rows, pivot_cols):
+            vec[pcol] = -rows[prow][free]
+        basis.append(tuple(vec))
+    return len(pivot_cols), basis, pivot_cols
 
 
 def minor_rank(matrix: RationalMatrix) -> int:
@@ -310,6 +340,68 @@ def test_rank_matches_minor_oracle_random():
         assert rank + len(basis) == cols
         for vec in basis:
             assert all(v == 0 for v in m.mat_vec(vec))
+
+
+# zero often, small fractions, and numerators and denominators far beyond a machine word
+entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None):
+    """Random matrices with some zero rows, zero columns and repeated (rescaled) columns."""
+    nrows = nrows or draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [F(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = F(0)
+    for dst, src, factor in draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(0, ncols - 1), entries), max_size=2)):
+        for row in rows:
+            row[dst] = factor * row[src]
+    return RationalMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rank_and_nullspace_match_the_fraction_oracle(m):
+    rank, basis, _ = oracle_gauss_jordan(m)
+    assert rank_and_nullspace(m) == (rank, basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_column_space_basis_picks_the_oracle_pivot_columns(m):
+    _, _, pivot_cols = oracle_gauss_jordan(m)
+    columns = m.columns()
+    chosen = column_space_basis(columns, m.rows)
+    assert chosen.rows == m.rows
+    assert chosen.columns() == [columns[c] for c in pivot_cols]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) of one height; half the time the columns of a are combinations of those of b."""
+    b = draw(rational_matrices())
+    if draw(st.booleans()):
+        a = draw(rational_matrices(nrows=b.rows))
+    else:
+        weights = draw(st.lists(st.lists(entries, min_size=b.cols, max_size=b.cols), min_size=1, max_size=3))
+        a = RationalMatrix.from_columns([b.mat_vec(w) for w in weights], ambient=b.rows)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_span_includes_agrees_with_the_oracle_ranks(pair):
+    a, b = pair
+    joined = RationalMatrix.from_columns(b.columns() + a.columns(), ambient=b.rows)
+    assert span_includes(a, b) == (oracle_gauss_jordan(joined)[0] == oracle_gauss_jordan(b)[0])
 
 
 def test_span_includes_basic():

@@ -149,6 +149,45 @@ def test_bracket_leibniz(x, y):
     assert lhs == rhs
 
 
+def dense_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X,Y] from all n^2 partial derivatives of both fields, skipping nothing."""
+    n = x.chart.dim
+    comps = []
+    for j in range(n):
+        out = Poly.zero(n)
+        for i in range(n):
+            out = out + x.components[i] * y.components[j].partial(i) - y.components[i] * x.components[j].partial(i)
+        comps.append(out)
+    return VectorField(x.chart, tuple(comps))
+
+
+@st.composite
+def sparse_fields(draw, chart=Chart.for_length(2)):
+    """Fields with many zero components and some constant ones (no variable at all)."""
+    n = chart.dim
+    comps = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "zero", "constant", "poly"]))
+        if kind == "zero":
+            comps.append(Poly.zero(n))
+        elif kind == "constant":
+            comps.append(Poly.const(n, draw(coeffs.filter(bool))))
+        else:
+            terms = {}
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                variables = draw(st.sets(st.integers(0, n - 1), max_size=3))
+                mono = tuple((v, draw(st.integers(1, 2))) for v in sorted(variables))
+                terms[mono] = draw(coeffs)
+            comps.append(Poly(n, terms))
+    return VectorField(chart, tuple(comps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields(), sparse_fields())
+def test_bracket_matches_the_dense_formula(x, y):
+    assert lie_bracket(x, y) == dense_bracket(x, y)
+
+
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------
