@@ -535,6 +535,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     n = len(rows)
     if n == 0:
         raise ChartMismatch("empty matrix has no determinant")
+    if any(len(row) != n for row in rows):
+        raise ChartMismatch(f"determinant needs a square matrix; {n} rows are not all of length {n}")
     arity = rows[0][0].arity
     if n == 1:
         return rows[0][0]
@@ -604,25 +606,62 @@ def _check_constraint_shape(matrix: Sequence[Sequence[Poly]]) -> tuple[int, int]
     return ambient, ngens
 
 
-def _kernel_by_cramer(
+def _kernel_by_echelon(
     constraints: Sequence[Sequence[Poly]],
     pivot_rows: Sequence[int],
     pivot_cols: Sequence[int],
     ambient: int,
     arity: int,
 ) -> list[tuple[Poly, ...]]:
-    """Kernel vectors with minor entries: the pivot minor fills the free slot,
-    the pivot slots get (negated) minors with the pivot column swapped out."""
+    """Kernel vectors with minor entries, from one fraction-free Gauss-Jordan pass.
+
+    The pass runs over the pivot rows, with the pivot columns first in their
+    given order and the free columns after them.  Step t takes its pivot p in
+    column t from the first of rows t.. where that entry is nonzero (swapping
+    it into row t) and replaces every other row, above the pivot too, by
+    (p * row - row[t] * pivot_row) / (previous pivot), an exact division.  At
+    the end, with s the sign of the row swaps, the last pivot is
+    P = s * det(base) and entry (j, f) is s times the determinant of base with
+    pivot column j swapped for free column f: the minor Cramer's rule puts in
+    the pivot slots of the kernel vector whose free slot holds det(base).
+    det(base) comes from poly_det, as a check on P.
+    """
+    is_pivot = set(pivot_cols)
+    free_cols = [c for c in range(ambient) if c not in is_pivot]
+    k = len(pivot_cols)
+    one = Poly.const(arity, 1)
     base = [[constraints[r][c] for c in pivot_cols] for r in pivot_rows]
-    det_base = poly_det(base) if base else Poly.const(arity, 1)
+    det_base = poly_det(base) if k else one
+    work = [[constraints[r][c] for c in (*pivot_cols, *free_cols)] for r in pivot_rows]
+    prev = one
+    for t in range(k):
+        pivot_row = next((r for r in range(t, k) if work[r][t]), None)
+        if pivot_row is None:
+            raise ArithmeticError("pivot minor is singular")
+        work[t], work[pivot_row] = work[pivot_row], work[t]
+        prow = work[t]
+        p = prow[t]
+        for r in range(k):
+            if r == t:
+                continue
+            row = work[r]
+            f = row[t]
+            for c in range(t + 1, ambient):
+                entry = row[c] * p - f * prow[c] if f else row[c] * p
+                row[c] = poly_divexact(entry, prev) if t else entry
+        prev = p
+    if prev == det_base:
+        sign = 1
+    elif prev == -det_base:
+        sign = -1
+    else:
+        raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
     covectors = []
-    for free in (c for c in range(ambient) if c not in pivot_cols):
+    for i, free in enumerate(free_cols, start=k):
         entries = [Poly.zero(arity)] * ambient
         entries[free] = det_base
-        rhs = [constraints[r][free] for r in pivot_rows]
         for j, pcol in enumerate(pivot_cols):
-            replaced = [row[:j] + [rhs[i]] + row[j + 1 :] for i, row in enumerate(base)]
-            entries[pcol] = -poly_det(replaced)
+            entries[pcol] = work[j][i].scaled(-sign)
         covectors.append(primitive_tuple(entries))
     return covectors
 
@@ -630,15 +669,20 @@ def _kernel_by_cramer(
 def polynomial_nullspace(
     matrix: Sequence[Sequence[Poly]],
     at_point: Sequence[Fraction],
+    *,
+    structural_rank: int | None = None,
 ) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
     Pivot rows and columns are chosen by exact elimination of M evaluated at
-    ``at_point``; the kernel vectors are then assembled from Bareiss-computed
-    minors of the symbolic matrix, so each output annihilates every generator
-    as a polynomial identity.  Raises DegeneratePivot when the rank at the
-    reference point is below the structural (generic) rank, i.e. when no
-    pivot permutation is valid at that point.
+    ``at_point``.  Each kernel vector has det(base), the pivot minor of the
+    symbolic matrix, in its free slot and the matching Cramer minors in the
+    pivot slots, all read off one fraction-free Gauss-Jordan pass, so each
+    output annihilates every generator as a polynomial identity.  Raises
+    DegeneratePivot when the rank at the reference point is below the
+    structural (generic) rank, i.e. when no pivot permutation is valid at
+    that point.  ``structural_rank`` is that rank when the caller knows it
+    already; otherwise a symbolic elimination finds it.
     """
     ambient, ngens = _check_constraint_shape(matrix)
     if ambient == 0:
@@ -649,23 +693,27 @@ def polynomial_nullspace(
     constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
     evaluated = _integer_rows([entry.eval_at(at_point) for entry in row] for row in constraints)
     pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
-    if len(_structural_pivots(constraints)[1]) > len(pivot_cols):
+    if structural_rank is None:
+        structural_rank = len(_structural_pivots(constraints)[1])
+    if structural_rank > len(pivot_cols):
         raise DegeneratePivot(
             "generator matrix drops rank at the reference point; no valid pivot permutation"
         )
-    return _kernel_by_cramer(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)
+    return _kernel_by_echelon(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)
 
 
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
     """Like polynomial_nullspace, but pivoted at a generic point.
 
-    The covectors annihilate every generator identically; their values form
-    a basis of the pointwise annihilator wherever the generator matrix keeps
-    its structural rank and the covector values stay independent.
+    The pivots come from a symbolic elimination, and the kernel vectors from
+    the same fraction-free Gauss-Jordan pass.  The covectors annihilate every
+    generator identically; their values form a basis of the pointwise
+    annihilator wherever the generator matrix keeps its structural rank and
+    the covector values stay independent.
     """
     ambient, ngens = _check_constraint_shape(matrix)
     if ambient == 0:
         return []
     constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
     pivot_rows, pivot_cols = _structural_pivots(constraints)
-    return _kernel_by_cramer(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)
+    return _kernel_by_echelon(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)

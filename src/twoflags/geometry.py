@@ -456,7 +456,8 @@ def annihilator_at(
         if corank == 0 or rank_and_nullspace(matrix)[0] == corank:
             return [OneForm(dist.chart, cov) for cov in covectors]
     matrix = [[gen.components[i] for gen in dist.generators] for i in range(n)]
-    return [OneForm(dist.chart, cov) for cov in polynomial_nullspace(matrix, point)]
+    covectors = polynomial_nullspace(matrix, point, structural_rank=n - len(covectors))
+    return [OneForm(dist.chart, cov) for cov in covectors]
 
 
 def _curvature_pairings(
@@ -520,6 +521,8 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
         for a in range(d):
             for b in range(a + 1, d):
                 for c in range(b + 1, d):
+                    if not (pair[b][c] or pair[a][c] or pair[a][b]):
+                        continue
                     row = [
                         columns[a][i] * pair[b][c] - columns[b][i] * pair[a][c] + columns[c][i] * pair[a][b]
                         for i in range(n)

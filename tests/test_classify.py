@@ -157,6 +157,20 @@ def test_generic_mode_agrees_on_full_reports_up_to_length_four():
                 assert closed.to_json() == generic.to_json(), (str(word), p)
 
 
+def test_generic_mode_agrees_on_full_reports_at_length_five():
+    # every one of the 41 words of length 5, zero constants, at the origin
+    from twoflags.atlas import enumerate_words
+
+    words = list(enumerate_words(5))
+    assert len(words) == 41
+    for word in words:
+        build = build_ekr(EkrSpec(word))
+        origin = build.chart.origin()
+        closed = singularity_class_at(build, origin)
+        generic = singularity_class_at(build, origin, generic=True)
+        assert closed.to_json() == generic.to_json(), str(word)
+
+
 def test_report_json_shape():
     build = build_ekr(appendix_b_spec("E", b3=F(1), c3=F(1)))
     report = singularity_class_at(build, build.chart.origin())

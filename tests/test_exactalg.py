@@ -16,6 +16,10 @@ from twoflags.errors import ChartMismatch, DegeneratePivot
 from twoflags.exactalg import (
     Poly,
     RationalMatrix,
+    _eliminate,
+    _integer_rows,
+    _kernel_by_echelon,
+    _structural_pivots,
     column_space_basis,
     format_rational,
     parse_rational,
@@ -102,6 +106,24 @@ def oracle_gauss_jordan(matrix: RationalMatrix) -> tuple[int, list[tuple[Fractio
             vec[pcol] = -rows[prow][free]
         basis.append(tuple(vec))
     return len(pivot_cols), basis, pivot_cols
+
+
+def oracle_cramer_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) -> list[tuple[Poly, ...]]:
+    """Cramer's rule with one Bareiss determinant per entry: det(base) in the
+    free slot, minus det(base with pivot column j swapped for the free column)
+    in pivot slot j, normalized by primitive_tuple."""
+    base = [[constraints[r][c] for c in pivot_cols] for r in pivot_rows]
+    det_base = poly_det(base) if base else Poly.const(arity, 1)
+    covectors = []
+    for free in (c for c in range(ambient) if c not in pivot_cols):
+        entries = [Poly.zero(arity)] * ambient
+        entries[free] = det_base
+        rhs = [constraints[r][free] for r in pivot_rows]
+        for j, pcol in enumerate(pivot_cols):
+            replaced = [row[:j] + [rhs[i]] + row[j + 1 :] for i, row in enumerate(base)]
+            entries[pcol] = -poly_det(replaced)
+        covectors.append(primitive_tuple(entries))
+    return covectors
 
 
 def minor_rank(matrix: RationalMatrix) -> int:
@@ -443,6 +465,72 @@ def test_poly_det_symbolic():
     one = Poly.const(2, 1)
     # det [[x, 1], [1, y]] = xy - 1
     assert poly_det([[x, one], [one, y]]) == x * y - one
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3), "ragged"])
+def test_poly_det_rejects_non_square(shape):
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    rows = [[x, y], [y]] if shape == "ragged" else [[x, y, x][: shape[1]] for _ in range(shape[0])]
+    with pytest.raises(ChartMismatch):
+        poly_det(rows)
+
+
+def terms_of(covectors):
+    return [tuple(p.signature() for p in cov) for cov in covectors]
+
+
+@st.composite
+def kernel_problems(draw):
+    """A generators x ambient polynomial matrix with pivot rows and columns from
+    a symbolic elimination or from elimination at a point, the pivot rows in
+    any order.  Later generators may be polynomial combinations of earlier
+    ones, so the generator set can be rank deficient."""
+    ambient = draw(st.integers(min_value=2, max_value=5))
+    ngens = draw(st.integers(min_value=1, max_value=4))
+    nonzero = polys(arity=ambient, max_terms=2, max_exp=1).filter(lambda p: not p.is_zero())
+    entry = st.one_of(st.just(Poly.zero(ambient)), nonzero, nonzero)
+    rows = []
+    for _ in range(ngens):
+        if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = draw(polys(arity=ambient, max_terms=1, max_exp=1)), draw(coeffs)
+            rows.append([fa * u + v.scaled(fb) for u, v in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(ambient)])
+    if draw(st.booleans()):
+        pivot_rows, pivot_cols = _structural_pivots(rows)
+    else:
+        point = [draw(coeffs) for _ in range(ambient)]
+        pivot_rows, pivot_cols = _eliminate(
+            _integer_rows([p.eval_at(point) for p in row] for row in rows), reduce=False
+        )
+    pivot_rows = draw(st.permutations(pivot_rows))
+    if pivot_cols and draw(st.booleans()):
+        # lead with a pivot row whose entry in the first pivot column is zero, if there is one
+        pivot_rows.sort(key=lambda r: bool(rows[r][pivot_cols[0]]))
+    return rows, pivot_rows, pivot_cols, ambient
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_problems())
+def test_echelon_kernel_matches_the_cramer_oracle(problem):
+    rows, pivot_rows, pivot_cols, ambient = problem
+    kernel = _kernel_by_echelon(rows, pivot_rows, pivot_cols, ambient, ambient)
+    assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient))
+
+
+def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():
+    # base [[0, u0], [1, u1]] has a zero first pivot and determinant -u0
+    u0, u1 = Poly.variable(3, 0), Poly.variable(3, 1)
+    zero, one = Poly.zero(3), Poly.const(3, 1)
+    rows = [[zero, u0, one], [one, u1, u1 * u1]]
+    kernel = _kernel_by_echelon(rows, [0, 1], [0, 1], 3, 3)
+    assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, [0, 1], [0, 1], 3, 3))
+    # v = (u1 - u0*u1^2, -1, u0) up to sign annihilates both rows
+    (cov,) = kernel
+    for row in rows:
+        assert sum((c * e for c, e in zip(cov, row)), Poly.zero(3)).is_zero()
 
 
 def test_nullspace_full_tangent_bundle_is_empty():

@@ -459,6 +459,20 @@ def test_annihilator_of_bcd_model():
             assert form.pair_with(gen).is_zero()
 
 
+def test_annihilator_raises_where_the_distribution_drops_rank():
+    # u0 d/du0 and d/du1 have structural rank 2 but rank 1 at the origin
+    from twoflags.errors import DegeneratePivot
+    from twoflags.geometry import annihilator_at
+
+    chart = Chart(("u0", "u1", "u2"))
+    n = chart.dim
+    drop = VectorField(chart, (Poly.variable(n, 0), Poly.zero(n), Poly.zero(n)))
+    dist = Distribution(chart, (drop, VectorField.versor(chart, 1)))
+    with pytest.raises(DegeneratePivot):
+        annihilator_at(dist, chart.origin())
+    assert len(annihilator_at(dist, chart.point(u0=1))) == 1
+
+
 def test_cauchy_bcd_model():
     dist = model("bcd", m=2, n=3)
     assert cauchy_char_at(dist, dist.chart.origin()) == versor_subspace(dist.chart, ["y3"])
