@@ -55,7 +55,8 @@ def count_classes(m: int, r: int) -> int:
         raise ChartMismatch(f"width and length must be >= 1, got m={m}, r={r}")
     if m == 1:
         return 2 ** (r - 2) if r >= 2 else 1
-    return _count_rule(r, m + 1)
+    # the running maximum of a word never exceeds its length
+    return _count_rule(r, min(m + 1, r))
 
 
 def codimension(word: Word) -> int:

@@ -3,7 +3,8 @@
 Commands: classify, verify, atlas, count, locus.  All input and output is
 exact rational text; identical seeds and arguments produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error, 3 geometric degeneracy at the requested point.
+validation error, 3 geometric degeneracy at the requested point or a
+generator count over the cap.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .errors import (
 )
 from .exactalg import parse_rational
 from .geometry import DEFAULT_GENERATOR_CAP, Distribution
+
+# longest word `atlas` and `verify` enumerate: build_atlas(12) peaks near
+# 364 MB and every further letter triples that
+MAX_LENGTH = 13
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_classify(args) -> int:
     subject = _build_subject(args)
     chart = subject.chart
-    point = _parse_point(args.point) if args.point else chart.origin()
+    point = _parse_point(args.point) if args.point is not None else chart.origin()
     report = singularity_class_at(subject, point, generic=args.generic_geometry, cap=args.cap)
     _emit(report.to_json_text() + "\n", args.out)
     return 0
@@ -289,6 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
+        if args.command in ("atlas", "verify") and args.length > MAX_LENGTH:
+            raise ValueError(f"--length must be <= {MAX_LENGTH}, got {args.length}")
         return args.func(args)
     except (NotSpecialFlag, DegeneratePivot, GeneratorBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class NotSpecialFlag(TwoflagsError):
 
 
 class GeneratorBlowup(TwoflagsError):
-    """A small-flag computation exceeded the generator cap."""
+    """A Lie square, big flag or small flag exceeded the generator cap."""
 
 
 class UnexpectedCovariantDimension(TwoflagsError):

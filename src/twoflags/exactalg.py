@@ -530,6 +530,48 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
 # ---------------------------------------------------------------------------
 
 
+def _bareiss(work: list[list[Poly]], reduce: bool) -> tuple[list[int], list[int]]:
+    """In-place fraction-free (Bareiss) elimination of polynomial rows.
+
+    Column by column, the pivot is the first row at or after the next pivot
+    slot with a nonzero entry p there; it is swapped into that slot.  Each
+    later row (with ``reduce``, each other row) with entry f in that column
+    becomes (p * row - f * pivot_row) / (previous pivot), an exact division,
+    in the columns that are not pivot columns; pivot columns are never read
+    again and keep stale entries.  Every entry left is a minor of the input:
+    the last pivot P is ±det of the pivot minor and, with ``reduce``, entry
+    (j, c) is that minor with pivot column j swapped for column c, carrying
+    the sign of P.  Returns (row order, pivot columns): slot i holds row order[i].
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    order = list(range(nrows))
+    live = list(range(ncols))  # columns without a pivot so far
+    pivot_cols: list[int] = []
+    prev = None
+    for col in range(ncols):
+        slot = len(pivot_cols)
+        pivot_row = next((r for r in range(slot, nrows) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[slot], work[pivot_row] = work[pivot_row], work[slot]
+        order[slot], order[pivot_row] = order[pivot_row], order[slot]
+        live.remove(col)
+        prow = work[slot]
+        p = prow[col]
+        for r in range(0 if reduce else slot + 1, nrows):
+            if r == slot:
+                continue
+            row = work[r]
+            f = row[col]
+            for c in live:
+                entry = row[c] * p - f * prow[c] if f else row[c] * p
+                row[c] = entry if prev is None else poly_divexact(entry, prev)
+        prev = p
+        pivot_cols.append(col)
+    return order, pivot_cols
+
+
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square polynomial matrix by fraction-free Bareiss elimination."""
     n = len(rows)
@@ -537,64 +579,22 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise ChartMismatch("empty matrix has no determinant")
     if any(len(row) != n for row in rows):
         raise ChartMismatch(f"determinant needs a square matrix; {n} rows are not all of length {n}")
-    arity = rows[0][0].arity
-    if n == 1:
-        return rows[0][0]
     work = [list(row) for row in rows]
-    sign = 1
-    prev = Poly.const(arity, 1)
-    for step in range(n - 1):
-        pivot_row = next((r for r in range(step, n) if not work[r][step].is_zero()), None)
-        if pivot_row is None:
-            return Poly.zero(arity)
-        if pivot_row != step:
-            work[step], work[pivot_row] = work[pivot_row], work[step]
-            sign = -sign
-        pivot = work[step][step]
-        for r in range(step + 1, n):
-            for c in range(step + 1, n):
-                work[r][c] = poly_divexact(
-                    work[r][c] * pivot - work[r][step] * work[step][c], prev
-                )
-            work[r][step] = Poly.zero(arity)
-        prev = pivot
-    det = work[n - 1][n - 1]
-    return det.scaled(sign)
+    order, pivot_cols = _bareiss(work, reduce=False)
+    if len(pivot_cols) < n:
+        return Poly.zero(rows[0][0].arity)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return work[-1][-1].scaled(-1 if inversions % 2 else 1)
 
 
 def _structural_pivots(rows: Sequence[Sequence[Poly]]) -> tuple[list[int], list[int]]:
     """Pivot rows (original indices) and columns for the rank over the fraction field.
 
-    Forward Bareiss elimination with row swaps; the pivot minor of the
-    original matrix on the returned rows and columns is a nonzero polynomial.
+    One forward Bareiss pass; the pivot minor of the original matrix on the
+    returned rows and columns is a nonzero polynomial.
     """
-    work = [list(row) for row in rows]
-    perm = list(range(len(work)))
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    arity = work[0][0].arity if nrows else 1
-    prev = Poly.const(arity, 1)
-    pivot_cols: list[int] = []
-    row_at = 0
-    for col in range(ncols):
-        if row_at == nrows:
-            break
-        pivot_row = next((r for r in range(row_at, nrows) if not work[r][col].is_zero()), None)
-        if pivot_row is None:
-            continue
-        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
-        perm[row_at], perm[pivot_row] = perm[pivot_row], perm[row_at]
-        pivot = work[row_at][col]
-        for r in range(row_at + 1, nrows):
-            for c in range(col + 1, ncols):
-                work[r][c] = poly_divexact(
-                    work[r][c] * pivot - work[r][col] * work[row_at][c], prev
-                )
-            work[r][col] = Poly.zero(arity)
-        prev = pivot
-        pivot_cols.append(col)
-        row_at += 1
-    return perm[:row_at], pivot_cols
+    order, pivot_cols = _bareiss([list(row) for row in rows], reduce=False)
+    return order[: len(pivot_cols)], pivot_cols
 
 
 def _check_constraint_shape(matrix: Sequence[Sequence[Poly]]) -> tuple[int, int]:
@@ -606,6 +606,39 @@ def _check_constraint_shape(matrix: Sequence[Sequence[Poly]]) -> tuple[int, int]
     return ambient, ngens
 
 
+def _kernel_covectors(
+    constraints: Sequence[Sequence[Poly]],
+    work: list[list[Poly]],
+    rows: Sequence[int],
+    pivots: Sequence[int],
+    columns: Sequence[int],
+    arity: int,
+) -> list[tuple[Poly, ...]]:
+    """Kernel covectors read off a reduced _bareiss pass over constraint rows.
+
+    ``rows`` are the constraint rows in the pivot slots, ``pivots`` the work
+    columns of the pivots, ``columns[c]`` the ambient coordinate of work
+    column c.  Each free work column f gives the covector with the last pivot
+    P in slot f and minus entry (j, f) in the slot of pivot j: Cramer's rule,
+    every minor carrying the sign of P, which primitive_tuple removes.  As a
+    check, P must be ±det of the pivot minor, found apart by poly_det.
+    """
+    k = len(pivots)
+    last = work[k - 1][pivots[-1]] if k else Poly.const(arity, 1)
+    if k:
+        det = poly_det([[constraints[r][columns[c]] for c in pivots] for r in rows])
+        if last != det and last != -det:
+            raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
+    covectors = []
+    for f in (c for c in range(len(columns)) if c not in pivots):
+        entries = [Poly.zero(arity)] * len(columns)
+        entries[columns[f]] = last
+        for j, pivot in enumerate(pivots):
+            entries[columns[pivot]] = -work[j][f]
+        covectors.append(primitive_tuple(entries))
+    return covectors
+
+
 def _kernel_by_echelon(
     constraints: Sequence[Sequence[Poly]],
     pivot_rows: Sequence[int],
@@ -613,57 +646,16 @@ def _kernel_by_echelon(
     ambient: int,
     arity: int,
 ) -> list[tuple[Poly, ...]]:
-    """Kernel vectors with minor entries, from one fraction-free Gauss-Jordan pass.
-
-    The pass runs over the pivot rows, with the pivot columns first in their
-    given order and the free columns after them.  Step t takes its pivot p in
-    column t from the first of rows t.. where that entry is nonzero (swapping
-    it into row t) and replaces every other row, above the pivot too, by
-    (p * row - row[t] * pivot_row) / (previous pivot), an exact division.  At
-    the end, with s the sign of the row swaps, the last pivot is
-    P = s * det(base) and entry (j, f) is s times the determinant of base with
-    pivot column j swapped for free column f: the minor Cramer's rule puts in
-    the pivot slots of the kernel vector whose free slot holds det(base).
-    det(base) comes from poly_det, as a check on P.
-    """
-    is_pivot = set(pivot_cols)
-    free_cols = [c for c in range(ambient) if c not in is_pivot]
-    k = len(pivot_cols)
-    one = Poly.const(arity, 1)
-    base = [[constraints[r][c] for c in pivot_cols] for r in pivot_rows]
-    det_base = poly_det(base) if k else one
-    work = [[constraints[r][c] for c in (*pivot_cols, *free_cols)] for r in pivot_rows]
-    prev = one
-    for t in range(k):
-        pivot_row = next((r for r in range(t, k) if work[r][t]), None)
-        if pivot_row is None:
-            raise ArithmeticError("pivot minor is singular")
-        work[t], work[pivot_row] = work[pivot_row], work[t]
-        prow = work[t]
-        p = prow[t]
-        for r in range(k):
-            if r == t:
-                continue
-            row = work[r]
-            f = row[t]
-            for c in range(t + 1, ambient):
-                entry = row[c] * p - f * prow[c] if f else row[c] * p
-                row[c] = poly_divexact(entry, prev) if t else entry
-        prev = p
-    if prev == det_base:
-        sign = 1
-    elif prev == -det_base:
-        sign = -1
-    else:
-        raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
-    covectors = []
-    for i, free in enumerate(free_cols, start=k):
-        entries = [Poly.zero(arity)] * ambient
-        entries[free] = det_base
-        for j, pcol in enumerate(pivot_cols):
-            entries[pcol] = work[j][i].scaled(-sign)
-        covectors.append(primitive_tuple(entries))
-    return covectors
+    """Kernel vectors with minor entries, from one reduced Bareiss pass over
+    the pivot rows, with the pivot columns first in their given order and
+    the free columns after them.  Raises ArithmeticError when the pivot
+    minor is singular."""
+    columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
+    work = [[constraints[r][c] for c in columns] for r in pivot_rows]
+    _, pivots = _bareiss(work, reduce=True)
+    if pivots != list(range(len(pivot_cols))):
+        raise ArithmeticError("pivot minor is singular")
+    return _kernel_covectors(constraints, work, pivot_rows, pivots, columns, arity)
 
 
 def polynomial_nullspace(
@@ -705,8 +697,8 @@ def polynomial_nullspace(
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
     """Like polynomial_nullspace, but pivoted at a generic point.
 
-    The pivots come from a symbolic elimination, and the kernel vectors from
-    the same fraction-free Gauss-Jordan pass.  The covectors annihilate every
+    One reduced Bareiss pass over all generator rows picks the pivots
+    symbolically and leaves the kernel entries.  The covectors annihilate every
     generator identically; their values form a basis of the pointwise
     annihilator wherever the generator matrix keeps its structural rank and
     the covector values stay independent.
@@ -715,5 +707,7 @@ def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tu
     if ambient == 0:
         return []
     constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
-    pivot_rows, pivot_cols = _structural_pivots(constraints)
-    return _kernel_by_echelon(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)
+    work = [list(row) for row in constraints]
+    order, pivot_cols = _bareiss(work, reduce=True)
+    rows = order[: len(pivot_cols)]
+    return _kernel_covectors(constraints, work, rows, pivot_cols, range(ambient), matrix[0][0].arity)

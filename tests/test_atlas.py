@@ -69,6 +69,11 @@ def test_count_long_length_needs_no_recursion():
     assert count_classes(2, 5000) == (3**4999 + 1) // 2
 
 
+def test_count_width_beyond_the_length_changes_nothing():
+    # a word's running maximum never exceeds its length, so a huge width costs nothing
+    assert count_classes(10**12, 6) == count_classes(5, 6) == 203
+
+
 def test_count_matches_enumeration():
     for r in range(1, 7):
         assert count_classes(2, r) == len(enumerate_words(r))

@@ -175,6 +175,10 @@ BAD_INPUTS = [
     (("classify", "--word", "1.2", "--constants", '{"c": {"1": "2", "1": "5"}}'), "repeated c constant at step 1"),
     (("verify", "--length", "2", "--trials", "-1"), "--trials must be >= 0, got -1"),
     (("verify", "--length", "2", "--trials", "0"), "verify made no classification"),
+    (("classify", "--word", "1.2", "--point", ""), "not a rational literal: ''"),
+    (("atlas", "--length", "1200"), "--length must be <= 13, got 1200"),
+    (("atlas", "--length", "14"), "--length must be <= 13, got 14"),
+    (("verify", "--length", "1200"), "--length must be <= 13, got 1200"),
 ]
 
 

@@ -27,6 +27,7 @@ from twoflags.exactalg import (
     poly_det,
     poly_divexact,
     polynomial_nullspace,
+    polynomial_nullspace_structural,
     primitive_tuple,
     rank_and_nullspace,
     span_includes,
@@ -467,6 +468,31 @@ def test_poly_det_symbolic():
     assert poly_det([[x, one], [one, y]]) == x * y - one
 
 
+@st.composite
+def poly_squares(draw):
+    """Square matrices of symbolic entries, up to 4 x 4.  Half the time the
+    leading rows have a zero first entry, so elimination has to swap rows;
+    half the time the last row is a polynomial combination of earlier ones,
+    so the matrix is singular."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(Poly.zero(3)), polys(arity=3, max_terms=2, max_exp=2))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        for row in rows[: draw(st.integers(min_value=1, max_value=n - 1))]:
+            row[0] = Poly.zero(3)
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        fa, fb = draw(polys(arity=3, max_terms=1, max_exp=1)), draw(coeffs)
+        rows[-1] = [fa * u + v.scaled(fb) for u, v in zip(rows[a], rows[b])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_squares())
+def test_poly_det_against_symbolic_laplace(rows):
+    assert poly_det(rows) == oracle_det(rows)
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3), "ragged"])
 def test_poly_det_rejects_non_square(shape):
     x = Poly.variable(2, 0)
@@ -518,6 +544,31 @@ def test_echelon_kernel_matches_the_cramer_oracle(problem):
     rows, pivot_rows, pivot_cols, ambient = problem
     kernel = _kernel_by_echelon(rows, pivot_rows, pivot_cols, ambient, ambient)
     assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_problems())
+def test_structural_nullspace_matches_the_cramer_oracle(problem):
+    rows, _, _, ambient = problem
+    pivot_rows, pivot_cols = _structural_pivots(rows)
+    matrix = [[row[i] for row in rows] for i in range(ambient)]
+    expected = oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient)
+    assert terms_of(polynomial_nullspace_structural(matrix)) == terms_of(expected)
+
+
+def test_structural_nullspace_reduces_rows_above_a_skipped_column():
+    # column 1 has no pivot, so the first row's entry there must still be
+    # carried through the step that pivots on column 2
+    u0, u1 = Poly.variable(4, 0), Poly.variable(4, 1)
+    zero, one = Poly.zero(4), Poly.const(4, 1)
+    rows = [[u1, u0, one, zero], [zero, zero, u0, u1 + one]]
+    matrix = [[row[i] for row in rows] for i in range(4)]
+    assert _structural_pivots(rows) == ([0, 1], [0, 2])
+    kernel = polynomial_nullspace_structural(matrix)
+    assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, [0, 1], [0, 2], 4, 4))
+    for cov in kernel:
+        for row in rows:
+            assert sum((c * e for c, e in zip(cov, row)), Poly.zero(4)).is_zero()
 
 
 def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():

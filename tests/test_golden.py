@@ -44,6 +44,10 @@ GOLDEN = [
      "be9ab305fc6fe57e916b144b02ccdeaa0e4c6cad3fad38f6226539f33af53525"),
     (("classify", "--word", "1.2.3", "--generic-geometry"), 0,
      "6c4c5da1768ec5811d27ad5ca8c40211d6a071a392315035525ed24b06672b10"),
+    (("classify", "--word", "1.2.3.3", "--generic-geometry"), 0,
+     "d44c5f89ab4f029a0ef7e77213f79422695e5badc7fb076996d6bae77915f90d"),
+    (("classify", "--word", "1.2.1.3", "--b", "3=1", "--c", "3=1", "--generic-geometry"), 0,
+     "cea99c5f158d991270e7d931f95d20a42e60906f3593532550d89a2e4cc3022c"),
     (("verify", "--length", "3", "--seed", "9", "--zero-constants"), 0,
      "549febe4077d8011a9343ba879ab4be8a709cc33e54bd2f51ec61565c598b045"),
     (("atlas", "--length", "4", "--format", "json"), 0,
