@@ -48,7 +48,6 @@ from .ekr import (
     closed_form_F,
     closed_form_L,
     model,
-    validate_word,
 )
 from .classify import (
     ClassificationReport,

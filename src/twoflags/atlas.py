@@ -14,11 +14,17 @@ from .classify import singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
+# longest word enumerate_words lists: build_atlas(12) peaks near 364 MB and
+# every further letter triples that
+MAX_LENGTH = 13
+
 
 def enumerate_words(r: int) -> list[Word]:
     """All valid words of length r, in lexicographic order."""
     if r < 1:
         raise ChartMismatch(f"length must be >= 1, got {r}")
+    if r > MAX_LENGTH:
+        raise ChartMismatch(f"length must be <= {MAX_LENGTH}, got {r}")
     words: list[Word] = []
 
     def extend(prefix: list[int], running_max: int) -> None:

@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import atlas as atlas_mod
@@ -30,17 +31,11 @@ from .errors import (
 from .exactalg import parse_rational
 from .geometry import DEFAULT_GENERATOR_CAP, Distribution
 
-# longest word `atlas` and `verify` enumerate: build_atlas(12) peaks near
-# 364 MB and every further letter triples that
-MAX_LENGTH = 13
-
 
 @dataclass(frozen=True)
 class VerificationOutcome:
     word: Word
     spec: EkrSpec
-    point: tuple[Fraction, ...]
-    expected: Word
     computed: Word
     passed: bool
     wall_seconds: float
@@ -86,16 +81,13 @@ def run_verification(
             specs.append(draw_constants(word, rng))
         for spec in specs:
             build = build_ekr(spec)
-            origin = build.chart.origin()
             started = time.perf_counter()
-            report = singularity_class_at(build, origin, generic=generic, cap=cap)
+            report = singularity_class_at(build, build.chart.origin(), generic=generic, cap=cap)
             elapsed = time.perf_counter() - started
             outcomes.append(
                 VerificationOutcome(
                     word=word,
                     spec=spec,
-                    point=origin,
-                    expected=word,
                     computed=report.word,
                     passed=report.word == word,
                     wall_seconds=elapsed,
@@ -223,7 +215,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    _emit(str(atlas_mod.count_classes(args.width, args.length)) + "\n", args.out)
+    # Decimal prints an int of any size; str(int) stops at 4300 digits
+    _emit(str(Decimal(atlas_mod.count_classes(args.width, args.length))) + "\n", args.out)
     return 0
 
 
@@ -294,8 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
-        if args.command in ("atlas", "verify") and args.length > MAX_LENGTH:
-            raise ValueError(f"--length must be <= {MAX_LENGTH}, got {args.length}")
+        if args.command in ("atlas", "verify") and args.length > atlas_mod.MAX_LENGTH:
+            raise ValueError(f"--length must be <= {atlas_mod.MAX_LENGTH}, got {args.length}")
         return args.func(args)
     except (NotSpecialFlag, DegeneratePivot, GeneratorBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)

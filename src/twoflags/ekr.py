@@ -84,11 +84,6 @@ class Word:
         return ".".join(str(letter) for letter in self.letters)
 
 
-def validate_word(text: str) -> Word:
-    """Parse a dot-separated digit string into a validated Word."""
-    return Word.parse(text)
-
-
 def _admits_b(letter: int) -> bool:
     return letter == 1
 

@@ -302,17 +302,6 @@ class _Dedup:
             self.add(candidate)
 
 
-def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
-    """[D, D]: the generators of D together with all pairwise brackets, deduplicated."""
-    pool = _Dedup(cap)
-    pool.extend(dist.generators)
-    gens = list(pool.fields)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            pool.add(lie_bracket(gens[i], gens[j]))
-    return Distribution(dist.chart, tuple(pool.fields))
-
-
 def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise value of the distribution: the span of the evaluated generators."""
     point = _check_point(dist.chart, point)
@@ -358,9 +347,11 @@ def small_flag(
 ) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
-    Generator sets are deduplicated exactly as in lie_square.  Brackets are
-    taken against the generators that are new in the latest member; brackets
-    against older generators were already candidates at an earlier step.
+    Generator lists drop zero fields and scalar multiples of known fields.
+    Each step brackets the generators of D only with the fields that are new
+    in the latest member; brackets with older fields were candidates one step
+    earlier.  On the first step every field is new, and generator i is
+    bracketed only with generators k > i: [g, g] = 0 and [g_k, g_i] = -[g_i, g_k].
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
@@ -368,15 +359,20 @@ def small_flag(
     pool.extend(dist.generators)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
-    fresh = list(pool.fields)
+    start = 0
     for _ in range(steps - 1):
         before = len(pool.fields)
-        for g in base:
-            for h in fresh:
+        for i, g in enumerate(base):
+            for h in pool.fields[max(start, i + 1) : before]:
                 pool.add(lie_bracket(g, h))
-        fresh = pool.fields[before:]
+        start = before
         flag.append(Distribution(dist.chart, tuple(pool.fields)))
     return flag
+
+
+def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
+    """D + [D, D]: the second member of the small flag of D."""
+    return small_flag(dist, 2, cap)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from twoflags.atlas import (
     enumerate_words,
     sandwich_collapse,
 )
+from twoflags.cli import run_verification
 from twoflags.ekr import Word
+from twoflags.errors import ChartMismatch
 
 # the fourteen classes of length 4
 LENGTH_FOUR_CLASSES = [
@@ -53,6 +55,17 @@ def test_enumeration_is_sorted_and_valid():
     words = enumerate_words(5)
     assert words == sorted(words)
     assert len(set(words)) == len(words)
+
+
+def test_library_enumeration_stops_at_the_length_bound():
+    # no RecursionError: the bound is checked before any word is built
+    for call in (
+        lambda: enumerate_words(14),
+        lambda: build_atlas(1200),
+        lambda: run_verification(1200, 0, 0, True),
+    ):
+        with pytest.raises(ChartMismatch, match="length must be <= 13"):
+            call()
 
 
 def test_count_table_row_length_seven():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from twoflags.atlas import count_classes
 from twoflags.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,6 +114,13 @@ def test_count_table_values(capsys):
     assert code == 0 and out.strip() == "365"
     code, out, _ = run(capsys, "count", "--width", "6", "--length", "7")
     assert code == 0 and out.strip() == "877"
+
+
+def test_count_prints_more_digits_than_int_to_str_allows(capsys):
+    code, out, _ = run(capsys, "count", "--length", "10000")
+    digits = out.strip()
+    assert code == 0 and digits.isdigit() and len(digits) == 4771
+    assert int(digits[-9:]) == count_classes(2, 10000) % 10**9
 
 
 def test_module_entry_point_runs_the_cli(capsys):

@@ -15,7 +15,6 @@ from twoflags.ekr import (
     model,
     model_build,
     model_spec,
-    validate_word,
 )
 from twoflags.errors import (
     BadModelName,
@@ -37,30 +36,30 @@ F = Fraction
 
 @pytest.mark.parametrize("text", ["1", "1.1", "1.2.1.3", "1.2.3.3", "1.2.2.1.3"])
 def test_valid_words(text):
-    assert str(validate_word(text)) == text
+    assert str(Word.parse(text)) == text
 
 
 @pytest.mark.parametrize("text", ["1.1.3", "2", "1.3", "3", "1.1.1.3"])
 def test_rule_violations(text):
     with pytest.raises(RuleViolation):
-        validate_word(text)
+        Word.parse(text)
 
 
 @pytest.mark.parametrize("text", ["", "1..2", "1.a", "1,2", ".1", "1.02", "1.\u0662", "1.\u00b2", "1.+2"])
 def test_bad_syntax(text):
     with pytest.raises(BadSyntax):
-        validate_word(text)
+        Word.parse(text)
 
 
 def test_letters_outside_alphabet():
     with pytest.raises(RuleViolation):
-        validate_word("1.2.3.4")
+        Word.parse("1.2.3.4")
     with pytest.raises(RuleViolation):
-        validate_word("0")
+        Word.parse("0")
 
 
 def test_word_prefix():
-    word = validate_word("1.2.1.3")
+    word = Word.parse("1.2.1.3")
     assert str(word.prefix(2)) == "1.2"
 
 

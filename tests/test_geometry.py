@@ -12,6 +12,7 @@ from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, model
 from twoflags.errors import ChartMismatch, GeneratorBlowup, NotSpecialFlag
 from twoflags.exactalg import Poly, RationalMatrix
 from twoflags.geometry import (
+    DEFAULT_GENERATOR_CAP,
     Chart,
     Distribution,
     OneForm,
@@ -25,6 +26,7 @@ from twoflags.geometry import (
     lie_square,
     small_flag,
     value_at,
+    _Dedup,
 )
 
 F = Fraction
@@ -348,6 +350,86 @@ def test_small_flag_generator_cap():
     build = build_ekr(EkrSpec(Word.parse("1.2.1.2")))
     with pytest.raises(GeneratorBlowup):
         small_flag(build.distribution, 5, cap=4)
+
+
+# The ordered-pair loops that lie_square and small_flag ran before small_flag
+# became the one bracket loop and formed each unordered pair once.
+
+
+def oracle_lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
+    pool = _Dedup(cap)
+    pool.extend(dist.generators)
+    gens = list(pool.fields)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            pool.add(lie_bracket(gens[i], gens[j]))
+    return Distribution(dist.chart, tuple(pool.fields))
+
+
+def oracle_small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP) -> list[Distribution]:
+    pool = _Dedup(cap)
+    pool.extend(dist.generators)
+    base = list(pool.fields)
+    flag = [Distribution(dist.chart, tuple(pool.fields))]
+    fresh = list(pool.fields)
+    for _ in range(steps - 1):
+        before = len(pool.fields)
+        for g in base:
+            for h in fresh:
+                pool.add(lie_bracket(g, h))
+        fresh = pool.fields[before:]
+        flag.append(Distribution(dist.chart, tuple(pool.fields)))
+    return flag
+
+
+def signatures(dist: Distribution) -> list[tuple]:
+    return [g.signature() for g in dist.generators]
+
+
+def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
+    from twoflags.atlas import enumerate_words
+    from twoflags.cli import draw_constants
+
+    for r in range(1, 5):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word), draw_constants(word, random.Random(f"pairs|{word}"))):
+                build = build_ekr(spec)
+                for j in range(r + 1):
+                    member = build.flag_member(j)
+                    assert signatures(lie_square(member)) == signatures(oracle_lie_square(member)), (spec, j)
+                    got = [signatures(m) for m in small_flag(member, 5)]
+                    assert got == [signatures(m) for m in oracle_small_flag(member, 5)], (spec, j)
+                tower = [build.distribution]
+                for _ in range(r):
+                    tower.append(oracle_lie_square(tower[-1]))
+                got = [signatures(m) for m in big_flag(build.distribution, build.chart.origin())]
+                assert got == [signatures(m) for m in tower], spec
+
+
+def flags_or_blowup(flags) -> list | str:
+    try:
+        return [signatures(m) for m in flags()]
+    except GeneratorBlowup:
+        return "blowup"
+
+
+@pytest.mark.parametrize("text, j", [("1.2.1.2", 0), ("1.2.3.3", 2)])
+def test_generator_cap_is_hit_where_the_oracle_hits_it(text, j):
+    # D^j of the tower: D^2 of 1.2.3.3 has 8 generators, 15 in its Lie square
+    dist = build_ekr(EkrSpec(Word.parse(text))).distribution
+    for _ in range(j):
+        dist = oracle_lie_square(dist)
+    square = len(oracle_lie_square(dist).generators)
+    for cap in range(1, square + 1):
+        got = flags_or_blowup(lambda: [lie_square(dist, cap)])
+        assert got == flags_or_blowup(lambda: [oracle_lie_square(dist, cap)]), cap
+        assert (got == "blowup") == (cap < square), cap
+    total = len(oracle_small_flag(dist, 5)[-1].generators)
+    # every cap reached on the first step, where pairs are dropped, and the last two
+    for cap in [*range(1, square + 1), total - 1, total]:
+        got = flags_or_blowup(lambda: small_flag(dist, 5, cap))
+        assert got == flags_or_blowup(lambda: oracle_small_flag(dist, 5, cap)), cap
+        assert (got == "blowup") == (cap < total), cap
 
 
 # ---------------------------------------------------------------------------
