@@ -36,7 +36,7 @@ from .geometry import (
     small_flag,
     value_at,
 )
-from .exactalg import format_rational
+from .exactalg import exact_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def singularity_class_at(
             evidence.append(Evidence(position=s, nu=prev, l=l, member=member, included=included))
     word = Word(tuple(letters))
     return ClassificationReport(
-        point=tuple(Fraction(v) for v in point),
+        point=tuple(exact_rational(v) for v in point),
         sandwich=sandwich,
         word=word,
         evidence=tuple(evidence),

@@ -30,7 +30,7 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, format_rational, parse_rational
+from .exactalg import Poly, exact_rational, format_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
@@ -120,7 +120,7 @@ class EkrSpec:
 
     def __post_init__(self):
         for kind, admits in (("b", _admits_b), ("c", _admits_c)):
-            values = {int(k): Fraction(v) for k, v in getattr(self, kind).items()}
+            values = {int(k): exact_rational(v) for k, v in getattr(self, kind).items()}
             object.__setattr__(self, kind, values)
             for step in values:
                 if not 1 <= step <= self.word.length:

@@ -1,11 +1,17 @@
 """Exact rational arithmetic, sparse multivariate polynomials and exact
 linear algebra over the rationals and over polynomial matrices.
 
-Rational numbers are plain ``fractions.Fraction`` values (always reduced,
-positive denominator, zero is 0/1).  A polynomial is a sparse map from
-monomials to nonzero Fraction coefficients; a monomial is a tuple of
-``(variable index, positive exponent)`` pairs sorted by variable index,
-with the empty tuple standing for the constant monomial 1.
+Rational numbers are ``fractions.Fraction`` values (always reduced,
+positive denominator, zero is 0/1); a float is rejected wherever a rational
+enters, because its binary expansion is rarely the rational meant.  A
+polynomial is a sparse map from monomials to nonzero coefficients; a
+monomial is a tuple of ``(variable index, positive exponent)`` pairs sorted
+by variable index, with the empty tuple standing for the constant monomial 1.
+An integral coefficient is stored as an ``int`` and any other as a Fraction
+with denominator > 1: nearly every coefficient of the flag computations is
+an integer, and int arithmetic skips the gcd work of every Fraction step.
+The two kinds compare and hash alike (``2 == Fraction(2)``), so equality
+and signatures do not depend on which one a coefficient is.
 
 Every value is immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -19,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ChartMismatch, DegeneratePivot
+from .errors import BadSyntax, ChartMismatch, DegeneratePivot
 
 # ((var, exp), ...) sorted by var, every exp > 0; () is the monomial 1
 Mono = tuple[tuple[int, int], ...]
@@ -41,6 +47,35 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def exact_rational(value: Fraction | int | str) -> Fraction:
+    """``value`` as a Fraction; a float raises BadSyntax (0.1 would become
+    3602879701896397/36028797018963968)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise BadSyntax(f"inexact value {value!r}: give an int, a Fraction or a rational literal")
+    return Fraction(value)
+
+
+def _canonical(value: int | Fraction) -> int | Fraction:
+    """A coefficient in canonical form: an integral Fraction becomes its int numerator."""
+    return value if type(value) is int or value.denominator != 1 else value.numerator
+
+
+def _coefficient(value: Fraction | int | str) -> int | Fraction:
+    """A coefficient from a caller, in canonical form; a float raises BadSyntax."""
+    return value if type(value) is int else _canonical(exact_rational(value))
+
+
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """Exact a / b of canonical coefficients: // in Z when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _canonical(Fraction(a, b))
 
 
 def format_rational(q: Fraction) -> str:
@@ -87,22 +122,25 @@ def _mono_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
 
 
 class Poly:
-    """Sparse multivariate polynomial with exact Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps monomials to nonzero coefficients; canonical form never
-    stores a zero coefficient and the constructor rejects monomials that are
-    not canonical, so equality is plain dict equality (plus matching arity).
+    ``terms`` maps monomials to nonzero coefficients, each an ``int`` when it
+    is integral and a Fraction with denominator > 1 otherwise; wrap one in
+    Fraction before dividing by it.  Canonical form never stores a zero
+    coefficient and the constructor rejects monomials that are not
+    canonical, so equality is plain dict equality (plus matching arity).
     Arithmetic across different arities raises ChartMismatch.
     """
 
     __slots__ = ("arity", "terms")
 
-    def __init__(self, arity: int, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, arity: int, terms: dict[Mono, Fraction | int] | None = None):
         if arity < 1:
             raise ChartMismatch(f"arity must be positive, got {arity}")
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, int | Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            if coeff == 0:
+            coeff = _coefficient(coeff)
+            if not coeff:
                 continue
             previous = -1
             for var, exp in mono:
@@ -111,7 +149,7 @@ class Poly:
                 previous = var
             if previous >= arity:
                 raise ChartMismatch(f"variable index {previous} >= arity {arity}")
-            clean[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            clean[mono] = coeff
         self.arity = arity
         self.terms = clean
 
@@ -123,13 +161,13 @@ class Poly:
 
     @classmethod
     def const(cls, arity: int, value: Fraction | int) -> "Poly":
-        return cls(arity, {(): Fraction(value)})
+        return cls(arity, {(): value})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "Poly":
         if not 0 <= index < arity:
             raise ChartMismatch(f"variable index {index} out of range for arity {arity}")
-        return cls(arity, {((index, 1),): Fraction(1)})
+        return cls(arity, {((index, 1),): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -140,13 +178,13 @@ class Poly:
         return not self.terms or set(self.terms) == {()}
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def signature(self) -> tuple:
         """Hashable canonical form (terms sorted by monomial)."""
         return (self.arity, tuple(sorted(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(
             self.terms.items(),
@@ -154,7 +192,7 @@ class Poly:
             reverse=True,
         )
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, int | Fraction]:
         """Leading (monomial, coefficient) in graded-lex order; requires nonzero."""
         return max(self.terms.items(), key=lambda kv: _mono_key(kv[0], self.arity))
 
@@ -170,9 +208,10 @@ class Poly:
         self._check_same_arity(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, _ZERO) + coeff
+            s = out.get(mono, 0) + coeff
             if s:
-                out[mono] = s
+                # most sums are ints; testing the type inline is cheaper than the call
+                out[mono] = s if type(s) is int else _canonical(s)
             else:
                 out.pop(mono, None)
         poly = Poly.__new__(Poly)
@@ -198,17 +237,20 @@ class Poly:
 
     def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
-            return self.scaled(Fraction(other))
+            return self.scaled(other)
         self._check_same_arity(other)
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = _mono_mul(ma, mb)
-                s = out.get(mono, _ZERO) + ca * cb
+                s = out.get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
+        for mono, coeff in out.items():
+            if type(coeff) is not int:
+                out[mono] = _canonical(coeff)
         poly = Poly.__new__(Poly)
         poly.arity = self.arity
         poly.terms = out
@@ -217,11 +259,10 @@ class Poly:
     __rmul__ = __mul__
 
     def scaled(self, factor: Fraction | int) -> "Poly":
-        if not isinstance(factor, Fraction):
-            factor = Fraction(factor)
+        factor = _coefficient(factor)
         poly = Poly.__new__(Poly)
         poly.arity = self.arity
-        poly.terms = {} if factor == 0 else {m: c * factor for m, c in self.terms.items()}
+        poly.terms = {m: _canonical(c * factor) for m, c in self.terms.items()} if factor else {}
         return poly
 
     # -- calculus and evaluation ---------------------------------------------
@@ -230,7 +271,7 @@ class Poly:
         """Exact formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.arity:
             raise ChartMismatch(f"variable index {var} out of range for arity {self.arity}")
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
                 if v != var:
@@ -240,7 +281,7 @@ class Poly:
                 else:
                     new = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
                 # distinct monomials have distinct derivatives, so nothing collides or cancels
-                out[new] = coeff * e
+                out[new] = coeff * e if type(coeff) is int else _canonical(coeff * e)
                 break
         poly = Poly.__new__(Poly)
         poly.arity = self.arity
@@ -309,7 +350,7 @@ def poly_divexact(a: Poly, d: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     a._check_same_arity(d)
     if d.is_constant():
-        return a.scaled(1 / d.constant_term())
+        return _divided(a, d.terms[()])
     quotient = Poly.zero(a.arity)
     rest = a
     lead_mono, lead_coeff = d.leading()
@@ -326,10 +367,18 @@ def poly_divexact(a: Poly, d: Poly) -> Poly:
                 q_exp.append((var, have - exp))
             rexp.pop(var)
         q_exp.extend(rexp.items())
-        term = Poly(a.arity, {tuple(sorted(q_exp)): rc / lead_coeff})
+        term = Poly(a.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
         quotient = quotient + term
         rest = rest - term * d
     return quotient
+
+
+def _divided(poly: Poly, divisor: int | Fraction) -> Poly:
+    """``poly`` divided by a nonzero canonical constant, coefficient by coefficient."""
+    out = Poly.__new__(Poly)
+    out.arity = poly.arity
+    out.terms = {mono: _quotient(coeff, divisor) for mono, coeff in poly.terms.items()}
+    return out
 
 
 def poly_content(polys: Iterable[Poly]) -> Fraction:
@@ -355,7 +404,8 @@ def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
             if poly.leading()[1] < 0:
                 content = -content
             break
-    return tuple(p.scaled(1 / content) for p in polys)
+    divisor = _canonical(content)
+    return tuple(_divided(p, divisor) for p in polys)
 
 
 # ---------------------------------------------------------------------------

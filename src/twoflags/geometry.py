@@ -26,6 +26,7 @@ from .exactalg import (
     Poly,
     RationalMatrix,
     column_space_basis,
+    exact_rational,
     polynomial_nullspace,
     polynomial_nullspace_structural,
     primitive_tuple,
@@ -83,14 +84,14 @@ class Chart:
         """Point with the named coordinates set and every other coordinate 0."""
         values = [Fraction(0)] * self.dim
         for name, value in coords.items():
-            values[self.index(name)] = Fraction(value)
+            values[self.index(name)] = exact_rational(value)
         return tuple(values)
 
 
 def _check_point(chart: Chart, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(point) != chart.dim:
         raise ChartMismatch(f"point has {len(point)} coordinates, chart has {chart.dim}")
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in point)
+    return tuple(exact_rational(v) for v in point)
 
 
 @dataclass(frozen=True)

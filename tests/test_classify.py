@@ -14,6 +14,7 @@ from twoflags.classify import (
 )
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, appendix_b_spec, build_ekr, closed_form_F, model, model_build
+from twoflags.errors import BadSyntax
 from twoflags.geometry import small_flag, value_at
 from twoflags.exactalg import span_includes
 
@@ -116,6 +117,14 @@ def test_all_ones_word_classifies_everywhere():
     for _ in range(4):
         p = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(build.chart.dim))
         assert str(singularity_class_at(build, p).word) == "1.1.1"
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_class_rejects_a_float_point(generic):
+    # the length-1 closed route reads no flag value at the point
+    build = build_ekr(EkrSpec(Word.parse("1")))
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
+        singularity_class_at(build, (0, 0.5, 0, 0, 0), generic=generic)
 
 
 def test_generic_mode_agrees_on_models():

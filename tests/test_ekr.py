@@ -79,6 +79,14 @@ def test_constants_admission():
         EkrSpec(word, b={9: F(1)})  # outside the word
 
 
+def test_spec_rejects_float_constants():
+    word = Word.parse("1.2")
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.3"):
+        EkrSpec(word, {1: 0.3})
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.25"):
+        EkrSpec(word, c={2: 0.25})
+
+
 def test_spec_json_roundtrip():
     spec = EkrSpec.from_json('{"word": "1.2.1.3", "b": {"3": "1/2"}, "c": {"3": "-2"}}')
     assert str(spec.word) == "1.2.1.3"

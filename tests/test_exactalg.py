@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoflags.errors import ChartMismatch, DegeneratePivot
+from twoflags.errors import BadSyntax, ChartMismatch, DegeneratePivot
 from twoflags.exactalg import (
     Poly,
     RationalMatrix,
@@ -270,6 +270,8 @@ def test_eval_length_mismatch():
 # -- randomized identities ---------------------------------------------------
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# ints and Fractions, integral ones among them, as callers pass them
+poly_coeffs = st.one_of(st.integers(min_value=-5, max_value=5), coeffs)
 
 
 @st.composite
@@ -281,7 +283,7 @@ def polys(draw, arity=3, max_terms=4, max_exp=3):
             st.lists(st.integers(min_value=0, max_value=max_exp), min_size=arity, max_size=arity)
         )
         mono = tuple((v, e) for v, e in enumerate(exps) if e > 0)
-        terms[mono] = draw(coeffs)
+        terms[mono] = draw(poly_coeffs)
     return Poly(arity, terms)
 
 
@@ -327,6 +329,90 @@ def test_divexact_roundtrip():
     assert poly_divexact(a, d) * d == a
     with pytest.raises(ArithmeticError):
         poly_divexact(x, y)
+
+
+def assert_canonical(p: Poly) -> None:
+    """Every stored coefficient is a nonzero int or a Fraction with denominator > 1."""
+    for coeff in p.terms.values():
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), repr(coeff)
+
+
+def oracle_add(a: Poly, b: Poly, sign: int = 1) -> dict:
+    out = {k: F(v) for k, v in dense_terms(a).items()}
+    for k, v in dense_terms(b).items():
+        out[k] = out.get(k, F(0)) + sign * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def oracle_partial(a: Poly, var: int) -> dict:
+    out = {}
+    for k, v in dense_terms(a).items():
+        if k[var]:
+            out[k[:var] + (k[var] - 1,) + k[var + 1 :]] = F(v) * k[var]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(), polys(), poly_coeffs, st.integers(min_value=0, max_value=2))
+def test_results_keep_int_or_fraction_coefficients(a, b, factor, var):
+    d = b if b else Poly.const(3, factor or 2)
+    checked = {
+        "a + b": (a + b, oracle_add(a, b)),
+        "a - b": (a - b, oracle_add(a, b, -1)),
+        "a * b": (a * b, oracle_mul(a, b)),
+        "a * factor": (a * factor, {k: F(v) * factor for k, v in dense_terms(a).items() if factor}),
+        "scaled": (a.scaled(factor), {k: F(v) * factor for k, v in dense_terms(a).items() if factor}),
+        "partial": (a.partial(var), oracle_partial(a, var)),
+        "divexact": (poly_divexact(a * d, d), dense_terms(a)),
+    }
+    content = poly_content([a, b])
+    if content:
+        sign = -1 if (a or b).leading()[1] < 0 else 1
+        for name, p, q in zip(("primitive a", "primitive b"), primitive_tuple([a, b]), (a, b)):
+            checked[name] = (p, {k: F(v) / (sign * content) for k, v in dense_terms(q).items()})
+    for name, (result, expected) in checked.items():
+        assert_canonical(result)
+        assert dense_terms(result) == expected, name
+
+
+def test_divexact_by_a_constant_divides_in_z_when_exact():
+    x = Poly.variable(3, 0)
+    even = poly_divexact(x.scaled(6) + 4, Poly.const(3, 2))
+    assert even.terms == {((0, 1),): 3, (): 2}
+    assert all(type(c) is int for c in even.terms.values())
+    odd = poly_divexact(x.scaled(3) + 1, Poly.const(3, -2))
+    assert odd.terms == {((0, 1),): F(-3, 2), (): F(-1, 2)}
+    assert_canonical(odd)
+    integral = poly_divexact(x.scaled(F(3, 2)), Poly.const(3, F(3, 4)))
+    assert integral.terms == {((0, 1),): 2} and type(integral.terms[((0, 1),)]) is int
+
+
+def test_public_values_stay_fractions():
+    p = Poly.const(3, 2) + Poly.variable(3, 1)
+    assert type(p.constant_term()) is Fraction and p.constant_term() == 2
+    assert type(Poly.zero(3).constant_term()) is Fraction
+    assert type(p.eval_at([F(0)] * 3)) is Fraction
+    assert type(p.eval_at([0, 1, 0])) is Fraction and p.eval_at([0, 1, 0]) == 3
+    assert p == 2 + Poly.variable(3, 1) and hash(p) == hash(Poly(3, {(): F(2), ((1, 1),): F(1)}))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Poly(3, {(): 0.1}),
+        lambda: Poly(3, {((0, 1),): 0.0}),
+        lambda: Poly.variable(3, 0) * 0.5,
+        lambda: 0.5 * Poly.variable(3, 0),
+        lambda: Poly.variable(3, 0).scaled(0.5),
+        lambda: Poly.const(3, 0.5),
+        lambda: Poly.variable(3, 0) + 0.25,
+    ],
+    ids=["init", "init-zero", "mul", "rmul", "scaled", "const", "add"],
+)
+def test_poly_rejects_float_coefficients(make):
+    with pytest.raises(BadSyntax, match=r"inexact value (0\.1|0\.0|0\.5|0\.25)"):
+        make()
 
 
 # ---------------------------------------------------------------------------

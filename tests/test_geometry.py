@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, model
-from twoflags.errors import ChartMismatch, GeneratorBlowup, NotSpecialFlag
+from twoflags.errors import BadSyntax, ChartMismatch, GeneratorBlowup, NotSpecialFlag
 from twoflags.exactalg import Poly, RationalMatrix
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
@@ -18,6 +18,7 @@ from twoflags.geometry import (
     OneForm,
     Subspace,
     VectorField,
+    annihilator_at,
     big_flag,
     cauchy_char_at,
     covariant_at,
@@ -64,6 +65,20 @@ def test_point_builder():
     assert p == (0, 0, 0, F(1, 2), 0)
     with pytest.raises(ChartMismatch):
         chart.point(x9=1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda chart: chart.point(x1=0.5),
+        lambda chart: VectorField.versor(chart, 0).eval_at((0, 0, 0, 0.5, 0)),
+        lambda chart: value_at(Distribution(chart, (VectorField.versor(chart, 0),)), (0, 0, 0, 0.5, 0)),
+    ],
+    ids=["Chart.point", "VectorField.eval_at", "value_at"],
+)
+def test_points_reject_floats(make):
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
+        make(Chart.for_length(1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +419,32 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                     tower.append(oracle_lie_square(tower[-1]))
                 got = [signatures(m) for m in big_flag(build.distribution, build.chart.origin())]
                 assert got == [signatures(m) for m in tower], spec
+
+
+def int_coefficients(polys) -> bool:
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def test_flag_generators_and_annihilators_have_int_coefficients_up_to_length_four():
+    # _Dedup and primitive_tuple leave content 1, so brackets and eliminations
+    # run on int coefficients even when the constants are fractions
+    from twoflags.atlas import enumerate_words
+    from twoflags.cli import draw_constants
+
+    for r in range(1, 5):
+        for word in enumerate_words(r):
+            build = build_ekr(draw_constants(word, random.Random(f"ints|{word}")))
+            for j in range(r + 1):
+                for member in small_flag(build.flag_member(j), 5):
+                    assert all(int_coefficients(g.components) for g in member.generators), (word, j)
+            point = build.chart.origin()
+            tower = big_flag(build.distribution, point)
+            # tower[0] is the input distribution itself, whose fields carry the constants
+            for member in tower[1:]:
+                assert all(int_coefficients(g.components) for g in member.generators), word
+            for member in tower:
+                for form in annihilator_at(member, point):
+                    assert int_coefficients(form.coefficients), word
 
 
 def flags_or_blowup(flags) -> list | str:
