@@ -436,7 +436,7 @@ class RationalMatrix:
             if len(row) != ncols:
                 raise ChartMismatch("ragged rows")
             flat.extend(row)
-        return cls(nrows, ncols, tuple(v if isinstance(v, Fraction) else Fraction(v) for v in flat))
+        return cls(nrows, ncols, tuple(map(exact_rational, flat)))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], ambient: int | None = None) -> "RationalMatrix":

@@ -6,7 +6,8 @@ derivatives of 1-forms at a point, and the pointwise Cauchy-characteristic
 and covariant subspaces of a distribution.
 
 All inclusion and rank questions are decided pointwise and exactly; module
-membership over the polynomial ring is never decided.
+membership over the polynomial ring is never decided.  The Cauchy and
+covariant conditions are solved in the coordinates of the basis of D(p).
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
-        nonzero = [tuple(v) for v in vectors if any(u != 0 for u in v)]
-        return cls(ambient, column_space_basis(nonzero, ambient))
+        exact = [tuple(map(exact_rational, v)) for v in vectors]
+        return cls(ambient, column_space_basis([v for v in exact if any(v)], ambient))
 
     @property
     def dim(self) -> int:
@@ -477,6 +478,17 @@ def _curvature_pairings(
     return pairings
 
 
+def _kernel_image(basis: RationalMatrix, rows: Sequence[Sequence[Fraction]]) -> Subspace:
+    """The span of basis * lambda over the kernel of ``rows``.  The basis columns
+    are independent, so these images are too and form the basis as they stand."""
+    n = basis.rows
+    sparse = {divmod(k, basis.cols): v for k, v in enumerate(basis.entries) if v}
+    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows))
+    images = [_sparse_apply(sparse, lam, n) for lam in kernel]
+    columns = [[image.get(i, Fraction(0)) for i in range(n)] for image in images]
+    return Subspace(n, RationalMatrix.from_columns(columns, ambient=n))
+
+
 def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise Cauchy-characteristic space of D at p.
 
@@ -486,57 +498,44 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """
     point = _check_point(dist.chart, point)
     value = value_at(dist, point)
-    basis = value.basis
     pairings = _curvature_pairings(dist, point, value)
     if not pairings:
         return value
-    # one constraint row per form and basis vector w: lambda -> d(omega)(w, v(lambda))
-    rows = [row for pair in pairings for row in zip(*pair)]
-    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows))
-    return Subspace.from_vectors(dist.chart.dim, [basis.mat_vec(lam) for lam in kernel])
+    # row a of a pairing is the condition d(omega)(v, v_a) = 0 on v = sum_b lambda_b v_b
+    return _kernel_image(value.basis, [row for pair in pairings for row in pair])
 
 
 def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise covariant subspace of a corank-2 distribution.
 
-    Solves for all covectors alpha with (alpha wedge d omega)|_D = 0 at p
-    over every annihilating form omega, checks that the solution space has
-    dimension 3, and returns its joint kernel (of dimension ambient - 3).
+    Returns the joint kernel of the covectors alpha with (alpha wedge d omega)|_D
+    = 0 at p for every annihilating form omega.  alpha enters only through
+    a = alpha|D(p), and the annihilator of D(p) adds 2 dimensions, so the
+    covectors span 3 dimensions exactly when the solutions a form a line.  That
+    is the one check: the kernel of a in D(p) then has dimension ambient - 3.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
     value = value_at(dist, point)
-    basis = value.basis
-    d = basis.cols
+    d = value.dim
     if n - d != 2:
         raise UnexpectedCovariantDimension(
             f"covariant subspace needs corank 2, got corank {n - d}"
         )
-    columns = [basis.column(a) for a in range(d)]
+    # (alpha wedge d omega)(v_a, v_b, v_c) = a_a P_bc - a_b P_ac + a_c P_ab
     rows: list[list[Fraction]] = []
     for pair in _curvature_pairings(dist, point, value):
         for a in range(d):
             for b in range(a + 1, d):
                 for c in range(b + 1, d):
-                    if not (pair[b][c] or pair[a][c] or pair[a][b]):
-                        continue
-                    row = [
-                        columns[a][i] * pair[b][c] - columns[b][i] * pair[a][c] + columns[c][i] * pair[a][b]
-                        for i in range(n)
-                    ]
-                    if any(v != 0 for v in row):
+                    if pair[b][c] or pair[a][c] or pair[a][b]:
+                        row = [Fraction(0)] * d
+                        row[a], row[b], row[c] = pair[b][c], -pair[a][c], pair[a][b]
                         rows.append(row)
-    if rows:
-        _, alpha_basis = rank_and_nullspace(RationalMatrix.from_rows(rows))
-    else:
-        alpha_basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    if len(alpha_basis) != 3:
+    flat = tuple(v for row in rows for v in row)
+    _, solutions = rank_and_nullspace(RationalMatrix(len(rows), d, flat))
+    if len(solutions) != 1:
         raise UnexpectedCovariantDimension(
-            f"covariant covector space has dimension {len(alpha_basis)}, expected 3"
+            f"covariant covector space has dimension {len(solutions) + 2}, expected 3"
         )
-    _, kernel = rank_and_nullspace(RationalMatrix.from_rows([list(v) for v in alpha_basis]))
-    if len(kernel) != n - 3:
-        raise UnexpectedCovariantDimension(
-            f"covariant subspace has dimension {len(kernel)}, expected {n - 3}"
-        )
-    return Subspace.from_vectors(n, kernel)
+    return _kernel_image(value.basis, solutions)

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, model
-from twoflags.errors import BadSyntax, ChartMismatch, GeneratorBlowup, NotSpecialFlag
+from twoflags.atlas import enumerate_words
+from twoflags.cli import draw_constants
+from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, closed_form_L, model
+from twoflags.errors import (
+    BadSyntax,
+    ChartMismatch,
+    GeneratorBlowup,
+    NotSpecialFlag,
+    UnexpectedCovariantDimension,
+)
 from twoflags.exactalg import Poly, RationalMatrix
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
@@ -79,6 +87,20 @@ def test_point_builder():
 def test_points_reject_floats(make):
     with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
         make(Chart.for_length(1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RationalMatrix.from_rows([[0.1, 1]]),
+        lambda: RationalMatrix.from_columns([(0.1, 1)]),
+        lambda: Subspace.from_vectors(2, [(0.1, 1)]),
+    ],
+    ids=["RationalMatrix.from_rows", "RationalMatrix.from_columns", "Subspace.from_vectors"],
+)
+def test_pointwise_matrices_reject_floats(make):
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.1"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -641,3 +663,32 @@ def test_covariant_of_first_member_is_F():
             assert cov == value_at(closed_form_F(word.length), p)
             cau = cauchy_char_at(d1, p)
             assert cov.includes(cau) and cov.dim - cau.dim == 2
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (range(5), "covariant subspace needs corank 2, got corank 0"),
+        (range(3), "covariant covector space has dimension 5, expected 3"),
+    ],
+    ids=["full-tangent", "involutive-span-of-t-x0-y0"],
+)
+def test_covariant_rejects_the_wrong_dimensions(generators, message):
+    chart = Chart.for_length(1)
+    dist = Distribution(chart, tuple(VectorField.versor(chart, i) for i in generators))
+    with pytest.raises(UnexpectedCovariantDimension) as raised:
+        covariant_at(dist, chart.origin())
+    assert str(raised.value) == message
+
+
+def test_generic_targets_match_the_closed_forms_at_length_five():
+    rng = random.Random(505)
+    checked = 0
+    for word in enumerate_words(5):
+        build = build_ekr(draw_constants(word, random.Random(f"len5|{word}")))
+        for p in (build.chart.origin(), flag_point(build.chart, rng)):
+            assert covariant_at(build.flag_member(1), p) == value_at(closed_form_F(5), p), (word, p)
+            for j in range(1, 5):
+                assert cauchy_char_at(build.flag_member(j), p) == value_at(closed_form_L(j, 5), p), (word, j, p)
+            checked += 5
+    assert checked == 410
