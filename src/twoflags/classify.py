@@ -7,13 +7,15 @@ non-1 sandwich letter to 2 or 3 by testing the member V_{2l+3} of the
 small flag of D^s against the same target space, where the nearest non-1
 letter to the left sits at position nu and l = s - nu - 1.
 
-Two geometry sources are available.  For a pseudo-normal form the flag
-members come from the per-step leading fields and the covariant/Cauchy
-spaces from their closed forms, with the small flag computed on the
-truncated chart of the length-s prefix (the variables the member does not
-depend on are factored out).  The generic source recomputes everything
-from scratch: big flag by brute-force Lie squares, covariant and Cauchy
-subspaces by pointwise linear algebra, small flags on the full chart.
+Two geometry sources are available.  For a pseudo-normal form flag member
+j comes from the step-j leading field, read on the chart of the length-j
+prefix (the variables the member does not depend on are factored out), and
+the covariant/Cauchy spaces from their closed forms.  The generic source
+recomputes everything from scratch: big flag by brute-force Lie squares,
+covariant and Cauchy subspaces by pointwise linear algebra, small flags on
+the full chart.  A source supplies only flag members and targets; one
+inclusion test, ``_included``, decides every sandwich letter and every
+refinement on both.
 """
 
 from __future__ import annotations
@@ -25,18 +27,20 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ChartMismatch
-from .ekr import EkrBuild, Word, closed_form_F, closed_form_L
+from .ekr import EkrBuild, Word, _versors_from, closed_form_F, closed_form_L
 from .geometry import (
     DEFAULT_GENERATOR_CAP,
+    Chart,
     Distribution,
     Subspace,
+    VectorField,
     big_flag,
     cauchy_char_at,
     covariant_at,
     small_flag,
     value_at,
 )
-from .exactalg import exact_rational, format_rational
+from .exactalg import Poly, exact_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -111,11 +115,13 @@ def _closed_target(nu: int, r: int) -> Subspace:
 class _ClosedGeometry:
     """Flag members and subflag targets of a pseudo-normal form.
 
-    Flag member j is presented by the step-j leading field plus versors;
-    F and L come from their closed forms, whose values are the same at
-    every point of the chart.  The small-flag member for a refinement at
-    position s is computed on the length-s prefix chart.
+    Flag member j lives on the length-j prefix chart: the step-j leading
+    field depends on no later variable and has no later component, and every
+    later versor lies in both the member and its target, so cutting them off
+    changes no inclusion.  F and L come from their closed forms.
     """
+
+    target = staticmethod(_closed_target)
 
     def __init__(self, build: EkrBuild, point: Sequence[Fraction], cap: int):
         self.build = build
@@ -126,17 +132,14 @@ class _ClosedGeometry:
             raise ChartMismatch(
                 f"point has {len(self.point)} coordinates, chart has {build.chart.dim}"
             )
-        self.targets = {nu: _closed_target(nu, self.r) for nu in range(2, self.r + 1)}
 
-    def flag_value(self, j: int) -> Subspace:
-        return value_at(self.build.flag_member(j), self.point)
-
-    def refinement_inclusion(self, s: int, nu: int, member: int) -> bool:
-        prefix = self.build.prefix_build(s)
-        sub_point = self.point[: prefix.chart.dim]
-        flag = small_flag(prefix.distribution, member, cap=self.cap)
-        small_value = value_at(flag[-1], sub_point)
-        return _closed_target(nu, s).includes(small_value)
+    def member(self, j: int) -> Distribution:
+        """The step-j leading field plus d/dx_j and d/dy_j, on Chart.for_length(j)."""
+        chart = Chart.for_length(j)
+        n = chart.dim
+        lead = self.build.leading[j - 1].components[:n]
+        lead = VectorField(chart, tuple(Poly(n, c.terms) for c in lead))
+        return Distribution(chart, (lead,) + _versors_from(chart, j))
 
 
 class _GenericGeometry:
@@ -154,13 +157,18 @@ class _GenericGeometry:
     def member(self, j: int) -> Distribution:
         return self.tower[self.r - j]
 
-    def flag_value(self, j: int) -> Subspace:
-        return value_at(self.member(j), self.point)
+    def target(self, nu: int, s: int) -> Subspace:
+        return self.targets[nu]
 
-    def refinement_inclusion(self, s: int, nu: int, member: int) -> bool:
-        flag = small_flag(self.member(s), member, cap=self.cap)
-        small_value = value_at(flag[-1], self.point)
-        return self.targets[nu].includes(small_value)
+
+def _included(geo, s: int, nu: int, member: int) -> bool:
+    """Whether V_member of flag member s lies in the target of position nu at
+    the point, cut to the chart of the member; V_1 is the member itself."""
+    dist = geo.member(s)
+    if member > 1:
+        dist = small_flag(dist, member, cap=geo.cap)[-1]
+    value = value_at(dist, geo.point[: dist.chart.dim])
+    return geo.target(nu, s).includes(value)
 
 
 def _geometry(obj, point, generic: bool, cap: int):
@@ -182,10 +190,7 @@ def sandwich_class_at(
 
 
 def _sandwich(geo) -> SandwichWord:
-    letters = [1]
-    for j in range(2, geo.r + 1):
-        included = geo.targets[j].includes(geo.flag_value(j))
-        letters.append(2 if included else 1)
+    letters = [1] + [2 if _included(geo, j, j, 1) else 1 for j in range(2, geo.r + 1)]
     return SandwichWord(tuple(letters))
 
 
@@ -211,7 +216,7 @@ def singularity_class_at(
         for prev, s in zip(non_one, non_one[1:]):
             l = s - prev - 1
             member = 2 * l + 3
-            included = geo.refinement_inclusion(s, prev, member)
+            included = _included(geo, s, prev, member)
             letters[s - 1] = 3 if included else 2
             evidence.append(Evidence(position=s, nu=prev, l=l, member=member, included=included))
     word = Word(tuple(letters))

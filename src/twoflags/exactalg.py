@@ -289,7 +289,11 @@ class Poly:
         return poly
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a rational point (length must equal the arity)."""
+        """Exact value at a rational point (length must equal the arity).
+
+        A float coordinate that enters a term makes the sum a float, which
+        raises BadSyntax: one check per call, none per term.
+        """
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         total = _ZERO
@@ -302,6 +306,9 @@ class Poly:
                 value *= base**exp
             else:
                 total += value
+        if type(total) is float:
+            for base in point:
+                exact_rational(base)
         return total
 
     # -- dunder plumbing -----------------------------------------------------
@@ -426,6 +433,8 @@ class RationalMatrix:
             raise ChartMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        # the one place a matrix admits entries: a float raises BadSyntax
+        object.__setattr__(self, "entries", tuple(map(exact_rational, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
@@ -436,7 +445,7 @@ class RationalMatrix:
             if len(row) != ncols:
                 raise ChartMismatch("ragged rows")
             flat.extend(row)
-        return cls(nrows, ncols, tuple(map(exact_rational, flat)))
+        return cls(nrows, ncols, tuple(flat))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], ambient: int | None = None) -> "RationalMatrix":
@@ -460,14 +469,6 @@ class RationalMatrix:
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def mat_vec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ChartMismatch("vector length does not match column count")
-        return tuple(
-            sum((self.at(i, j) * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
 
 def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -551,17 +552,19 @@ def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction
     return len(pivot_cols), basis
 
 
-def matrix_rank(matrix: RationalMatrix) -> int:
-    return rank_and_nullspace(matrix)[0]
-
-
 def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
-    """True iff the column span of ``a`` lies inside the column span of ``b``."""
+    """True iff the column span of ``a`` lies inside the column span of ``b``.
+
+    One elimination of [b | a]: a lies in span b exactly when every column
+    of a is a free column.  The kernel vector of a free column has its 1
+    there and its other entries in pivot columns to its left, so exactly the
+    free columns of a's block give kernel vectors nonzero in that block.
+    """
     if a.rows != b.rows:
         raise ChartMismatch(f"ambient mismatch: {a.rows} vs {b.rows}")
-    rank_b = matrix_rank(b)
-    joined = RationalMatrix.from_columns(b.columns() + a.columns(), ambient=a.rows)
-    return matrix_rank(joined) == rank_b
+    joined = tuple(v for i in range(a.rows) for v in b.row(i) + a.row(i))
+    _, kernel = rank_and_nullspace(RationalMatrix(a.rows, b.cols + a.cols, joined))
+    return sum(any(vec[b.cols :]) for vec in kernel) == a.cols
 
 
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:
@@ -571,6 +574,7 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
         return RationalMatrix(ambient, 0, ())
     if any(len(col) != ambient for col in columns):
         raise ChartMismatch(f"columns must have {ambient} entries")
+    columns = [tuple(map(exact_rational, col)) for col in columns]
     _, pivot_cols = _eliminate(_integer_rows(zip(*columns)), reduce=False)
     return RationalMatrix.from_columns([columns[c] for c in pivot_cols], ambient=ambient)
 
@@ -731,6 +735,7 @@ def polynomial_nullspace(
         return []
     if len(at_point) != ambient:
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
+    at_point = tuple(map(exact_rational, at_point))
     # constraint matrix: one row per generator, one column per ambient coordinate
     constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
     evaluated = _integer_rows([entry.eval_at(at_point) for entry in row] for row in constraints)

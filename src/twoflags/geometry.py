@@ -218,8 +218,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
-        exact = [tuple(map(exact_rational, v)) for v in vectors]
-        return cls(ambient, column_space_basis([v for v in exact if any(v)], ambient))
+        return cls(ambient, column_space_basis(vectors, ambient))
 
     @property
     def dim(self) -> int:

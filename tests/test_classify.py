@@ -8,6 +8,7 @@ import pytest
 
 from twoflags.classify import (
     SandwichWord,
+    _ClosedGeometry,
     sandwich_class_at,
     singularity_class_at,
     singularity_locus_equations,
@@ -15,7 +16,7 @@ from twoflags.classify import (
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, appendix_b_spec, build_ekr, closed_form_F, model, model_build
 from twoflags.errors import BadSyntax
-from twoflags.geometry import small_flag, value_at
+from twoflags.geometry import DEFAULT_GENERATOR_CAP, small_flag, value_at
 from twoflags.exactalg import span_includes
 
 F = Fraction
@@ -211,9 +212,10 @@ def test_locus_equations(text, expected):
 
 
 def test_truncated_refinement_matches_full_chart():
-    # factoring out the variables past position s must not change the
-    # refinement verdict: compare the truncated small flag against the
-    # full-chart small flag of the structural member, on length <= 3 words
+    # factoring out the variables past position s must change neither the
+    # sandwich verdict (member 1 at s = nu = j) nor the refinement verdict:
+    # compare the truncated small flag against the full-chart small flag of
+    # the structural member, on length <= 3 words
     from twoflags.ekr import closed_form_L
 
     rng = random.Random(77)
@@ -228,8 +230,9 @@ def test_truncated_refinement_matches_full_chart():
                 for _ in range(3)
             ]
             non_one = [pos for pos, j in enumerate(word.letters, 1) if j != 1]
-            for prev, s in zip(non_one, non_one[1:]):
-                member = 2 * (s - prev - 1) + 3
+            checks = [(j, j, 1) for j in range(2, r + 1)]
+            checks += [(s, prev, 2 * (s - prev - 1) + 3) for prev, s in zip(non_one, non_one[1:])]
+            for s, prev, member in checks:
                 prefix = build.prefix_build(s)
                 full = small_flag(build.flag_member(s), member)[-1]
                 truncated = small_flag(prefix.distribution, member)[-1]
@@ -243,7 +246,24 @@ def test_truncated_refinement_matches_full_chart():
                         closed_form_F(s) if prev == 2 else closed_form_L(prev - 2, s), sub_point
                     )
                     verdict_trunc = target_trunc.includes(value_at(truncated, sub_point))
-                    assert verdict_full == verdict_trunc, (text, s, p)
+                    assert verdict_full == verdict_trunc, (text, s, member, p)
+
+
+def test_closed_members_are_the_prefix_distributions():
+    # flag member j of the closed route is the distribution of the length-j
+    # prefix build, for every word of length 1-6 with zero and seeded constants
+    from twoflags.atlas import enumerate_words
+
+    checked = 0
+    for r in range(1, 7):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word), random_spec(word, f"members|{word}")):
+                build = build_ekr(spec)
+                geo = _ClosedGeometry(build, build.chart.origin(), DEFAULT_GENERATOR_CAP)
+                for j in range(1, r + 1):
+                    assert geo.member(j) == build.prefix_build(j).distribution, (str(word), j)
+                    checked += 1
+    assert checked == 2026
 
 
 def test_classification_on_and_off_locus():

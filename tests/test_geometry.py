@@ -18,7 +18,7 @@ from twoflags.errors import (
     NotSpecialFlag,
     UnexpectedCovariantDimension,
 )
-from twoflags.exactalg import Poly, RationalMatrix
+from twoflags.exactalg import Poly, RationalMatrix, column_space_basis, polynomial_nullspace
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
     Chart,
@@ -81,8 +81,10 @@ def test_point_builder():
         lambda chart: chart.point(x1=0.5),
         lambda chart: VectorField.versor(chart, 0).eval_at((0, 0, 0, 0.5, 0)),
         lambda chart: value_at(Distribution(chart, (VectorField.versor(chart, 0),)), (0, 0, 0, 0.5, 0)),
+        lambda chart: Poly.variable(2, 0).eval_at((0.5, 0)),
+        lambda chart: polynomial_nullspace([[Poly.variable(2, 0)], [Poly.const(2, 1)]], (0.5, 0)),
     ],
-    ids=["Chart.point", "VectorField.eval_at", "value_at"],
+    ids=["Chart.point", "VectorField.eval_at", "value_at", "Poly.eval_at", "polynomial_nullspace"],
 )
 def test_points_reject_floats(make):
     with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
@@ -95,8 +97,16 @@ def test_points_reject_floats(make):
         lambda: RationalMatrix.from_rows([[0.1, 1]]),
         lambda: RationalMatrix.from_columns([(0.1, 1)]),
         lambda: Subspace.from_vectors(2, [(0.1, 1)]),
+        lambda: RationalMatrix(2, 1, (0.1, 1)),
+        lambda: column_space_basis([(0.1, 1)], 2),
     ],
-    ids=["RationalMatrix.from_rows", "RationalMatrix.from_columns", "Subspace.from_vectors"],
+    ids=[
+        "RationalMatrix.from_rows",
+        "RationalMatrix.from_columns",
+        "Subspace.from_vectors",
+        "RationalMatrix",
+        "column_space_basis",
+    ],
 )
 def test_pointwise_matrices_reject_floats(make):
     with pytest.raises(BadSyntax, match=r"inexact value 0\.1"):
@@ -646,23 +656,19 @@ def test_covariant_bcd_model():
 
 
 def test_covariant_of_first_member_is_F():
-    rng = random.Random(31)
-    for text in ("1.1", "1.2", "1.2.3"):
-        word = Word.parse(text)
-        spec = EkrSpec(
-            word,
-            b={l: F(rng.randint(1, 4)) for l, j in enumerate(word.letters, 1) if j == 1},
-            c={l: F(rng.randint(1, 4), 3) for l, j in enumerate(word.letters, 1) if j in (1, 2)},
-        )
-        build = build_ekr(spec)
-        tower = big_flag(build.distribution, build.chart.origin())
-        d1 = tower[word.length - 1]
-        for _ in range(2):
+    # D^1 of the brute-force tower of every word of length 2-4, with seeded
+    # constants, at one seeded point per word: its covariant space is F, and
+    # its Cauchy space lies in F with codimension 2
+    for r in range(2, 5):
+        for word in enumerate_words(r):
+            rng = random.Random(f"covariant-F|{word}")
+            build = build_ekr(draw_constants(word, rng))
+            d1 = big_flag(build.distribution, build.chart.origin())[r - 1]
             p = flag_point(build.chart, rng)
             cov = covariant_at(d1, p)
-            assert cov == value_at(closed_form_F(word.length), p)
+            assert cov == value_at(closed_form_F(r), p), (str(word), p)
             cau = cauchy_char_at(d1, p)
-            assert cov.includes(cau) and cov.dim - cau.dim == 2
+            assert cov.includes(cau) and cov.dim - cau.dim == 2, (str(word), p)
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,8 @@ GOLDEN = [
      "7daee3184d937a9054909c3af59fd949eca4a66188fdd4bd985a26764f952e52"),
     (("classify", "--word", "1.2", "--point", "0,0,0,0,0,1,0"), 0,
      "b3a2c9b1bcb36b86da7edebfca7b26bcfe42dc78ff690860b9d4d421e7d278a5"),
+    (("classify", "--word", "1.2", "--cap", "2"), 0,
+     "be9ab305fc6fe57e916b144b02ccdeaa0e4c6cad3fad38f6226539f33af53525"),
     (("classify", "--word", "1.2.3", "--point", "1,-2,1/3,0,5,0,0,2,-1"), 0,
      "47f8eb1e436d93d5850c885f3b1e8a9039e6008cfae48b2aad25840f62636184"),
     (("classify", "--model", "ex_2", "--generic-geometry"), 0,
