@@ -34,13 +34,14 @@ from .geometry import (
     Distribution,
     Subspace,
     VectorField,
+    _check_point,
     big_flag,
     cauchy_char_at,
     covariant_at,
     small_flag,
     value_at,
 )
-from .exactalg import Poly, exact_rational, format_rational
+from .exactalg import Poly, format_rational
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,11 @@ class _ClosedGeometry:
 
     target = staticmethod(_closed_target)
 
-    def __init__(self, build: EkrBuild, point: Sequence[Fraction], cap: int):
+    def __init__(self, build: EkrBuild, point: tuple[Fraction, ...], cap: int):
         self.build = build
-        self.point = tuple(point)
+        self.point = point
         self.cap = cap
         self.r = build.length
-        if len(self.point) != build.chart.dim:
-            raise ChartMismatch(
-                f"point has {len(self.point)} coordinates, chart has {build.chart.dim}"
-            )
 
     def member(self, j: int) -> Distribution:
         """The step-j leading field plus d/dx_j and d/dy_j, on Chart.for_length(j)."""
@@ -145,8 +142,8 @@ class _ClosedGeometry:
 class _GenericGeometry:
     """Flag members and subflag targets recomputed from the raw distribution, each target once."""
 
-    def __init__(self, dist: Distribution, point: Sequence[Fraction], cap: int):
-        self.point = tuple(point)
+    def __init__(self, dist: Distribution, point: tuple[Fraction, ...], cap: int):
+        self.point = point
         self.cap = cap
         self.tower = big_flag(dist, self.point, cap=cap)  # [D^r, ..., D^0]
         self.r = len(self.tower) - 1
@@ -172,6 +169,8 @@ def _included(geo, s: int, nu: int, member: int) -> bool:
 
 
 def _geometry(obj, point, generic: bool, cap: int):
+    """The geometry source of ``obj`` at ``point``, admitted once: length checked, no float."""
+    point = _check_point(obj.chart, point)
     if isinstance(obj, EkrBuild) and not generic:
         return _ClosedGeometry(obj, point, cap)
     dist = obj.distribution if isinstance(obj, EkrBuild) else obj
@@ -221,7 +220,7 @@ def singularity_class_at(
             evidence.append(Evidence(position=s, nu=prev, l=l, member=member, included=included))
     word = Word(tuple(letters))
     return ClassificationReport(
-        point=tuple(exact_rational(v) for v in point),
+        point=geo.point,
         sandwich=sandwich,
         word=word,
         evidence=tuple(evidence),

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import atlas as atlas_mod
 from .classify import singularity_class_at
-from .ekr import EkrBuild, EkrSpec, Word, _admits_b, _admits_c, build_ekr, model, model_build, MODEL_NAMES
+from .ekr import EkrBuild, EkrSpec, Word, _JsonObject, _admits_b, _admits_c, build_ekr, model, model_build, MODEL_NAMES
 from .errors import (
     BadSyntax,
     DegeneratePivot,
@@ -105,15 +105,6 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-class _JsonObject(dict):
-    """A decoded JSON object that keeps aside the keys it held more than once."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        keys = [key for key, _ in pairs]
-        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
-
-
 def _constants(args) -> dict:
     """The --constants file with the --b/--c flags laid over it, in the form
     of EkrSpec.from_json without the word; steps and values stay text.  A
@@ -126,9 +117,6 @@ def _constants(args) -> dict:
             raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')
         if data.repeated:
             raise BadSyntax(f"{args.constants}: repeated entry {data.repeated[0]!r}")
-        for kind, steps in data.items():
-            if steps.repeated:
-                raise BadSyntax(f"{args.constants}: repeated {kind} constant at step {steps.repeated[0]}")
     for kind, pairs in (("b", args.b), ("c", args.c)):
         given = set()
         for pair in pairs or []:

@@ -92,11 +92,22 @@ def _admits_c(letter: int) -> bool:
     return letter in (1, 2)
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that keeps aside the keys it held more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.repeated = sorted({key for key in keys if keys.count(key) > 1})
+
+
 def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
     """The ``kind`` ("b" or "c") entry of a spec mapping as step -> rational."""
     values = data.get(kind, {})
     if not isinstance(values, Mapping):
         raise BadSyntax(f"spec entry {kind!r} must map steps to rationals")
+    if getattr(values, "repeated", None):
+        raise BadSyntax(f"repeated {kind} constant at step {values.repeated[0]}")
     out = {}
     for step, value in values.items():
         if not _SEGMENT_RE.fullmatch(str(step)):
@@ -146,11 +157,14 @@ class EkrSpec:
     @classmethod
     def from_json(cls, data: str | Mapping) -> "EkrSpec":
         """The one parser of constants: {"word": text, "b": {step: value}, "c": {...}},
-        or its JSON text; steps and values may be text, ints or Fractions."""
+        or its JSON text; steps and values may be text, ints or Fractions.  A
+        key repeated in the text, at the top or among the steps, is an error."""
         if isinstance(data, str):
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_JsonObject)
         if not isinstance(data, Mapping):
             raise BadSyntax("a spec must be a JSON object")
+        if getattr(data, "repeated", None):
+            raise BadSyntax(f"repeated spec entry {data.repeated[0]!r}")
         unknown = set(data) - {"word", "b", "c"}
         if unknown:
             raise ConstantNotAdmitted(f"unknown keys in spec: {sorted(unknown)}")

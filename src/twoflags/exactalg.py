@@ -155,6 +155,14 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
 
+    @staticmethod
+    def _of(arity: int, terms: dict[Mono, int | Fraction]) -> "Poly":
+        """A Poly around computed terms that are already canonical: nothing is checked or copied."""
+        poly = Poly.__new__(Poly)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
+
     @classmethod
     def zero(cls, arity: int) -> "Poly":
         return cls(arity)
@@ -214,18 +222,12 @@ class Poly:
                 out[mono] = s if type(s) is int else _canonical(s)
             else:
                 out.pop(mono, None)
-        poly = Poly.__new__(Poly)
-        poly.arity = self.arity
-        poly.terms = out
-        return poly
+        return Poly._of(self.arity, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        poly = Poly.__new__(Poly)
-        poly.arity = self.arity
-        poly.terms = {m: -c for m, c in self.terms.items()}
-        return poly
+        return Poly._of(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
@@ -251,19 +253,13 @@ class Poly:
         for mono, coeff in out.items():
             if type(coeff) is not int:
                 out[mono] = _canonical(coeff)
-        poly = Poly.__new__(Poly)
-        poly.arity = self.arity
-        poly.terms = out
-        return poly
+        return Poly._of(self.arity, out)
 
     __rmul__ = __mul__
 
     def scaled(self, factor: Fraction | int) -> "Poly":
         factor = _coefficient(factor)
-        poly = Poly.__new__(Poly)
-        poly.arity = self.arity
-        poly.terms = {m: _canonical(c * factor) for m, c in self.terms.items()} if factor else {}
-        return poly
+        return Poly._of(self.arity, {m: _canonical(c * factor) for m, c in self.terms.items()} if factor else {})
 
     # -- calculus and evaluation ---------------------------------------------
 
@@ -283,10 +279,7 @@ class Poly:
                 # distinct monomials have distinct derivatives, so nothing collides or cancels
                 out[new] = coeff * e if type(coeff) is int else _canonical(coeff * e)
                 break
-        poly = Poly.__new__(Poly)
-        poly.arity = self.arity
-        poly.terms = out
-        return poly
+        return Poly._of(self.arity, out)
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point (length must equal the arity).
@@ -374,18 +367,23 @@ def poly_divexact(a: Poly, d: Poly) -> Poly:
                 q_exp.append((var, have - exp))
             rexp.pop(var)
         q_exp.extend(rexp.items())
-        term = Poly(a.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
+        term = Poly._of(a.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
         quotient = quotient + term
         rest = rest - term * d
     return quotient
 
 
 def _divided(poly: Poly, divisor: int | Fraction) -> Poly:
-    """``poly`` divided by a nonzero canonical constant, coefficient by coefficient."""
-    out = Poly.__new__(Poly)
-    out.arity = poly.arity
-    out.terms = {mono: _quotient(coeff, divisor) for mono, coeff in poly.terms.items()}
-    return out
+    """``poly`` divided by a nonzero canonical constant, coefficient by coefficient.
+
+    Dividing by 1 returns ``poly`` itself, which is safe because no Poly is
+    ever mutated; dividing by -1 returns its negative.
+    """
+    if divisor == 1:
+        return poly
+    if divisor == -1:
+        return -poly
+    return Poly._of(poly.arity, {mono: _quotient(coeff, divisor) for mono, coeff in poly.terms.items()})
 
 
 def poly_content(polys: Iterable[Poly]) -> Fraction:
@@ -651,36 +649,34 @@ def _structural_pivots(rows: Sequence[Sequence[Poly]]) -> tuple[list[int], list[
     return order[: len(pivot_cols)], pivot_cols
 
 
-def _check_constraint_shape(matrix: Sequence[Sequence[Poly]]) -> tuple[int, int]:
-    ambient = len(matrix)
-    ngens = len(matrix[0]) if ambient else 0
-    for row in matrix:
-        if len(row) != ngens:
-            raise ChartMismatch("ragged polynomial matrix")
-    return ambient, ngens
+def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
+    """The rows of an ambient x generators matrix, transposed: one constraint
+    row per generator, one column per ambient coordinate."""
+    ngens = len(matrix[0]) if matrix else 0
+    if any(len(row) != ngens for row in matrix):
+        raise ChartMismatch("ragged polynomial matrix")
+    return list(zip(*matrix))
 
 
-def _kernel_covectors(
+def _kernel(
     constraints: Sequence[Sequence[Poly]],
-    work: list[list[Poly]],
     rows: Sequence[int],
-    pivots: Sequence[int],
     columns: Sequence[int],
     arity: int,
-) -> list[tuple[Poly, ...]]:
-    """Kernel covectors read off a reduced _bareiss pass over constraint rows.
-
-    ``rows`` are the constraint rows in the pivot slots, ``pivots`` the work
-    columns of the pivots, ``columns[c]`` the ambient coordinate of work
-    column c.  Each free work column f gives the covector with the last pivot
-    P in slot f and minus entry (j, f) in the slot of pivot j: Cramer's rule,
-    every minor carrying the sign of P, which primitive_tuple removes.  As a
-    check, P must be ±det of the pivot minor, found apart by poly_det.
+) -> tuple[list[tuple[Poly, ...]], list[int]]:
+    """Kernel covectors of the constraint ``rows`` and the pivot work columns,
+    from one reduced _bareiss pass with ambient coordinate ``columns[c]`` in
+    work column c.  Each free work column f gives the covector with the last
+    pivot P in slot f and minus entry (j, f) in the slot of pivot j: Cramer's
+    rule, every minor carrying the sign of P, which primitive_tuple removes.
+    As a check, P must be ±det of the pivot minor, found apart by poly_det.
     """
+    work = [[constraints[r][c] for c in columns] for r in rows]
+    order, pivots = _bareiss(work, reduce=True)
     k = len(pivots)
     last = work[k - 1][pivots[-1]] if k else Poly.const(arity, 1)
     if k:
-        det = poly_det([[constraints[r][columns[c]] for c in pivots] for r in rows])
+        det = poly_det([[constraints[rows[r]][columns[c]] for c in pivots] for r in order[:k]])
         if last != det and last != -det:
             raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
     covectors = []
@@ -690,7 +686,7 @@ def _kernel_covectors(
         for j, pivot in enumerate(pivots):
             entries[columns[pivot]] = -work[j][f]
         covectors.append(primitive_tuple(entries))
-    return covectors
+    return covectors, pivots
 
 
 def _kernel_by_echelon(
@@ -700,16 +696,15 @@ def _kernel_by_echelon(
     ambient: int,
     arity: int,
 ) -> list[tuple[Poly, ...]]:
-    """Kernel vectors with minor entries, from one reduced Bareiss pass over
-    the pivot rows, with the pivot columns first in their given order and
-    the free columns after them.  Raises ArithmeticError when the pivot
-    minor is singular."""
+    """The _kernel of the pivot rows, with the pivot columns first in their
+    given order and the free columns after them.  Raises ArithmeticError
+    when the pivot minor is singular, i.e. when the pass does not pivot on
+    exactly the given columns."""
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    work = [[constraints[r][c] for c in columns] for r in pivot_rows]
-    _, pivots = _bareiss(work, reduce=True)
+    covectors, pivots = _kernel(constraints, pivot_rows, columns, arity)
     if pivots != list(range(len(pivot_cols))):
         raise ArithmeticError("pivot minor is singular")
-    return _kernel_covectors(constraints, work, pivot_rows, pivots, columns, arity)
+    return covectors
 
 
 def polynomial_nullspace(
@@ -721,23 +716,22 @@ def polynomial_nullspace(
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
     Pivot rows and columns are chosen by exact elimination of M evaluated at
-    ``at_point``.  Each kernel vector has det(base), the pivot minor of the
-    symbolic matrix, in its free slot and the matching Cramer minors in the
-    pivot slots, all read off one fraction-free Gauss-Jordan pass, so each
-    output annihilates every generator as a polynomial identity.  Raises
+    ``at_point``, and _kernel_by_echelon reads the kernel off those rows:
+    each vector has det(base), the pivot minor of the symbolic matrix, in its
+    free slot and the Cramer minors in the pivot slots, so each output
+    annihilates every generator as a polynomial identity.  Raises
     DegeneratePivot when the rank at the reference point is below the
     structural (generic) rank, i.e. when no pivot permutation is valid at
     that point.  ``structural_rank`` is that rank when the caller knows it
     already; otherwise a symbolic elimination finds it.
     """
-    ambient, ngens = _check_constraint_shape(matrix)
+    constraints = _constraints(matrix)
+    ambient = len(matrix)
     if ambient == 0:
         return []
     if len(at_point) != ambient:
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
     at_point = tuple(map(exact_rational, at_point))
-    # constraint matrix: one row per generator, one column per ambient coordinate
-    constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
     evaluated = _integer_rows([entry.eval_at(at_point) for entry in row] for row in constraints)
     pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
     if structural_rank is None:
@@ -750,19 +744,14 @@ def polynomial_nullspace(
 
 
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
-    """Like polynomial_nullspace, but pivoted at a generic point.
-
-    One reduced Bareiss pass over all generator rows picks the pivots
-    symbolically and leaves the kernel entries.  The covectors annihilate every
-    generator identically; their values form a basis of the pointwise
-    annihilator wherever the generator matrix keeps its structural rank and
-    the covector values stay independent.
+    """Like polynomial_nullspace, but pivoted at a generic point: the _kernel
+    of every generator row, in column order, whose pass picks the pivots
+    symbolically.  The covectors annihilate every generator identically;
+    their values form a basis of the pointwise annihilator wherever the
+    generator matrix keeps its structural rank and the covector values stay
+    independent.
     """
-    ambient, ngens = _check_constraint_shape(matrix)
-    if ambient == 0:
+    constraints = _constraints(matrix)
+    if not matrix:
         return []
-    constraints = [[matrix[i][g] for i in range(ambient)] for g in range(ngens)]
-    work = [list(row) for row in constraints]
-    order, pivot_cols = _bareiss(work, reduce=True)
-    rows = order[: len(pivot_cols)]
-    return _kernel_covectors(constraints, work, rows, pivot_cols, range(ambient), matrix[0][0].arity)
+    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]

@@ -109,10 +109,6 @@ class VectorField:
             )
 
     @classmethod
-    def zero(cls, chart: Chart) -> "VectorField":
-        return cls(chart, tuple(Poly.zero(chart.dim) for _ in range(chart.dim)))
-
-    @classmethod
     def versor(cls, chart: Chart, index: int) -> "VectorField":
         comps = [Poly.zero(chart.dim)] * chart.dim
         comps[index] = Poly.const(chart.dim, 1)

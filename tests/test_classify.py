@@ -128,6 +128,13 @@ def test_class_rejects_a_float_point(generic):
         singularity_class_at(build, (0, 0.5, 0, 0, 0), generic=generic)
 
 
+def test_sandwich_rejects_a_float_point():
+    # the sandwich word of a length-1 word reads nothing at the point
+    build = build_ekr(EkrSpec(Word.parse("1")))
+    with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
+        sandwich_class_at(build, (0, 0.5, 0, 0, 0))
+
+
 def test_generic_mode_agrees_on_models():
     for name in ("ca_2", "ex_2"):
         build = model_build(name)

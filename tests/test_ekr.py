@@ -326,6 +326,8 @@ def test_appendix_family_E_rejects_a_nonzero_c4():
         {"word": "1.2", "b": {" 1": "1"}},
         {"word": "1.2", "b": ["1"]},
         ["1.2"],
+        '{"word": "1.2", "c": {"1": "2", "1": "5"}}',
+        '{"word": "1.2", "word": "1.1"}',
     ],
 )
 def test_spec_json_rejects_malformed_steps_and_shapes(data):
