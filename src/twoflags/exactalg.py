@@ -183,7 +183,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((), 0))
@@ -260,6 +260,38 @@ class Poly:
     def scaled(self, factor: Fraction | int) -> "Poly":
         factor = _coefficient(factor)
         return Poly._of(self.arity, {m: _canonical(c * factor) for m, c in self.terms.items()} if factor else {})
+
+    def __floordiv__(self, d: "Poly") -> "Poly":
+        """Exact division self / d in the polynomial ring.
+
+        Only valid when d divides self (as guaranteed inside Bareiss
+        elimination); raises ArithmeticError otherwise.
+        """
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        self._check_same_arity(d)
+        if d.is_constant():
+            return _divided(self, d.terms[()])
+        quotient = Poly.zero(self.arity)
+        rest = self
+        lead_mono, lead_coeff = d.leading()
+        lead_exp = dict(lead_mono)
+        while not rest.is_zero():
+            rm, rc = rest.leading()
+            rexp = dict(rm)
+            q_exp = []
+            for var, exp in lead_exp.items():
+                have = rexp.get(var, 0)
+                if have < exp:
+                    raise ArithmeticError("inexact polynomial division")
+                if have > exp:
+                    q_exp.append((var, have - exp))
+                rexp.pop(var)
+            q_exp.extend(rexp.items())
+            term = Poly._of(self.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
+            quotient = quotient + term
+            rest = rest - term * d
+        return quotient
 
     # -- calculus and evaluation ---------------------------------------------
 
@@ -340,37 +372,8 @@ class Poly:
         return text.replace("+ -", "- ")
 
 
-def poly_divexact(a: Poly, d: Poly) -> Poly:
-    """Exact division a / d in the polynomial ring.
-
-    Only valid when d divides a (as guaranteed inside Bareiss elimination);
-    raises ArithmeticError otherwise.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    a._check_same_arity(d)
-    if d.is_constant():
-        return _divided(a, d.terms[()])
-    quotient = Poly.zero(a.arity)
-    rest = a
-    lead_mono, lead_coeff = d.leading()
-    lead_exp = dict(lead_mono)
-    while not rest.is_zero():
-        rm, rc = rest.leading()
-        rexp = dict(rm)
-        q_exp = []
-        for var, exp in lead_exp.items():
-            have = rexp.get(var, 0)
-            if have < exp:
-                raise ArithmeticError("inexact polynomial division")
-            if have > exp:
-                q_exp.append((var, have - exp))
-            rexp.pop(var)
-        q_exp.extend(rexp.items())
-        term = Poly._of(a.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
-        quotient = quotient + term
-        rest = rest - term * d
-    return quotient
+# poly_divexact(a, d) is a // d
+poly_divexact = Poly.__floordiv__
 
 
 def _divided(poly: Poly, divisor: int | Fraction) -> Poly:
@@ -485,67 +488,75 @@ def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: list[list[int]], reduce: bool) -> tuple[list[int], list[int]]:
-    """In-place fraction-free elimination of integer rows.
+def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
+    """In-place fraction-free (Bareiss) elimination of ``int`` or ``Poly`` rows.
 
-    Column by column, the pivot is the first unused row with a nonzero entry
-    p there; every other row with a nonzero entry f in that column becomes
-    p * row - f * pivot_row, divided by the gcd of its entries.  Without
-    ``reduce`` only unused rows are cleared (row echelon form: rank and
-    pivot columns); with it the pivot rows are cleared too, which leaves a
-    row-scaled reduced echelon form.  Row order is preserved.
+    Column by column, the pivot is the first unused row, in original order,
+    with a nonzero entry p there; it moves up into the next pivot slot and
+    the rows between shift down by one.  Each later row (with ``reduce``,
+    each other row) with entry f in that column becomes
+    (p * row - f * pivot_row) // (previous pivot), an exact division in Z
+    and in the polynomial ring alike, in the columns that are not pivot
+    columns; pivot columns are never read again and keep stale entries.
+    Every entry left is a minor of the input: the last pivot P is ±det of
+    the pivot minor and, with ``reduce``, entry (j, c) is that minor with
+    pivot column j swapped for column c, carrying the sign of P.
 
-    Returns (pivot row indices, pivot column indices) in pivot order.
+    Returns (pivot row indices, pivot column indices) in pivot order; slot j
+    then holds pivot row j.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    pivot_rows: list[int] = []
+    order = list(range(nrows))
+    live = list(range(ncols))  # columns without a pivot so far
     pivot_cols: list[int] = []
-    used = [False] * nrows
+    prev = None
     for col in range(ncols):
-        if len(pivot_rows) == nrows:
+        slot = len(pivot_cols)
+        if slot == nrows:
             break
-        pivot = next((r for r in range(nrows) if not used[r] and rows[r][col]), None)
+        pivot = next((r for r in range(slot, nrows) if rows[r][col]), None)
         if pivot is None:
             continue
-        used[pivot] = True
-        pivot_rows.append(pivot)
-        pivot_cols.append(col)
-        prow = rows[pivot]
+        rows.insert(slot, rows.pop(pivot))
+        order.insert(slot, order.pop(pivot))
+        live.remove(col)
+        prow = rows[slot]
         p = prow[col]
-        for r in range(nrows):
+        for r in range(0 if reduce else slot + 1, nrows):
+            if r == slot:
+                continue
             row = rows[r]
             f = row[col]
-            if not f or r == pivot or (used[r] and not reduce):
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(row, prow)]
-            g = gcd(*new)
-            rows[r] = [x // g for x in new] if g > 1 else new
-    return pivot_rows, pivot_cols
+            for c in live:
+                entry = row[c] * p - f * prow[c] if f else row[c] * p
+                row[c] = entry if prev is None else entry // prev
+        prev = p
+        pivot_cols.append(col)
+    return order[: len(pivot_cols)], pivot_cols
 
 
 def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Exact rank and a basis of the (right) kernel {v : Mv = 0}.
 
-    The basis has one vector per free column, with 1 in that column; it is
-    read off the reduced echelon form, which is unique, so the basis is too.
+    One reduced _eliminate pass; each free column f gives the vector with 1
+    in slot f and minus entry (j, f) over the last pivot P in pivot column j
+    (Cramer's rule).  That is the reduced echelon form's basis, which is
+    unique, so the basis is too.
     """
     rows = _integer_rows(matrix.row(i) for i in range(matrix.rows))
-    pivot_rows, pivot_cols = _eliminate(rows, reduce=True)
-    pivots = list(zip(pivot_rows, pivot_cols))
-    is_pivot = set(pivot_cols)
+    _, pivot_cols = _eliminate(rows, reduce=True)
+    last = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     basis = []
     for free in range(matrix.cols):
-        if free in is_pivot:
+        if free in pivot_cols:
             continue
         vec = [_ZERO] * matrix.cols
         vec[free] = _ONE
-        for prow, pcol in pivots:
-            entry = rows[prow][free]
+        for j, pcol in enumerate(pivot_cols):
+            entry = rows[j][free]
             if entry:
-                vec[pcol] = Fraction(-entry, rows[prow][pcol])
+                vec[pcol] = Fraction(-entry, last)
         basis.append(tuple(vec))
     return len(pivot_cols), basis
 
@@ -582,57 +593,17 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
 # ---------------------------------------------------------------------------
 
 
-def _bareiss(work: list[list[Poly]], reduce: bool) -> tuple[list[int], list[int]]:
-    """In-place fraction-free (Bareiss) elimination of polynomial rows.
-
-    Column by column, the pivot is the first row at or after the next pivot
-    slot with a nonzero entry p there; it is swapped into that slot.  Each
-    later row (with ``reduce``, each other row) with entry f in that column
-    becomes (p * row - f * pivot_row) / (previous pivot), an exact division,
-    in the columns that are not pivot columns; pivot columns are never read
-    again and keep stale entries.  Every entry left is a minor of the input:
-    the last pivot P is ±det of the pivot minor and, with ``reduce``, entry
-    (j, c) is that minor with pivot column j swapped for column c, carrying
-    the sign of P.  Returns (row order, pivot columns): slot i holds row order[i].
-    """
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    order = list(range(nrows))
-    live = list(range(ncols))  # columns without a pivot so far
-    pivot_cols: list[int] = []
-    prev = None
-    for col in range(ncols):
-        slot = len(pivot_cols)
-        pivot_row = next((r for r in range(slot, nrows) if work[r][col]), None)
-        if pivot_row is None:
-            continue
-        work[slot], work[pivot_row] = work[pivot_row], work[slot]
-        order[slot], order[pivot_row] = order[pivot_row], order[slot]
-        live.remove(col)
-        prow = work[slot]
-        p = prow[col]
-        for r in range(0 if reduce else slot + 1, nrows):
-            if r == slot:
-                continue
-            row = work[r]
-            f = row[col]
-            for c in live:
-                entry = row[c] * p - f * prow[c] if f else row[c] * p
-                row[c] = entry if prev is None else poly_divexact(entry, prev)
-        prev = p
-        pivot_cols.append(col)
-    return order, pivot_cols
-
-
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by fraction-free Bareiss elimination."""
+    """Determinant of a square polynomial matrix: the last pivot of one forward
+    _eliminate pass, signed by the parity of its pivot rows.  A regular
+    matrix has all n rows as pivot rows; any other has determinant 0."""
     n = len(rows)
     if n == 0:
         raise ChartMismatch("empty matrix has no determinant")
     if any(len(row) != n for row in rows):
         raise ChartMismatch(f"determinant needs a square matrix; {n} rows are not all of length {n}")
     work = [list(row) for row in rows]
-    order, pivot_cols = _bareiss(work, reduce=False)
+    order, pivot_cols = _eliminate(work, reduce=False)
     if len(pivot_cols) < n:
         return Poly.zero(rows[0][0].arity)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
@@ -642,17 +613,19 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 def _structural_pivots(rows: Sequence[Sequence[Poly]]) -> tuple[list[int], list[int]]:
     """Pivot rows (original indices) and columns for the rank over the fraction field.
 
-    One forward Bareiss pass; the pivot minor of the original matrix on the
-    returned rows and columns is a nonzero polynomial.
+    One forward _eliminate pass; the pivot minor of the original matrix on
+    the returned rows and columns is a nonzero polynomial.
     """
-    order, pivot_cols = _bareiss([list(row) for row in rows], reduce=False)
-    return order[: len(pivot_cols)], pivot_cols
+    return _eliminate([list(row) for row in rows], reduce=False)
 
 
 def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
     """The rows of an ambient x generators matrix, transposed: one constraint
-    row per generator, one column per ambient coordinate."""
+    row per generator, one column per ambient coordinate.  Like a
+    Distribution, a matrix with ambient rows needs a generator column."""
     ngens = len(matrix[0]) if matrix else 0
+    if matrix and not ngens:
+        raise ChartMismatch("polynomial matrix needs at least one generator column")
     if any(len(row) != ngens for row in matrix):
         raise ChartMismatch("ragged polynomial matrix")
     return list(zip(*matrix))
@@ -665,18 +638,18 @@ def _kernel(
     arity: int,
 ) -> tuple[list[tuple[Poly, ...]], list[int]]:
     """Kernel covectors of the constraint ``rows`` and the pivot work columns,
-    from one reduced _bareiss pass with ambient coordinate ``columns[c]`` in
-    work column c.  Each free work column f gives the covector with the last
+    from one reduced _eliminate pass with ambient coordinate ``columns[c]``
+    in work column c.  Each free work column f gives the covector with the last
     pivot P in slot f and minus entry (j, f) in the slot of pivot j: Cramer's
     rule, every minor carrying the sign of P, which primitive_tuple removes.
     As a check, P must be ±det of the pivot minor, found apart by poly_det.
     """
     work = [[constraints[r][c] for c in columns] for r in rows]
-    order, pivots = _bareiss(work, reduce=True)
+    slots, pivots = _eliminate(work, reduce=True)
     k = len(pivots)
     last = work[k - 1][pivots[-1]] if k else Poly.const(arity, 1)
     if k:
-        det = poly_det([[constraints[rows[r]][columns[c]] for c in pivots] for r in order[:k]])
+        det = poly_det([[constraints[rows[r]][columns[c]] for c in pivots] for r in slots])
         if last != det and last != -det:
             raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
     covectors = []

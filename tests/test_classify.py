@@ -175,17 +175,32 @@ def test_generic_mode_agrees_on_full_reports_up_to_length_four():
 
 
 def test_generic_mode_agrees_on_full_reports_at_length_five():
-    # every one of the 41 words of length 5, zero constants, at the origin
+    # every one of the 41 words of length 5: zero constants at the origin, and
+    # seeded constants at a seeded point on the word's locus (x_k = 0 at the
+    # letters 2 and 3, y_k = 0 at the letters 3, every other coordinate
+    # nonzero), where the class is the word itself and the refinements run
     from twoflags.atlas import enumerate_words
 
     words = list(enumerate_words(5))
     assert len(words) == 41
+    refined = 0
     for word in words:
-        build = build_ekr(EkrSpec(word))
-        origin = build.chart.origin()
-        closed = singularity_class_at(build, origin)
-        generic = singularity_class_at(build, origin, generic=True)
-        assert closed.to_json() == generic.to_json(), str(word)
+        zero = build_ekr(EkrSpec(word))
+        seeded = build_ekr(draw_constants(word, random.Random(f"locus|{word}")))
+        rng = random.Random(f"locus-point|{word}")
+        locus = [F(rng.randint(1, 7), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(seeded.chart.dim)]
+        for k, letter in enumerate(word.letters, start=1):
+            if letter >= 2:
+                locus[seeded.chart.x_index(k)] = F(0)
+            if letter == 3:
+                locus[seeded.chart.y_index(k)] = F(0)
+        for build, point in ((zero, zero.chart.origin()), (seeded, tuple(locus))):
+            closed = singularity_class_at(build, point)
+            generic = singularity_class_at(build, point, generic=True)
+            assert closed.to_json() == generic.to_json(), (str(word), point)
+        assert closed.word == word, str(word)
+        refined += bool(closed.evidence)
+    assert refined == 36
 
 
 def test_report_json_shape():

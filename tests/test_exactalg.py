@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoflags.errors import BadSyntax, ChartMismatch, DegeneratePivot
@@ -536,6 +536,37 @@ def test_span_includes_ambient_mismatch():
         span_includes(a, b)
 
 
+@st.composite
+def integer_rows(draw):
+    """Small integer rows with many zero entries; some rows combine earlier ones."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if rows and draw(st.integers(min_value=0, max_value=2)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = draw(st.integers(min_value=-2, max_value=2)), draw(st.integers(min_value=-2, max_value=2))
+            rows.append([fa * x + fb * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(), st.booleans())
+# the first unused row in original order is the pivot, so row 0 (not row 1) follows row 2
+@example(rows=[[0, 1, 0], [0, 1, 1], [1, 0, 0]], reduce=False)
+def test_one_pivot_rule_for_integer_and_polynomial_rows(rows, reduce):
+    ints = [list(row) for row in rows]
+    polys = [[Poly.const(1, v) for v in row] for row in rows]
+    pivots = _eliminate(ints, reduce)
+    if not reduce:
+        assert _structural_pivots(polys) == pivots
+    assert _eliminate(polys, reduce) == pivots
+    # the same Bareiss step in both rings leaves the same entries
+    assert polys == [[Poly.const(1, v) for v in row] for row in ints]
+
+
 # ---------------------------------------------------------------------------
 # Polynomial determinants and nullspaces
 # ---------------------------------------------------------------------------
@@ -698,6 +729,14 @@ def test_nullspace_annihilates_generators_identically():
             for c, g in zip(cov, gen):
                 pairing = pairing + c * g
             assert pairing.is_zero()
+
+
+def test_nullspaces_reject_a_matrix_without_generator_columns():
+    # two ambient rows and no generator column: not a distribution
+    with pytest.raises(ChartMismatch):
+        polynomial_nullspace([[], []], (F(0), F(0)))
+    with pytest.raises(ChartMismatch):
+        polynomial_nullspace_structural([[], []])
 
 
 def test_nullspace_degenerate_pivot():
