@@ -111,6 +111,22 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
+def _mul_into(acc: dict[Mono, int | Fraction], a_terms: dict, b_terms: dict, sign: int) -> None:
+    """Add ``sign`` (1 or -1) times the product of two term maps into ``acc``,
+    dropping every coefficient that cancels to 0.  Coefficients may be left as
+    integral Fractions; Poly._summed canonicalises them."""
+    for ma, ca in a_terms.items():
+        if sign < 0:
+            ca = -ca
+        for mb, cb in b_terms.items():
+            mono = _mono_mul(ma, mb)
+            s = acc.get(mono, 0) + ca * cb
+            if s:
+                acc[mono] = s
+            else:
+                del acc[mono]
+
+
 def _mono_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
     """Graded-lex sort key: total degree first, then the dense exponent vector."""
     dense = [0] * arity
@@ -162,6 +178,15 @@ class Poly:
         poly.arity = arity
         poly.terms = terms
         return poly
+
+    @staticmethod
+    def _summed(arity: int, terms: dict[Mono, int | Fraction]) -> "Poly":
+        """A Poly around terms summed by _mul_into: nonzero, but a Fraction
+        coefficient may be integral, so each one is canonicalised here, once."""
+        for mono, coeff in terms.items():
+            if type(coeff) is not int:
+                terms[mono] = _canonical(coeff)
+        return Poly._of(arity, terms)
 
     @classmethod
     def zero(cls, arity: int) -> "Poly":
@@ -242,18 +267,8 @@ class Poly:
             return self.scaled(other)
         self._check_same_arity(other)
         out: dict[Mono, int | Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _mono_mul(ma, mb)
-                s = out.get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        for mono, coeff in out.items():
-            if type(coeff) is not int:
-                out[mono] = _canonical(coeff)
-        return Poly._of(self.arity, out)
+        _mul_into(out, self.terms, other.terms, 1)
+        return Poly._summed(self.arity, out)
 
     __rmul__ = __mul__
 
@@ -434,8 +449,17 @@ class RationalMatrix:
             raise ChartMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        # the one place a matrix admits entries: a float raises BadSyntax
+        # where a matrix admits entries (_of takes admitted ones): a float raises BadSyntax
         object.__setattr__(self, "entries", tuple(map(exact_rational, self.entries)))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple[Fraction, ...]) -> "RationalMatrix":
+        """A matrix around entries that are admitted already: nothing is checked or mapped."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
@@ -502,6 +526,13 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
     the pivot minor and, with ``reduce``, entry (j, c) is that minor with
     pivot column j swapped for column c, carrying the sign of P.
 
+    Only the steps that can change an entry are done.  An entry that is 0
+    in the row and in the pivot row stays 0, and f * pivot_row is formed
+    only where the pivot row is nonzero.  Where it is 0, the entry x
+    becomes (p * x) // (previous pivot), which is x itself when p equals the
+    previous pivot, or is 1 on the first step: then such entries, and rows
+    with f = 0 as a whole, are skipped.
+
     Returns (pivot row indices, pivot column indices) in pivot order; slot j
     then holds pivot row j.
     """
@@ -523,13 +554,23 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
         live.remove(col)
         prow = rows[slot]
         p = prow[col]
+        # (x * p) // prev == x for every x: a row with f = 0 keeps its entries
+        keeps = p == 1 if prev is None else p == prev
         for r in range(0 if reduce else slot + 1, nrows):
             if r == slot:
                 continue
             row = rows[r]
             f = row[col]
+            if not f and keeps:
+                continue
             for c in live:
-                entry = row[c] * p - f * prow[c] if f else row[c] * p
+                x, y = row[c], prow[c]
+                if f and y:
+                    entry = x * p - f * y if x else -(f * y)
+                elif x and not keeps:
+                    entry = x * p
+                else:
+                    continue
                 row[c] = entry if prev is None else entry // prev
         prev = p
         pivot_cols.append(col)
@@ -583,9 +624,11 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
         return RationalMatrix(ambient, 0, ())
     if any(len(col) != ambient for col in columns):
         raise ChartMismatch(f"columns must have {ambient} entries")
+    # each entry is admitted once, here; the selected columns are not admitted again
     columns = [tuple(map(exact_rational, col)) for col in columns]
     _, pivot_cols = _eliminate(_integer_rows(zip(*columns)), reduce=False)
-    return RationalMatrix.from_columns([columns[c] for c in pivot_cols], ambient=ambient)
+    chosen = [columns[c] for c in pivot_cols]
+    return RationalMatrix._of(ambient, len(chosen), tuple(col[i] for i in range(ambient) for col in chosen))
 
 
 # ---------------------------------------------------------------------------

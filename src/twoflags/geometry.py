@@ -33,6 +33,7 @@ from .exactalg import (
     primitive_tuple,
     rank_and_nullspace,
     span_includes,
+    _mul_into,
 )
 
 DEFAULT_GENERATOR_CAP = 50_000
@@ -251,7 +252,9 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Coordinate Lie bracket [X,Y]_j = sum_i (X_i dY_j/du_i - Y_i dX_j/du_i).
 
     Only the nonzero terms are formed: dY_j/du_i is taken only when X_i is
-    nonzero and Y_j contains u_i, and likewise for dX_j/du_i.
+    nonzero and Y_j contains u_i, and likewise for dX_j/du_i.  The products
+    of component j are summed into one term map, whose coefficients are
+    canonicalised once, so no Poly is built for a product or a partial sum.
     """
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
@@ -261,35 +264,64 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     y_support = {i for i, c in enumerate(ys) if c.terms}
     components = []
     for j in range(n):
-        out = Poly.zero(n)
+        acc: dict = {}
         yj, xj = ys[j], xs[j]
         plus = _variables(yj) & x_support
         minus = _variables(xj) & y_support
         for i in sorted(plus | minus):
             if i in plus:
-                out = out + xs[i] * yj.partial(i)
+                _mul_into(acc, xs[i].terms, yj.partial(i).terms, 1)
             if i in minus:
-                out = out - ys[i] * xj.partial(i)
-        components.append(out)
+                _mul_into(acc, ys[i].terms, xj.partial(i).terms, -1)
+        components.append(Poly._summed(n, acc))
     return VectorField(x.chart, tuple(components))
 
 
+def _proportional(a: VectorField, b: VectorField) -> bool:
+    """True iff ``a`` is a nonzero rational multiple of ``b``; both are nonzero.
+
+    The supports must match, and then a = (s / t) b, where s and t are the
+    coefficients of one reference term, exactly when s * b_m == t * a_m for
+    every term m: one cross-multiplication per term, no division.
+    """
+    s = t = None
+    for ca, cb in zip(a.components, b.components):
+        ta, tb = ca.terms, cb.terms
+        if ta.keys() != tb.keys():
+            return False
+        for mono, coeff in ta.items():
+            if s is None:
+                s, t = coeff, tb[mono]
+            elif coeff * t != tb[mono] * s:
+                return False
+    return True
+
+
 class _Dedup:
-    """Generator list that drops zero fields and scalar multiples of known fields."""
+    """Generator list that drops zero fields and scalar multiples of kept fields.
+
+    Kept fields sit in buckets keyed by the hash of their supports, so a
+    candidate is compared only with the kept fields of its bucket; a hash
+    collision costs one support check.  Only a kept field is normalized, and
+    the normalized first-seen field is the one kept.
+    """
 
     def __init__(self, cap: int):
         self.cap = cap
         self.fields: list[VectorField] = []
-        self.seen: set[tuple] = set()
+        self.buckets: dict[int, list[VectorField]] = {}
 
     def add(self, candidate: VectorField) -> None:
         if candidate.is_zero():
             return
-        normal = candidate.normalized()
-        key = normal.signature()
-        if key in self.seen:
+        # scalar multiples share their supports; storing the hash, not the
+        # frozensets, keeps memory flat
+        support = hash(tuple(frozenset(c.terms) for c in candidate.components))
+        bucket = self.buckets.setdefault(support, [])
+        if any(_proportional(candidate, kept) for kept in bucket):
             return
-        self.seen.add(key)
+        normal = candidate.normalized()
+        bucket.append(normal)
         self.fields.append(normal)
         if len(self.fields) > self.cap:
             raise GeneratorBlowup(f"generator count exceeded the cap of {self.cap}")
@@ -302,7 +334,8 @@ class _Dedup:
 def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise value of the distribution: the span of the evaluated generators."""
     point = _check_point(dist.chart, point)
-    vectors = [g.eval_at(point) for g in dist.generators]
+    # the point is admitted once, here, not again per generator by VectorField.eval_at
+    vectors = [tuple(c.eval_at(point) for c in g.components) for g in dist.generators]
     return Subspace.from_vectors(dist.chart.dim, vectors)
 
 
@@ -344,9 +377,10 @@ def small_flag(
 ) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
-    Generator lists drop zero fields and scalar multiples of known fields.
-    Each step brackets the generators of D only with the fields that are new
-    in the latest member; brackets with older fields were candidates one step
+    Generator lists drop zero fields and scalar multiples of known fields
+    (see _Dedup) and keep each new field in normalized form.  Each step
+    brackets the generators of D only with the fields that are new in the
+    latest member; brackets with older fields were candidates one step
     earlier.  On the first step every field is new, and generator i is
     bracketed only with generators k > i: [g, g] = 0 and [g_k, g_i] = -[g_i, g_k].
     """

@@ -567,6 +567,83 @@ def test_one_pivot_rule_for_integer_and_polynomial_rows(rows, reduce):
     assert polys == [[Poly.const(1, v) for v in row] for row in ints]
 
 
+def oracle_eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
+    """The dense Bareiss loop that _eliminate ran before it skipped steps: every
+    row other than the pivot row (only later rows without ``reduce``) is
+    stepped in every live column, zero entries and zero multipliers included."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    order = list(range(nrows))
+    live = list(range(ncols))
+    pivot_cols = []
+    prev = None
+    for col in range(ncols):
+        slot = len(pivot_cols)
+        if slot == nrows:
+            break
+        pivot = next((r for r in range(slot, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows.insert(slot, rows.pop(pivot))
+        order.insert(slot, order.pop(pivot))
+        live.remove(col)
+        prow = rows[slot]
+        p = prow[col]
+        for r in range(0 if reduce else slot + 1, nrows):
+            if r == slot:
+                continue
+            row = rows[r]
+            f = row[col]
+            for c in live:
+                entry = row[c] * p - f * prow[c] if f else row[c] * p
+                row[c] = entry if prev is None else entry // prev
+        prev = p
+        pivot_cols.append(col)
+    return order[: len(pivot_cols)], pivot_cols
+
+
+_U0, _U1 = Poly.variable(2, 0), Poly.variable(2, 1)
+_P0, _P1, _P2 = (Poly.const(2, v) for v in (0, 1, 2))
+
+
+@st.composite
+def zero_heavy_poly_rows(draw):
+    """Polynomial rows over few values, half of them zero, so that pivots repeat
+    and multipliers vanish; some rows combine earlier ones."""
+    entry = st.sampled_from((_P0, _P0, _P0, _P0, _P1, -_P1, _U0, _U0 + 1, _U1.scaled(2)))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if rows and draw(st.integers(min_value=0, max_value=2)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = draw(entry), draw(st.integers(min_value=-2, max_value=2))
+            rows.append([fa * x + y.scaled(fb) for x, y in zip(a, b)])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_rows(), zero_heavy_poly_rows()), st.booleans())
+# a first pivot of 1, then pivots equal to the previous one: rows with a zero
+# multiplier are left as they are
+@example(rows=[[1, 0, 2], [0, 1, 3], [1, 1, 1]], reduce=False)
+@example(rows=[[1, 0, 2], [0, 1, 3], [1, 1, 1]], reduce=True)
+# first pivot 2, then 2 again, with a row that has a zero multiplier on both steps
+@example(rows=[[2, 1, 5], [2, 2, 7], [0, 3, 1], [0, 0, 1]], reduce=False)
+@example(rows=[[2, 1, 5], [2, 2, 7], [0, 3, 1], [0, 0, 1]], reduce=True)
+# the polynomial pivot u0 twice
+@example(rows=[[_U0, _P1, _P0], [_U0, _P2, _P1], [_P0, _P0, _U1], [_P0, _P1, _P1]], reduce=False)
+@example(rows=[[_U0, _P1, _P0], [_U0, _P2, _P1], [_P0, _P0, _U1], [_P0, _P1, _P1]], reduce=True)
+def test_eliminate_matches_the_dense_oracle(rows, reduce):
+    got = [list(row) for row in rows]
+    expected = [list(row) for row in rows]
+    assert _eliminate(got, reduce) == oracle_eliminate(expected, reduce)
+    # the same entries in the same rows, stale pivot-column entries included
+    assert got == expected
+    assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in expected]
+
+
 # ---------------------------------------------------------------------------
 # Polynomial determinants and nullspaces
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_bracket_matches_the_dense_formula(x, y):
     assert lie_bracket(x, y) == dense_bracket(x, y)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields(), sparse_fields())
+def test_bracket_coefficients_are_canonical(x, y):
+    # integral coefficients are ints and no coefficient is 0, as for every Poly
+    for comp in lie_bracket(x, y).components:
+        for coeff in comp.terms.values():
+            assert coeff != 0
+            assert type(coeff) is int or (type(coeff) is F and coeff.denominator > 1), repr(coeff)
+
+
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------
@@ -399,12 +409,90 @@ def test_small_flag_generator_cap():
         small_flag(build.distribution, 5, cap=4)
 
 
+class oracle_dedup:
+    """The rule _Dedup kept before it bucketed fields by support: normalize every
+    nonzero candidate and keep it unless its signature has been seen."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.fields: list[VectorField] = []
+        self.seen: set[tuple] = set()
+
+    def add(self, candidate: VectorField) -> None:
+        if candidate.is_zero():
+            return
+        normal = candidate.normalized()
+        if normal.signature() in self.seen:
+            return
+        self.seen.add(normal.signature())
+        self.fields.append(normal)
+        if len(self.fields) > self.cap:
+            raise GeneratorBlowup(f"generator count exceeded the cap of {self.cap}")
+
+    def extend(self, candidates) -> None:
+        for candidate in candidates:
+            self.add(candidate)
+
+
+def field_of(chart: Chart, *components: dict) -> VectorField:
+    """A field from term maps of its first components; the rest are zero."""
+    n = chart.dim
+    comps = [Poly(n, terms) for terms in components] + [Poly.zero(n)] * (n - len(components))
+    return VectorField(chart, tuple(comps))
+
+
+def test_dedup_drops_scalar_multiples_and_keeps_the_first_normalized_field():
+    chart = Chart.for_length(1)
+    u = ((1, 1),)
+    first = field_of(chart, {(): -2, u: 4}, {u: 6})
+    pool = _Dedup(10)
+    pool.extend([first, first.scaled(-1), first.scaled(F(-3, 7)), first.scaled(F(5, 2)), first.scaled(0)])
+    assert pool.fields == [first.normalized()]
+    # content 1 and a positive leading (highest-degree) coefficient
+    assert [g.signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
+
+
+def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
+    chart = Chart.for_length(1)
+    u, v = ((1, 1),), ((2, 1),)
+    first = field_of(chart, {(): 1, u: 2}, {u: 3})
+    same_support = field_of(chart, {(): 2, u: 4}, {u: 5})  # proportional in the first component only
+    same_counts = field_of(chart, {(): 1, v: 2}, {u: 3})  # u becomes v in the first component
+    swapped = field_of(chart, {u: 3}, {(): 1, u: 2})  # the same terms in other components
+    candidates = [first, same_support, same_counts, swapped]
+    pool, oracle = _Dedup(10), oracle_dedup(10)
+    pool.extend(candidates)
+    oracle.extend(candidates)
+    assert pool.fields == [g.normalized() for g in candidates]
+    assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 2, F(-1, 3), F(5, 2)])), max_size=12))
+def test_dedup_keeps_what_the_normalize_then_signature_oracle_keeps(picks):
+    # multiples of four fields, two of which share their support
+    chart = Chart.for_length(1)
+    u, v = ((1, 1),), ((2, 1),)
+    bases = [
+        field_of(chart, {(): 1, u: 2}),
+        field_of(chart, {(): 1, u: 3}),
+        field_of(chart, {(): 1}, {v: -1}),
+        field_of(chart, {}, {(): 2, v: 1}),
+    ]
+    candidates = [bases[i].scaled(factor) for i, factor in picks]
+    pool, oracle = _Dedup(10), oracle_dedup(10)
+    pool.extend(candidates)
+    oracle.extend(candidates)
+    assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+
+
 # The ordered-pair loops that lie_square and small_flag ran before small_flag
-# became the one bracket loop and formed each unordered pair once.
+# became the one bracket loop and formed each unordered pair once, on the
+# normalize-then-signature rule of oracle_dedup.
 
 
 def oracle_lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
-    pool = _Dedup(cap)
+    pool = oracle_dedup(cap)
     pool.extend(dist.generators)
     gens = list(pool.fields)
     for i in range(len(gens)):
@@ -414,7 +502,7 @@ def oracle_lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> D
 
 
 def oracle_small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP) -> list[Distribution]:
-    pool = _Dedup(cap)
+    pool = oracle_dedup(cap)
     pool.extend(dist.generators)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
