@@ -14,9 +14,15 @@ from .classify import singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
-# longest word enumerate_words lists: build_atlas(12) peaks near 364 MB and
-# every further letter triples that
+# longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and
+# dot emitters peaks near 308 MB, `atlas --length 13 --format csv` takes 10 s
+# at 593 MB on 2 cores, and every further letter triples both
 MAX_LENGTH = 13
+# largest length * min(width + 1, length) count_classes takes: about that many
+# big-integer steps, each on numbers that grow with the length, so the
+# narrowest table is the slowest; width 2 at length 100000 takes 1.5 s on
+# 2 cores (width 5 at 50000, and width 546 at 547, take 1.0 s and 0.05 s)
+MAX_COUNT_STEPS = 300_000
 
 
 def enumerate_words(r: int) -> list[Word]:
@@ -59,15 +65,28 @@ def count_classes(m: int, r: int) -> int:
     """
     if m < 1 or r < 1:
         raise ChartMismatch(f"width and length must be >= 1, got m={m}, r={r}")
+    # the running maximum of a word never exceeds its length
+    top = min(m + 1, r)
+    if r * top > MAX_COUNT_STEPS:
+        raise ChartMismatch(
+            f"length * min(width + 1, length) must be <= {MAX_COUNT_STEPS}, got {r * top} (m={m}, r={r})"
+        )
     if m == 1:
         return 2 ** (r - 2) if r >= 2 else 1
-    # the running maximum of a word never exceeds its length
-    return _count_rule(r, min(m + 1, r))
+    return _count_rule(r, top)
 
 
 def codimension(word: Word) -> int:
     """Number of letters 2 plus twice the number of letters 3."""
-    return sum(1 for j in word.letters if j == 2) + 2 * sum(1 for j in word.letters if j == 3)
+    letters = word.letters
+    return letters.count(2) + 2 * letters.count(3)
+
+
+def _lowerable(letters: tuple[int, ...]) -> list[int]:
+    """The 0-based positions a guaranteed adjacency lowers: every 3, and
+    every 2 past the last 3."""
+    last_three = len(letters) - 1 - letters[::-1].index(3) if 3 in letters else 0
+    return [pos for pos, letter in enumerate(letters) if letter == 3 or (letter == 2 and pos > last_three)]
 
 
 def adjacencies(word: Word) -> list[Word]:
@@ -77,22 +96,13 @@ def adjacencies(word: Word) -> list[Word]:
     and no letter 3 occurs past position l.  The full adjacency question
     is open; only these edges are emitted.
     """
-    out = []
     letters = word.letters
-    for pos in range(1, len(letters)):
-        letter = letters[pos]
-        if letter == 1:
-            continue
-        if letter == 2 and any(later == 3 for later in letters[pos + 1 :]):
-            continue
-        lowered = letters[:pos] + (letter - 1,) + letters[pos + 1 :]
-        out.append(Word(lowered))
-    return out
+    return [Word(letters[:pos] + (letters[pos] - 1,) + letters[pos + 1 :]) for pos in _lowerable(letters)]
 
 
 def sandwich_collapse(word: Word) -> str:
     """The sandwich pattern of a word: every letter above 1 collapses to 2."""
-    return ".".join(str(min(letter, 2)) for letter in word.letters)
+    return str(word).replace("3", "2")
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class AtlasRecord:
     codimension: int
     sandwich: str
     locus: tuple[str, ...]
-    adjacencies: tuple[Word, ...]
+    adjacencies: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +121,7 @@ class AtlasRecord:
             "codimension": self.codimension,
             "sandwich": self.sandwich,
             "locus": list(self.locus),
-            "adjacencies": [str(w) for w in self.adjacencies],
+            "adjacencies": list(self.adjacencies),
         }
 
 
@@ -119,6 +129,8 @@ def build_atlas(r: int) -> list[AtlasRecord]:
     """One record per singularity class of length r, lexicographically ordered."""
     records = []
     for word in enumerate_words(r):
+        letters = word.letters
+        text = str(word)
         locus = singularity_locus_equations(word)
         codim = codimension(word)
         assert len(locus) == codim
@@ -127,9 +139,12 @@ def build_atlas(r: int) -> list[AtlasRecord]:
                 word=word,
                 length=r,
                 codimension=codim,
-                sandwich=sandwich_collapse(word),
+                sandwich=text.replace("3", "2"),  # sandwich_collapse on the formatted text
                 locus=locus,
-                adjacencies=tuple(adjacencies(word)),
+                # letters are single digits, so letter pos sits at text[2 * pos]
+                adjacencies=tuple(
+                    text[: 2 * pos] + str(letters[pos] - 1) + text[2 * pos + 1 :] for pos in _lowerable(letters)
+                ),
             )
         )
     return records
@@ -155,7 +170,7 @@ def atlas_csv(records: list[AtlasRecord]) -> str:
                 rec.codimension,
                 rec.sandwich,
                 ";".join(rec.locus),
-                ";".join(str(w) for w in rec.adjacencies),
+                ";".join(rec.adjacencies),
             ]
         )
     return buffer.getvalue()
@@ -166,7 +181,7 @@ def adjacency_dot(records: list[AtlasRecord]) -> str:
     for rec in records:
         lines.append(f'    "{rec.word}";')
     for rec in records:
-        for target in rec.adjacencies:
-            lines.append(f'    "{rec.word}" -> "{target}";')
+        name = str(rec.word)
+        lines.extend(f'    "{name}" -> "{target}";' for target in rec.adjacencies)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ from .exactalg import Poly, exact_rational, format_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
+_LETTERS = frozenset(ALPHABET)
 # a word segment or constant step: ASCII decimal digits without a leading zero
 _SEGMENT_RE = re.compile(r"0|[1-9][0-9]*")
 
@@ -45,20 +46,20 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.letters:
+        letters = self.letters
+        if not letters:
             raise RuleViolation("a word needs at least one letter")
-        for letter in self.letters:
-            if letter not in ALPHABET:
-                raise RuleViolation(f"letter {letter} is outside the alphabet 1..3")
-        if self.letters[0] != 1:
-            raise RuleViolation(f"first letter must be 1, got {self.letters[0]}")
-        running_max = 1
-        for pos, letter in enumerate(self.letters[1:], start=2):
-            if letter > running_max + 1:
-                raise RuleViolation(
-                    f"letter {letter} at position {pos} jumps past {running_max + 1}"
-                )
-            running_max = max(running_max, letter)
+        if not _LETTERS.issuperset(letters):
+            letter = next(letter for letter in letters if letter not in _LETTERS)
+            raise RuleViolation(f"letter {letter} is outside the alphabet 1..3")
+        if letters[0] != 1:
+            raise RuleViolation(f"first letter must be 1, got {letters[0]}")
+        # from a first letter 1 over {1,2,3}, the only upward jump by more
+        # than one is a 3 before the first 2
+        if 3 in letters:
+            first_three = letters.index(3)
+            if 2 not in letters[:first_three]:
+                raise RuleViolation(f"letter 3 at position {first_three + 1} jumps past 2")
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -81,7 +82,7 @@ class Word:
         return Word(self.letters[:s])
 
     def __str__(self) -> str:
-        return ".".join(str(letter) for letter in self.letters)
+        return ".".join(map(str, self.letters))
 
 
 def _admits_b(letter: int) -> bool:

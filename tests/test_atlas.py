@@ -7,6 +7,7 @@ import json
 import pytest
 
 from twoflags.atlas import (
+    MAX_COUNT_STEPS,
     adjacencies,
     adjacency_dot,
     atlas_csv,
@@ -92,6 +93,14 @@ def test_count_matches_enumeration():
         assert count_classes(2, r) == len(enumerate_words(r))
 
 
+def test_count_stops_at_the_step_bound():
+    assert MAX_COUNT_STEPS == 300_000
+    assert count_classes(499, 600) > 0  # 600 * 500 steps, at the bound
+    for m, r in ((500, 600), (2, 100_001), (1, 150_001)):
+        with pytest.raises(ChartMismatch, match="must be <= 300000"):
+            count_classes(m, r)
+
+
 def test_count_width_one():
     assert count_classes(1, 1) == 1
     assert count_classes(1, 2) == 1
@@ -148,6 +157,18 @@ def test_atlas_records_length_four():
         assert len(rec.locus) == rec.codimension
         for target in rec.adjacencies:
             assert str(target) in LENGTH_FOUR_CLASSES
+
+
+def test_atlas_records_render_what_the_word_functions_give():
+    # adjacencies are formatted by slicing the word's text; the Word-level
+    # functions, and the codimension as a sum over letters, are the reference
+    for r in range(1, 9):
+        for rec in build_atlas(r):
+            assert rec.adjacencies == tuple(str(w) for w in adjacencies(rec.word))
+            assert rec.sandwich == sandwich_collapse(rec.word)
+            letters = rec.word.letters
+            expected = sum(1 for j in letters if j == 2) + 2 * sum(1 for j in letters if j == 3)
+            assert rec.codimension == codimension(rec.word) == expected
 
 
 def test_atlas_csv_shape():

@@ -187,6 +187,8 @@ BAD_INPUTS = [
     (("atlas", "--length", "1200"), "--length must be <= 13, got 1200"),
     (("atlas", "--length", "14"), "--length must be <= 13, got 14"),
     (("verify", "--length", "1200"), "--length must be <= 13, got 1200"),
+    (("count", "--length", "100001"), "length * min(width + 1, length) must be <= 300000, got 300003"),
+    (("count", "--width", "1000", "--length", "1000"), "must be <= 300000, got 1000000"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Words, the operation builders, closed forms, and the named models."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,6 +57,39 @@ def test_letters_outside_alphabet():
         Word.parse("1.2.3.4")
     with pytest.raises(RuleViolation):
         Word.parse("0")
+
+
+def oracle_word_error(letters):
+    """The message the least-upward-jumps rule gives for ``letters``, or None
+    for a valid word: the running-maximum loop, kept as the reference."""
+    if not letters:
+        return "a word needs at least one letter"
+    for letter in letters:
+        if letter not in (1, 2, 3):
+            return f"letter {letter} is outside the alphabet 1..3"
+    if letters[0] != 1:
+        return f"first letter must be 1, got {letters[0]}"
+    running_max = 1
+    for pos, letter in enumerate(letters[1:], start=2):
+        if letter > running_max + 1:
+            return f"letter {letter} at position {pos} jumps past {running_max + 1}"
+        running_max = max(running_max, letter)
+    return None
+
+
+def test_word_validator_matches_the_running_maximum_oracle():
+    checked = 0
+    for length in range(7):
+        for letters in itertools.product(range(5), repeat=length):
+            expected = oracle_word_error(letters)
+            if expected is None:
+                assert Word(letters).letters == letters
+            else:
+                with pytest.raises(RuleViolation) as exc:
+                    Word(letters)
+                assert str(exc.value) == expected, letters
+            checked += 1
+    assert checked == 19531
 
 
 def test_word_prefix():

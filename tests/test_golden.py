@@ -60,6 +60,14 @@ GOLDEN = [
      "c618f87352ace7ef3f93c5d0b4fc2e23b02bba0b7e93905a2dc85ea5ffd7bf0a"),
     (("atlas", "--length", "4", "--format", "dot"), 0,
      "95d30fa9cea1cced060c96de2475191e739d42f48a72719656bac5e3bf8fb0a0"),
+    (("atlas", "--length", "8", "--format", "json"), 0,
+     "2c7ee91ff5c63ffcf9961fe44cdc8c5e4f1faec4f5ea4db8e5fb347662ecbf1b"),
+    (("atlas", "--length", "8", "--format", "jsonl"), 0,
+     "2b8c0f81083126754226d1319e00d3d2989cef8bff2afef057dd7e1dd938eb87"),
+    (("atlas", "--length", "8", "--format", "csv"), 0,
+     "74f99c3d90ee3c6f7353489a0a7d5c2b2e6b775476e4eacc91f8ca80aa8f9fb0"),
+    (("atlas", "--length", "8", "--format", "dot"), 0,
+     "4c469ac28fe4d9803b69d02272da92c88c777fba5281b02857bf1f73a647de75"),
     (("count", "--width", "2", "--length", "7"), 0,
      "ee3e9aa66fc8c9e97aceae912b53d97631edb3ebd14d95c3aa08a8d689ec1cf5"),
     (("count", "--width", "6", "--length", "7"), 0,
