@@ -112,8 +112,11 @@ def _constants(args) -> dict:
     data = {}
     if args.constants:
         with open(args.constants) as handle:
-            data = json.load(handle, object_pairs_hook=_JsonObject)
-        if not isinstance(data, dict) or not all(isinstance(v, dict) for v in data.values()):
+            try:
+                data = json.load(handle, object_pairs_hook=_JsonObject)
+            except json.JSONDecodeError as exc:
+                raise BadSyntax(f"{args.constants}: {exc}") from None
+        if not isinstance(data, dict) or "word" in data or not all(isinstance(v, dict) for v in data.values()):
             raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')
         if data.repeated:
             raise BadSyntax(f"{args.constants}: repeated entry {data.repeated[0]!r}")

@@ -169,9 +169,9 @@ class EkrSpec:
         unknown = set(data) - {"word", "b", "c"}
         if unknown:
             raise ConstantNotAdmitted(f"unknown keys in spec: {sorted(unknown)}")
-        if "word" not in data:
-            raise BadSyntax("spec needs a 'word' entry")
-        return cls(Word.parse(str(data["word"])), _parse_constants(data, "b"), _parse_constants(data, "c"))
+        if not isinstance(data.get("word"), str):
+            raise BadSyntax(f"spec needs a 'word' entry of text, got {data.get('word')!r}")
+        return cls(Word.parse(data["word"]), _parse_constants(data, "b"), _parse_constants(data, "c"))
 
     def to_json(self) -> dict:
         out: dict = {"word": str(self.word)}
@@ -223,37 +223,30 @@ class EkrBuild:
 
 
 def build_ekr(spec: EkrSpec) -> EkrBuild:
-    """Run the operations of ``spec`` starting from (d/dt, d/dx0, d/dy0)."""
-    r = spec.word.length
-    chart = Chart.for_length(r)
+    """Run the operations of ``spec`` starting from (d/dt, d/dx0, d/dy0).
+
+    Before operation l, Z2 and Z3 are d/dx_(l-1) and d/dy_(l-1), along which Z1 has no
+    component yet: the operation scales Z1 by x_l (letters 2, 3) and writes those two components."""
+    chart = Chart.for_length(spec.word.length)
     n = chart.dim
-
-    def versor(index: int) -> VectorField:
-        return VectorField.versor(chart, index)
-
-    def coordinate(index: int) -> Poly:
-        return Poly.variable(n, index)
-
-    z1 = versor(0)
-    z2 = versor(chart.x_index(0))
-    z3 = versor(chart.y_index(0))
+    one = Poly.const(n, 1)
+    z1 = [Poly.zero(n)] * n
+    z1[0] = one
     leading = []
     for step, letter in enumerate(spec.word.letters, start=1):
-        x_l = coordinate(chart.x_index(step))
-        y_l = coordinate(chart.y_index(step))
+        x_l = Poly.variable(n, chart.x_index(step))
+        y_l = Poly.variable(n, chart.y_index(step))
         if letter == 1:
-            shift_x = x_l + spec.b_at(step)
-            shift_y = y_l + spec.c_at(step)
-            z1 = z1 + z2.scaled(shift_x) + z3.scaled(shift_y)
+            along = (x_l + spec.b_at(step), y_l + spec.c_at(step))
         elif letter == 2:
-            shift_y = y_l + spec.c_at(step)
-            z1 = z1.scaled(x_l) + z2 + z3.scaled(shift_y)
+            along = (one, y_l + spec.c_at(step))
         else:
-            z1 = z1.scaled(x_l) + z2.scaled(y_l) + z3
-        z2 = versor(chart.x_index(step))
-        z3 = versor(chart.y_index(step))
-        leading.append(z1)
-    dist = Distribution(chart, (z1, z2, z3))
+            along = (y_l, one)
+        if letter != 1:
+            z1 = [component * x_l for component in z1]
+        z1[chart.x_index(step - 1)], z1[chart.y_index(step - 1)] = along
+        leading.append(VectorField(chart, tuple(z1)))
+    dist = Distribution(chart, (leading[-1],) + _versors_from(chart, chart.length))
     return EkrBuild(spec, chart, tuple(leading), dist)
 
 
@@ -301,11 +294,12 @@ def _bcd_model(m: int, n: int) -> Distribution:
         raise BadModelName(f"bcd model needs 1 <= m <= n, got m={m}, n={n}")
     chart = bcd_chart(m, n)
     dim = chart.dim
-    lead = VectorField.versor(chart, chart.index("x0"))
+    lead = [Poly.zero(dim)] * dim
+    lead[chart.index("x0")] = Poly.const(dim, 1)
     for i in range(1, m + 1):
-        y_i = Poly.variable(dim, chart.index(f"y{i}"))
-        lead = lead + VectorField.versor(chart, chart.index(f"x{i}")).scaled(y_i)
-    gens = [lead] + [VectorField.versor(chart, chart.index(f"y{j}")) for j in range(1, n + 1)]
+        lead[chart.index(f"x{i}")] = Poly.variable(dim, chart.index(f"y{i}"))
+    gens = [VectorField(chart, tuple(lead))]
+    gens += [VectorField.versor(chart, chart.index(f"y{j}")) for j in range(1, n + 1)]
     return Distribution(chart, tuple(gens))
 
 

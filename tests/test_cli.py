@@ -172,7 +172,8 @@ BAD_INPUTS = [
     (("classify", "--model", "ca_2", "--constants", '{"d": {}}'), "unknown keys in spec: ['d']"),
     (("classify", "--word", "1.2", "--constants", '{"word": "1.1"}'), "constants file holds"),
     (("classify", "--word", "1.2", "--constants", '{"b": ["1"]}'), "constants file holds"),
-    (("classify", "--word", "1.2", "--constants", '{"word": {}}'), "bad segment"),
+    (("classify", "--word", "1.2", "--constants", '{"word": {}}'), "constants file holds"),
+    (("classify", "--word", "1.2", "--constants", ""), "constants.json: Expecting value"),
     (("classify", "--word", "1.2", "--constants", '{"b": {"\u0661": "1"}}'), "bad step"),
     (("classify", "--word", "1.2.1.3", "--cap", "0"), "--cap must be >= 1, got 0"),
     (("verify", "--length", "2", "--cap", "-5"), "--cap must be >= 1, got -5"),

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from twoflags.atlas import enumerate_words
+from twoflags.cli import draw_constants
 from twoflags.ekr import (
     EkrSpec,
     Word,
     appendix_b_spec,
+    bcd_chart,
     build_ekr,
     closed_form_F,
     closed_form_L,
@@ -25,7 +28,7 @@ from twoflags.errors import (
     RuleViolation,
 )
 from twoflags.exactalg import Poly, primitive_tuple
-from twoflags.geometry import VectorField, annihilator_at, value_at
+from twoflags.geometry import Chart, VectorField, annihilator_at, value_at
 
 F = Fraction
 
@@ -227,6 +230,70 @@ def test_build_family_E_matches_displayed_generators():
     assert build.distribution.generators == (lead, versor("x4"), versor("y4"))
 
 
+def oracle_build_ekr(spec):
+    """The operations as whole-field arithmetic on (Z1, Z2, Z3): the leading
+    fields and the final generators."""
+    r = spec.word.length
+    chart = Chart.for_length(r)
+    n = chart.dim
+
+    def versor(index):
+        return VectorField.versor(chart, index)
+
+    def coordinate(index):
+        return Poly.variable(n, index)
+
+    z1 = versor(0)
+    z2 = versor(chart.x_index(0))
+    z3 = versor(chart.y_index(0))
+    leading = []
+    for step, letter in enumerate(spec.word.letters, start=1):
+        x_l = coordinate(chart.x_index(step))
+        y_l = coordinate(chart.y_index(step))
+        if letter == 1:
+            shift_x = x_l + spec.b_at(step)
+            shift_y = y_l + spec.c_at(step)
+            z1 = z1 + z2.scaled(shift_x) + z3.scaled(shift_y)
+        elif letter == 2:
+            shift_y = y_l + spec.c_at(step)
+            z1 = z1.scaled(x_l) + z2 + z3.scaled(shift_y)
+        else:
+            z1 = z1.scaled(x_l) + z2.scaled(y_l) + z3
+        z2 = versor(chart.x_index(step))
+        z3 = versor(chart.y_index(step))
+        leading.append(z1)
+    return tuple(leading), (z1, z2, z3)
+
+
+def oracle_bcd_model(m, n):
+    """The bcd generators as whole-field arithmetic."""
+    chart = bcd_chart(m, n)
+    dim = chart.dim
+    lead = VectorField.versor(chart, chart.index("x0"))
+    for i in range(1, m + 1):
+        y_i = Poly.variable(dim, chart.index(f"y{i}"))
+        lead = lead + VectorField.versor(chart, chart.index(f"x{i}")).scaled(y_i)
+    return tuple([lead] + [VectorField.versor(chart, chart.index(f"y{j}")) for j in range(1, n + 1)])
+
+
+def signatures(fields):
+    return [field.signature() for field in fields]
+
+
+def test_build_matches_the_field_arithmetic_oracle():
+    words = [word for r in range(1, 8) for word in enumerate_words(r)]
+    assert len(words) == 550
+    for word in words:
+        for spec in (EkrSpec(word), draw_constants(word, random.Random(f"build|{word}"))):
+            build = build_ekr(spec)
+            leading, generators = oracle_build_ekr(spec)
+            assert signatures(build.leading) == signatures(leading), spec
+            assert signatures(build.distribution.generators) == signatures(generators), spec
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            assert signatures(model("bcd", m=m, n=n).generators) == signatures(oracle_bcd_model(m, n)), (m, n)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -362,6 +429,8 @@ def test_appendix_family_E_rejects_a_nonzero_c4():
         ["1.2"],
         '{"word": "1.2", "c": {"1": "2", "1": "5"}}',
         '{"word": "1.2", "word": "1.1"}',
+        '{"word": 1.10}',  # JSON reads the word as the float 1.1
+        {"word": 12},
     ],
 )
 def test_spec_json_rejects_malformed_steps_and_shapes(data):
