@@ -15,8 +15,8 @@ from .ekr import Word
 from .errors import ChartMismatch
 
 # longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and
-# dot emitters peaks near 308 MB, `atlas --length 13 --format csv` takes 10 s
-# at 593 MB on 2 cores, and every further letter triples both
+# dot emitters peaks near 251 MB, `atlas --length 13 --format csv` takes 7 s
+# at 405 MB on 2 cores, and every further letter triples both
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
 # big-integer steps, each on numbers that grow with the length, so the
@@ -128,10 +128,13 @@ class AtlasRecord:
 def build_atlas(r: int) -> list[AtlasRecord]:
     """One record per singularity class of length r, lexicographically ordered."""
     records = []
+    # what each position adds to a locus, by its letter 1, 2 or 3: the
+    # equations singularity_locus_equations writes, formatted once per length
+    equations = [((), (f"x{pos}=0",), (f"x{pos}=0", f"y{pos}=0")) for pos in range(1, r + 1)]
     for word in enumerate_words(r):
         letters = word.letters
         text = str(word)
-        locus = singularity_locus_equations(word)
+        locus = sum([added[letter - 1] for added, letter in zip(equations, letters)], ())
         codim = codimension(word)
         assert len(locus) == codim
         records.append(

@@ -214,6 +214,8 @@ class EkrBuild:
         if j == 0:
             gens = [VectorField.versor(self.chart, i) for i in range(self.chart.dim)]
             return Distribution(self.chart, tuple(gens))
+        if j == r:
+            return self.distribution
         return Distribution(self.chart, (self.leading[j - 1],) + _versors_from(self.chart, j))
 
     def prefix_build(self, s: int) -> "EkrBuild":

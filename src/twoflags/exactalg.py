@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -70,7 +71,7 @@ def _coefficient(value: Fraction | int | str) -> int | Fraction:
 
 
 def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """Exact a / b of canonical coefficients: // in Z when both are ints and b divides a."""
+    """Exact a / b in canonical form: // in Z when both are ints and b divides a."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
@@ -127,14 +128,73 @@ def _mul_into(acc: dict[Mono, int | Fraction], a_terms: dict, b_terms: dict, sig
                 del acc[mono]
 
 
-def _mono_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex sort key: total degree first, then the dense exponent vector."""
+def _descending_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key for descending graded-lex order: minus the total degree, then
+    the dense exponent vector negated.  The leading monomial has the
+    smallest key, so a min-heap pops it first."""
     dense = [0] * arity
     deg = 0
     for var, exp in mono:
-        dense[var] = exp
-        deg += exp
+        dense[var] = -exp
+        deg -= exp
     return (deg, tuple(dense))
+
+
+def _mono_div(a: Mono, b: Mono) -> Mono:
+    """The monomial a / b; raises ArithmeticError when b does not divide a."""
+    out: list[tuple[int, int]] = []
+    j = 0
+    for var, exp in a:
+        if j < len(b) and b[j][0] <= var:
+            vb, eb = b[j]
+            if vb < var or eb > exp:
+                raise ArithmeticError("inexact polynomial division")
+            j += 1
+            if eb < exp:
+                out.append((var, exp - eb))
+        else:
+            out.append((var, exp))
+    if j < len(b):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(out)
+
+
+def _divide_terms(rest: dict[Mono, int | Fraction], d: Poly) -> dict[Mono, int | Fraction]:
+    """The quotient of the term map ``rest`` by the nonconstant ``d``, dividing
+    ``rest`` in place (it is consumed); raises ArithmeticError unless d divides it.
+
+    A heap holds every monomial that has entered ``rest``, under its
+    _descending_key, computed once, when it enters.  Each pop gives the
+    leading monomial m of what is left: its quotient term t = m / lead(d)
+    goes to the quotient, and t times the other terms of d is subtracted
+    from ``rest``.  Those products lie below m in the monomial order, so no
+    popped monomial comes back; one that cancels stays in ``rest`` as 0,
+    and its heap entry is skipped when popped.  Quotient terms come out in
+    descending order, each exactly once (Monagan & Pearce's heap division,
+    with the heap over the remainder rather than over the products).
+    """
+    arity = d.arity
+    lead_mono, lead_coeff = d.leading()
+    tail = [(mono, coeff) for mono, coeff in d.terms.items() if mono != lead_mono]
+    heap = [(_descending_key(mono, arity), mono) for mono in rest]
+    heapify(heap)
+    quotient: dict[Mono, int | Fraction] = {}
+    while heap:
+        mono = heappop(heap)[1]
+        coeff = rest.pop(mono)
+        if not coeff:
+            continue
+        q_mono = _mono_div(mono, lead_mono)
+        q = quotient[q_mono] = _quotient(coeff, lead_coeff)
+        for d_mono, d_coeff in tail:
+            product = _mono_mul(q_mono, d_mono)
+            old = rest.get(product)
+            if old is None:
+                rest[product] = -q * d_coeff
+                heappush(heap, (_descending_key(product, arity), product))
+            else:
+                rest[product] = old - q * d_coeff
+    return quotient
 
 
 class Poly:
@@ -219,15 +279,11 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         """Terms in descending graded-lex order (leading term first)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: _mono_key(kv[0], self.arity),
-            reverse=True,
-        )
+        return sorted(self.terms.items(), key=lambda kv: _descending_key(kv[0], self.arity))
 
     def leading(self) -> tuple[Mono, int | Fraction]:
         """Leading (monomial, coefficient) in graded-lex order; requires nonzero."""
-        return max(self.terms.items(), key=lambda kv: _mono_key(kv[0], self.arity))
+        return min(self.terms.items(), key=lambda kv: _descending_key(kv[0], self.arity))
 
     # -- ring operations -----------------------------------------------------
 
@@ -280,33 +336,16 @@ class Poly:
         """Exact division self / d in the polynomial ring.
 
         Only valid when d divides self (as guaranteed inside Bareiss
-        elimination); raises ArithmeticError otherwise.
+        elimination); raises ArithmeticError otherwise.  A constant d
+        divides coefficient by coefficient; any other goes through the heap
+        of _divide_terms.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check_same_arity(d)
         if d.is_constant():
             return _divided(self, d.terms[()])
-        quotient = Poly.zero(self.arity)
-        rest = self
-        lead_mono, lead_coeff = d.leading()
-        lead_exp = dict(lead_mono)
-        while not rest.is_zero():
-            rm, rc = rest.leading()
-            rexp = dict(rm)
-            q_exp = []
-            for var, exp in lead_exp.items():
-                have = rexp.get(var, 0)
-                if have < exp:
-                    raise ArithmeticError("inexact polynomial division")
-                if have > exp:
-                    q_exp.append((var, have - exp))
-                rexp.pop(var)
-            q_exp.extend(rexp.items())
-            term = Poly._of(self.arity, {tuple(sorted(q_exp)): _quotient(rc, lead_coeff)})
-            quotient = quotient + term
-            rest = rest - term * d
-        return quotient
+        return Poly._of(self.arity, _divide_terms(dict(self.terms), d))
 
     # -- calculus and evaluation ---------------------------------------------
 
@@ -526,6 +565,9 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
     the pivot minor and, with ``reduce``, entry (j, c) is that minor with
     pivot column j swapped for column c, carrying the sign of P.
 
+    A polynomial update p * x - f * y is summed into one term map by
+    _mul_into, so no Poly is built for a product or a difference.
+
     Only the steps that can change an entry are done.  An entry that is 0
     in the row and in the pivot row stays 0, and f * pivot_row is formed
     only where the pivot row is nonzero.  Where it is 0, the entry x
@@ -538,6 +580,7 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    polynomial = bool(ncols) and isinstance(rows[0][0], Poly)
     order = list(range(nrows))
     live = list(range(ncols))  # columns without a pivot so far
     pivot_cols: list[int] = []
@@ -566,7 +609,14 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
             for c in live:
                 x, y = row[c], prow[c]
                 if f and y:
-                    entry = x * p - f * y if x else -(f * y)
+                    if polynomial:
+                        acc: dict[Mono, int | Fraction] = {}
+                        if x:
+                            _mul_into(acc, x.terms, p.terms, 1)
+                        _mul_into(acc, f.terms, y.terms, -1)
+                        entry = Poly._summed(p.arity, acc)
+                    else:
+                        entry = x * p - f * y if x else -(f * y)
                 elif x and not keeps:
                     entry = x * p
                 else:

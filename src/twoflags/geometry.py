@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -117,6 +117,21 @@ class VectorField:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
+
+    @cached_property
+    def occurrences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The field's occurrence table: the indices of its nonzero
+        components, and for each variable the indices of the components
+        that contain it.  Worked out on first use and kept with the field,
+        which is immutable."""
+        support = []
+        occurs: list[list[int]] = [[] for _ in self.components]
+        for j, comp in enumerate(self.components):
+            if comp.terms:
+                support.append(j)
+                for var in {var for mono in comp.terms for var, _ in mono}:
+                    occurs[var].append(j)
+        return tuple(support), tuple(map(tuple, occurs))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check_chart(other)
@@ -244,37 +259,31 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _variables(poly: Poly) -> set[int]:
-    return {var for mono in poly.terms for var, _ in mono}
-
-
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Coordinate Lie bracket [X,Y]_j = sum_i (X_i dY_j/du_i - Y_i dX_j/du_i).
 
-    Only the nonzero terms are formed: dY_j/du_i is taken only when X_i is
-    nonzero and Y_j contains u_i, and likewise for dX_j/du_i.  The products
-    of component j are summed into one term map, whose coefficients are
-    canonicalised once, so no Poly is built for a product or a partial sum.
+    Only the nonzero terms are formed, read off the occurrence tables: for
+    each nonzero X_i, the term X_i dY_j/du_i of every component Y_j that
+    contains u_i, and likewise for each nonzero Y_i.  The products of
+    component j are summed into one term map, whose coefficients are
+    canonicalised once, so no Poly is built for a product or a partial sum;
+    a component that no product reaches is one shared zero.
     """
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
     n = x.chart.dim
     xs, ys = x.components, y.components
-    x_support = {i for i, c in enumerate(xs) if c.terms}
-    y_support = {i for i, c in enumerate(ys) if c.terms}
-    components = []
-    for j in range(n):
-        acc: dict = {}
-        yj, xj = ys[j], xs[j]
-        plus = _variables(yj) & x_support
-        minus = _variables(xj) & y_support
-        for i in sorted(plus | minus):
-            if i in plus:
-                _mul_into(acc, xs[i].terms, yj.partial(i).terms, 1)
-            if i in minus:
-                _mul_into(acc, ys[i].terms, xj.partial(i).terms, -1)
-        components.append(Poly._summed(n, acc))
-    return VectorField(x.chart, tuple(components))
+    x_support, x_occurs = x.occurrences
+    y_support, y_occurs = y.occurrences
+    sums: dict[int, dict] = {}
+    for i in x_support:
+        for j in y_occurs[i]:
+            _mul_into(sums.setdefault(j, {}), xs[i].terms, ys[j].partial(i).terms, 1)
+    for i in y_support:
+        for j in x_occurs[i]:
+            _mul_into(sums.setdefault(j, {}), ys[i].terms, xs[j].partial(i).terms, -1)
+    zero = Poly._of(n, {})
+    return VectorField(x.chart, tuple(Poly._summed(n, sums[j]) if j in sums else zero for j in range(n)))
 
 
 def _proportional(a: VectorField, b: VectorField) -> bool:

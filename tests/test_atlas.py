@@ -19,6 +19,7 @@ from twoflags.atlas import (
     enumerate_words,
     sandwich_collapse,
 )
+from twoflags.classify import singularity_locus_equations
 from twoflags.cli import run_verification
 from twoflags.ekr import Word
 from twoflags.errors import ChartMismatch
@@ -160,11 +161,13 @@ def test_atlas_records_length_four():
 
 
 def test_atlas_records_render_what_the_word_functions_give():
-    # adjacencies are formatted by slicing the word's text; the Word-level
-    # functions, and the codimension as a sum over letters, are the reference
+    # adjacencies are formatted by slicing the word's text and loci from a
+    # table of per-position equations; the Word-level functions, and the
+    # codimension as a sum over letters, are the reference
     for r in range(1, 9):
         for rec in build_atlas(r):
             assert rec.adjacencies == tuple(str(w) for w in adjacencies(rec.word))
+            assert rec.locus == singularity_locus_equations(rec.word)
             assert rec.sandwich == sandwich_collapse(rec.word)
             letters = rec.word.letters
             expected = sum(1 for j in letters if j == 2) + 2 * sum(1 for j in letters if j == 3)

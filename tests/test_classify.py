@@ -1,6 +1,7 @@
 """Sandwich and singularity classification, locus equations, report format."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -201,6 +202,25 @@ def test_generic_mode_agrees_on_full_reports_at_length_five():
         assert closed.word == word, str(word)
         refined += bool(closed.evidence)
     assert refined == 36
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TWOFLAGS_GENERIC_LEN6"),
+    reason="the length-6 closed-vs-generic gate is opt-in (set TWOFLAGS_GENERIC_LEN6=1)",
+)
+def test_generic_mode_agrees_on_full_reports_at_length_six():
+    # every one of the 122 words of length 6 at the origin with zero constants;
+    # the worst word, 1.2.3.3.3.3, builds its generic tower in about 16 s
+    from twoflags.atlas import enumerate_words
+
+    words = list(enumerate_words(6))
+    assert len(words) == 122
+    for word in words:
+        build = build_ekr(EkrSpec(word))
+        origin = build.chart.origin()
+        closed = singularity_class_at(build, origin)
+        generic = singularity_class_at(build, origin, generic=True)
+        assert closed.to_json() == generic.to_json(), str(word)
 
 
 def test_report_json_shape():

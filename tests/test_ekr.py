@@ -294,6 +294,16 @@ def test_build_matches_the_field_arithmetic_oracle():
             assert signatures(model("bcd", m=m, n=n).generators) == signatures(oracle_bcd_model(m, n)), (m, n)
 
 
+def test_top_flag_member_is_the_stored_distribution():
+    for r in range(1, 5):
+        for word in enumerate_words(r):
+            build = build_ekr(draw_constants(word, random.Random(f"top|{word}")))
+            chart = build.chart
+            assert build.flag_member(r) is build.distribution
+            versors = [VectorField.versor(chart, chart.index(f"{kind}{r}")) for kind in "xy"]
+            assert signatures(build.distribution.generators) == signatures([build.leading[-1], *versors])
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ independent oracle (term-by-term multiplication, determinant-minor rank),
 or checked as algebraic identities on randomized inputs.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -335,6 +336,69 @@ def test_divexact_roundtrip():
     assert poly_divexact(a, d) * d == a
     with pytest.raises(ArithmeticError):
         poly_divexact(x, y)
+
+
+def oracle_divexact(a: Poly, d: Poly) -> Poly:
+    """The long division Poly.__floordiv__ ran before its heap: find the
+    leading term of what is left by a scan, and subtract that quotient term
+    times d as a whole Poly, once per quotient term."""
+    quotient = Poly.zero(a.arity)
+    rest = a
+    lead_mono, lead_coeff = d.leading()
+    lead_exp = dict(lead_mono)
+    while not rest.is_zero():
+        rm, rc = rest.leading()
+        rexp = dict(rm)
+        q_exp = []
+        for var, exp in lead_exp.items():
+            have = rexp.get(var, 0)
+            if have < exp:
+                raise ArithmeticError("inexact polynomial division")
+            if have > exp:
+                q_exp.append((var, have - exp))
+            rexp.pop(var)
+        q_exp.extend(rexp.items())
+        term = Poly(a.arity, {tuple(sorted(q_exp)): F(rc) / F(lead_coeff)})
+        quotient = quotient + term
+        rest = rest - term * d
+    return quotient
+
+
+def monomials(degree: int, arity: int = 3):
+    """Monomials of the given total degree, as a multiset of variables."""
+    variables = st.lists(st.integers(min_value=0, max_value=arity - 1), min_size=degree, max_size=degree)
+    return variables.map(lambda vs: tuple(sorted(Counter(vs).items())))
+
+
+@st.composite
+def divisors(draw, arity=3):
+    """Divisors with two or three terms of top degree and up to two lower terms,
+    so that the leading term is decided by the exponents, not the degree."""
+    top = draw(st.integers(min_value=1, max_value=3))
+    tops = draw(st.lists(monomials(top, arity), min_size=2, max_size=3, unique=True))
+    lower = st.integers(min_value=0, max_value=top - 1).flatmap(lambda k: monomials(k, arity))
+    lows = draw(st.lists(lower, max_size=2, unique=True))
+    return Poly(arity, {mono: draw(poly_coeffs.filter(bool)) for mono in tops + lows})
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(max_terms=5), divisors(), polys(max_terms=1))
+def test_divexact_matches_the_long_division_oracle(q, d, term):
+    a = q * d
+    before = dict(a.terms)
+    got = a // d
+    expected = oracle_divexact(a, d)
+    assert got == q == expected
+    assert_canonical(got)
+    # quotient terms come out in descending graded-lex order, as the oracle adds them
+    assert list(got.terms) == list(expected.terms)
+    assert a.terms == before  # the division works on a copy of the dividend's terms
+    # a d of several terms divides no single nonzero term, so a + term is not divisible
+    if term:
+        with pytest.raises(ArithmeticError):
+            (a + term) // d
+        with pytest.raises(ArithmeticError):
+            oracle_divexact(a + term, d)
 
 
 def assert_canonical(p: Poly) -> None:

@@ -247,6 +247,30 @@ def test_bracket_coefficients_are_canonical(x, y):
             assert type(coeff) is int or (type(coeff) is F and coeff.denominator > 1), repr(coeff)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields(), sparse_fields())
+def test_bracket_differentiates_only_the_pairs_of_the_occurrence_tables(x, y):
+    n = x.chart.dim
+    for field in (x, y):
+        support, occurs = field.occurrences
+        assert support == tuple(j for j, comp in enumerate(field.components) if comp)
+        for var in range(n):
+            holders = tuple(j for j, comp in enumerate(field.components) if any(var in dict(m) for m in comp.terms))
+            assert occurs[var] == holders
+        assert field.occurrences is field.occurrences  # worked out once per field
+    # one partial per nonzero X_i and component Y_j that contains u_i, and back
+    pairs = sum(len(y.occurrences[1][i]) for i in x.occurrences[0])
+    pairs += sum(len(x.occurrences[1][i]) for i in y.occurrences[0])
+    calls = []
+    partial = Poly.partial
+    Poly.partial = lambda poly, var: calls.append(var) or partial(poly, var)
+    try:
+        lie_bracket(x, y)
+    finally:
+        Poly.partial = partial
+    assert len(calls) == pairs
+
+
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------
