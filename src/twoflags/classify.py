@@ -41,7 +41,7 @@ from .geometry import (
     small_flag,
     value_at,
 )
-from .exactalg import Poly, format_rational
+from .exactalg import Poly, RationalMatrix, format_rational, span_includes
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,9 @@ def _closed_target(nu: int, r: int) -> Subspace:
     """The target of position nu on the length-r chart: F, or L(D^(nu-2)) for nu > 2.
 
     Both are spanned by coordinate versors, so the value is the same at
-    every point; it is computed once per (nu, r).
+    every point; it is computed once per (nu, r), and so is the annihilator
+    that span_includes keeps on its basis: one covector per coordinate
+    outside the target.
     """
     target = closed_form_F(r) if nu == 2 else closed_form_L(nu - 2, r)
     return value_at(target, target.chart.origin())
@@ -160,12 +162,18 @@ class _GenericGeometry:
 
 def _included(geo, s: int, nu: int, member: int) -> bool:
     """Whether V_member of flag member s lies in the target of position nu at
-    the point, cut to the chart of the member; V_1 is the member itself."""
+    the point, cut to the chart of the member; V_1 is the member itself.
+
+    The generators' values at the point are the columns tested against the
+    target's annihilator: no basis of the member's value is picked."""
     dist = geo.member(s)
     if member > 1:
         dist = small_flag(dist, member, cap=geo.cap)[-1]
-    value = value_at(dist, geo.point[: dist.chart.dim])
-    return geo.target(nu, s).includes(value)
+    n = dist.chart.dim
+    point = geo.point[:n]
+    columns = [tuple(c.eval_at(point) for c in gen.components) for gen in dist.generators]
+    values = RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
+    return span_includes(values, geo.target(nu, s).basis)
 
 
 def _geometry(obj, point, generic: bool, cap: int):

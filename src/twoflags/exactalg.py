@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -534,6 +535,19 @@ class RationalMatrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
+    @cached_property
+    def annihilator(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A basis of ker(M^T), the covectors that vanish on the column span.
+
+        Each covector is scaled to integers and kept as its nonzero (index,
+        entry) pairs.  It is worked out on first use, by one
+        rank_and_nullspace of the transpose, and kept with the matrix, which
+        is immutable.
+        """
+        transpose = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
+        _, kernel = rank_and_nullspace(RationalMatrix._of(self.cols, self.rows, transpose))
+        return tuple(tuple((i, v) for i, v in enumerate(row) if v) for row in _integer_rows(kernel))
+
 
 def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Each row times the lcm of its denominators, divided by the gcd of the result.
@@ -655,16 +669,21 @@ def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction
 def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
     """True iff the column span of ``a`` lies inside the column span of ``b``.
 
-    One elimination of [b | a]: a lies in span b exactly when every column
-    of a is a free column.  The kernel vector of a free column has its 1
-    there and its other entries in pivot columns to its left, so exactly the
-    free columns of a's block give kernel vectors nonzero in that block.
+    By duality: a lies in span b exactly when every covector of ker(b^T)
+    annihilates every column of a.  Those covectors are ``b.annihilator``,
+    worked out once per b.  Each column of a is scaled to integers once,
+    which keeps its membership, and the test stops at the first nonzero
+    pairing.  Where b is spanned by coordinate versors each covector is one
+    versor outside b, so only the coordinates outside b are read.
     """
     if a.rows != b.rows:
         raise ChartMismatch(f"ambient mismatch: {a.rows} vs {b.rows}")
-    joined = tuple(v for i in range(a.rows) for v in b.row(i) + a.row(i))
-    _, kernel = rank_and_nullspace(RationalMatrix(a.rows, b.cols + a.cols, joined))
-    return sum(any(vec[b.cols :]) for vec in kernel) == a.cols
+    covectors = b.annihilator
+    for column in _integer_rows(a.column(j) for j in range(a.cols)):
+        for covector in covectors:
+            if sum(column[i] * v for i, v in covector):
+                return False
+    return True
 
 
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:

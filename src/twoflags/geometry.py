@@ -137,10 +137,6 @@ class VectorField:
         self._check_chart(other)
         return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        self._check_chart(other)
-        return VectorField(self.chart, tuple(a - b for a, b in zip(self.components, other.components)))
-
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
 
@@ -191,15 +187,6 @@ class OneForm:
             raise ChartMismatch(
                 f"{len(self.coefficients)} coefficients on a {self.chart.dim}-dimensional chart"
             )
-
-    def pair_with(self, x: VectorField) -> Poly:
-        """The function omega(X)."""
-        if self.chart != x.chart:
-            raise ChartMismatch("form and field live on different charts")
-        out = Poly.zero(self.chart.dim)
-        for a, comp in zip(self.coefficients, x.components):
-            out = out + a * comp
-        return out
 
 
 @dataclass(frozen=True)

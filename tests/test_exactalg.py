@@ -593,6 +593,72 @@ def test_span_includes_basic():
     assert not span_includes(RationalMatrix.from_columns([mixed]), e1e2)
 
 
+def test_span_includes_dependent_and_zero_target_columns():
+    # b = [e1 | 2 e1 | 0 | e2] spans the same plane as [e1 | e2]
+    e1, e2, e3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    b = RationalMatrix.from_columns([e1, tuple(2 * v for v in e1), (F(0),) * 3, e2])
+    assert span_includes(RationalMatrix.from_columns([(F(3), F(-1, 2), F(0)), e2]), b)
+    assert not span_includes(RationalMatrix.from_columns([e2, e3]), b)
+    assert span_includes(b, RationalMatrix.from_columns([e1, e2]))
+    # a target of zero columns only spans {0}, like a target with no columns
+    zero = RationalMatrix.from_columns([(F(0),) * 3, (F(0),) * 3])
+    assert span_includes(RationalMatrix.from_columns([(F(0),) * 3]), zero)
+    assert not span_includes(RationalMatrix.from_columns([e3]), zero)
+
+
+def test_span_includes_empty_sides():
+    # a b with no columns spans {0}; an a with no columns spans {0} and lies in every span
+    empty = RationalMatrix.from_columns([], ambient=3)
+    assert len(empty.annihilator) == 3
+    assert span_includes(RationalMatrix.from_columns([(F(0),) * 3]), empty)
+    assert not span_includes(RationalMatrix.from_columns([(F(0), F(1, 7), F(0))]), empty)
+    assert span_includes(empty, empty)
+    assert span_includes(empty, RationalMatrix.from_columns([(F(1), F(1), F(0))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_annihilator_is_a_basis_of_the_left_kernel(b):
+    # integer covectors, as many as rows - rank b, independent, each vanishing on every column of b
+    rank = oracle_gauss_jordan(b)[0]
+    covectors = b.annihilator
+    assert len(covectors) == b.rows - rank
+    dense = []
+    for covector in covectors:
+        assert covector and all(type(v) is int and v for _, v in covector)
+        row = [F(0)] * b.rows
+        for i, v in covector:
+            row[i] = F(v)
+        dense.append(row)
+        for column in b.columns():
+            assert sum(u * w for u, w in zip(row, column)) == 0
+    if dense:
+        assert oracle_gauss_jordan(RationalMatrix.from_rows(dense))[0] == len(dense)
+
+
+def test_span_includes_eliminates_once_per_target(monkeypatch):
+    import twoflags.exactalg as exactalg
+
+    calls = []
+    original = exactalg.rank_and_nullspace
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(exactalg, "rank_and_nullspace", counted)
+    b = RationalMatrix.from_columns([(F(1), F(2), F(0)), (F(0), F(1), F(1))])
+    inside = RationalMatrix.from_columns([(F(1), F(3), F(1))])
+    outside = RationalMatrix.from_columns([(F(0), F(0), F(1))])
+    for _ in range(3):
+        assert span_includes(inside, b)
+        assert not span_includes(outside, b)
+    assert len(calls) == 1
+    # an equal matrix built apart keeps its own covectors
+    twin = RationalMatrix.from_columns(b.columns())
+    assert span_includes(inside, twin) and len(calls) == 2
+
+
 def test_span_includes_ambient_mismatch():
     a = RationalMatrix.from_columns([(F(1), F(0))])
     b = RationalMatrix.from_columns([(F(1), F(0), F(0))])

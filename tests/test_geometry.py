@@ -703,6 +703,15 @@ def test_exterior_derivative_contact_form():
 # ---------------------------------------------------------------------------
 
 
+def pair_with(form: OneForm, x: VectorField) -> Poly:
+    """The function omega(X)."""
+    assert form.chart == x.chart
+    out = Poly.zero(form.chart.dim)
+    for a, comp in zip(form.coefficients, x.components):
+        out = out + a * comp
+    return out
+
+
 def test_annihilator_of_bcd_model():
     # corank 2: the covectors represent dx1 - y1 dx0 and dx2 - y2 dx0
     from twoflags.exactalg import primitive_tuple
@@ -723,7 +732,7 @@ def test_annihilator_of_bcd_model():
     # and each output annihilates every generator identically
     for form in forms:
         for gen in dist.generators:
-            assert form.pair_with(gen).is_zero()
+            assert pair_with(form, gen).is_zero()
 
 
 def test_annihilator_raises_where_the_distribution_drops_rank():
