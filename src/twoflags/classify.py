@@ -140,6 +140,10 @@ class _ClosedGeometry:
         lead = VectorField(chart, tuple(Poly(n, c.terms) for c in lead))
         return Distribution(chart, (lead,) + _versors_from(chart, j))
 
+    def value(self, j: int) -> RationalMatrix:
+        """The generators of member j evaluated at the point, as columns."""
+        return _evaluated(self.member(j), self.point)
+
 
 class _GenericGeometry:
     """Flag members and subflag targets recomputed from the raw distribution, each target once."""
@@ -159,20 +163,31 @@ class _GenericGeometry:
     def target(self, nu: int, s: int) -> Subspace:
         return self.targets[nu]
 
+    def value(self, j: int) -> RationalMatrix:
+        """A basis of D^j(p), which big_flag computed and left with the member."""
+        return value_at(self.member(j), self.point).basis
+
+
+def _evaluated(dist: Distribution, point: tuple[Fraction, ...]) -> RationalMatrix:
+    """The generators of ``dist`` at the point cut to its chart, as columns;
+    a zero component is the shared 0, not evaluated."""
+    n = dist.chart.dim
+    point = point[:n]
+    zero = Fraction(0)
+    columns = [tuple(c.eval_at(point) if c.terms else zero for c in gen.components) for gen in dist.generators]
+    return RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
+
 
 def _included(geo, s: int, nu: int, member: int) -> bool:
     """Whether V_member of flag member s lies in the target of position nu at
     the point, cut to the chart of the member; V_1 is the member itself.
 
-    The generators' values at the point are the columns tested against the
-    target's annihilator: no basis of the member's value is picked."""
-    dist = geo.member(s)
-    if member > 1:
-        dist = small_flag(dist, member, cap=geo.cap)[-1]
-    n = dist.chart.dim
-    point = geo.point[:n]
-    columns = [tuple(c.eval_at(point) for c in gen.components) for gen in dist.generators]
-    values = RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
+    The columns tested against the target's annihilator span the member's
+    value: the generators' values, or for V_1 the source's own ``value``."""
+    if member == 1:
+        values = geo.value(s)
+    else:
+        values = _evaluated(small_flag(geo.member(s), member, cap=geo.cap)[-1], geo.point)
     return span_includes(values, geo.target(nu, s).basis)
 
 

@@ -468,7 +468,7 @@ def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
                 content = -content
             break
     divisor = _canonical(content)
-    return tuple(_divided(p, divisor) for p in polys)
+    return tuple(_divided(p, divisor) if p.terms else p for p in polys)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +671,27 @@ def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
 
     By duality: a lies in span b exactly when every covector of ker(b^T)
     annihilates every column of a.  Those covectors are ``b.annihilator``,
-    worked out once per b.  Each column of a is scaled to integers once,
-    which keeps its membership, and the test stops at the first nonzero
-    pairing.  Where b is spanned by coordinate versors each covector is one
-    versor outside b, so only the coordinates outside b are read.
+    worked out once per b.  A covector with one entry, at coordinate i,
+    annihilates a exactly when row i of a is zero, which is read as it
+    stands.  For the other covectors each column of a is scaled to integers
+    once, which keeps its membership.  The test stops at the first nonzero
+    pairing.  Where b is spanned by coordinate versors every covector is
+    one versor outside b, so only the coordinates outside b are read.
     """
     if a.rows != b.rows:
         raise ChartMismatch(f"ambient mismatch: {a.rows} vs {b.rows}")
-    covectors = b.annihilator
-    for column in _integer_rows(a.column(j) for j in range(a.cols)):
-        for covector in covectors:
-            if sum(column[i] * v for i, v in covector):
-                return False
+    entries, cols = a.entries, a.cols
+    others = []
+    for covector in b.annihilator:
+        if len(covector) > 1:
+            others.append(covector)
+        elif any(entries[covector[0][0] * cols : (covector[0][0] + 1) * cols]):
+            return False
+    if others:
+        for column in _integer_rows(a.column(j) for j in range(cols)):
+            for covector in others:
+                if sum(column[i] * v for i, v in covector):
+                    return False
     return True
 
 

@@ -302,10 +302,11 @@ class _Dedup:
     the normalized first-seen field is the one kept.
     """
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, candidates: Iterable[VectorField] = ()):
         self.cap = cap
         self.fields: list[VectorField] = []
         self.buckets: dict[int, list[VectorField]] = {}
+        self.extend(candidates)
 
     def add(self, candidate: VectorField) -> None:
         if candidate.is_zero():
@@ -328,11 +329,21 @@ class _Dedup:
 
 
 def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
-    """Pointwise value of the distribution: the span of the evaluated generators."""
+    """Pointwise value of the distribution: the span of the evaluated generators.
+
+    The value is kept with the distribution, which is immutable, for the
+    last point asked: big_flag evaluates each tower member once, and the
+    Cauchy, covariant and sandwich computations at the same point reuse it.
+    """
     point = _check_point(dist.chart, point)
+    kept = dist.__dict__.get("_value")
+    if kept is not None and kept[0] == point:
+        return kept[1]
     # the point is admitted once, here, not again per generator by VectorField.eval_at
     vectors = [tuple(c.eval_at(point) for c in g.components) for g in dist.generators]
-    return Subspace.from_vectors(dist.chart.dim, vectors)
+    value = Subspace.from_vectors(dist.chart.dim, vectors)
+    dist.__dict__["_value"] = (point, value)
+    return value
 
 
 def big_flag(
@@ -344,6 +355,14 @@ def big_flag(
 
     Raises NotSpecialFlag unless the pointwise ranks run 3, 5, ..., dim and
     the tower reaches full rank within (dim - 3) / 2 steps.
+
+    Each square is semi-naive.  A square's generator list starts with the
+    deduplicated generators of the member it squared, and their pairwise
+    brackets were candidates there, so each is zero, a kept generator or a
+    multiple of one; the next square brackets only the pairs with a newer
+    field.  For D^(r-1) that prefix is the deduplicated caller's
+    distribution, which may be shorter than its raw generator list.  Each
+    member's value at ``point`` stays with it (see value_at).
     """
     point = _check_point(dist.chart, point)
     dim = dist.chart.dim
@@ -354,9 +373,13 @@ def big_flag(
     rank = value_at(dist, point).dim
     if rank != 3:
         raise NotSpecialFlag(f"bottom member has pointwise rank {rank}, expected 3")
+    squared = 0
     for step in range(steps):
         expected = 3 + 2 * (step + 1)
-        nxt = lie_square(tower[-1], cap=cap)
+        nxt = lie_square(tower[-1], cap=cap, squared=squared)
+        # the member just squared, deduplicated, is the prefix of nxt; below
+        # the caller's distribution every member is deduplicated already
+        squared = len(tower[-1].generators) if step else len(_Dedup(cap, dist.generators).fields)
         rank = value_at(nxt, point).dim
         if rank != expected:
             raise NotSpecialFlag(
@@ -370,6 +393,7 @@ def small_flag(
     dist: Distribution,
     steps: int,
     cap: int = DEFAULT_GENERATOR_CAP,
+    squared: int = 0,
 ) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
@@ -379,14 +403,16 @@ def small_flag(
     latest member; brackets with older fields were candidates one step
     earlier.  On the first step every field is new, and generator i is
     bracketed only with generators k > i: [g, g] = 0 and [g_k, g_i] = -[g_i, g_k].
+    The first ``squared`` deduplicated generators count as old on the first
+    step too: the caller vouches that each bracket of two of them is zero or
+    a multiple of a generator of D, so no pair of them is formed.
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
-    pool = _Dedup(cap)
-    pool.extend(dist.generators)
+    pool = _Dedup(cap, dist.generators)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
-    start = 0
+    start = squared
     for _ in range(steps - 1):
         before = len(pool.fields)
         for i, g in enumerate(base):
@@ -397,9 +423,17 @@ def small_flag(
     return flag
 
 
-def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
-    """D + [D, D]: the second member of the small flag of D."""
-    return small_flag(dist, 2, cap)[-1]
+def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP, squared: int = 0) -> Distribution:
+    """D + [D, D]: the second member of the small flag of D.
+
+    With ``squared`` = k, only the brackets with a generator after the
+    first k deduplicated ones are formed.  big_flag passes the deduplicated
+    generator count of the member it squared last, whose generators start
+    D's list: each bracket of two of them was a candidate of that square,
+    so it is zero or a multiple of a generator of D, and the kept fields
+    and their order are the same as with k = 0.
+    """
+    return small_flag(dist, 2, cap, squared)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +490,18 @@ def _structural_annihilator(dist: Distribution) -> tuple[tuple[Poly, ...], ...]:
     return tuple(polynomial_nullspace_structural(matrix))
 
 
-def annihilator_at(
-    dist: Distribution, point: Sequence[Fraction], *, value: Subspace | None = None
-) -> list[OneForm]:
+def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneForm]:
     """Polynomial 1-forms annihilating the distribution, with pivots regular at ``point``.
 
     The covector basis is point-independent (it annihilates the generators
     identically), so it is cached per distribution; when the cached basis
     degenerates at the requested point the elimination is redone with pivots
-    chosen there, which raises DegeneratePivot if none exist.  ``value`` is
-    D(p) when the caller has computed it already.
+    chosen there, which raises DegeneratePivot if none exist.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
     covectors = _structural_annihilator(dist)
-    if value is None:
-        value = value_at(dist, point)
-    corank = n - value.dim
+    corank = n - value_at(dist, point).dim
     if len(covectors) == corank:
         values = [tuple(p.eval_at(point) for p in cov) for cov in covectors]
         matrix = RationalMatrix.from_columns(values, ambient=n)
@@ -491,7 +520,7 @@ def _curvature_pairings(
     n = dist.chart.dim
     columns = value.basis.columns()
     pairings = []
-    for form in annihilator_at(dist, point, value=value):
+    for form in annihilator_at(dist, point):
         sparse = _exterior_sparse(form, point)
         images = [_sparse_apply(sparse, col, n) for col in columns]
         pairings.append(

@@ -616,6 +616,30 @@ def test_span_includes_empty_sides():
     assert span_includes(empty, RationalMatrix.from_columns([(F(1), F(1), F(0))]))
 
 
+def test_span_includes_reads_versor_covectors_without_scaling(monkeypatch):
+    import twoflags.exactalg as exactalg
+
+    # ker(b^T) of b = [e1 + e2] is spanned by e1 - e2 and the versor e3
+    e1, e2, e3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    b = RationalMatrix.from_columns([(F(1), F(1), F(0))])
+    assert sorted(map(len, b.annihilator)) == [1, 2]
+    scaled = []
+    original = exactalg._integer_rows
+    monkeypatch.setattr(exactalg, "_integer_rows", lambda rows: scaled.append(1) or original(rows))
+    assert not span_includes(RationalMatrix.from_columns([(F(1, 3), F(1, 3), F(1, 5))]), b)
+    assert scaled == []  # the versor e3 decides on row 3 as it stands
+    assert not span_includes(RationalMatrix.from_columns([e1]), b)
+    assert span_includes(RationalMatrix.from_columns([(F(2, 3), F(2, 3), F(0))]), b)
+    assert len(scaled) == 2
+    # a target spanned by versors has versor covectors only: nothing is scaled
+    plane = RationalMatrix.from_columns([e1, e2])
+    assert len(plane.annihilator) == 1  # worked out once, by elimination
+    worked_out = len(scaled)
+    assert span_includes(RationalMatrix.from_columns([(F(1, 7), F(-2, 9), F(0))]), plane)
+    assert not span_includes(RationalMatrix.from_columns([e3]), plane)
+    assert len(scaled) == worked_out
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_annihilator_is_a_basis_of_the_left_kernel(b):
@@ -990,3 +1014,10 @@ def test_primitive_normalization():
     assert normalized.leading()[1] > 0
     # proportional to the input
     assert normalized == p.scaled(F(-3, 2))
+
+
+def test_primitive_normalization_returns_zero_components_as_they_are():
+    zero, x = Poly.zero(2), Poly.variable(2, 0)
+    out = primitive_tuple([zero, x.scaled(-6), zero])
+    assert out[0] is zero and out[2] is zero
+    assert out[1] == x

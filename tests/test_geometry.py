@@ -565,6 +565,48 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                 assert got == [signatures(m) for m in tower], spec
 
 
+def oracle_tower(dist: Distribution, r: int) -> list[list[tuple]]:
+    tower = [dist]
+    for _ in range(r):
+        tower.append(oracle_lie_square(tower[-1]))
+    return [signatures(m) for m in tower]
+
+
+def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
+    # each semi-naive square skips the pairs of the member squared before it
+    words = enumerate_words(5)
+    assert len(words) == 41
+    for word in words:
+        build = build_ekr(draw_constants(word, random.Random(f"tower5|{word}")))
+        got = [signatures(m) for m in big_flag(build.distribution, build.chart.origin())]
+        assert got == oracle_tower(build.distribution, 5), str(word)
+
+
+@pytest.mark.parametrize("text", ["1.2.1", "1.2.3", "1.1.2"])
+def test_big_flag_of_repeated_and_zero_generators_matches_the_oracle(text):
+    # the first square keeps 3 of the 5 raw generators (g0, 2 g0, 0, g1, g2),
+    # so the next square may skip only the pairs of those 3
+    build = build_ekr(EkrSpec(Word.parse(text)))
+    g0, g1, g2 = build.distribution.generators
+    zero = VectorField(build.chart, (Poly.zero(build.chart.dim),) * build.chart.dim)
+    dist = Distribution(build.chart, (g0, g0.scaled(2), zero, g1, g2))
+    tower = big_flag(dist, build.chart.origin())
+    assert tower[0] is dist
+    assert [signatures(m) for m in tower] == oracle_tower(dist, 3)
+
+
+def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
+    for r in range(1, 5):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word), draw_constants(word, random.Random(f"semi|{word}"))):
+                build = build_ekr(spec)
+                tower = big_flag(build.distribution, build.chart.origin())
+                squared = [len(_Dedup(DEFAULT_GENERATOR_CAP, m.generators).fields) for m in tower]
+                for j in range(1, r):
+                    plain = signatures(lie_square(tower[j]))
+                    assert signatures(lie_square(tower[j], squared=squared[j - 1])) == plain, (spec, j)
+
+
 def int_coefficients(polys) -> bool:
     return all(type(c) is int for p in polys for c in p.terms.values())
 
@@ -641,6 +683,39 @@ def test_value_closed_form_F():
     for _ in range(4):
         p = flag_point(dist.chart, rng)
         assert value_at(dist, p) == versor_subspace(dist.chart, expected_names)
+
+
+def test_value_is_kept_for_the_last_point_only():
+    build = build_ekr(draw_constants(Word.parse("1.2.3"), random.Random("value-cache")))
+    rng = random.Random(31)
+    p, q = build.chart.origin(), flag_point(build.chart, rng)
+    for member in big_flag(build.distribution, p):
+        for point in (p, q, p):
+            fresh = Distribution(member.chart, member.generators)
+            assert value_at(member, point).basis == value_at(fresh, point).basis, point
+        assert value_at(member, p) is value_at(member, p)
+
+
+def test_targets_reuse_the_values_that_big_flag_computed(monkeypatch):
+    import twoflags.geometry as geometry
+
+    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("reuse")))
+    p = flag_point(build.chart, random.Random(32))
+    tower = big_flag(build.distribution, p)
+    calls = []
+    original = geometry.column_space_basis
+
+    def counted(columns, ambient):
+        calls.append(ambient)
+        return original(columns, ambient)
+
+    monkeypatch.setattr(geometry, "column_space_basis", counted)
+    for member in tower:
+        cauchy_char_at(member, p)
+    covariant_at(tower[-2], p)
+    assert calls == []
+    value_at(tower[0], build.chart.origin())
+    assert calls == [build.chart.dim]
 
 
 # ---------------------------------------------------------------------------
