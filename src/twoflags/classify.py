@@ -5,7 +5,9 @@ whether the pointwise inclusion D^j(p) in L(D^(j-2))(p) holds (F(p) plays
 the role of L(D^0)).  The singularity word refines every non-first
 non-1 sandwich letter to 2 or 3 by testing the member V_{2l+3} of the
 small flag of D^s against the same target space, where the nearest non-1
-letter to the left sits at position nu and l = s - nu - 1.
+letter to the left sits at position nu and l = s - nu - 1.  Only the value
+of V_{2l+3} at p is read, so its last bracket round is formed at p from the
+1-jets of the fields of V_{2l+2}, never as polynomial fields.
 
 Two geometry sources are available.  For a pseudo-normal form flag member
 j comes from the step-j leading field, read on the chart of the length-j
@@ -38,10 +40,10 @@ from .geometry import (
     big_flag,
     cauchy_char_at,
     covariant_at,
-    small_flag,
+    small_flag_vectors_at,
     value_at,
 )
-from .exactalg import Poly, RationalMatrix, format_rational, span_includes
+from .exactalg import Poly, RationalMatrix, annihilates, format_rational, span_includes
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,20 @@ class _ClosedGeometry:
         self.point = point
         self.cap = cap
         self.r = build.length
+        self.members: dict[int, Distribution] = {}
 
     def member(self, j: int) -> Distribution:
-        """The step-j leading field plus d/dx_j and d/dy_j, on Chart.for_length(j)."""
-        chart = Chart.for_length(j)
-        n = chart.dim
-        lead = self.build.leading[j - 1].components[:n]
-        lead = VectorField(chart, tuple(Poly(n, c.terms) for c in lead))
-        return Distribution(chart, (lead,) + _versors_from(chart, j))
+        """The step-j leading field plus d/dx_j and d/dy_j, on Chart.for_length(j),
+        built once per germ.  The field's terms are taken as they stand: they
+        use only the variables of that chart (tests/test_classify.py checks
+        this for every word of length at most 7)."""
+        if j not in self.members:
+            chart = Chart.for_length(j)
+            n = chart.dim
+            lead = self.build.leading[j - 1].components[:n]
+            lead = VectorField(chart, tuple(Poly._of(n, c.terms) for c in lead))
+            self.members[j] = Distribution(chart, (lead,) + _versors_from(chart, j))
+        return self.members[j]
 
     def value(self, j: int) -> RationalMatrix:
         """The generators of member j evaluated at the point, as columns."""
@@ -182,13 +190,18 @@ def _included(geo, s: int, nu: int, member: int) -> bool:
     """Whether V_member of flag member s lies in the target of position nu at
     the point, cut to the chart of the member; V_1 is the member itself.
 
-    The columns tested against the target's annihilator span the member's
-    value: the generators' values, or for V_1 the source's own ``value``."""
+    V_1(p) is the source's own ``value``, tested by span_includes.  For a
+    refinement only V_(member-1) is built as fields; the vectors of
+    small_flag_vectors_at, which add the values at p of the last round's
+    brackets, are tested against the target's annihilator one at a time, and
+    the first one outside the target decides (the letter is then a 2)."""
+    target = geo.target(nu, s).basis
     if member == 1:
-        values = geo.value(s)
-    else:
-        values = _evaluated(small_flag(geo.member(s), member, cap=geo.cap)[-1], geo.point)
-    return span_includes(values, geo.target(nu, s).basis)
+        return span_includes(geo.value(s), target)
+    dist = geo.member(s)
+    covectors = target.annihilator
+    vectors = small_flag_vectors_at(dist, member, geo.point[: dist.chart.dim], cap=geo.cap)
+    return all(annihilates(covectors, vector) for vector in vectors)
 
 
 def _geometry(obj, point, generic: bool, cap: int):

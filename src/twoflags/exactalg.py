@@ -391,6 +391,40 @@ class Poly:
                 exact_rational(base)
         return total
 
+    def value_and_partials_at(self, point: Sequence[Fraction]) -> tuple[int | Fraction, dict[int, int | Fraction]]:
+        """The value at an admitted rational point and the nonzero first
+        partials there, as {variable: value of d/du_variable}, in one pass
+        over the terms; no Poly is built for a partial.
+
+        A term with a factor u_v^e that vanishes at the point adds nothing
+        when e > 1 or when a second factor vanishes too; otherwise it adds
+        only to d/du_v, the product of its other factors.  So at the origin
+        only the terms of degree at most 1 count.  A term with no vanishing
+        factor adds its value c, and e * c / u_v to d/du_v for each factor.
+        """
+        if len(point) != self.arity:
+            raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
+        value = 0
+        partials: dict[int, int | Fraction] = {}
+        for mono, coeff in self.terms.items():
+            vanishing = None
+            for var, exp in mono:
+                base = point[var]
+                if base:
+                    coeff *= base**exp
+                elif vanishing is None and exp == 1:
+                    vanishing = var
+                else:
+                    break
+            else:
+                if vanishing is not None:
+                    partials[vanishing] = partials.get(vanishing, 0) + coeff
+                else:
+                    value += coeff
+                    for var, exp in mono:
+                        partials[var] = partials.get(var, 0) + _quotient(coeff * exp, point[var])
+        return value, {var: d for var, d in partials.items() if d}
+
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -688,10 +722,21 @@ def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
         elif any(entries[covector[0][0] * cols : (covector[0][0] + 1) * cols]):
             return False
     if others:
-        for column in _integer_rows(a.column(j) for j in range(cols)):
-            for covector in others:
-                if sum(column[i] * v for i, v in covector):
-                    return False
+        return all(annihilates(others, column) for column in _integer_rows(a.column(j) for j in range(cols)))
+    return True
+
+
+def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequence[int | Fraction]) -> bool:
+    """Whether every covector, given as its nonzero (index, entry) pairs (see
+    RationalMatrix.annihilator), pairs to 0 with ``column``; stops at the
+    first that does not.  A covector with one entry, at coordinate i, reads
+    only column[i]."""
+    for covector in covectors:
+        if len(covector) == 1:
+            if column[covector[0][0]]:
+                return False
+        elif sum(column[i] * v for i, v in covector):
+            return False
     return True
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -156,8 +156,15 @@ class VectorField:
         return tuple(c.eval_at(point) for c in self.components)
 
     def normalized(self) -> "VectorField":
-        """Primitive form: content 1, first nonzero leading coefficient positive."""
-        return VectorField(self.chart, primitive_tuple(self.components))
+        """Primitive form: content 1, first nonzero leading coefficient positive.
+
+        A normal form records on the instance, like ``occurrences``, that it
+        is its own normal form, so normalizing it again is one lookup."""
+        if self.__dict__.get("_normal"):
+            return self
+        normal = VectorField(self.chart, primitive_tuple(self.components))
+        normal.__dict__["_normal"] = True
+        return normal
 
     def signature(self) -> tuple:
         return tuple(c.signature() for c in self.components)
@@ -436,6 +443,56 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP, squared: in
     return small_flag(dist, 2, cap, squared)[-1]
 
 
+def _jet_at(field: VectorField, point: tuple[Fraction, ...]) -> tuple[list, list[tuple[int, int, Fraction]]]:
+    """The field's value at the point, and its nonzero first partials there
+    as (component j, variable i, dX_j/du_i(p)) triples."""
+    value = [0] * len(field.components)
+    partials = []
+    for j in field.occurrences[0]:
+        value[j], grad = field.components[j].value_and_partials_at(point)
+        partials += [(j, i, d) for i, d in grad.items()]
+    return value, partials
+
+
+def small_flag_vectors_at(
+    dist: Distribution,
+    steps: int,
+    point: Sequence[Fraction],
+    cap: int = DEFAULT_GENERATOR_CAP,
+) -> Iterator[list]:
+    """Vectors spanning V_steps(p), the value at ``point`` of the last member
+    of small_flag(dist, steps) for steps >= 2, formed one at a time.
+
+    The last round builds no field.  The values of the generators of
+    V_(steps-1) come first, then the values of the brackets that small_flag's
+    last round forms, each generator g of D with each field h new in
+    V_(steps-1): [g, h](p)_j = sum_i g_i(p) dh_j/du_i(p) - h_i(p) dg_j/du_i(p),
+    read off the 1-jets of g and h at p.  small_flag keeps all but the zero
+    brackets and the multiples of kept fields, so the span is the same; only
+    the generators of V_(steps-1) count against ``cap``.  A caller that stops
+    early forms no later bracket.
+    """
+    if steps < 2:
+        raise ChartMismatch(f"steps must be >= 2, got {steps}")
+    point = _check_point(dist.chart, point)
+    flag = small_flag(dist, steps - 1, cap)
+    jets = [_jet_at(field, point) for field in flag[-1].generators]
+    for value, _ in jets:
+        yield value
+    n = dist.chart.dim
+    start = len(flag[-2].generators) if len(flag) > 1 else 0
+    for k, (g_value, g_partials) in enumerate(jets[: len(flag[0].generators)]):
+        for h_value, h_partials in jets[max(start, k + 1) :]:
+            bracket = [0] * n
+            for j, i, d in h_partials:
+                if g_value[i]:
+                    bracket[j] += g_value[i] * d
+            for j, i, d in g_partials:
+                if h_value[i]:
+                    bracket[j] -= h_value[i] * d
+            yield bracket
+
+
 # ---------------------------------------------------------------------------
 # Exterior derivative, Cauchy characteristics, covariant subspace
 # ---------------------------------------------------------------------------
@@ -514,9 +571,17 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
 
 def _curvature_pairings(
     dist: Distribution, point: tuple[Fraction, ...], value: Subspace
-) -> list[list[list[Fraction]]]:
+) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """For each annihilating form omega, the pairing of the basis columns v_a
-    of D(p) = ``value`` under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p)."""
+    of D(p) = ``value`` under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p).
+
+    The pairings are kept with the distribution, which is immutable, for the
+    last point asked, as value_at keeps D(p): the covariant and Cauchy spaces
+    of one member at one point pair once.
+    """
+    kept = dist.__dict__.get("_pairings")
+    if kept is not None and kept[0] == point:
+        return kept[1]
     n = dist.chart.dim
     columns = value.basis.columns()
     pairings = []
@@ -524,11 +589,10 @@ def _curvature_pairings(
         sparse = _exterior_sparse(form, point)
         images = [_sparse_apply(sparse, col, n) for col in columns]
         pairings.append(
-            [
-                [sum((w[i] * v for i, v in image.items()), Fraction(0)) for w in columns]
-                for image in images
-            ]
+            tuple(tuple(sum((w[i] * v for i, v in image.items()), Fraction(0)) for w in columns) for image in images)
         )
+    pairings = tuple(pairings)
+    dist.__dict__["_pairings"] = (point, pairings)
     return pairings
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoflags.atlas import enumerate_words
 from twoflags.classify import (
     SandwichWord,
     _ClosedGeometry,
@@ -16,9 +17,19 @@ from twoflags.classify import (
 )
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, appendix_b_spec, build_ekr, closed_form_F, model, model_build
-from twoflags.errors import BadSyntax
-from twoflags.geometry import DEFAULT_GENERATOR_CAP, small_flag, value_at
+from twoflags.errors import BadSyntax, ChartMismatch
+from twoflags.geometry import (
+    DEFAULT_GENERATOR_CAP,
+    Chart,
+    Subspace,
+    big_flag,
+    small_flag,
+    small_flag_vectors_at,
+    value_at,
+)
 from twoflags.exactalg import span_includes
+
+from test_readoff import stress_point
 
 F = Fraction
 
@@ -304,8 +315,27 @@ def test_closed_members_are_the_prefix_distributions():
                 geo = _ClosedGeometry(build, build.chart.origin(), DEFAULT_GENERATOR_CAP)
                 for j in range(1, r + 1):
                     assert geo.member(j) == build.prefix_build(j).distribution, (str(word), j)
+                    assert geo.member(j) is geo.member(j)  # built once per germ
                     checked += 1
     assert checked == 2026
+
+
+def test_leading_fields_use_only_the_variables_of_their_prefix_charts_up_to_length_seven():
+    # _ClosedGeometry.member wraps the first dim components of the step-j
+    # leading field without checking their monomials; this is the property
+    # that makes that safe: no later variable and no later component
+    checked = 0
+    for r in range(1, 8):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word), random_spec(word, f"prefix-chart|{word}")):
+                build = build_ekr(spec)
+                for j, lead in enumerate(build.leading, start=1):
+                    n = Chart.for_length(j).dim
+                    assert not any(c.terms for c in lead.components[n:]), (str(word), j)
+                    used = {var for c in lead.components[:n] for mono in c.terms for var, _ in mono}
+                    assert all(var < n for var in used), (str(word), j, used)
+                    checked += 1
+    assert checked == 2 * sum(r * len(enumerate_words(r)) for r in range(1, 8))
 
 
 def test_classification_on_and_off_locus():
@@ -327,3 +357,32 @@ def test_classification_on_and_off_locus():
             new_word = singularity_class_at(build, tuple(moved)).word
             position = int(name[1:])
             assert new_word.letters[position - 1] < word.letters[position - 1]
+
+
+def test_pointwise_last_round_spans_the_small_flag_value_up_to_length_five():
+    # V_k(p) from the values and 1-jets at p of V_(k-1)'s generators equals
+    # the value of the polynomial V_k, for k = 2..2l+3 at every refinement
+    # the classification makes, on closed members and generic tower members,
+    # at the origin and at a stress point, with zero and seeded constants
+    checked = 0
+    for r in range(3, 6):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word), random_spec(word, f"last-round|{word}")):
+                build = build_ekr(spec)
+                rng = random.Random(f"last-round-points|{word}")
+                for point in (build.chart.origin(), stress_point(spec, rng)):
+                    evidence = singularity_class_at(build, point).evidence
+                    if not evidence:
+                        continue
+                    closed = _ClosedGeometry(build, point, DEFAULT_GENERATOR_CAP)
+                    tower = big_flag(build.distribution, point)
+                    for e in evidence:
+                        for dist in (closed.member(e.position), tower[r - e.position]):
+                            p = point[: dist.chart.dim]
+                            for k in range(2, e.member + 1):
+                                pointwise = Subspace.from_vectors(dist.chart.dim, list(small_flag_vectors_at(dist, k, p)))
+                                assert pointwise == value_at(small_flag(dist, k)[-1], p), (str(spec.to_json()), point, e, k)
+                                checked += 1
+    assert checked == 1376
+    with pytest.raises(ChartMismatch, match="steps must be >= 2"):
+        next(small_flag_vectors_at(build.distribution, 1, build.chart.origin()))

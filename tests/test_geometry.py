@@ -271,6 +271,25 @@ def test_bracket_differentiates_only_the_pairs_of_the_occurrence_tables(x, y):
     assert len(calls) == pairs
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields(), st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=7, max_size=7))
+def test_value_and_partials_match_the_evaluated_partials(field, point):
+    # zero coordinates exercise the vanishing factors: a term adds to a
+    # partial only when at most one simple factor vanishes at the point
+    point = tuple(point)
+    for comp in field.components:
+        value, partials = comp.value_and_partials_at(point)
+        assert value == comp.eval_at(point)
+        expected = {i: comp.partial(i).eval_at(point) for i in range(len(point))}
+        assert partials == {i: d for i, d in expected.items() if d}
+
+
+def test_value_and_partials_at_the_origin_read_the_terms_of_degree_at_most_one():
+    n = 4
+    poly = Poly(n, {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3), ((1, 2),): 7, ((0, 1), (3, 1)): 9})
+    assert poly.value_and_partials_at((F(0),) * n) == (5, {1: -2, 2: F(1, 3)})
+
+
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------
@@ -716,6 +735,40 @@ def test_targets_reuse_the_values_that_big_flag_computed(monkeypatch):
     assert calls == []
     value_at(tower[0], build.chart.origin())
     assert calls == [build.chart.dim]
+
+
+def test_covariant_then_cauchy_of_one_member_pair_once(monkeypatch):
+    import twoflags.geometry as geometry
+
+    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("pairings")))
+    rng = random.Random(33)
+    p, q = flag_point(build.chart, rng), flag_point(build.chart, rng)
+    member = big_flag(build.distribution, p)[-2]  # D^1, of corank 2
+    fresh = Distribution(member.chart, member.generators)
+    expected = covariant_at(fresh, p), cauchy_char_at(fresh, p), cauchy_char_at(fresh, q)
+    calls = []
+    original = geometry.annihilator_at
+
+    def counted(dist, point):
+        calls.append(point)
+        return original(dist, point)
+
+    monkeypatch.setattr(geometry, "annihilator_at", counted)
+    assert (covariant_at(member, p), cauchy_char_at(member, p)) == expected[:2]
+    assert calls == [p]
+    # the pairings are kept for the last point only
+    assert cauchy_char_at(member, q) == expected[2]
+    assert calls == [p, q]
+
+
+def test_a_normal_form_is_its_own_normal_form():
+    chart = Chart.for_length(0)
+    n = chart.dim
+    field = VectorField(chart, (Poly(n, {((1, 1),): -4}), Poly.zero(n), Poly(n, {(): 6})))
+    normal = field.normalized()
+    assert normal == VectorField(chart, (Poly(n, {((1, 1),): 2}), Poly.zero(n), Poly(n, {(): -3})))
+    assert normal.normalized() is normal
+    assert field.normalized() is not normal and field.normalized() == normal
 
 
 # ---------------------------------------------------------------------------
