@@ -212,8 +212,7 @@ class EkrBuild:
         if not 0 <= j <= r:
             raise IndexOutOfRange(f"flag member {j} outside 0..{r}")
         if j == 0:
-            gens = [VectorField.versor(self.chart, i) for i in range(self.chart.dim)]
-            return Distribution(self.chart, tuple(gens))
+            return Distribution.frame(self.chart)
         if j == r:
             return self.distribution
         return Distribution(self.chart, (self.leading[j - 1],) + _versors_from(self.chart, j))

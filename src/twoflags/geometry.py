@@ -210,6 +210,11 @@ class Distribution:
             if gen.chart != self.chart:
                 raise ChartMismatch("generator lives on a different chart")
 
+    @classmethod
+    def frame(cls, chart: Chart) -> "Distribution":
+        """The coordinate frame d/du_0, ..., d/du_(dim-1): all of TM."""
+        return cls(chart, tuple(VectorField.versor(chart, i) for i in range(chart.dim)))
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -370,6 +375,11 @@ def big_flag(
     field.  For D^(r-1) that prefix is the deduplicated caller's
     distribution, which may be shorter than its raw generator list.  Each
     member's value at ``point`` stays with it (see value_at).
+
+    The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
+    decided at the point and built as no field (see _square_rank_at): only
+    the generators of D^1 count against ``cap``.  D^0 is then the
+    coordinate frame, which spans TM, with its value at ``point`` kept.
     """
     point = _check_point(dist.chart, point)
     dim = dist.chart.dim
@@ -383,17 +393,50 @@ def big_flag(
     squared = 0
     for step in range(steps):
         expected = 3 + 2 * (step + 1)
-        nxt = lie_square(tower[-1], cap=cap, squared=squared)
-        # the member just squared, deduplicated, is the prefix of nxt; below
-        # the caller's distribution every member is deduplicated already
-        squared = len(tower[-1].generators) if step else len(_Dedup(cap, dist.generators).fields)
-        rank = value_at(nxt, point).dim
+        if step < steps - 1:
+            nxt = lie_square(tower[-1], cap=cap, squared=squared)
+            # the member just squared, deduplicated, is the prefix of nxt; below
+            # the caller's distribution every member is deduplicated already
+            squared = len(tower[-1].generators) if step else len(_Dedup(cap, dist.generators).fields)
+            rank = value_at(nxt, point).dim
+        else:
+            rank = _square_rank_at(tower[-1], point, cap, squared)
+            nxt = Distribution.frame(dist.chart)
+            value_at(nxt, point)
         if rank != expected:
             raise NotSpecialFlag(
                 f"Lie square number {step + 1} has pointwise rank {rank}, expected {expected}"
             )
         tower.append(nxt)
     return tower
+
+
+def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int, squared: int) -> int:
+    """dim (D + [D, D])(p), from D(p) and the bracket values at p of
+    small_flag_vectors_at(dist, 2, point), which span (D + [D, D])(p).
+
+    Each vector is paired with the covectors of the annihilator of D(p); the
+    rank of those pairings is the dimension the vectors add to D(p).  The
+    pairing rows are kept in echelon form, and no later vector is formed
+    once their rank reaches the corank.  ``squared`` is passed on, as
+    lie_square takes it.
+    """
+    value = value_at(dist, point)
+    covectors = value.basis.annihilator
+    # pivot -> a pairing row with 1 at its pivot and 0 at every earlier pivot
+    echelon: dict[int, list] = {}
+    for vector in small_flag_vectors_at(dist, 2, point, cap, squared):
+        row = [sum(vector[i] * v for i, v in covector) for covector in covectors]
+        for pivot, known in echelon.items():
+            if row[pivot]:
+                factor = row[pivot]
+                row = [a - factor * b for a, b in zip(row, known)]
+        lead = next((k for k, a in enumerate(row) if a), None)
+        if lead is not None:
+            echelon[lead] = [Fraction(a) / row[lead] for a in row]
+            if len(echelon) == len(covectors):
+                break
+    return value.dim + len(echelon)
 
 
 def small_flag(
@@ -459,6 +502,7 @@ def small_flag_vectors_at(
     steps: int,
     point: Sequence[Fraction],
     cap: int = DEFAULT_GENERATOR_CAP,
+    squared: int = 0,
 ) -> Iterator[list]:
     """Vectors spanning V_steps(p), the value at ``point`` of the last member
     of small_flag(dist, steps) for steps >= 2, formed one at a time.
@@ -470,17 +514,19 @@ def small_flag_vectors_at(
     read off the 1-jets of g and h at p.  small_flag keeps all but the zero
     brackets and the multiples of kept fields, so the span is the same; only
     the generators of V_(steps-1) count against ``cap``.  A caller that stops
-    early forms no later bracket.
+    early forms no later bracket.  ``squared`` is small_flag's: no pair of
+    the first ``squared`` deduplicated generators is formed on the first
+    round, whether that round builds fields or values.
     """
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
     point = _check_point(dist.chart, point)
-    flag = small_flag(dist, steps - 1, cap)
+    flag = small_flag(dist, steps - 1, cap, squared)
     jets = [_jet_at(field, point) for field in flag[-1].generators]
     for value, _ in jets:
         yield value
     n = dist.chart.dim
-    start = len(flag[-2].generators) if len(flag) > 1 else 0
+    start = len(flag[-2].generators) if len(flag) > 1 else squared
     for k, (g_value, g_partials) in enumerate(jets[: len(flag[0].generators)]):
         for h_value, h_partials in jets[max(start, k + 1) :]:
             bracket = [0] * n
@@ -514,18 +560,9 @@ def _exterior_sparse(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int
     """Nonzero entries of the d(omega) matrix at a point."""
     entries: dict[tuple[int, int], Fraction] = {}
     for j, coeff in enumerate(form.coefficients):
-        if coeff.is_zero():
-            continue
-        seen = set()
-        for mono in coeff.terms:
-            for var, _ in mono:
-                seen.add(var)
-        for i in seen:
-            value = coeff.partial(i).eval_at(point)
-            if value == 0:
-                continue
-            entries[(i, j)] = entries.get((i, j), Fraction(0)) + value
-            entries[(j, i)] = entries.get((j, i), Fraction(0)) - value
+        for i, value in coeff.value_and_partials_at(point)[1].items():
+            entries[(i, j)] = entries.get((i, j), 0) + value
+            entries[(j, i)] = entries.get((j, i), 0) - value
     return {key: value for key, value in entries.items() if value != 0}
 
 

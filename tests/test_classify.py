@@ -17,12 +17,13 @@ from twoflags.classify import (
 )
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, appendix_b_spec, build_ekr, closed_form_F, model, model_build
-from twoflags.errors import BadSyntax, ChartMismatch
+from twoflags.errors import BadSyntax, ChartMismatch, GeneratorBlowup
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
     Chart,
     Subspace,
     big_flag,
+    lie_square,
     small_flag,
     small_flag_vectors_at,
     value_at,
@@ -232,6 +233,21 @@ def test_generic_mode_agrees_on_full_reports_at_length_six():
         closed = singularity_class_at(build, origin)
         generic = singularity_class_at(build, origin, generic=True)
         assert closed.to_json() == generic.to_json(), str(word)
+
+
+def test_generic_route_decides_with_a_cap_below_the_polynomial_last_square():
+    # D^1 of 1.2.3.3 has 15 generators and [D^1, D^1] 55; the last square is
+    # decided at the point, so only D^1's generators count against the cap
+    build = build_ekr(EkrSpec(Word.parse("1.2.3.3")))
+    point = build.chart.origin()
+    d1 = big_flag(build.distribution, point)[-2]
+    cap, square = len(d1.generators), len(lie_square(d1).generators)
+    assert (cap, square) == (15, 55)
+    expected = singularity_class_at(build, point)
+    for c in (cap, square - 1):
+        assert singularity_class_at(build, point, generic=True, cap=c) == expected, c
+    with pytest.raises(GeneratorBlowup):
+        singularity_class_at(build, point, generic=True, cap=cap - 1)
 
 
 def test_report_json_shape():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoflags.atlas import enumerate_words
@@ -577,18 +577,21 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                     assert signatures(lie_square(member)) == signatures(oracle_lie_square(member)), (spec, j)
                     got = [signatures(m) for m in small_flag(member, 5)]
                     assert got == [signatures(m) for m in oracle_small_flag(member, 5)], (spec, j)
-                tower = [build.distribution]
-                for _ in range(r):
-                    tower.append(oracle_lie_square(tower[-1]))
-                got = [signatures(m) for m in big_flag(build.distribution, build.chart.origin())]
-                assert got == [signatures(m) for m in tower], spec
+                point = build.chart.origin()
+                assert_tower_matches_the_oracle(big_flag(build.distribution, point), build.distribution, point, spec)
 
 
-def oracle_tower(dist: Distribution, r: int) -> list[list[tuple]]:
-    tower = [dist]
-    for _ in range(r):
-        tower.append(oracle_lie_square(tower[-1]))
-    return [signatures(m) for m in tower]
+def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distribution, point: tuple, label) -> None:
+    """D^r, ..., D^1 match the oracle's squares signature for signature.  The
+    last square is decided at the point, so D^0 is the coordinate frame, and
+    the oracle's polynomial D^0 has full rank there."""
+    oracle = [dist]
+    for _ in range(len(tower) - 1):
+        oracle.append(oracle_lie_square(oracle[-1]))
+    assert [signatures(m) for m in tower[:-1]] == [signatures(m) for m in oracle[:-1]], label
+    chart = dist.chart
+    assert signatures(tower[-1]) == [VectorField.versor(chart, i).signature() for i in range(chart.dim)], label
+    assert value_at(oracle[-1], point).dim == chart.dim, label
 
 
 def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
@@ -597,8 +600,8 @@ def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
     assert len(words) == 41
     for word in words:
         build = build_ekr(draw_constants(word, random.Random(f"tower5|{word}")))
-        got = [signatures(m) for m in big_flag(build.distribution, build.chart.origin())]
-        assert got == oracle_tower(build.distribution, 5), str(word)
+        point = build.chart.origin()
+        assert_tower_matches_the_oracle(big_flag(build.distribution, point), build.distribution, point, str(word))
 
 
 @pytest.mark.parametrize("text", ["1.2.1", "1.2.3", "1.1.2"])
@@ -611,7 +614,38 @@ def test_big_flag_of_repeated_and_zero_generators_matches_the_oracle(text):
     dist = Distribution(build.chart, (g0, g0.scaled(2), zero, g1, g2))
     tower = big_flag(dist, build.chart.origin())
     assert tower[0] is dist
-    assert [signatures(m) for m in tower] == oracle_tower(dist, 3)
+    assert len(tower) == 4
+    assert_tower_matches_the_oracle(tower, dist, build.chart.origin(), text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.permutations(range(5)),
+    st.lists(sparse_fields(Chart.for_length(1)), min_size=3, max_size=3),
+    st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3))), min_size=5, max_size=5),
+)
+def test_the_last_square_has_the_pointwise_rank_of_the_lie_square(order, perturbations, point):
+    # three versors plus sparse fields: the square at p has rank 3, 4 or 5
+    chart = Chart.for_length(1)
+    point = tuple(point)
+    dist = Distribution(chart, tuple(VectorField.versor(chart, i) + f for i, f in zip(order, perturbations)))
+    assume(value_at(dist, point).dim == 3)
+    rank = value_at(lie_square(dist), point).dim
+    if rank == 5:
+        assert len(big_flag(dist, point)) == 2
+    else:
+        with pytest.raises(NotSpecialFlag, match=f"^Lie square number 1 has pointwise rank {rank}, expected 5$"):
+            big_flag(dist, point)
+
+
+def test_a_deficient_last_square_names_its_pointwise_rank():
+    # X1 = d/du0 + u2 d/du3, X2 = d/du2, X3 = d/du4: only [X1, X2] = -d/du3 is new
+    chart = Chart.for_length(1)
+    versor = lambda i: VectorField.versor(chart, i)
+    x1 = versor(0) + versor(3).scaled(Poly.variable(chart.dim, 2))
+    dist = Distribution(chart, (x1, versor(2), versor(4)))
+    with pytest.raises(NotSpecialFlag, match="^Lie square number 1 has pointwise rank 4, expected 5$"):
+        big_flag(dist, chart.origin())
 
 
 def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
