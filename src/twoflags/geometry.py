@@ -412,31 +412,26 @@ def big_flag(
 
 
 def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int, squared: int) -> int:
-    """dim (D + [D, D])(p), from D(p) and the bracket values at p of
-    small_flag_vectors_at(dist, 2, point), which span (D + [D, D])(p).
+    """dim (D + [D, D])(p) for a D of corank 2 at p, from D(p) and the
+    bracket values at p of small_flag_vectors_at(dist, 2, point), which span
+    (D + [D, D])(p).
 
-    Each vector is paired with the covectors of the annihilator of D(p); the
-    rank of those pairings is the dimension the vectors add to D(p).  The
-    pairing rows are kept in echelon form, and no later vector is formed
-    once their rank reaches the corank.  ``squared`` is passed on, as
-    lie_square takes it.
+    Each vector is paired with the two covectors of the annihilator of D(p);
+    the rank of those pairings is the dimension the vectors add to D(p).  No
+    later vector is formed once a pairing row is independent of the first
+    nonzero one.  ``squared`` is passed on, as lie_square takes it.
     """
     value = value_at(dist, point)
-    covectors = value.basis.annihilator
-    # pivot -> a pairing row with 1 at its pivot and 0 at every earlier pivot
-    echelon: dict[int, list] = {}
+    c0, c1 = value.basis.annihilator
+    first = None
     for vector in small_flag_vectors_at(dist, 2, point, cap, squared):
-        row = [sum(vector[i] * v for i, v in covector) for covector in covectors]
-        for pivot, known in echelon.items():
-            if row[pivot]:
-                factor = row[pivot]
-                row = [a - factor * b for a, b in zip(row, known)]
-        lead = next((k for k, a in enumerate(row) if a), None)
-        if lead is not None:
-            echelon[lead] = [Fraction(a) / row[lead] for a in row]
-            if len(echelon) == len(covectors):
-                break
-    return value.dim + len(echelon)
+        row = (sum(vector[i] * v for i, v in c0), sum(vector[i] * v for i, v in c1))
+        if first is None:
+            if any(row):
+                first = row
+        elif first[0] * row[1] - first[1] * row[0]:
+            return value.dim + 2
+    return value.dim + (first is not None)
 
 
 def small_flag(

@@ -351,16 +351,18 @@ def test_big_flag_rank_profiles_all_words_up_to_length_five():
     from twoflags.atlas import enumerate_words
     from twoflags.cli import draw_constants
 
+    # D^0 is the frame, so the polynomial square [D^1, D^1] stands in for it
     rng = random.Random(99)
     for r in range(1, 6):
         for word in enumerate_words(r):
             spec = draw_constants(word, random.Random(f"bf|{word}"))
             build = build_ekr(spec)
             tower = big_flag(build.distribution, build.chart.origin())
+            top = lie_square(tower[-2])
             points = [build.chart.origin()] + [flag_point(build.chart, rng) for _ in range(10)]
             expected = list(range(3, build.chart.dim + 1, 2))
             for p in points:
-                assert [value_at(m, p).dim for m in tower] == expected, (word, p)
+                assert [value_at(m, p).dim for m in tower[:-1] + [top]] == expected, (word, p)
 
 
 def test_structural_flag_members_match_brute_force():
@@ -375,10 +377,13 @@ def test_structural_flag_members_match_brute_force():
         build = build_ekr(spec)
         tower = big_flag(build.distribution, build.chart.origin())
         r = word.length
+        # D^0 is the frame on both sides; the polynomial square [D^1, D^1] is
+        # compared with it instead
+        members = tower[:-1] + [lie_square(tower[-2])]
         for j in range(r + 1):
             for _ in range(3):
                 p = flag_point(build.chart, rng)
-                assert value_at(tower[r - j], p) == value_at(build.flag_member(j), p)
+                assert value_at(members[r - j], p) == value_at(build.flag_member(j), p)
 
 
 # ---------------------------------------------------------------------------
