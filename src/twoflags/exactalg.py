@@ -528,7 +528,10 @@ class RationalMatrix:
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple[Fraction, ...]) -> "RationalMatrix":
-        """A matrix around entries that are admitted already: nothing is checked or mapped."""
+        """A matrix around entries that are admitted already: nothing is checked or mapped.
+
+        Integer entries are admitted too where only rank_and_nullspace reads
+        the matrix: it scales every row to integers first."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "cols", cols)

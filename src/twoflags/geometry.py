@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -539,36 +540,26 @@ def small_flag_vectors_at(
 # ---------------------------------------------------------------------------
 
 
-def _sparse_apply(
-    sparse: dict[tuple[int, int], Fraction], vec: Sequence[Fraction], n: int
-) -> dict[int, Fraction]:
-    """Sparse matrix times vector, returned as an index -> value map."""
-    out: dict[int, Fraction] = {}
-    for (i, j), value in sparse.items():
-        vj = vec[j]
-        if vj:
-            out[i] = out.get(i, Fraction(0)) + value * vj
-    return {i: v for i, v in out.items() if v != 0}
-
-
-def _exterior_sparse(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
-    """Nonzero entries of the d(omega) matrix at a point."""
-    entries: dict[tuple[int, int], Fraction] = {}
+def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int, int], int | Fraction]:
+    """Nonzero entries (i, j) with i < j of the d(omega) matrix at a point;
+    the matrix is antisymmetric, so entry (j, i) is minus entry (i, j)."""
+    entries: dict[tuple[int, int], int | Fraction] = {}
     for j, coeff in enumerate(form.coefficients):
         for i, value in coeff.value_and_partials_at(point)[1].items():
-            entries[(i, j)] = entries.get((i, j), 0) + value
-            entries[(j, i)] = entries.get((j, i), 0) - value
-    return {key: value for key, value in entries.items() if value != 0}
+            if i < j:
+                entries[(i, j)] = entries.get((i, j), 0) + value
+            elif i > j:
+                entries[(j, i)] = entries.get((j, i), 0) - value
+    return {key: value for key, value in entries.items() if value}
 
 
 def exterior_derivative_at(form: OneForm, point: Sequence[Fraction]) -> RationalMatrix:
     """Matrix of d(omega) at a point: entry (i, j) is (da_j/du_i - da_i/du_j)(p)."""
     point = _check_point(form.chart, point)
     n = form.chart.dim
-    sparse = _exterior_sparse(form, point)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in sparse.items():
-        rows[i][j] = value
+    for (i, j), value in _exterior_upper(form, point).items():
+        rows[i][j], rows[j][i] = value, -value
     return RationalMatrix.from_rows(rows)
 
 
@@ -601,11 +592,68 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     return [OneForm(dist.chart, cov) for cov in covectors]
 
 
+# a basis v_a of D(p) in integers: the scales s_a, with v_a = u_a / s_a, and for
+# each coordinate i the pairs (a, u_a[i]) with u_a[i] != 0
+_ScaledColumns = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+
+
+def _scaled_columns(basis: RationalMatrix) -> _ScaledColumns:
+    """The columns v_a of ``basis`` as u_a / s_a, with s_a the lcm of the
+    column's denominators, so that u_a is an integer column."""
+    n, d = basis.rows, basis.cols
+    entries = basis.entries
+    scales = tuple(lcm(*(entries[i * d + a].denominator for i in range(n))) for a in range(d))
+    rows = tuple(
+        tuple((a, v.numerator * (scales[a] // v.denominator)) for a, v in enumerate(entries[i * d : (i + 1) * d]) if v)
+        for i in range(n)
+    )
+    return scales, rows
+
+
+def _integer_pairing(
+    form: OneForm, point: tuple[Fraction, ...], columns: _ScaledColumns
+) -> tuple[tuple[int, ...], ...]:
+    """The pairing of the integer columns u_a of ``columns`` under d(omega)
+    at p, in integers.
+
+    With m the lcm of the denominators of d(omega)(p), returns I with
+    I[a][b] = m * u_b^T d(omega)(p) u_a.  Only I[a][b] for a < b is summed,
+    over the entries of d(omega)(p) above the diagonal:
+    u_b^T W u_a = sum over i < j of W_ij (u_b[i] u_a[j] - u_b[j] u_a[i]).
+    W is antisymmetric, so I[b][a] = -I[a][b] and the diagonal is 0.
+    """
+    d, rows = len(columns[0]), columns[1]
+    upper = _exterior_upper(form, point)
+    m = lcm(*(v.denominator for v in upper.values()))
+    pairing = [[0] * d for _ in range(d)]
+    for (i, j), w in upper.items():
+        left, right = rows[i], rows[j]
+        if not (left and right):
+            continue
+        w = w.numerator * (m // w.denominator)
+        for a, x in right:
+            wx = w * x
+            for b, y in left:
+                # W_ij u_b[i] u_a[j] adds to I[a][b] when a < b, and to I[b][a] with the opposite sign when b < a
+                if a < b:
+                    pairing[a][b] += wx * y
+                elif b < a:
+                    pairing[b][a] -= wx * y
+    for a in range(d):
+        for b in range(a + 1, d):
+            pairing[b][a] = -pairing[a][b]
+    return tuple(map(tuple, pairing))
+
+
 def _curvature_pairings(
     dist: Distribution, point: tuple[Fraction, ...], value: Subspace
-) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """For each annihilating form omega, the pairing of the basis columns v_a
-    of D(p) = ``value`` under d(omega) at p: entry (a, b) is d(omega)(v_b, v_a)(p).
+) -> tuple[_ScaledColumns, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The basis columns v_a of D(p) = ``value`` in integers (see
+    _scaled_columns), and for each annihilating form omega their integer
+    pairing I under d(omega) at p (see _integer_pairing):
+    d(omega)(v_b, v_a)(p) = I[a][b] / (m s_a s_b), with m the lcm of the
+    denominators of the form's d(omega)(p).  The callers scale each condition
+    row to integers, so they need no m.
 
     The pairings are kept with the distribution, which is immutable, for the
     last point asked, as value_at keeps D(p): the covariant and Cauchy spaces
@@ -614,29 +662,33 @@ def _curvature_pairings(
     kept = dist.__dict__.get("_pairings")
     if kept is not None and kept[0] == point:
         return kept[1]
-    n = dist.chart.dim
-    columns = value.basis.columns()
-    pairings = []
-    for form in annihilator_at(dist, point):
-        sparse = _exterior_sparse(form, point)
-        images = [_sparse_apply(sparse, col, n) for col in columns]
-        pairings.append(
-            tuple(tuple(sum((w[i] * v for i, v in image.items()), Fraction(0)) for w in columns) for image in images)
-        )
-    pairings = tuple(pairings)
-    dist.__dict__["_pairings"] = (point, pairings)
-    return pairings
+    columns = _scaled_columns(value.basis)
+    pairings = tuple(_integer_pairing(form, point, columns) for form in annihilator_at(dist, point))
+    dist.__dict__["_pairings"] = (point, (columns, pairings))
+    return columns, pairings
 
 
-def _kernel_image(basis: RationalMatrix, rows: Sequence[Sequence[Fraction]]) -> Subspace:
-    """The span of basis * lambda over the kernel of ``rows``.  The basis columns
-    are independent, so these images are too and form the basis as they stand."""
-    n = basis.rows
-    sparse = {divmod(k, basis.cols): v for k, v in enumerate(basis.entries) if v}
-    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows))
-    images = [_sparse_apply(sparse, lam, n) for lam in kernel]
-    columns = [[image.get(i, Fraction(0)) for i in range(n)] for image in images]
-    return Subspace(n, RationalMatrix.from_columns(columns, ambient=n))
+def _kernel_image(columns: _ScaledColumns, rows: Sequence[Sequence[int | Fraction]]) -> Subspace:
+    """The span of sum_a lambda_a v_a over the kernel {lambda} of ``rows``,
+    with v_a = u_a / s_a the basis columns of ``columns``.  The v_a are
+    independent, so these images are too and form the basis as they stand.
+    Each image is summed in integers over one common denominator."""
+    scales, by_coordinate = columns
+    flat = tuple(v for row in rows for v in row)
+    _, kernel = rank_and_nullspace(RationalMatrix._of(len(rows), len(scales), flat))
+    zero = Fraction(0)
+    images = []
+    for lam in kernel:
+        dens = [v.denominator * s for v, s in zip(lam, scales)]
+        den = lcm(*dens)
+        coeffs = [v.numerator * (den // e) for v, e in zip(lam, dens)]
+        image = []
+        for pairs in by_coordinate:
+            num = sum(coeffs[a] * u for a, u in pairs)
+            image.append(Fraction(num, den) if num else zero)
+        images.append(image)
+    n = len(by_coordinate)
+    return Subspace(n, RationalMatrix._of(n, len(images), tuple(image[i] for i in range(n) for image in images)))
 
 
 def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
@@ -648,11 +700,16 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """
     point = _check_point(dist.chart, point)
     value = value_at(dist, point)
-    pairings = _curvature_pairings(dist, point, value)
+    columns, pairings = _curvature_pairings(dist, point, value)
     if not pairings:
         return value
-    # row a of a pairing is the condition d(omega)(v, v_a) = 0 on v = sum_b lambda_b v_b
-    return _kernel_image(value.basis, [row for pair in pairings for row in pair])
+    # row a of a pairing is the condition d(omega)(v, v_a) = 0 on v = sum_b lambda_b v_b:
+    # entry b is I[a][b] / (m s_a s_b), scaled here by m s_a S with S = lcm(s)
+    scales = columns[0]
+    common = lcm(*scales)
+    factors = [common // s for s in scales]
+    rows = [[x * f for x, f in zip(row, factors)] for pair in pairings for row in pair if any(row)]
+    return _kernel_image(columns, rows)
 
 
 def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
@@ -672,20 +729,25 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
         raise UnexpectedCovariantDimension(
             f"covariant subspace needs corank 2, got corank {n - d}"
         )
-    # (alpha wedge d omega)(v_a, v_b, v_c) = a_a P_bc - a_b P_ac + a_c P_ab
-    rows: list[list[Fraction]] = []
-    for pair in _curvature_pairings(dist, point, value):
+    columns, pairings = _curvature_pairings(dist, point, value)
+    s = columns[0]
+    # (alpha wedge d omega)(v_a, v_b, v_c) = a_a P_bc - a_b P_ac + a_c P_ab with
+    # P_bc = I_bc / (m s_b s_c): the row times m s_a s_b s_c is (I_bc s_a, -I_ac s_b, I_ab s_c)
+    rows: list[list[int]] = []
+    for pair in pairings:
         for a in range(d):
             for b in range(a + 1, d):
+                ab = pair[a][b]
                 for c in range(b + 1, d):
-                    if pair[b][c] or pair[a][c] or pair[a][b]:
-                        row = [Fraction(0)] * d
-                        row[a], row[b], row[c] = pair[b][c], -pair[a][c], pair[a][b]
+                    bc, ac = pair[b][c], pair[a][c]
+                    if bc or ac or ab:
+                        row = [0] * d
+                        row[a], row[b], row[c] = bc * s[a], -ac * s[b], ab * s[c]
                         rows.append(row)
     flat = tuple(v for row in rows for v in row)
-    _, solutions = rank_and_nullspace(RationalMatrix(len(rows), d, flat))
+    _, solutions = rank_and_nullspace(RationalMatrix._of(len(rows), d, flat))
     if len(solutions) != 1:
         raise UnexpectedCovariantDimension(
             f"covariant covector space has dimension {len(solutions) + 2}, expected 3"
         )
-    return _kernel_image(value.basis, solutions)
+    return _kernel_image(columns, solutions)

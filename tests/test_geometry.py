@@ -1,8 +1,15 @@
 """Brackets, flags, exterior derivatives and the pointwise Cauchy and
-covariant subspaces, checked against hand computations and closed forms."""
+covariant subspaces, checked against hand computations, closed forms and
+dense oracles.
 
+The length-6 sweep of the Cauchy and covariant targets against the dense
+pairing oracle runs when the environment variable TWOFLAGS_GENERIC_LEN6 is
+set."""
+
+import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +23,10 @@ from twoflags.errors import (
     ChartMismatch,
     GeneratorBlowup,
     NotSpecialFlag,
+    TwoflagsError,
     UnexpectedCovariantDimension,
 )
-from twoflags.exactalg import Poly, RationalMatrix, column_space_basis, polynomial_nullspace
+from twoflags.exactalg import Poly, RationalMatrix, column_space_basis, polynomial_nullspace, rank_and_nullspace
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
     Chart,
@@ -36,7 +44,11 @@ from twoflags.geometry import (
     small_flag,
     value_at,
     _Dedup,
+    _integer_pairing,
+    _scaled_columns,
 )
+
+from test_readoff import stress_point
 
 F = Fraction
 
@@ -986,3 +998,156 @@ def test_generic_targets_match_the_closed_forms_at_length_five():
                 assert cauchy_char_at(build.flag_member(j), p) == value_at(closed_form_L(j, 5), p), (word, j, p)
             checked += 5
     assert checked == 410
+
+
+# ---------------------------------------------------------------------------
+# Integer curvature pairings against the dense formula
+# ---------------------------------------------------------------------------
+
+
+def dense_pairing(form: OneForm, point, columns) -> list[list[Fraction]]:
+    """P[a][b] = v_b^T W v_a with W = exterior_derivative_at(form, point), in Fractions."""
+    w = exterior_derivative_at(form, point)
+    n = w.rows
+    rows = [w.row(i) for i in range(n)]
+    images = []
+    for v in columns:
+        support = [j for j in range(n) if v[j]]
+        images.append([sum((row[j] * v[j] for j in support), F(0)) for row in rows])
+    return [[sum((u[i] * image[i] for i in range(n) if u[i]), F(0)) for u in columns] for image in images]
+
+
+def dense_pairings(dist: Distribution, point) -> tuple[Subspace, list]:
+    """D(p) and the dense pairing of its basis columns under each annihilating form."""
+    value = value_at(dist, point)
+    columns = value.basis.columns()
+    return value, [dense_pairing(form, point, columns) for form in annihilator_at(dist, point)]
+
+
+def dense_kernel_image(value: Subspace, rows) -> Subspace:
+    n = value.ambient
+    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, value.dim, ()))
+    columns = value.basis.columns()
+    images = []
+    for lam in kernel:
+        terms = [(x, col) for x, col in zip(lam, columns) if x]
+        images.append([sum((x * col[i] for x, col in terms), F(0)) for i in range(n)])
+    return Subspace(n, RationalMatrix.from_columns(images, ambient=n))
+
+
+def oracle_cauchy_char_at(value: Subspace, pairings) -> Subspace:
+    """cauchy_char_at from the dense Fraction pairings of every annihilating form."""
+    if not pairings:
+        return value
+    return dense_kernel_image(value, [row for pair in pairings for row in pair])
+
+
+def oracle_covariant_at(value: Subspace, pairings) -> Subspace:
+    """covariant_at from the dense Fraction pairings, with the same checks and messages."""
+    n, d = value.ambient, value.dim
+    if n - d != 2:
+        raise UnexpectedCovariantDimension(f"covariant subspace needs corank 2, got corank {n - d}")
+    rows = []
+    for pair in pairings:
+        for a in range(d):
+            for b in range(a + 1, d):
+                for c in range(b + 1, d):
+                    if pair[b][c] or pair[a][c] or pair[a][b]:
+                        row = [F(0)] * d
+                        row[a], row[b], row[c] = pair[b][c], -pair[a][c], pair[a][b]
+                        rows.append(row)
+    _, solutions = rank_and_nullspace(RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, d, ()))
+    if len(solutions) != 1:
+        raise UnexpectedCovariantDimension(
+            f"covariant covector space has dimension {len(solutions) + 2}, expected 3"
+        )
+    return dense_kernel_image(value, solutions)
+
+
+def entries_or_error(target, *args):
+    try:
+        return target(*args).basis.entries
+    except TwoflagsError as error:
+        return type(error), str(error)
+
+
+def check_targets_against_the_dense_oracle(words, constants: bool, points: int, tag: str) -> int:
+    """For each word, spec and point, every big-flag member D^1, ..., D^(r-1):
+    cauchy_char_at and, at corank 2, covariant_at give the oracle's basis
+    entries or raise its error.  The first point is the origin, the others
+    stress points.  Returns the number of members checked."""
+    checked = 0
+    for word in words:
+        specs = [EkrSpec(word)]
+        if constants:
+            specs.append(draw_constants(word, random.Random(f"{tag}-constants|{word}")))
+        rng = random.Random(f"{tag}-points|{word}")
+        for spec in specs:
+            build = build_ekr(spec)
+            for k in range(points):
+                point = stress_point(spec, rng) if k else build.chart.origin()
+                for member in big_flag(build.distribution, point)[1:-1]:
+                    targets = [(cauchy_char_at, oracle_cauchy_char_at)]
+                    if member.chart.dim - value_at(member, point).dim == 2:
+                        targets.append((covariant_at, oracle_covariant_at))
+                    try:
+                        dense = dense_pairings(member, point)
+                    except TwoflagsError as error:
+                        expected = [(type(error), str(error))] * len(targets)
+                    else:
+                        expected = [entries_or_error(oracle, *dense) for _, oracle in targets]
+                    got = [entries_or_error(target, member, point) for target, _ in targets]
+                    assert got == expected, (str(spec.to_json()), point)
+                    checked += 1
+    return checked
+
+
+def test_targets_match_the_dense_oracle_up_to_length_five():
+    words = [word for r in range(3, 6) for word in enumerate_words(r)]
+    assert check_targets_against_the_dense_oracle(words, constants=True, points=2, tag="pairing-oracle") == 864
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TWOFLAGS_GENERIC_LEN6"),
+    reason="the length-6 pairing oracle sweep is opt-in (set TWOFLAGS_GENERIC_LEN6=1)",
+)
+def test_targets_match_the_dense_oracle_at_length_six():
+    # all 122 words of length 6 at the origin with zero constants, D^1 to D^5
+    words = list(enumerate_words(6))
+    assert len(words) == 122
+    assert check_targets_against_the_dense_oracle(words, constants=False, points=1, tag="pairing-oracle") == 610
+
+
+@st.composite
+def scaled_pairing_inputs(draw, chart=Chart.for_length(2)):
+    """A sparse polynomial one-form, a rational point and up to 5 sparse
+    columns whose entries have mixed denominators."""
+    n = chart.dim
+    form = OneForm(chart, draw(sparse_fields(chart)).components)
+    point = tuple(draw(st.lists(coeffs, min_size=n, max_size=n)))
+    entries = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    d = draw(st.integers(min_value=1, max_value=5))
+    columns = [tuple(draw(st.lists(entries, min_size=n, max_size=n))) for _ in range(d)]
+    return form, point, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_pairing_inputs())
+def test_integer_pairing_scales_back_to_the_dense_formula(inputs):
+    form, point, columns = inputs
+    d = len(columns)
+    scaled = _scaled_columns(RationalMatrix.from_columns(columns))
+    scales, by_coordinate = scaled
+    # u_a = s_a v_a is an integer column
+    for i, pairs in enumerate(by_coordinate):
+        assert dict(pairs) == {a: col[i] * scales[a] for a, col in enumerate(columns) if col[i]}
+        assert all(type(u) is int for _, u in pairs)
+    pairing = _integer_pairing(form, point, scaled)
+    m = lcm(*(v.denominator for v in exterior_derivative_at(form, point).entries))
+    dense = dense_pairing(form, point, columns)
+    for a in range(d):
+        assert pairing[a][a] == 0
+        for b in range(d):
+            assert type(pairing[a][b]) is int
+            assert pairing[b][a] == -pairing[a][b]
+            assert F(pairing[a][b], m * scales[a] * scales[b]) == dense[a][b], (a, b)
