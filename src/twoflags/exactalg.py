@@ -1,17 +1,18 @@
 """Exact rational arithmetic, sparse multivariate polynomials and exact
 linear algebra over the rationals and over polynomial matrices.
 
-Rational numbers are ``fractions.Fraction`` values (always reduced,
-positive denominator, zero is 0/1); a float is rejected wherever a rational
-enters, because its binary expansion is rarely the rational meant.  A
-polynomial is a sparse map from monomials to nonzero coefficients; a
-monomial is a tuple of ``(variable index, positive exponent)`` pairs sorted
-by variable index, with the empty tuple standing for the constant monomial 1.
-An integral coefficient is stored as an ``int`` and any other as a Fraction
-with denominator > 1: nearly every coefficient of the flag computations is
-an integer, and int arithmetic skips the gcd work of every Fraction step.
-The two kinds compare and hash alike (``2 == Fraction(2)``), so equality
-and signatures do not depend on which one a coefficient is.
+Rational numbers are ``fractions.Fraction`` values; a float is rejected
+wherever a rational enters, as its binary expansion is rarely the rational
+meant.  A polynomial maps monomials to nonzero coefficients.  A monomial is
+a tuple of ``(variable index, positive exponent)`` pairs sorted by variable,
+() being the monomial 1, except inside the elimination kernel
+(``_eliminate``, ``Poly // Poly``), where it is an int (_Packing): fields
+[total degree | e_0 | ... | e_(n-1)], each with a guard bit and as wide as
+the largest degree the work reaches, twice the sum of the largest
+min(rows, cols) row degrees in an elimination.  An integral coefficient is
+an ``int`` and any other a Fraction with denominator > 1: nearly every
+coefficient is an integer, and int arithmetic skips the gcd work of every
+Fraction step.  The two kinds compare and hash alike (``2 == Fraction(2)``).
 
 Every value is immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.
@@ -25,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import BadSyntax, ChartMismatch, DegeneratePivot
@@ -113,15 +115,15 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def _mul_into(acc: dict[Mono, int | Fraction], a_terms: dict, b_terms: dict, sign: int) -> None:
+def _mul_into(acc: dict, a_terms: dict, b_terms: dict, sign: int, mono_mul=_mono_mul) -> None:
     """Add ``sign`` (1 or -1) times the product of two term maps into ``acc``,
-    dropping every coefficient that cancels to 0.  Coefficients may be left as
-    integral Fractions; Poly._summed canonicalises them."""
+    dropping every 0; ``mono_mul`` multiplies monomials (``add`` for packed
+    ones).  A coefficient may be left an integral Fraction (see _summed)."""
     for ma, ca in a_terms.items():
         if sign < 0:
             ca = -ca
         for mb, cb in b_terms.items():
-            mono = _mono_mul(ma, mb)
+            mono = mono_mul(ma, mb)
             s = acc.get(mono, 0) + ca * cb
             if s:
                 acc[mono] = s
@@ -130,9 +132,8 @@ def _mul_into(acc: dict[Mono, int | Fraction], a_terms: dict, b_terms: dict, sig
 
 
 def _descending_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key for descending graded-lex order: minus the total degree, then
-    the dense exponent vector negated.  The leading monomial has the
-    smallest key, so a min-heap pops it first."""
+    """Sort key for descending graded-lex order, the leading monomial first:
+    minus the total degree, then the dense exponent vector negated."""
     dense = [0] * arity
     deg = 0
     for var, exp in mono:
@@ -141,71 +142,82 @@ def _descending_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
     return (deg, tuple(dense))
 
 
-def _mono_div(a: Mono, b: Mono) -> Mono:
-    """The monomial a / b; raises ArithmeticError when b does not divide a."""
-    out: list[tuple[int, int]] = []
-    j = 0
-    for var, exp in a:
-        if j < len(b) and b[j][0] <= var:
-            vb, eb = b[j]
-            if vb < var or eb > exp:
+class _Packing:
+    """Monomials of ``arity`` variables as ints, for work in which no
+    monomial passes total degree ``bound``: from the top, the total degree
+    and the exponents of u_0 to u_(arity-1), ``bound.bit_length()`` bits
+    each under a guard bit kept at 0.  A product is an int addition, the int
+    order is _descending_key's (the leading monomial is the largest), and
+    m / lead is m - lead, where a field below lead's borrows, setting a
+    guard bit (or making the int negative)."""
+
+    __slots__ = ("arity", "shifts", "mask", "weights", "guards", "_monos")
+
+    def __init__(self, arity: int, bound: int):
+        width = bound.bit_length()
+        top, *self.shifts = range(arity * (width + 1), -1, -width - 1)  # degree, u_0, ...
+        self.arity, self.mask = arity, (1 << width) - 1
+        self.weights = [(1 << top) + (1 << shift) for shift in self.shifts]
+        self.guards = sum(1 << (shift + width) for shift in [top, *self.shifts])
+        self._monos: dict[int, Mono] = {}  # each int unpacked once
+
+    def pack(self, poly: Poly) -> dict[int, int | Fraction]:
+        weights = self.weights
+        return {sum(exp * weights[var] for var, exp in mono): c for mono, c in poly.terms.items()}
+
+    def unpack(self, terms: dict[int, int | Fraction]) -> Poly:
+        """The Poly of a packed term map, its coefficients canonicalised."""
+        monos, out = self._monos, {}
+        for packed, coeff in terms.items():
+            mono = monos.get(packed)
+            if mono is None:
+                exps = ((var, packed >> shift & self.mask) for var, shift in enumerate(self.shifts))
+                mono = monos[packed] = tuple((var, exp) for var, exp in exps if exp)
+            out[mono] = _canonical(coeff)
+        return Poly._of(self.arity, out)
+
+    def divide(self, rest: dict[int, int | Fraction], d: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+        """The quotient of the packed term map ``rest`` (consumed) by the
+        nonzero packed ``d``; ArithmeticError unless d divides it.  A heap of
+        negated monomials pops the leading monomial m of what is left:
+        t = m / lead(d) goes to the quotient and t * (d - lead(d)), all below
+        m, leaves ``rest`` (a monomial that cancels stays as 0, skipped).
+        Monagan & Pearce's heap division, the heap over the remainder."""
+        lead = max(d)
+        lead_coeff = d[lead]
+        if not lead:
+            return rest if lead_coeff == 1 else {m: _quotient(c, lead_coeff) for m, c in rest.items()}
+        tail = [(mono, coeff) for mono, coeff in d.items() if mono != lead]
+        guards = self.guards
+        heap = [-mono for mono in rest]
+        heapify(heap)
+        quotient = {}
+        while heap:
+            mono = -heappop(heap)
+            coeff = rest.pop(mono)
+            if not coeff:
+                continue
+            q_mono = mono - lead
+            if q_mono & guards:
                 raise ArithmeticError("inexact polynomial division")
-            j += 1
-            if eb < exp:
-                out.append((var, exp - eb))
-        else:
-            out.append((var, exp))
-    if j < len(b):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(out)
-
-
-def _divide_terms(rest: dict[Mono, int | Fraction], d: Poly) -> dict[Mono, int | Fraction]:
-    """The quotient of the term map ``rest`` by the nonconstant ``d``, dividing
-    ``rest`` in place (it is consumed); raises ArithmeticError unless d divides it.
-
-    A heap holds every monomial that has entered ``rest``, under its
-    _descending_key, computed once, when it enters.  Each pop gives the
-    leading monomial m of what is left: its quotient term t = m / lead(d)
-    goes to the quotient, and t times the other terms of d is subtracted
-    from ``rest``.  Those products lie below m in the monomial order, so no
-    popped monomial comes back; one that cancels stays in ``rest`` as 0,
-    and its heap entry is skipped when popped.  Quotient terms come out in
-    descending order, each exactly once (Monagan & Pearce's heap division,
-    with the heap over the remainder rather than over the products).
-    """
-    arity = d.arity
-    lead_mono, lead_coeff = d.leading()
-    tail = [(mono, coeff) for mono, coeff in d.terms.items() if mono != lead_mono]
-    heap = [(_descending_key(mono, arity), mono) for mono in rest]
-    heapify(heap)
-    quotient: dict[Mono, int | Fraction] = {}
-    while heap:
-        mono = heappop(heap)[1]
-        coeff = rest.pop(mono)
-        if not coeff:
-            continue
-        q_mono = _mono_div(mono, lead_mono)
-        q = quotient[q_mono] = _quotient(coeff, lead_coeff)
-        for d_mono, d_coeff in tail:
-            product = _mono_mul(q_mono, d_mono)
-            old = rest.get(product)
-            if old is None:
-                rest[product] = -q * d_coeff
-                heappush(heap, (_descending_key(product, arity), product))
-            else:
-                rest[product] = old - q * d_coeff
-    return quotient
+            q = quotient[q_mono] = _quotient(coeff, lead_coeff)
+            for d_mono, d_coeff in tail:
+                product = q_mono + d_mono
+                old = rest.get(product)
+                if old is None:
+                    rest[product] = -q * d_coeff
+                    heappush(heap, -product)
+                else:
+                    rest[product] = old - q * d_coeff
+        return quotient
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps monomials to nonzero coefficients, each an ``int`` when it
-    is integral and a Fraction with denominator > 1 otherwise; wrap one in
-    Fraction before dividing by it.  Canonical form never stores a zero
-    coefficient and the constructor rejects monomials that are not
-    canonical, so equality is plain dict equality (plus matching arity).
+    ``terms`` maps monomials to nonzero canonical coefficients (wrap one in
+    Fraction before dividing by it); the constructor rejects monomials that
+    are not canonical, so equality is dict equality (plus matching arity).
     Arithmetic across different arities raises ChartMismatch.
     """
 
@@ -334,19 +346,16 @@ class Poly:
         return Poly._of(self.arity, {m: _canonical(c * factor) for m, c in self.terms.items()} if factor else {})
 
     def __floordiv__(self, d: "Poly") -> "Poly":
-        """Exact division self / d in the polynomial ring.
-
-        Only valid when d divides self (as guaranteed inside Bareiss
-        elimination); raises ArithmeticError otherwise.  A constant d
-        divides coefficient by coefficient; any other goes through the heap
-        of _divide_terms.
-        """
+        """Exact division self / d in the polynomial ring; ArithmeticError
+        unless d divides self.  No monomial of the division passes the
+        larger degree of the two, the bound of its _Packing."""
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check_same_arity(d)
         if d.is_constant():
             return _divided(self, d.terms[()])
-        return Poly._of(self.arity, _divide_terms(dict(self.terms), d))
+        packing = _Packing(self.arity, max(sum(e for _, e in m) for x in (self, d) for m in x.terms))
+        return packing.unpack(packing.divide(packing.pack(self), packing.pack(d)))
 
     # -- calculus and evaluation ---------------------------------------------
 
@@ -369,11 +378,9 @@ class Poly:
         return Poly._of(self.arity, out)
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a rational point (length must equal the arity).
-
-        A float coordinate that enters a term makes the sum a float, which
-        raises BadSyntax: one check per call, none per term.
-        """
+        """Exact value at a rational point (length must equal the arity); a
+        float coordinate that enters a term makes the sum a float, which
+        raises BadSyntax: one check per call, none per term."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         total = _ZERO
@@ -393,15 +400,11 @@ class Poly:
 
     def value_and_partials_at(self, point: Sequence[Fraction]) -> tuple[int | Fraction, dict[int, int | Fraction]]:
         """The value at an admitted rational point and the nonzero first
-        partials there, as {variable: value of d/du_variable}, in one pass
-        over the terms; no Poly is built for a partial.
-
-        A term with a factor u_v^e that vanishes at the point adds nothing
-        when e > 1 or when a second factor vanishes too; otherwise it adds
-        only to d/du_v, the product of its other factors.  So at the origin
-        only the terms of degree at most 1 count.  A term with no vanishing
-        factor adds its value c, and e * c / u_v to d/du_v for each factor.
-        """
+        partials there, {variable: d/du_variable}, in one pass.  A term with
+        a factor u_v^e vanishing there adds nothing when e > 1 or a second
+        factor vanishes, else only its other factors' product, to d/du_v (at
+        the origin only terms of degree at most 1 count).  Any other term
+        adds its value c, and e * c / u_v to d/du_v for each factor."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         value = 0
@@ -466,11 +469,8 @@ poly_divexact = Poly.__floordiv__
 
 
 def _divided(poly: Poly, divisor: int | Fraction) -> Poly:
-    """``poly`` divided by a nonzero canonical constant, coefficient by coefficient.
-
-    Dividing by 1 returns ``poly`` itself, which is safe because no Poly is
-    ever mutated; dividing by -1 returns its negative.
-    """
+    """``poly`` divided by a nonzero canonical constant, coefficient by
+    coefficient; 1 gives ``poly`` itself (no Poly is ever mutated), -1 -poly."""
     if divisor == 1:
         return poly
     if divisor == -1:
@@ -528,10 +528,8 @@ class RationalMatrix:
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple[Fraction, ...]) -> "RationalMatrix":
-        """A matrix around entries that are admitted already: nothing is checked or mapped.
-
-        Integer entries are admitted too where only rank_and_nullspace reads
-        the matrix: it scales every row to integers first."""
+        """A matrix around admitted entries (ints too, where only
+        rank_and_nullspace reads it): nothing is checked or mapped."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "cols", cols)
@@ -574,24 +572,17 @@ class RationalMatrix:
 
     @cached_property
     def annihilator(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """A basis of ker(M^T), the covectors that vanish on the column span.
-
-        Each covector is scaled to integers and kept as its nonzero (index,
-        entry) pairs.  It is worked out on first use, by one
-        rank_and_nullspace of the transpose, and kept with the matrix, which
-        is immutable.
-        """
+        """A basis of ker(M^T), the covectors vanishing on the column span,
+        each scaled to integers and kept as its nonzero (index, entry) pairs;
+        one rank_and_nullspace of the transpose, on first use."""
         transpose = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         _, kernel = rank_and_nullspace(RationalMatrix._of(self.cols, self.rows, transpose))
         return tuple(tuple((i, v) for i, v in enumerate(row) if v) for row in _integer_rows(kernel))
 
 
 def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators, divided by the gcd of the result.
-
-    Scaling a row by a nonzero number changes neither the kernel nor which
-    entries become zero during elimination, so the pivots stay the same.
-    """
+    """Each row times the lcm of its denominators, divided by the gcd of the
+    result: neither the kernel nor the pivots change."""
     out = []
     for row in rows:
         pairs = [(v.numerator, v.denominator) for v in row]
@@ -607,24 +598,20 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
 
     Column by column, the pivot is the first unused row, in original order,
     with a nonzero entry p there; it moves up into the next pivot slot and
-    the rows between shift down by one.  Each later row (with ``reduce``,
-    each other row) with entry f in that column becomes
-    (p * row - f * pivot_row) // (previous pivot), an exact division in Z
-    and in the polynomial ring alike, in the columns that are not pivot
-    columns; pivot columns are never read again and keep stale entries.
-    Every entry left is a minor of the input: the last pivot P is ±det of
-    the pivot minor and, with ``reduce``, entry (j, c) is that minor with
-    pivot column j swapped for column c, carrying the sign of P.
+    the rows between shift down.  Each later row (with ``reduce``, each
+    other row) with entry f there becomes (p * row - f * pivot_row) //
+    (previous pivot), exact in Z and in Q[u] alike, in the columns without
+    a pivot; pivot columns are never read again and keep stale entries.
+    Every entry is a minor of the input: the last pivot P is ±det of the
+    pivot minor and, with ``reduce``, entry (j, c) is that minor with column
+    j swapped for column c, with the sign of P.  So no update passes twice
+    the sum of the largest min(rows, cols) row degrees, the bound of the
+    _Packing that polynomial rows are in until the end.
 
-    A polynomial update p * x - f * y is summed into one term map by
-    _mul_into, so no Poly is built for a product or a difference.
-
-    Only the steps that can change an entry are done.  An entry that is 0
-    in the row and in the pivot row stays 0, and f * pivot_row is formed
-    only where the pivot row is nonzero.  Where it is 0, the entry x
-    becomes (p * x) // (previous pivot), which is x itself when p equals the
-    previous pivot, or is 1 on the first step: then such entries, and rows
-    with f = 0 as a whole, are skipped.
+    Only steps that can change an entry are done: f * pivot_row is formed
+    only where the pivot row is nonzero, and elsewhere x becomes
+    (p * x) // (previous pivot), x itself when p is the previous pivot (1
+    before the first): such entries, and rows with f = 0, are skipped.
 
     Returns (pivot row indices, pivot column indices) in pivot order; slot j
     then holds pivot row j.
@@ -632,10 +619,19 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     polynomial = bool(ncols) and isinstance(rows[0][0], Poly)
+    prev = 1  # the previous pivot, 1 before the first
+    if polynomial:
+        degrees = [max((sum(e for _, e in m) for x in row for m in x.terms), default=0) for row in rows]
+        degrees.sort(reverse=True)
+        packing = _Packing(rows[0][0].arity, 2 * sum(degrees[: min(nrows, ncols)]))
+        given = [row[:] for row in rows]
+        for row in rows:
+            row[:] = [packing.pack(x) if x.terms else {} for x in row]
+        packed = [row[:] for row in rows]
+        prev = {0: 1}
     order = list(range(nrows))
     live = list(range(ncols))  # columns without a pivot so far
     pivot_cols: list[int] = []
-    prev = None
     for col in range(ncols):
         slot = len(pivot_cols)
         if slot == nrows:
@@ -649,7 +645,7 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
         prow = rows[slot]
         p = prow[col]
         # (x * p) // prev == x for every x: a row with f = 0 keeps its entries
-        keeps = p == 1 if prev is None else p == prev
+        keeps = p == prev
         for r in range(0 if reduce else slot + 1, nrows):
             if r == slot:
                 continue
@@ -659,22 +655,21 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
                 continue
             for c in live:
                 x, y = row[c], prow[c]
-                if f and y:
+                if f and y or x and not keeps:
                     if polynomial:
-                        acc: dict[Mono, int | Fraction] = {}
+                        entry = {}
                         if x:
-                            _mul_into(acc, x.terms, p.terms, 1)
-                        _mul_into(acc, f.terms, y.terms, -1)
-                        entry = Poly._summed(p.arity, acc)
+                            _mul_into(entry, x, p, 1, add)
+                        if f and y:
+                            _mul_into(entry, f, y, -1, add)
                     else:
-                        entry = x * p - f * y if x else -(f * y)
-                elif x and not keeps:
-                    entry = x * p
-                else:
-                    continue
-                row[c] = entry if prev is None else entry // prev
+                        entry = x * p - f * y
+                    row[c] = packing.divide(entry, prev) if polynomial else entry // prev
         prev = p
         pivot_cols.append(col)
+    if polynomial:  # an entry the pass left alone is the Poly it was given
+        for row, r in zip(rows, order):
+            row[:] = [g if x is q else packing.unpack(x) for x, q, g in zip(row, packed[r], given[r])]
     return order[: len(pivot_cols)], pivot_cols
 
 
@@ -682,9 +677,8 @@ def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction
     """Exact rank and a basis of the (right) kernel {v : Mv = 0}.
 
     One reduced _eliminate pass; each free column f gives the vector with 1
-    in slot f and minus entry (j, f) over the last pivot P in pivot column j
-    (Cramer's rule).  That is the reduced echelon form's basis, which is
-    unique, so the basis is too.
+    in slot f and minus entry (j, f) over the last pivot in pivot column j
+    (Cramer's rule): the reduced echelon form's basis, which is unique.
     """
     rows = _integer_rows(matrix.row(i) for i in range(matrix.rows))
     _, pivot_cols = _eliminate(rows, reduce=True)
@@ -706,14 +700,10 @@ def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction
 def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
     """True iff the column span of ``a`` lies inside the column span of ``b``.
 
-    By duality: a lies in span b exactly when every covector of ker(b^T)
-    annihilates every column of a.  Those covectors are ``b.annihilator``,
-    worked out once per b.  A covector with one entry, at coordinate i,
-    annihilates a exactly when row i of a is zero, which is read as it
-    stands.  For the other covectors each column of a is scaled to integers
-    once, which keeps its membership.  The test stops at the first nonzero
-    pairing.  Where b is spanned by coordinate versors every covector is
-    one versor outside b, so only the coordinates outside b are read.
+    By duality: exactly when every covector of ker(b^T), ``b.annihilator``,
+    annihilates every column of a.  A covector with one entry, at i, does so
+    when row i of a is zero; for the others each column of a is scaled to
+    integers once.  The test stops at the first nonzero pairing.
     """
     if a.rows != b.rows:
         raise ChartMismatch(f"ambient mismatch: {a.rows} vs {b.rows}")
@@ -732,8 +722,8 @@ def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
 def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequence[int | Fraction]) -> bool:
     """Whether every covector, given as its nonzero (index, entry) pairs (see
     RationalMatrix.annihilator), pairs to 0 with ``column``; stops at the
-    first that does not.  A covector with one entry, at coordinate i, reads
-    only column[i]."""
+    first that does not.  A covector with one entry, at i, reads only
+    column[i]."""
     for covector in covectors:
         if len(covector) == 1:
             if column[covector[0][0]]:
@@ -744,8 +734,8 @@ def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequen
 
 
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:
-    """Select a deterministic independent subset of ``columns`` spanning their space:
-    each column that is not in the span of the columns before it."""
+    """A deterministic independent subset of ``columns`` spanning their space:
+    each column not in the span of the columns before it."""
     if not columns:
         return RationalMatrix(ambient, 0, ())
     if any(len(col) != ambient for col in columns):
@@ -764,8 +754,8 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square polynomial matrix: the last pivot of one forward
-    _eliminate pass, signed by the parity of its pivot rows.  A regular
-    matrix has all n rows as pivot rows; any other has determinant 0."""
+    _eliminate pass, signed by the parity of its pivot rows; 0 unless all n
+    rows are pivot rows."""
     n = len(rows)
     if n == 0:
         raise ChartMismatch("empty matrix has no determinant")
@@ -780,11 +770,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 
 def _structural_pivots(rows: Sequence[Sequence[Poly]]) -> tuple[list[int], list[int]]:
-    """Pivot rows (original indices) and columns for the rank over the fraction field.
-
-    One forward _eliminate pass; the pivot minor of the original matrix on
-    the returned rows and columns is a nonzero polynomial.
-    """
+    """Pivot rows (original indices) and columns for the rank over the
+    fraction field, by one forward _eliminate: their minor is nonzero."""
     return _eliminate([list(row) for row in rows], reduce=False)
 
 
@@ -807,11 +794,10 @@ def _kernel(
     arity: int,
 ) -> tuple[list[tuple[Poly, ...]], list[int]]:
     """Kernel covectors of the constraint ``rows`` and the pivot work columns,
-    from one reduced _eliminate pass with ambient coordinate ``columns[c]``
-    in work column c.  Each free work column f gives the covector with the last
-    pivot P in slot f and minus entry (j, f) in the slot of pivot j: Cramer's
-    rule, every minor carrying the sign of P, which primitive_tuple removes.
-    As a check, P must be ±det of the pivot minor, found apart by poly_det.
+    from one reduced _eliminate pass with coordinate ``columns[c]`` in work
+    column c: free column f gives the last pivot P in slot f and minus entry
+    (j, f) in the slot of pivot j (Cramer's rule, up to the sign of P, which
+    primitive_tuple removes).  P must be ±det of the pivot minor by poly_det.
     """
     work = [[constraints[r][c] for c in columns] for r in rows]
     slots, pivots = _eliminate(work, reduce=True)
@@ -840,8 +826,8 @@ def _kernel_by_echelon(
 ) -> list[tuple[Poly, ...]]:
     """The _kernel of the pivot rows, with the pivot columns first in their
     given order and the free columns after them.  Raises ArithmeticError
-    when the pivot minor is singular, i.e. when the pass does not pivot on
-    exactly the given columns."""
+    when the pass does not pivot on exactly the given columns (the pivot
+    minor is singular)."""
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
     covectors, pivots = _kernel(constraints, pivot_rows, columns, arity)
     if pivots != list(range(len(pivot_cols))):
@@ -857,15 +843,12 @@ def polynomial_nullspace(
 ) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
-    Pivot rows and columns are chosen by exact elimination of M evaluated at
-    ``at_point``, and _kernel_by_echelon reads the kernel off those rows:
-    each vector has det(base), the pivot minor of the symbolic matrix, in its
-    free slot and the Cramer minors in the pivot slots, so each output
-    annihilates every generator as a polynomial identity.  Raises
-    DegeneratePivot when the rank at the reference point is below the
-    structural (generic) rank, i.e. when no pivot permutation is valid at
-    that point.  ``structural_rank`` is that rank when the caller knows it
-    already; otherwise a symbolic elimination finds it.
+    Pivots are chosen by exact elimination of M at ``at_point``, and
+    _kernel_by_echelon reads the kernel off those rows: the symbolic pivot
+    minor in the free slot and the Cramer minors in the pivot slots, so each
+    output annihilates every generator identically.  Raises DegeneratePivot
+    when the rank at the point is below the structural rank, which a
+    symbolic elimination finds unless given as ``structural_rank``.
     """
     constraints = _constraints(matrix)
     ambient = len(matrix)
@@ -886,12 +869,10 @@ def polynomial_nullspace(
 
 
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
-    """Like polynomial_nullspace, but pivoted at a generic point: the _kernel
-    of every generator row, in column order, whose pass picks the pivots
-    symbolically.  The covectors annihilate every generator identically;
-    their values form a basis of the pointwise annihilator wherever the
-    generator matrix keeps its structural rank and the covector values stay
-    independent.
+    """Like polynomial_nullspace, but pivoted symbolically: the _kernel of
+    every generator row, in column order.  The covectors annihilate every
+    generator identically; their values are a basis of the pointwise
+    annihilator wherever the rank is structural and they stay independent.
     """
     constraints = _constraints(matrix)
     if not matrix:

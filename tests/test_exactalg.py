@@ -17,9 +17,12 @@ from twoflags.errors import BadSyntax, ChartMismatch, DegeneratePivot
 from twoflags.exactalg import (
     Poly,
     RationalMatrix,
+    _descending_key,
     _eliminate,
     _integer_rows,
     _kernel_by_echelon,
+    _mono_mul,
+    _Packing,
     _structural_pivots,
     column_space_basis,
     format_rational,
@@ -399,6 +402,118 @@ def test_divexact_matches_the_long_division_oracle(q, d, term):
             (a + term) // d
         with pytest.raises(ArithmeticError):
             oracle_divexact(a + term, d)
+
+
+def _mono(dense) -> tuple:
+    return tuple((v, e) for v, e in enumerate(dense) if e)
+
+
+@st.composite
+def packed_pairs(draw):
+    """A packing and two dense exponent vectors whose product fits its bound;
+    the bound is often 2^k - 1 or 2^k, the edges of a field width."""
+    arity = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=9))
+    bound = draw(st.sampled_from((2**k - 1, 2**k, 2**k + 1)))
+    def dense(total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=arity - 1, max_size=arity - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    da = dense(draw(st.integers(0, bound)))
+    db = dense(draw(st.integers(0, bound - sum(da))))
+    return _Packing(arity, bound), da, db
+
+
+def _packed(packing: _Packing, dense) -> int:
+    (packed,) = packing.pack(Poly(packing.arity, {_mono(dense): 1}))
+    return packed
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+def test_packed_monomials_match_the_tuple_monomials(case):
+    packing, da, db = case
+    a, b = _mono(da), _mono(db)
+    pa, pb = _packed(packing, da), _packed(packing, db)
+    # a monomial survives packing and unpacking
+    assert packing.unpack({pa: 1}) == Poly(packing.arity, {a: 1})
+    assert packing.unpack({pb: 2}) == Poly(packing.arity, {b: 2})
+    # the int order is the descending graded-lex order, so max is the leading monomial
+    assert (pa > pb) == (_descending_key(a, packing.arity) < _descending_key(b, packing.arity))
+    lead, _ = Poly(packing.arity, {a: 1, b: 2}).leading()
+    assert packing.unpack({max(pa, pb): 1}) == Poly(packing.arity, {lead: 1})
+    # a product is one addition
+    assert packing.unpack({pa + pb: 1}) == Poly(packing.arity, {_mono_mul(a, b): 1})
+    # a quotient is one subtraction, and a borrow in any field raises
+    assert packing.divide({pa + pb: 3}, {pb: 1}) == {pa: 3}
+    if all(x >= y for x, y in zip(da, db)):
+        assert packing.divide({pa: 3}, {pb: 1}) == {_packed(packing, [x - y for x, y in zip(da, db)]): 3}
+    else:
+        with pytest.raises(ArithmeticError):
+            packing.divide({pa: 3}, {pb: 1})
+
+
+@pytest.mark.parametrize(
+    "top, low",
+    [
+        ([2, 0, 0], [0, 0, 1]),  # the lowest field (u2) borrows
+        ([2, 0, 1], [0, 1, 0]),  # a middle field (u1) borrows
+        ([0, 3, 0], [1, 0, 0]),  # the highest exponent field (u0) borrows
+        ([1, 0, 0], [2, 0, 0]),  # the degree field borrows too: the int goes negative
+        ([0, 0, 0], [0, 0, 1]),  # the constant over u2: the lowest and the degree field
+    ],
+)
+@pytest.mark.parametrize("bound", [3, 4, 255, 256])
+def test_packed_quotient_raises_on_every_borrow(top, low, bound):
+    packing = _Packing(3, bound)
+    with pytest.raises(ArithmeticError):
+        packing.divide({_packed(packing, top): 1}, {_packed(packing, low): 1})
+    # the other way round divides, where no field of top exceeds low's
+    if all(x <= y for x, y in zip(top, low)):
+        assert packing.divide({_packed(packing, low): 1}, {_packed(packing, top): 1}) == {
+            _packed(packing, [y - x for x, y in zip(top, low)]): 1
+        }
+
+
+def _width_rows(var: int, a: int) -> list[list[Poly]]:
+    """Two rows whose degrees sum to a, so that the packing bound of their
+    elimination is 2a; the update of row 0 at the second step of a reduced
+    pass has degree 2a, the bound itself, before its division by u_var^a."""
+    u = Poly(3, {((var, a),): 1})
+    one, zero = Poly.const(3, 1), Poly.zero(3)
+    return [[u, one, u + Poly.variable(3, (var + 1) % 3)], [one, one, zero]]
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("edge", [-1, 0])
+@pytest.mark.parametrize("var", [0, 1, 2])
+@pytest.mark.parametrize("reduce", [False, True])
+def test_eliminate_and_det_at_the_field_width_boundary(k, edge, var, reduce):
+    """The row degrees sum to 2^k - 1 or 2^k, so the bound 2a needs k + 1 or
+    k + 2 bits, in the field of u_var and in the degree field."""
+    a = 2**k + edge
+    rows = _width_rows(var, a)
+    got, expected = [list(r) for r in rows], [list(r) for r in rows]
+    assert _eliminate(got, reduce) == oracle_eliminate(expected, reduce)
+    assert got == expected
+    u = rows[0][0]
+    w = Poly.variable(3, (var + 2) % 3)
+    square = [rows[0], rows[1], [u * w, w, u]]
+    assert poly_det(square) == oracle_det(square)
+
+
+@pytest.mark.parametrize("e", [255, 256, 400])
+def test_divexact_at_high_exponents(e):
+    """Dividends of degree e = 2^8 - 1, 2^8 (fields of 8 and 9 bits) and 400."""
+    u0, u1, u2 = (Poly.variable(3, i) for i in range(3))
+    d = Poly(3, {((0, 200),): 1, ((1, 1), (2, 1)): 2, (): -5})
+    q = Poly(3, {((0, e - 200),): 1, ((1, e - 200),): -3, ((2, 1),): 7})
+    a = q * d
+    assert a // d == q == oracle_divexact(a, d)
+    with pytest.raises(ArithmeticError):
+        (a + u1 * u2) // d
+    # a divisor of a higher degree than the dividend divides nothing
+    with pytest.raises(ArithmeticError):
+        d // (d * u0)
 
 
 def assert_canonical(p: Poly) -> None:
