@@ -244,7 +244,7 @@ def build_ekr(spec: EkrSpec) -> EkrBuild:
         else:
             along = (y_l, one)
         if letter != 1:
-            z1 = [component * x_l for component in z1]
+            z1 = [component * x_l if component.terms else component for component in z1]
         z1[chart.x_index(step - 1)], z1[chart.y_index(step - 1)] = along
         leading.append(VectorField(chart, tuple(z1)))
     dist = Distribution(chart, (leading[-1],) + _versors_from(chart, chart.length))

@@ -857,7 +857,7 @@ def polynomial_nullspace(
     if len(at_point) != ambient:
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
     at_point = tuple(map(exact_rational, at_point))
-    evaluated = _integer_rows([entry.eval_at(at_point) for entry in row] for row in constraints)
+    evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
     pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
     if structural_rank is None:
         structural_rank = len(_structural_pivots(constraints)[1])

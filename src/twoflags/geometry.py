@@ -35,6 +35,7 @@ from .exactalg import (
     rank_and_nullspace,
     span_includes,
     _mul_into,
+    _ZERO,
 )
 
 DEFAULT_GENERATOR_CAP = 50_000
@@ -312,11 +313,14 @@ class _Dedup:
     Kept fields sit in buckets keyed by the hash of their supports, so a
     candidate is compared only with the kept fields of its bucket; a hash
     collision costs one support check.  Only a kept field is normalized, and
-    the normalized first-seen field is the one kept.
+    the normalized first-seen field is the one kept; with ``normal`` False it
+    is kept as it was formed.  _proportional is scale-invariant, so the same
+    fields are kept either way.
     """
 
-    def __init__(self, cap: int, candidates: Iterable[VectorField] = ()):
+    def __init__(self, cap: int, candidates: Iterable[VectorField] = (), *, normal: bool = True):
         self.cap = cap
+        self.normal = normal
         self.fields: list[VectorField] = []
         self.buckets: dict[int, list[VectorField]] = {}
         self.extend(candidates)
@@ -330,9 +334,10 @@ class _Dedup:
         bucket = self.buckets.setdefault(support, [])
         if any(_proportional(candidate, kept) for kept in bucket):
             return
-        normal = candidate.normalized()
-        bucket.append(normal)
-        self.fields.append(normal)
+        if self.normal:
+            candidate = candidate.normalized()
+        bucket.append(candidate)
+        self.fields.append(candidate)
         if len(self.fields) > self.cap:
             raise GeneratorBlowup(f"generator count exceeded the cap of {self.cap}")
 
@@ -352,8 +357,9 @@ def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     kept = dist.__dict__.get("_value")
     if kept is not None and kept[0] == point:
         return kept[1]
-    # the point is admitted once, here, not again per generator by VectorField.eval_at
-    vectors = [tuple(c.eval_at(point) for c in g.components) for g in dist.generators]
+    # the point is admitted once, here, not again per generator by VectorField.eval_at;
+    # a zero component is the 0 that eval_at returns, not evaluated
+    vectors = [tuple(c.eval_at(point) if c.terms else _ZERO for c in g.components) for g in dist.generators]
     value = Subspace.from_vectors(dist.chart.dim, vectors)
     dist.__dict__["_value"] = (point, value)
     return value
@@ -440,11 +446,15 @@ def small_flag(
     steps: int,
     cap: int = DEFAULT_GENERATOR_CAP,
     squared: int = 0,
+    *,
+    normal: bool = True,
 ) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
     Generator lists drop zero fields and scalar multiples of known fields
-    (see _Dedup) and keep each new field in normalized form.  Each step
+    (see _Dedup) and keep each new field in normalized form; with ``normal``
+    False each is kept as it was formed, a nonzero multiple of the normal
+    one, since a bracket of multiples is a multiple of the bracket.  Each step
     brackets the generators of D only with the fields that are new in the
     latest member; brackets with older fields were candidates one step
     earlier.  On the first step every field is new, and generator i is
@@ -455,7 +465,7 @@ def small_flag(
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
-    pool = _Dedup(cap, dist.generators)
+    pool = _Dedup(cap, dist.generators, normal=normal)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
     start = squared
@@ -512,12 +522,13 @@ def small_flag_vectors_at(
     the generators of V_(steps-1) count against ``cap``.  A caller that stops
     early forms no later bracket.  ``squared`` is small_flag's: no pair of
     the first ``squared`` deduplicated generators is formed on the first
-    round, whether that round builds fields or values.
+    round, whether that round builds fields or values.  No scaling changes
+    the span, so V_(steps-1) is built with ``normal`` False.
     """
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
     point = _check_point(dist.chart, point)
-    flag = small_flag(dist, steps - 1, cap, squared)
+    flag = small_flag(dist, steps - 1, cap, squared, normal=False)
     jets = [_jet_at(field, point) for field in flag[-1].generators]
     for value, _ in jets:
         yield value
@@ -583,7 +594,7 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     covectors = _structural_annihilator(dist)
     corank = n - value_at(dist, point).dim
     if len(covectors) == corank:
-        values = [tuple(p.eval_at(point) for p in cov) for cov in covectors]
+        values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
         matrix = RationalMatrix.from_columns(values, ambient=n)
         if corank == 0 or rank_and_nullspace(matrix)[0] == corank:
             return [OneForm(dist.chart, cov) for cov in covectors]

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoflags.atlas import enumerate_words
+from twoflags.classify import _ClosedGeometry
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, closed_form_L, model
 from twoflags.errors import (
@@ -465,8 +466,36 @@ def test_small_flag_of_involutive_distribution_is_stationary():
 
 def test_small_flag_generator_cap():
     build = build_ekr(EkrSpec(Word.parse("1.2.1.2")))
-    with pytest.raises(GeneratorBlowup):
-        small_flag(build.distribution, 5, cap=4)
+    for normal in (True, False):
+        with pytest.raises(GeneratorBlowup):
+            small_flag(build.distribution, 5, cap=4, normal=normal)
+
+
+def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
+    # small_flag_vectors_at builds V_(k-1) with normal=False: the members keep
+    # as many generators, each raw generator normalizes to the normal one, and
+    # the values agree at the origin and at a stress point.  Closed members are
+    # checked for k <= 5; generic tower members too, but for k <= 2 at length 5,
+    # where their V_3 alone takes seconds per word
+    checked = 0
+    for r in range(1, 6):
+        for word in enumerate_words(r):
+            spec = draw_constants(word, random.Random(f"raw|{word}"))
+            build = build_ekr(spec)
+            origin = build.chart.origin()
+            points = (origin, stress_point(spec, random.Random(f"raw-points|{word}")))
+            closed = [_ClosedGeometry(build, origin, DEFAULT_GENERATOR_CAP).member(j) for j in range(1, r + 1)]
+            tower = big_flag(build.distribution, origin)[1:-1]
+            for dist, k in [(m, 5) for m in closed] + [(m, 5 if r < 5 else 2) for m in tower]:
+                raw, normal = small_flag(dist, k, normal=False), small_flag(dist, k)
+                assert [len(m.generators) for m in raw] == [len(m.generators) for m in normal], word
+                for m_raw, m_normal in zip(raw, normal):
+                    assert [g.normalized().signature() for g in m_raw.generators] == signatures(m_normal), word
+                for point in points:
+                    p = point[: dist.chart.dim]
+                    assert value_at(raw[-1], p) == value_at(normal[-1], p), (word, point)
+                checked += 1
+    assert checked == 499
 
 
 class oracle_dedup:
@@ -505,11 +534,16 @@ def test_dedup_drops_scalar_multiples_and_keeps_the_first_normalized_field():
     chart = Chart.for_length(1)
     u = ((1, 1),)
     first = field_of(chart, {(): -2, u: 4}, {u: 6})
+    candidates = [first, first.scaled(-1), first.scaled(F(-3, 7)), first.scaled(F(5, 2)), first.scaled(0)]
     pool = _Dedup(10)
-    pool.extend([first, first.scaled(-1), first.scaled(F(-3, 7)), first.scaled(F(5, 2)), first.scaled(0)])
+    pool.extend(candidates)
     assert pool.fields == [first.normalized()]
     # content 1 and a positive leading (highest-degree) coefficient
     assert [g.signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
+    # without normal forms the first candidate itself is kept
+    raw = _Dedup(10, normal=False)
+    raw.extend(candidates)
+    assert len(raw.fields) == 1 and raw.fields[0] is first
 
 
 def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
@@ -525,6 +559,8 @@ def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
     oracle.extend(candidates)
     assert pool.fields == [g.normalized() for g in candidates]
     assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    raw = _Dedup(10, candidates, normal=False)
+    assert all(kept is g for kept, g in zip(raw.fields, candidates, strict=True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -544,6 +580,10 @@ def test_dedup_keeps_what_the_normalize_then_signature_oracle_keeps(picks):
     pool.extend(candidates)
     oracle.extend(candidates)
     assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    # without normal forms the first candidate of each kept multiple is itself kept
+    raw = _Dedup(10, candidates, normal=False)
+    firsts = [next(g for g in candidates if g.normalized().signature() == kept.signature()) for kept in oracle.fields]
+    assert all(a is b for a, b in zip(raw.fields, firsts, strict=True))
 
 
 # The ordered-pair loops that lie_square and small_flag ran before small_flag
