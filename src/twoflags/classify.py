@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ChartMismatch
+from .errors import ChartMismatch, NotSpecialFlag
 from .ekr import EkrBuild, Word, _versors_from, closed_form_F, closed_form_L
 from .geometry import (
     DEFAULT_GENERATOR_CAP,
@@ -161,6 +161,8 @@ class _GenericGeometry:
         self.cap = cap
         self.tower = big_flag(dist, self.point, cap=cap)  # [D^r, ..., D^0]
         self.r = len(self.tower) - 1
+        if self.r == 0:
+            raise NotSpecialFlag(f"chart dimension {dist.chart.dim} carries a flag of length 0, which has no class")
         self.targets = {2: covariant_at(self.member(1), self.point)} if self.r >= 2 else {}
         for nu in range(3, self.r + 1):
             self.targets[nu] = cauchy_char_at(self.member(nu - 2), self.point)

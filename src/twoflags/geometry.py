@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -346,23 +346,32 @@ class _Dedup:
             self.add(candidate)
 
 
+def _kept_for_the_last_point(compute):
+    """compute(dist, point), kept on the immutable dist for the last point asked, admitted here."""
+    key = "_" + compute.__name__
+
+    @wraps(compute)
+    def kept(dist: Distribution, point: Sequence[Fraction]):
+        point = _check_point(dist.chart, point)
+        last = dist.__dict__.get(key)
+        if last is None or last[0] != point:
+            dist.__dict__[key] = last = (point, compute(dist, point))
+        return last[1]
+
+    return kept
+
+
+@_kept_for_the_last_point
 def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise value of the distribution: the span of the evaluated generators.
 
-    The value is kept with the distribution, which is immutable, for the
-    last point asked: big_flag evaluates each tower member once, and the
-    Cauchy, covariant and sandwich computations at the same point reuse it.
+    The value is kept for the last point asked: big_flag evaluates each
+    tower member once, and the Cauchy, covariant and sandwich computations
+    at the same point reuse it.
     """
-    point = _check_point(dist.chart, point)
-    kept = dist.__dict__.get("_value")
-    if kept is not None and kept[0] == point:
-        return kept[1]
-    # the point is admitted once, here, not again per generator by VectorField.eval_at;
-    # a zero component is the 0 that eval_at returns, not evaluated
+    # the point was admitted once, not per generator by eval_at; a zero component is 0, not evaluated
     vectors = [tuple(c.eval_at(point) if c.terms else _ZERO for c in g.components) for g in dist.generators]
-    value = Subspace.from_vectors(dist.chart.dim, vectors)
-    dist.__dict__["_value"] = (point, value)
-    return value
+    return Subspace.from_vectors(dist.chart.dim, vectors)
 
 
 def big_flag(
@@ -375,13 +384,10 @@ def big_flag(
     Raises NotSpecialFlag unless the pointwise ranks run 3, 5, ..., dim and
     the tower reaches full rank within (dim - 3) / 2 steps.
 
-    Each square is semi-naive.  A square's generator list starts with the
-    deduplicated generators of the member it squared, and their pairwise
-    brackets were candidates there, so each is zero, a kept generator or a
-    multiple of one; the next square brackets only the pairs with a newer
-    field.  For D^(r-1) that prefix is the deduplicated caller's
-    distribution, which may be shorter than its raw generator list.  Each
-    member's value at ``point`` stays with it (see value_at).
+    Each square is semi-naive: lie_square records on each member the prefix
+    of its generators whose pairs it has bracketed, so the next square
+    brackets only the pairs with a newer field.  Each member's value at
+    ``point`` stays with it (see value_at).
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
     decided at the point and built as no field (see _square_rank_at): only
@@ -397,17 +403,13 @@ def big_flag(
     rank = value_at(dist, point).dim
     if rank != 3:
         raise NotSpecialFlag(f"bottom member has pointwise rank {rank}, expected 3")
-    squared = 0
     for step in range(steps):
         expected = 3 + 2 * (step + 1)
         if step < steps - 1:
-            nxt = lie_square(tower[-1], cap=cap, squared=squared)
-            # the member just squared, deduplicated, is the prefix of nxt; below
-            # the caller's distribution every member is deduplicated already
-            squared = len(tower[-1].generators) if step else len(_Dedup(cap, dist.generators).fields)
+            nxt = lie_square(tower[-1], cap=cap)
             rank = value_at(nxt, point).dim
         else:
-            rank = _square_rank_at(tower[-1], point, cap, squared)
+            rank = _square_rank_at(tower[-1], point, cap)
             nxt = Distribution.frame(dist.chart)
             value_at(nxt, point)
         if rank != expected:
@@ -418,7 +420,7 @@ def big_flag(
     return tower
 
 
-def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int, squared: int) -> int:
+def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int) -> int:
     """dim (D + [D, D])(p) for a D of corank 2 at p, from D(p) and the
     bracket values at p of small_flag_vectors_at(dist, 2, point), which span
     (D + [D, D])(p).
@@ -426,12 +428,12 @@ def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int, s
     Each vector is paired with the two covectors of the annihilator of D(p);
     the rank of those pairings is the dimension the vectors add to D(p).  No
     later vector is formed once a pairing row is independent of the first
-    nonzero one.  ``squared`` is passed on, as lie_square takes it.
+    nonzero one.
     """
     value = value_at(dist, point)
     c0, c1 = value.basis.annihilator
     first = None
-    for vector in small_flag_vectors_at(dist, 2, point, cap, squared):
+    for vector in small_flag_vectors_at(dist, 2, point, cap):
         row = (sum(vector[i] * v for i, v in c0), sum(vector[i] * v for i, v in c1))
         if first is None:
             if any(row):
@@ -441,11 +443,15 @@ def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int, s
     return value.dim + (first is not None)
 
 
+def _squared(dist: Distribution) -> int:
+    """k as lie_square recorded it, else 0: each bracket of two of the first k generators is 0 or a multiple of one."""
+    return dist.__dict__.get("_squared", 0)
+
+
 def small_flag(
     dist: Distribution,
     steps: int,
     cap: int = DEFAULT_GENERATOR_CAP,
-    squared: int = 0,
     *,
     normal: bool = True,
 ) -> list[Distribution]:
@@ -457,18 +463,16 @@ def small_flag(
     one, since a bracket of multiples is a multiple of the bracket.  Each step
     brackets the generators of D only with the fields that are new in the
     latest member; brackets with older fields were candidates one step
-    earlier.  On the first step every field is new, and generator i is
-    bracketed only with generators k > i: [g, g] = 0 and [g_k, g_i] = -[g_i, g_k].
-    The first ``squared`` deduplicated generators count as old on the first
-    step too: the caller vouches that each bracket of two of them is zero or
-    a multiple of a generator of D, so no pair of them is formed.
+    earlier.  On the first step every field after the first _squared(D) is
+    new, and generator i is bracketed only with generators k > i: [g, g] = 0
+    and [g_k, g_i] = -[g_i, g_k].
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
     pool = _Dedup(cap, dist.generators, normal=normal)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
-    start = squared
+    start = _squared(dist)
     for _ in range(steps - 1):
         before = len(pool.fields)
         for i, g in enumerate(base):
@@ -479,17 +483,16 @@ def small_flag(
     return flag
 
 
-def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP, squared: int = 0) -> Distribution:
+def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
     """D + [D, D]: the second member of the small flag of D.
 
-    With ``squared`` = k, only the brackets with a generator after the
-    first k deduplicated ones are formed.  big_flag passes the deduplicated
-    generator count of the member it squared last, whose generators start
-    D's list: each bracket of two of them was a candidate of that square,
-    so it is zero or a multiple of a generator of D, and the kept fields
-    and their order are the same as with k = 0.
+    Its generators start with the k deduplicated generators of D, each pair
+    of which was bracketed here or lies in D's recorded prefix, so the square
+    records k on itself (see _squared): squaring it again skips those pairs.
     """
-    return small_flag(dist, 2, cap, squared)[-1]
+    base, square = small_flag(dist, 2, cap)
+    square.__dict__["_squared"] = len(base.generators)
+    return square
 
 
 def _jet_at(field: VectorField, point: tuple[Fraction, ...]) -> tuple[list, list[tuple[int, int, Fraction]]]:
@@ -508,7 +511,6 @@ def small_flag_vectors_at(
     steps: int,
     point: Sequence[Fraction],
     cap: int = DEFAULT_GENERATOR_CAP,
-    squared: int = 0,
 ) -> Iterator[list]:
     """Vectors spanning V_steps(p), the value at ``point`` of the last member
     of small_flag(dist, steps) for steps >= 2, formed one at a time.
@@ -519,21 +521,20 @@ def small_flag_vectors_at(
     V_(steps-1): [g, h](p)_j = sum_i g_i(p) dh_j/du_i(p) - h_i(p) dg_j/du_i(p),
     read off the 1-jets of g and h at p.  small_flag keeps all but the zero
     brackets and the multiples of kept fields, so the span is the same; only
-    the generators of V_(steps-1) count against ``cap``.  A caller that stops
-    early forms no later bracket.  ``squared`` is small_flag's: no pair of
-    the first ``squared`` deduplicated generators is formed on the first
-    round, whether that round builds fields or values.  No scaling changes
-    the span, so V_(steps-1) is built with ``normal`` False.
+    the generators of V_(steps-1) count against ``cap``, and the first round
+    skips the pairs of the first _squared(dist) generators, as small_flag
+    does.  A caller that stops early forms no later bracket.  No scaling
+    changes the span, so V_(steps-1) is built with ``normal`` False.
     """
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
     point = _check_point(dist.chart, point)
-    flag = small_flag(dist, steps - 1, cap, squared, normal=False)
+    flag = small_flag(dist, steps - 1, cap, normal=False)
     jets = [_jet_at(field, point) for field in flag[-1].generators]
     for value, _ in jets:
         yield value
     n = dist.chart.dim
-    start = len(flag[-2].generators) if len(flag) > 1 else squared
+    start = len(flag[-2].generators) if len(flag) > 1 else _squared(dist)
     for k, (g_value, g_partials) in enumerate(jets[: len(flag[0].generators)]):
         for h_value, h_partials in jets[max(start, k + 1) :]:
             bracket = [0] * n
@@ -575,9 +576,9 @@ def exterior_derivative_at(form: OneForm, point: Sequence[Fraction]) -> Rational
 
 
 @lru_cache(maxsize=4096)
-def _structural_annihilator(dist: Distribution) -> tuple[tuple[Poly, ...], ...]:
-    n = dist.chart.dim
-    matrix = [[gen.components[i] for gen in dist.generators] for i in range(n)]
+def _structural_annihilator(generators: tuple[VectorField, ...]) -> tuple[tuple[Poly, ...], ...]:
+    n = generators[0].chart.dim
+    matrix = [[gen.components[i] for gen in generators] for i in range(n)]
     return tuple(polynomial_nullspace_structural(matrix))
 
 
@@ -585,13 +586,14 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     """Polynomial 1-forms annihilating the distribution, with pivots regular at ``point``.
 
     The covector basis is point-independent (it annihilates the generators
-    identically), so it is cached per distribution; when the cached basis
+    identically), so it is cached per generator tuple, which keeps no
+    distribution alive with the values kept on it; when the cached basis
     degenerates at the requested point the elimination is redone with pivots
     chosen there, which raises DegeneratePivot if none exist.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
-    covectors = _structural_annihilator(dist)
+    covectors = _structural_annihilator(dist.generators)
     corank = n - value_at(dist, point).dim
     if len(covectors) == corank:
         values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
@@ -656,27 +658,22 @@ def _integer_pairing(
     return tuple(map(tuple, pairing))
 
 
+@_kept_for_the_last_point
 def _curvature_pairings(
-    dist: Distribution, point: tuple[Fraction, ...], value: Subspace
+    dist: Distribution, point: tuple[Fraction, ...]
 ) -> tuple[_ScaledColumns, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The basis columns v_a of D(p) = ``value`` in integers (see
+    """The basis columns v_a of D(p) = value_at(dist, point) in integers (see
     _scaled_columns), and for each annihilating form omega their integer
     pairing I under d(omega) at p (see _integer_pairing):
     d(omega)(v_b, v_a)(p) = I[a][b] / (m s_a s_b), with m the lcm of the
     denominators of the form's d(omega)(p).  The callers scale each condition
     row to integers, so they need no m.
 
-    The pairings are kept with the distribution, which is immutable, for the
-    last point asked, as value_at keeps D(p): the covariant and Cauchy spaces
-    of one member at one point pair once.
+    The pairings are kept for the last point asked, as value_at keeps D(p):
+    the covariant and Cauchy spaces of one member at one point pair once.
     """
-    kept = dist.__dict__.get("_pairings")
-    if kept is not None and kept[0] == point:
-        return kept[1]
-    columns = _scaled_columns(value.basis)
-    pairings = tuple(_integer_pairing(form, point, columns) for form in annihilator_at(dist, point))
-    dist.__dict__["_pairings"] = (point, (columns, pairings))
-    return columns, pairings
+    columns = _scaled_columns(value_at(dist, point).basis)
+    return columns, tuple(_integer_pairing(form, point, columns) for form in annihilator_at(dist, point))
 
 
 def _kernel_image(columns: _ScaledColumns, rows: Sequence[Sequence[int | Fraction]]) -> Subspace:
@@ -711,7 +708,7 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """
     point = _check_point(dist.chart, point)
     value = value_at(dist, point)
-    columns, pairings = _curvature_pairings(dist, point, value)
+    columns, pairings = _curvature_pairings(dist, point)
     if not pairings:
         return value
     # row a of a pairing is the condition d(omega)(v, v_a) = 0 on v = sum_b lambda_b v_b:
@@ -740,7 +737,7 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
         raise UnexpectedCovariantDimension(
             f"covariant subspace needs corank 2, got corank {n - d}"
         )
-    columns, pairings = _curvature_pairings(dist, point, value)
+    columns, pairings = _curvature_pairings(dist, point)
     s = columns[0]
     # (alpha wedge d omega)(v_a, v_b, v_c) = a_a P_bc - a_b P_ac + a_c P_ab with
     # P_bc = I_bc / (m s_b s_c): the row times m s_a s_b s_c is (I_bc s_a, -I_ac s_b, I_ab s_c)

@@ -17,10 +17,11 @@ from twoflags.classify import (
 )
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, appendix_b_spec, build_ekr, closed_form_F, model, model_build
-from twoflags.errors import BadSyntax, ChartMismatch, GeneratorBlowup
+from twoflags.errors import BadSyntax, ChartMismatch, GeneratorBlowup, NotSpecialFlag
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
     Chart,
+    Distribution,
     Subspace,
     big_flag,
     lie_square,
@@ -139,6 +140,14 @@ def test_class_rejects_a_float_point(generic):
     build = build_ekr(EkrSpec(Word.parse("1")))
     with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
         singularity_class_at(build, (0, 0.5, 0, 0, 0), generic=generic)
+
+
+@pytest.mark.parametrize("classify", [sandwich_class_at, singularity_class_at])
+def test_a_length_zero_germ_has_no_class(classify):
+    # TM on a 3-dimensional chart: the tower is D^0 alone, with no Lie square to read
+    chart = Chart(("a", "b", "c"))
+    with pytest.raises(NotSpecialFlag, match="^chart dimension 3 carries a flag of length 0"):
+        classify(Distribution.frame(chart), chart.origin())
 
 
 def test_sandwich_rejects_a_float_point():

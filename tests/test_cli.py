@@ -1,15 +1,20 @@
 """Command-line behaviour: outputs, determinism, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoflags.atlas import count_classes
 from twoflags.cli import main
+from twoflags.ekr import MODEL_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -211,3 +216,86 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # neither --word nor --model
     assert exc.value.code == 2
+
+
+# near misses of valid input: each strategy mixes valid text with malformed text
+NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "01", "+2", " 1", "1.5", "1e3", "x", "--1", "\u0663", "99999999999999999999"]),
+)
+RATIONALS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+    NUMBERS,
+    st.sampled_from(["1/0", "-0/3", "1/-2", "/2", "1//2", "0.5", "1/2/3"]),
+)
+STEPS = st.one_of(st.tuples(NUMBERS, RATIONALS).map("=".join), RATIONALS)
+LETTERS = st.sampled_from(["1", "2", "3", "0", "4", "01", "", "a", " 2", "\u0662"])
+
+
+def words(max_letters: int):
+    """Words that start with 1 and mostly use the letters 1-3, or any letters."""
+    valid = st.lists(st.sampled_from("1123"), max_size=max_letters - 1).map(lambda tail: ".".join(["1", *tail]))
+    return st.one_of(valid, st.lists(LETTERS, max_size=max_letters).map(".".join))
+
+
+def optional(flag: str, values):
+    return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
+
+
+@st.composite
+def classify_argv(draw) -> list[str]:
+    word = draw(words(6))
+    if draw(st.booleans()):
+        argv = ["classify", "--word", word]
+    else:
+        argv = ["classify", "--model", draw(st.sampled_from(MODEL_NAMES + ("ex_3",)))]
+    for kind in ("--b", "--c"):
+        for step in draw(st.lists(STEPS, max_size=1)):
+            argv += [kind, step]
+    argv += draw(optional("--point", st.lists(RATIONALS, max_size=9).map(",".join)))
+    argv += draw(optional("--cap", NUMBERS))
+    # the generic route only on words of at most 3 letters, to keep each run short
+    if argv[1] == "--word" and word.count(".") < 3 and draw(st.booleans()):
+        argv.append("--generic-geometry")
+    return argv
+
+
+@st.composite
+def verify_argv(draw) -> list[str]:
+    argv = ["verify", "--length", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x", "", "14", "1200"]))]
+    argv += draw(optional("--trials", st.sampled_from(["-1", "0", "1", "2", "x"])))
+    argv += draw(optional("--seed", NUMBERS))
+    argv += draw(optional("--cap", NUMBERS))
+    argv += draw(st.sampled_from([[], ["--zero-constants"]]))
+    argv += draw(st.sampled_from([[], ["--generic-geometry"]]))
+    return argv
+
+
+COMMANDS = st.one_of(
+    classify_argv(),
+    verify_argv(),
+    st.tuples(NUMBERS, optional("--width", NUMBERS)).map(lambda case: ["count", "--length", case[0], *case[1]]),
+    words(8).map(lambda word: ["locus", "--word", word]),
+    st.tuples(
+        st.sampled_from(["-1", "0", "1", "2", "3", "x", "14"]),
+        optional("--format", st.sampled_from(["json", "jsonl", "csv", "dot", "xml"])),
+    ).map(lambda case: ["atlas", "--length", case[0], *case[1]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(COMMANDS)
+def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
+    # main runs in-process, so an exception it lets through fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    errors = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, errors)
+    assert errors.count("error:") == (code in (2, 3)), (argv, errors)
+    assert "Traceback" not in errors, (argv, errors)
+    if code in (2, 3):
+        assert out.getvalue() == "", argv

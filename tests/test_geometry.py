@@ -47,6 +47,7 @@ from twoflags.geometry import (
     _Dedup,
     _integer_pairing,
     _scaled_columns,
+    _squared,
 )
 
 from test_readoff import stress_point
@@ -672,6 +673,7 @@ def test_big_flag_of_repeated_and_zero_generators_matches_the_oracle(text):
     tower = big_flag(dist, build.chart.origin())
     assert tower[0] is dist
     assert len(tower) == 4
+    assert _squared(tower[1]) == 3
     assert_tower_matches_the_oracle(tower, dist, build.chart.origin(), text)
 
 
@@ -705,16 +707,43 @@ def test_a_deficient_last_square_names_its_pointwise_rank():
         big_flag(dist, chart.origin())
 
 
+def generic_tower_members(r: int, salt: str):
+    """(spec, j, D^j, an unmarked copy of D^j) for each member D^j, 0 < j < r,
+    that lie_square built in the generic tower of every length-r word, with
+    zero and seeded constants; the copy has the same generators, and
+    _squared(copy) is 0."""
+    for word in enumerate_words(r):
+        for spec in (EkrSpec(word), draw_constants(word, random.Random(f"{salt}|{word}"))):
+            build = build_ekr(spec)
+            tower = big_flag(build.distribution, build.chart.origin())
+            for j in range(1, r):
+                member = tower[j]
+                assert _squared(member) > 0, (spec, j)
+                yield spec, j, member, Distribution(member.chart, member.generators)
+
+
 def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
     for r in range(1, 5):
-        for word in enumerate_words(r):
-            for spec in (EkrSpec(word), draw_constants(word, random.Random(f"semi|{word}"))):
-                build = build_ekr(spec)
-                tower = big_flag(build.distribution, build.chart.origin())
-                squared = [len(_Dedup(DEFAULT_GENERATOR_CAP, m.generators).fields) for m in tower]
-                for j in range(1, r):
-                    plain = signatures(lie_square(tower[j]))
-                    assert signatures(lie_square(tower[j], squared=squared[j - 1])) == plain, (spec, j)
+        for spec, j, member, plain in generic_tower_members(r, "semi"):
+            assert _squared(plain) == 0
+            assert signatures(lie_square(member)) == signatures(lie_square(plain)), (spec, j)
+
+
+def test_small_flags_of_tower_members_equal_the_plain_ones_up_to_length_four():
+    # the recorded prefix skips pairs on the first step only: every member of
+    # the flag, and the cap at which it blows up, are those of the unmarked copy
+    for r in range(1, 5):
+        for spec, j, member, plain in generic_tower_members(r, "semi-flag"):
+            expected = [signatures(m) for m in small_flag(plain, 5)]
+            for k in range(1, 6):
+                assert [signatures(m) for m in small_flag(member, k)] == expected[:k], (spec, j, k)
+            # the blowup cap is the copy's: the flag fits a cap of its size and
+            # no smaller one, and a cap of the member's size, hit on the first step
+            total = len(expected[-1])
+            assert flags_or_blowup(lambda: small_flag(member, 5, total)) == expected, (spec, j)
+            assert flags_or_blowup(lambda: small_flag(member, 5, total - 1)) == "blowup", (spec, j)
+            cap = len(member.generators)
+            assert flags_or_blowup(lambda: small_flag(member, 5, cap)) == flags_or_blowup(lambda: small_flag(plain, 5, cap))
 
 
 def int_coefficients(polys) -> bool:
