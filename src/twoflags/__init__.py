@@ -63,6 +63,7 @@ from .atlas import (
     codimension,
     count_classes,
     enumerate_words,
+    iter_atlas,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,18 +5,17 @@ JSON-lines, CSV and DOT form.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .classify import singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
-# longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and
-# dot emitters peaks near 251 MB, `atlas --length 13 --format csv` takes 7 s
-# at 405 MB on 2 cores, and every further letter triples both
+# longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and dot
+# emitters peaks near 208 MB, and the streamed `atlas --length 13` takes 5-14 s at an
+# 84 MB peak, mostly its list of words, in every format on 2 cores; each letter triples both
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
 # big-integer steps, each on numbers that grow with the length, so the
@@ -31,19 +30,11 @@ def enumerate_words(r: int) -> list[Word]:
         raise ChartMismatch(f"length must be >= 1, got {r}")
     if r > MAX_LENGTH:
         raise ChartMismatch(f"length must be <= {MAX_LENGTH}, got {r}")
-    words: list[Word] = []
-
-    def extend(prefix: list[int], running_max: int) -> None:
-        if len(prefix) == r:
-            words.append(Word(tuple(prefix)))
-            return
-        for letter in range(1, min(running_max + 1, 3) + 1):
-            prefix.append(letter)
-            extend(prefix, max(running_max, letter))
-            prefix.pop()
-
-    extend([1], 1)
-    return words
+    prefixes = [(1,)]
+    for _ in range(r - 1):
+        # a letter rises at most one above the running maximum, which is 2 or 3 once a 2 occurs
+        prefixes = [prefix + (letter,) for prefix in prefixes for letter in range(1, 4 if 2 in prefix else 3)]
+    return [Word(prefix) for prefix in prefixes]
 
 
 def _count_rule(length: int, top: int) -> int:
@@ -78,15 +69,19 @@ def count_classes(m: int, r: int) -> int:
 
 def codimension(word: Word) -> int:
     """Number of letters 2 plus twice the number of letters 3."""
-    letters = word.letters
-    return letters.count(2) + 2 * letters.count(3)
+    return word.letters.count(2) + 2 * word.letters.count(3)
 
 
-def _lowerable(letters: tuple[int, ...]) -> list[int]:
-    """The 0-based positions a guaranteed adjacency lowers: every 3, and
-    every 2 past the last 3."""
-    last_three = len(letters) - 1 - letters[::-1].index(3) if 3 in letters else 0
-    return [pos for pos, letter in enumerate(letters) if letter == 3 or (letter == 2 and pos > last_three)]
+def _lowered(text: str) -> list[str]:
+    """The texts of a word's guaranteed adjacencies, from its text: each 3
+    lowered, then each 2 past the last 3."""
+    lowered = []
+    for letter, lower, start in (("3", "2", 0), ("2", "1", text.rfind("3") + 1)):
+        pos = text.find(letter, start)
+        while pos >= 0:
+            lowered.append(text[:pos] + lower + text[pos + 1 :])
+            pos = text.find(letter, pos + 2)  # letters sit two characters apart
+    return lowered
 
 
 def adjacencies(word: Word) -> list[Word]:
@@ -96,8 +91,7 @@ def adjacencies(word: Word) -> list[Word]:
     and no letter 3 occurs past position l.  The full adjacency question
     is open; only these edges are emitted.
     """
-    letters = word.letters
-    return [Word(letters[:pos] + (letters[pos] - 1,) + letters[pos + 1 :]) for pos in _lowerable(letters)]
+    return [Word.parse(text) for text in _lowered(str(word))]
 
 
 def sandwich_collapse(word: Word) -> str:
@@ -105,86 +99,90 @@ def sandwich_collapse(word: Word) -> str:
     return str(word).replace("3", "2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtlasRecord:
-    word: Word
+    text: str
     length: int
     codimension: int
     sandwich: str
     locus: tuple[str, ...]
     adjacencies: tuple[str, ...]
 
+    @property
+    def word(self) -> Word:
+        return Word.parse(self.text)
+
     def to_json(self) -> dict:
-        return {
-            "word": str(self.word),
-            "length": self.length,
-            "codimension": self.codimension,
-            "sandwich": self.sandwich,
-            "locus": list(self.locus),
-            "adjacencies": list(self.adjacencies),
-        }
+        return {"word": self.text, "length": self.length, "codimension": self.codimension, "sandwich": self.sandwich,
+                "locus": list(self.locus), "adjacencies": list(self.adjacencies)}
+
+
+def iter_atlas(r: int) -> Iterator[AtlasRecord]:
+    """The records of build_atlas(r), one at a time; the words are listed,
+    and a bad length raised, when it is called."""
+    # what each position adds to a locus, by its letter: the equations
+    # singularity_locus_equations writes, formatted once per length
+    equations = [{"1": (), "2": (f"x{pos}=0",), "3": (f"x{pos}=0", f"y{pos}=0")} for pos in range(1, r + 1)]
+    return (
+        AtlasRecord(text, r, text.count("2") + 2 * text.count("3"), text.replace("3", "2"),
+                    sum([added[letter] for added, letter in zip(equations, text[::2])], ()), tuple(_lowered(text)))
+        for text in map(str, enumerate_words(r))
+    )
 
 
 def build_atlas(r: int) -> list[AtlasRecord]:
     """One record per singularity class of length r, lexicographically ordered."""
-    records = []
-    # what each position adds to a locus, by its letter 1, 2 or 3: the
-    # equations singularity_locus_equations writes, formatted once per length
-    equations = [((), (f"x{pos}=0",), (f"x{pos}=0", f"y{pos}=0")) for pos in range(1, r + 1)]
-    for word in enumerate_words(r):
-        letters = word.letters
-        text = str(word)
-        locus = sum([added[letter - 1] for added, letter in zip(equations, letters)], ())
-        codim = codimension(word)
-        assert len(locus) == codim
-        records.append(
-            AtlasRecord(
-                word=word,
-                length=r,
-                codimension=codim,
-                sandwich=text.replace("3", "2"),  # sandwich_collapse on the formatted text
-                locus=locus,
-                # letters are single digits, so letter pos sits at text[2 * pos]
-                adjacencies=tuple(
-                    text[: 2 * pos] + str(letters[pos] - 1) + text[2 * pos + 1 :] for pos in _lowerable(letters)
-                ),
-            )
-        )
-    return records
+    return list(iter_atlas(r))
+
+
+# one line formatter per format, for the emitters below and the streaming CLI;
+# no field holds a quote, comma or newline, so none is escaped
+def _json_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
+    """The text of json.dumps([rec.to_json() ...], indent=2), a record at a time."""
+    opening = "["
+    for rec in records:
+        yield opening + "\n  " + json.dumps(rec.to_json(), indent=2).replace("\n", "\n  ")
+        opening = ","
+    yield "\n]" if opening == "," else "[]"
+
+
+def _json_list(texts: tuple[str, ...]) -> str:
+    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
+
+
+def _jsonl_line(rec: AtlasRecord) -> str:
+    return (f'{{"word": "{rec.text}", "length": {rec.length}, "codimension": {rec.codimension}, '
+            f'"sandwich": "{rec.sandwich}", "locus": {_json_list(rec.locus)}, "adjacencies": {_json_list(rec.adjacencies)}}}\n')
+
+
+def _csv_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
+    yield "word,length,codimension,sandwich,locus,adjacencies\n"
+    for rec in records:
+        yield f"{rec.text},{rec.length},{rec.codimension},{rec.sandwich},{';'.join(rec.locus)},{';'.join(rec.adjacencies)}\n"
+
+
+def _dot_lines(words: Iterable[str], records: Callable[[], Iterable[AtlasRecord]]) -> Iterator[str]:
+    """A node line per word text, then the edge lines of records(), called once the nodes are done."""
+    yield "digraph adjacencies {\n"
+    for text in words:
+        yield f'    "{text}";\n'
+    for rec in records():
+        for target in rec.adjacencies:
+            yield f'    "{rec.text}" -> "{target}";\n'
+    yield "}\n"
 
 
 def atlas_json(records: list[AtlasRecord]) -> str:
-    return json.dumps([rec.to_json() for rec in records], indent=2)
+    return "".join(_json_lines(records))
 
 
 def atlas_jsonl(records: list[AtlasRecord]) -> str:
-    return "\n".join(json.dumps(rec.to_json()) for rec in records) + "\n"
+    return "".join(map(_jsonl_line, records))
 
 
 def atlas_csv(records: list[AtlasRecord]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "length", "codimension", "sandwich", "locus", "adjacencies"])
-    for rec in records:
-        writer.writerow(
-            [
-                str(rec.word),
-                rec.length,
-                rec.codimension,
-                rec.sandwich,
-                ";".join(rec.locus),
-                ";".join(rec.adjacencies),
-            ]
-        )
-    return buffer.getvalue()
+    return "".join(_csv_lines(records))
 
 
 def adjacency_dot(records: list[AtlasRecord]) -> str:
-    lines = ["digraph adjacencies {"]
-    for rec in records:
-        lines.append(f'    "{rec.word}";')
-    for rec in records:
-        name = str(rec.word)
-        lines.extend(f'    "{name}" -> "{target}";' for target in rec.adjacencies)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_lines((rec.text for rec in records), lambda: records))

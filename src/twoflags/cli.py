@@ -10,10 +10,13 @@ generator count over the cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
+import re
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -101,6 +104,14 @@ def run_verification(
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII -?[0-9]+ only, since int() also takes
+    other digits, spaces and underscores."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
@@ -141,12 +152,12 @@ def _build_subject(args) -> EkrBuild | Distribution:
     return model_build(args.model, constants) or model(args.model, constants)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _cmd_classify(args) -> int:
@@ -154,7 +165,7 @@ def _cmd_classify(args) -> int:
     chart = subject.chart
     point = _parse_point(args.point) if args.point is not None else chart.origin()
     report = singularity_class_at(subject, point, generic=args.generic_geometry, cap=args.cap)
-    _emit(report.to_json_text() + "\n", args.out)
+    _emit([report.to_json_text() + "\n"], args.out)
     return 0
 
 
@@ -172,42 +183,32 @@ def _cmd_verify(args) -> int:
     if not outcomes:
         raise ValueError("verify made no classification: --trials is 0 and --zero-constants is not set")
     failures = [o for o in outcomes if not o.passed]
-    lines = []
-    for outcome in failures:
-        lines.append(
-            "FAIL word={} constants={} computed={}".format(
-                outcome.word,
-                json.dumps(outcome.spec.to_json()),
-                outcome.computed,
-            )
-        )
+    lines = [f"FAIL word={o.word} constants={json.dumps(o.spec.to_json())} computed={o.computed}" for o in failures]
     words = len({o.word for o in outcomes})
-    lines.append(
-        "verify length={}: {} words, {} classifications, {} failures (seed={})".format(
-            args.length, words, len(outcomes), len(failures), args.seed
-        )
-    )
-    _emit("\n".join(lines) + "\n", args.out)
+    lines.append(f"verify length={args.length}: {words} words, {len(outcomes)} classifications, "
+                 f"{len(failures)} failures (seed={args.seed})")
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 1 if failures else 0
 
 
 def _cmd_atlas(args) -> int:
-    records = atlas_mod.build_atlas(args.length)
-    if args.format == "json":
-        text = atlas_mod.atlas_json(records) + "\n"
+    # the words are listed before the first line is written, so a bad length writes nothing
+    if args.format == "dot":  # node lines need only the word texts
+        words = map(str, atlas_mod.enumerate_words(args.length))
+        lines = atlas_mod._dot_lines(words, lambda: atlas_mod.iter_atlas(args.length))
+    elif args.format == "json":
+        lines = itertools.chain(atlas_mod._json_lines(atlas_mod.iter_atlas(args.length)), "\n")
     elif args.format == "jsonl":
-        text = atlas_mod.atlas_jsonl(records)
-    elif args.format == "csv":
-        text = atlas_mod.atlas_csv(records)
+        lines = map(atlas_mod._jsonl_line, atlas_mod.iter_atlas(args.length))
     else:
-        text = atlas_mod.adjacency_dot(records)
-    _emit(text, args.out)
+        lines = atlas_mod._csv_lines(atlas_mod.iter_atlas(args.length))
+    _emit(lines, args.out)
     return 0
 
 
 def _cmd_count(args) -> int:
     # Decimal prints an int of any size; str(int) stops at 4300 digits
-    _emit(str(Decimal(atlas_mod.count_classes(args.width, args.length))) + "\n", args.out)
+    _emit([str(Decimal(atlas_mod.count_classes(args.width, args.length))) + "\n"], args.out)
     return 0
 
 
@@ -218,7 +219,7 @@ def _cmd_locus(args) -> int:
         "codimension": atlas_mod.codimension(word),
         "equations": list(atlas_mod.singularity_locus_equations(word)),
     }
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit([json.dumps(payload) + "\n"], args.out)
     return 0
 
 
@@ -238,29 +239,29 @@ def _make_parser() -> argparse.ArgumentParser:
     classify.add_argument("--c", action="append", metavar="l=v", help="c constant, repeatable")
     classify.add_argument("--point", help="comma-separated rational coordinates (default origin)")
     classify.add_argument("--generic-geometry", action="store_true", help="recompute all geometry generically")
-    classify.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP)
+    classify.add_argument("--cap", type=_integer, default=DEFAULT_GENERATOR_CAP)
     classify.add_argument("--out", help="write output to a file instead of stdout")
     classify.set_defaults(func=_cmd_classify)
 
     verify = sub.add_parser("verify", help="sweep every word of a length and check the classifier")
-    verify.add_argument("--length", type=int, required=True)
-    verify.add_argument("--trials", type=int, default=3, help="random constant draws per word")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--length", type=_integer, required=True)
+    verify.add_argument("--trials", type=_integer, default=3, help="random constant draws per word")
+    verify.add_argument("--seed", type=_integer, default=0)
     verify.add_argument("--zero-constants", action="store_true", help="also run the all-zero draw")
     verify.add_argument("--generic-geometry", action="store_true")
-    verify.add_argument("--cap", type=int, default=DEFAULT_GENERATOR_CAP)
+    verify.add_argument("--cap", type=_integer, default=DEFAULT_GENERATOR_CAP)
     verify.add_argument("--out", help="write output to a file instead of stdout")
     verify.set_defaults(func=_cmd_verify)
 
     atlas_cmd = sub.add_parser("atlas", help="emit the stratification records of a length")
-    atlas_cmd.add_argument("--length", type=int, required=True)
+    atlas_cmd.add_argument("--length", type=_integer, required=True)
     atlas_cmd.add_argument("--format", choices=("json", "jsonl", "csv", "dot"), default="json")
     atlas_cmd.add_argument("--out", help="write output to a file instead of stdout")
     atlas_cmd.set_defaults(func=_cmd_atlas)
 
     count = sub.add_parser("count", help="number of singularity classes")
-    count.add_argument("--width", type=int, default=2)
-    count.add_argument("--length", type=int, required=True)
+    count.add_argument("--width", type=_integer, default=2)
+    count.add_argument("--length", type=_integer, required=True)
     count.add_argument("--out", help="write output to a file instead of stdout")
     count.set_defaults(func=_cmd_count)
 

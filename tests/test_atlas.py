@@ -17,10 +17,11 @@ from twoflags.atlas import (
     codimension,
     count_classes,
     enumerate_words,
+    iter_atlas,
     sandwich_collapse,
 )
 from twoflags.classify import singularity_locus_equations
-from twoflags.cli import run_verification
+from twoflags.cli import main, run_verification
 from twoflags.ekr import Word
 from twoflags.errors import ChartMismatch
 
@@ -64,6 +65,7 @@ def test_library_enumeration_stops_at_the_length_bound():
     for call in (
         lambda: enumerate_words(14),
         lambda: build_atlas(1200),
+        lambda: iter_atlas(14),  # raised when called, before any record is read
         lambda: run_verification(1200, 0, 0, True),
     ):
         with pytest.raises(ChartMismatch, match="length must be <= 13"):
@@ -166,6 +168,7 @@ def test_atlas_records_render_what_the_word_functions_give():
     # codimension as a sum over letters, are the reference
     for r in range(1, 9):
         for rec in build_atlas(r):
+            assert str(rec.word) == rec.text
             assert rec.adjacencies == tuple(str(w) for w in adjacencies(rec.word))
             assert rec.locus == singularity_locus_equations(rec.word)
             assert rec.sandwich == sandwich_collapse(rec.word)
@@ -197,3 +200,70 @@ def test_adjacency_dot_output():
     assert text.startswith("digraph")
     assert '"1.2.3" -> "1.2.2";' in text
     assert '"1.1.1" ->' not in text
+
+
+# the emitters as they were before each format had its own line formatter:
+# json.dumps and csv.writer per record, and the DOT graph in two loops
+def oracle_json(records):
+    return json.dumps([rec.to_json() for rec in records], indent=2)
+
+
+def oracle_jsonl(records):
+    return "\n".join(json.dumps(rec.to_json()) for rec in records) + "\n"
+
+
+def oracle_csv(records):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["word", "length", "codimension", "sandwich", "locus", "adjacencies"])
+    for rec in records:
+        writer.writerow(
+            [str(rec.word), rec.length, rec.codimension, rec.sandwich, ";".join(rec.locus), ";".join(rec.adjacencies)]
+        )
+    return buffer.getvalue()
+
+
+def oracle_dot(records):
+    lines = ["digraph adjacencies {"]
+    for rec in records:
+        lines.append(f'    "{rec.word}";')
+    for rec in records:
+        name = str(rec.word)
+        lines.extend(f'    "{name}" -> "{target}";' for target in rec.adjacencies)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+EMITTERS = {
+    "json": (atlas_json, oracle_json),
+    "jsonl": (atlas_jsonl, oracle_jsonl),
+    "csv": (atlas_csv, oracle_csv),
+    "dot": (adjacency_dot, oracle_dot),
+}
+
+
+def test_emitters_equal_the_per_record_oracle_up_to_length_nine():
+    for r in range(1, 10):
+        records = build_atlas(r)
+        assert list(iter_atlas(r)) == records
+        for fmt, (emitter, oracle) in EMITTERS.items():
+            assert emitter(records) == oracle(records), (fmt, r)
+
+
+def test_emitters_of_no_records():
+    # build_atlas never returns an empty list; JSON lines of no record are no lines
+    for fmt in ("json", "csv", "dot"):
+        emitter, oracle = EMITTERS[fmt]
+        assert emitter([]) == oracle([]), fmt
+    assert atlas_jsonl([]) == ""
+
+
+@pytest.mark.parametrize("fmt", sorted(EMITTERS))
+def test_streamed_cli_output_equals_the_list_emitter(fmt, capsys):
+    emitter = EMITTERS[fmt][0]
+    for r in range(1, 9):
+        assert main(["atlas", "--length", str(r), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        # the CLI ends the json array with a newline, as it always has
+        assert captured.out == emitter(build_atlas(r)) + ("\n" if fmt == "json" else ""), r
+        assert captured.err == ""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -195,7 +196,24 @@ BAD_INPUTS = [
     (("verify", "--length", "1200"), "--length must be <= 13, got 1200"),
     (("count", "--length", "100001"), "length * min(width + 1, length) must be <= 300000, got 300003"),
     (("count", "--width", "1000", "--length", "1000"), "must be <= 300000, got 1000000"),
+    # integer options take ASCII -?[0-9]+ only; argparse rejects anything else
+    (("count", "--length", "\u0663"), "argument --length: expected an integer, got '\u0663'"),
+    (("count", "--length", " 3 "), "argument --length: expected an integer, got ' 3 '"),
+    (("count", "--length", "3_0"), "argument --length: expected an integer, got '3_0'"),
+    (("count", "--width", "\uff12", "--length", "3"), "argument --width: expected an integer"),
+    (("atlas", "--length", "+3"), "argument --length: expected an integer, got '+3'"),
+    (("classify", "--word", "1.2", "--cap", "\u0663"), "argument --cap: expected an integer"),
+    (("verify", "--length", "2", "--trials", "1_0"), "argument --trials: expected an integer"),
+    (("verify", "--length", "2", "--seed", "5\n"), "argument --seed: expected an integer"),
 ]
+# atlas streams its lines, so each format must fail before its first line; an
+# argument after --out is a name under a fresh directory
+for fmt in ("json", "jsonl", "csv", "dot"):
+    BAD_INPUTS += [
+        (("atlas", "--length", "0", "--format", fmt), "length must be >= 1, got 0"),
+        (("atlas", "--length", "3", "--format", fmt, "--out", "."), "Is a directory"),
+        (("atlas", "--length", "3", "--format", fmt, "--out", "missing/atlas.txt"), "No such file or directory"),
+    ]
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUTS, ids=[" ".join(case[0]) for case in BAD_INPUTS])
@@ -206,10 +224,25 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
         constants = tmp_path / "constants.json"
         constants.write_text(argv[at])
         argv[at] = str(constants)
-    code, out, err = run(capsys, *argv)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse rejected a value: its usage, then its one error line
+        code, (out, err) = exc.code, capsys.readouterr()
+        usage, _, err = err.partition(f"twoflags {argv[0]}: ")
+        assert usage.startswith(f"usage: twoflags {argv[0]} ")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_atlas_with_a_bad_length_writes_no_file(tmp_path, capsys):
+    for fmt in ("json", "jsonl", "csv", "dot"):
+        target = tmp_path / f"atlas.{fmt}"
+        code, out, err = run(capsys, "atlas", "--length", "0", "--format", fmt, "--out", str(target))
+        assert (code, out, err.count("\n")) == (2, "", 1) and not target.exists()
 
 
 def test_usage_error_exits_2(capsys):
@@ -221,7 +254,10 @@ def test_usage_error_exits_2(capsys):
 # near misses of valid input: each strategy mixes valid text with malformed text
 NUMBERS = st.one_of(
     st.integers(-3, 12).map(str),
-    st.sampled_from(["", "01", "+2", " 1", "1.5", "1e3", "x", "--1", "\u0663", "99999999999999999999"]),
+    st.sampled_from(
+        ["", "01", "+2", " 1", "1.5", "1e3", "x", "--1", "\u0663", "99999999999999999999",
+         "1_0", " 3 ", "2\n", "\uff13", "-0", "\u0660\u0661"]
+    ),
 )
 RATIONALS = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
@@ -262,7 +298,7 @@ def classify_argv(draw) -> list[str]:
 
 @st.composite
 def verify_argv(draw) -> list[str]:
-    argv = ["verify", "--length", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x", "", "14", "1200"]))]
+    argv = ["verify", "--length", draw(st.sampled_from(["-1", "0", "1", "2", "3", "x", "", "14", "1200", "\u0663", "0_1"]))]
     argv += draw(optional("--trials", st.sampled_from(["-1", "0", "1", "2", "x"])))
     argv += draw(optional("--seed", NUMBERS))
     argv += draw(optional("--cap", NUMBERS))
@@ -271,15 +307,19 @@ def verify_argv(draw) -> list[str]:
     return argv
 
 
+# an --out value names a path under a fresh directory: the directory itself, a
+# file in a missing directory, or a new file
+OUT = optional("--out", st.sampled_from([".", "", "missing/out.txt", "out.txt"]))
 COMMANDS = st.one_of(
     classify_argv(),
     verify_argv(),
-    st.tuples(NUMBERS, optional("--width", NUMBERS)).map(lambda case: ["count", "--length", case[0], *case[1]]),
-    words(8).map(lambda word: ["locus", "--word", word]),
+    st.tuples(NUMBERS, optional("--width", NUMBERS), OUT).map(lambda case: ["count", "--length", case[0], *case[1], *case[2]]),
+    st.tuples(words(8), OUT).map(lambda case: ["locus", "--word", case[0], *case[1]]),
     st.tuples(
-        st.sampled_from(["-1", "0", "1", "2", "3", "x", "14"]),
+        st.sampled_from(["-1", "0", "1", "2", "3", "x", "14", "\u0663"]),
         optional("--format", st.sampled_from(["json", "jsonl", "csv", "dot", "xml"])),
-    ).map(lambda case: ["atlas", "--length", case[0], *case[1]]),
+        OUT,
+    ).map(lambda case: ["atlas", "--length", case[0], *case[1], *case[2]]),
 )
 
 
@@ -288,7 +328,10 @@ COMMANDS = st.one_of(
 def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
     # main runs in-process, so an exception it lets through fails the test
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv = [*argv[:at], os.path.join(tmp, argv[at]), *argv[at + 1 :]]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
@@ -297,5 +340,5 @@ def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
     assert code in (0, 1, 2, 3), (argv, errors)
     assert errors.count("error:") == (code in (2, 3)), (argv, errors)
     assert "Traceback" not in errors, (argv, errors)
-    if code in (2, 3):
+    if code in (2, 3) or "--out" in argv:
         assert out.getvalue() == "", argv
