@@ -19,7 +19,6 @@ from .errors import (
 from .exactalg import (
     Poly,
     RationalMatrix,
-    format_rational,
     parse_rational,
     polynomial_nullspace,
     rank_and_nullspace,
@@ -34,7 +33,6 @@ from .geometry import (
     big_flag,
     cauchy_char_at,
     covariant_at,
-    exterior_derivative_at,
     lie_bracket,
     lie_square,
     small_flag,
@@ -52,7 +50,6 @@ from .ekr import (
 from .classify import (
     ClassificationReport,
     SandwichWord,
-    sandwich_class_at,
     singularity_class_at,
     singularity_locus_equations,
 )

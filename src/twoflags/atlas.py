@@ -5,7 +5,6 @@ JSON-lines, CSV and DOT form.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ from .ekr import Word
 from .errors import ChartMismatch
 
 # longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and dot
-# emitters peaks near 208 MB, and the streamed `atlas --length 13` takes 5-14 s at an
+# emitters peaks near 208 MB, and the streamed `atlas --length 13` takes 5-7 s at an
 # 84 MB peak, mostly its list of words, in every format on 2 cores; each letter triples both
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
@@ -94,11 +93,6 @@ def adjacencies(word: Word) -> list[Word]:
     return [Word.parse(text) for text in _lowered(str(word))]
 
 
-def sandwich_collapse(word: Word) -> str:
-    """The sandwich pattern of a word: every letter above 1 collapses to 2."""
-    return str(word).replace("3", "2")
-
-
 @dataclass(frozen=True, slots=True)
 class AtlasRecord:
     text: str
@@ -137,17 +131,24 @@ def build_atlas(r: int) -> list[AtlasRecord]:
 
 # one line formatter per format, for the emitters below and the streaming CLI;
 # no field holds a quote, comma or newline, so none is escaped
+def _json_list(texts: tuple[str, ...]) -> str:
+    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
+
+
+def _json_field_list(texts: tuple[str, ...]) -> str:
+    """A record field's list as json.dumps(..., indent=2) writes it inside the array."""
+    return '[\n      "' + '",\n      "'.join(texts) + '"\n    ]' if texts else "[]"
+
+
 def _json_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
     """The text of json.dumps([rec.to_json() ...], indent=2), a record at a time."""
     opening = "["
     for rec in records:
-        yield opening + "\n  " + json.dumps(rec.to_json(), indent=2).replace("\n", "\n  ")
+        yield (f'{opening}\n  {{\n    "word": "{rec.text}",\n    "length": {rec.length},\n'
+               f'    "codimension": {rec.codimension},\n    "sandwich": "{rec.sandwich}",\n'
+               f'    "locus": {_json_field_list(rec.locus)},\n    "adjacencies": {_json_field_list(rec.adjacencies)}\n  }}')
         opening = ","
     yield "\n]" if opening == "," else "[]"
-
-
-def _json_list(texts: tuple[str, ...]) -> str:
-    return '["' + '", "'.join(texts) + '"]' if texts else "[]"
 
 
 def _jsonl_line(rec: AtlasRecord) -> str:

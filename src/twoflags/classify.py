@@ -43,7 +43,7 @@ from .geometry import (
     small_flag_vectors_at,
     value_at,
 )
-from .exactalg import Poly, RationalMatrix, annihilates, format_rational, span_includes
+from .exactalg import Poly, RationalMatrix, annihilates, span_includes
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class ClassificationReport:
 
     def to_json(self) -> dict:
         return {
-            "point": [format_rational(v) for v in self.point],
+            "point": [str(v) for v in self.point],
             "sandwich": str(self.sandwich),
             "word": str(self.word),
             "evidence": [e.to_json() for e in self.evidence],
@@ -215,35 +215,20 @@ def _geometry(obj, point, generic: bool, cap: int):
     return _GenericGeometry(dist, point, cap)
 
 
-def sandwich_class_at(
-    obj: EkrBuild | Distribution,
-    point: Sequence[Fraction],
-    generic: bool = False,
-    cap: int = DEFAULT_GENERATOR_CAP,
-) -> SandwichWord:
-    """The sandwich word of the germ at ``point``."""
-    geo = _geometry(obj, point, generic, cap)
-    return _sandwich(geo)
-
-
-def _sandwich(geo) -> SandwichWord:
-    letters = [1] + [2 if _included(geo, j, j, 1) else 1 for j in range(2, geo.r + 1)]
-    return SandwichWord(tuple(letters))
-
-
 def singularity_class_at(
     obj: EkrBuild | Distribution,
     point: Sequence[Fraction],
     generic: bool = False,
     cap: int = DEFAULT_GENERATOR_CAP,
 ) -> ClassificationReport:
-    """The singularity class of the germ at ``point``, with refinement evidence.
+    """The singularity class of the germ at ``point``, with its sandwich word
+    and refinement evidence.
 
     The positions nu, l, s are read off the sandwich word computed at the
     point itself, not off any label the input happens to carry.
     """
     geo = _geometry(obj, point, generic, cap)
-    sandwich = _sandwich(geo)
+    sandwich = SandwichWord((1,) + tuple(2 if _included(geo, j, j, 1) else 1 for j in range(2, geo.r + 1)))
     letters = list(sandwich.letters)
     non_one = sandwich.non_one_positions()
     evidence: list[Evidence] = []

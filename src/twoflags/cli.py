@@ -125,7 +125,7 @@ def _constants(args) -> dict:
         with open(args.constants) as handle:
             try:
                 data = json.load(handle, object_pairs_hook=_JsonObject)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadSyntax(f"{args.constants}: {exc}") from None
         if not isinstance(data, dict) or "word" in data or not all(isinstance(v, dict) for v in data.values()):
             raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')

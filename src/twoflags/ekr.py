@@ -30,7 +30,7 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, exact_rational, format_rational, parse_rational
+from .exactalg import Poly, exact_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
@@ -176,9 +176,9 @@ class EkrSpec:
     def to_json(self) -> dict:
         out: dict = {"word": str(self.word)}
         if self.b:
-            out["b"] = {str(k): format_rational(v) for k, v in sorted(self.b.items())}
+            out["b"] = {str(k): str(v) for k, v in sorted(self.b.items())}
         if self.c:
-            out["c"] = {str(k): format_rational(v) for k, v in sorted(self.c.items())}
+            out["c"] = {str(k): str(v) for k, v in sorted(self.c.items())}
         return out
 
 

@@ -21,8 +21,9 @@ class GeneratorBlowup(TwoflagsError):
     """A Lie square, big flag or small flag exceeded the generator cap."""
 
 
-class UnexpectedCovariantDimension(TwoflagsError):
-    """The covariant covector space does not have the dimension theory predicts."""
+class UnexpectedCovariantDimension(NotSpecialFlag):
+    """The covariant covector space does not have the dimension theory predicts:
+    D^1 has no covariant subdistribution, so the germ is no special 2-flag."""
 
 
 class BadSyntax(TwoflagsError, ValueError):

@@ -41,7 +41,8 @@ _ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the exact text format: optional sign, integer, optional '/' positive integer."""
+    """Parse the exact text format: optional sign, integer, optional '/'
+    positive integer; ``str`` of a Fraction is its inverse."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -80,13 +81,6 @@ def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
         if not r:
             return q
     return _canonical(Fraction(a, b))
-
-
-def format_rational(q: Fraction) -> str:
-    """Inverse of parse_rational; integers print without a denominator."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -453,19 +447,15 @@ class Poly:
         for mono, coeff in self.sorted_terms():
             factors = [f"u{v}" if e == 1 else f"u{v}^{e}" for v, e in mono]
             if not factors:
-                parts.append(format_rational(coeff))
+                parts.append(str(coeff))
             elif coeff == 1:
                 parts.append("*".join(factors))
             elif coeff == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(format_rational(coeff) + "*" + "*".join(factors))
+                parts.append(str(coeff) + "*" + "*".join(factors))
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-
-# poly_divexact(a, d) is a // d
-poly_divexact = Poly.__floordiv__
 
 
 def _divided(poly: Poly, divisor: int | Fraction) -> Poly:
@@ -553,10 +543,6 @@ class RationalMatrix:
             return cls(ambient or 0, 0, ())
         nrows = len(columns[0])
         return cls.from_rows([[col[i] for col in columns] for i in range(nrows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

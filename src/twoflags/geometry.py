@@ -222,16 +222,15 @@ class Distribution:
 class Subspace:
     """A pointwise linear subspace: independent basis columns in an ambient space."""
 
-    ambient: int
     basis: RationalMatrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient:
-            raise ChartMismatch("basis rows must equal the ambient dimension")
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
-        return cls(ambient, column_space_basis(vectors, ambient))
+        return cls(column_space_basis(vectors, ambient))
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
@@ -386,13 +385,13 @@ def big_flag(
 
     Each square is semi-naive: lie_square records on each member the prefix
     of its generators whose pairs it has bracketed, so the next square
-    brackets only the pairs with a newer field.  Each member's value at
-    ``point`` stays with it (see value_at).
+    brackets only the pairs with a newer field.  The value at ``point`` of
+    each member D^r, ..., D^1 stays with it (see value_at).
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
     decided at the point and built as no field (see _square_rank_at): only
     the generators of D^1 count against ``cap``.  D^0 is then the
-    coordinate frame, which spans TM, with its value at ``point`` kept.
+    coordinate frame, which spans TM; no caller reads its value.
     """
     point = _check_point(dist.chart, point)
     dim = dist.chart.dim
@@ -411,7 +410,6 @@ def big_flag(
         else:
             rank = _square_rank_at(tower[-1], point, cap)
             nxt = Distribution.frame(dist.chart)
-            value_at(nxt, point)
         if rank != expected:
             raise NotSpecialFlag(
                 f"Lie square number {step + 1} has pointwise rank {rank}, expected {expected}"
@@ -565,16 +563,6 @@ def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int,
     return {key: value for key, value in entries.items() if value}
 
 
-def exterior_derivative_at(form: OneForm, point: Sequence[Fraction]) -> RationalMatrix:
-    """Matrix of d(omega) at a point: entry (i, j) is (da_j/du_i - da_i/du_j)(p)."""
-    point = _check_point(form.chart, point)
-    n = form.chart.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in _exterior_upper(form, point).items():
-        rows[i][j], rows[j][i] = value, -value
-    return RationalMatrix.from_rows(rows)
-
-
 @lru_cache(maxsize=4096)
 def _structural_annihilator(generators: tuple[VectorField, ...]) -> tuple[tuple[Poly, ...], ...]:
     n = generators[0].chart.dim
@@ -696,7 +684,7 @@ def _kernel_image(columns: _ScaledColumns, rows: Sequence[Sequence[int | Fractio
             image.append(Fraction(num, den) if num else zero)
         images.append(image)
     n = len(by_coordinate)
-    return Subspace(n, RationalMatrix._of(n, len(images), tuple(image[i] for i in range(n) for image in images)))
+    return Subspace(RationalMatrix._of(n, len(images), tuple(image[i] for i in range(n) for image in images)))
 
 
 def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:

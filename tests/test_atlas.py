@@ -18,11 +18,10 @@ from twoflags.atlas import (
     count_classes,
     enumerate_words,
     iter_atlas,
-    sandwich_collapse,
 )
-from twoflags.classify import singularity_locus_equations
+from twoflags.classify import singularity_class_at, singularity_locus_equations
 from twoflags.cli import main, run_verification
-from twoflags.ekr import Word
+from twoflags.ekr import EkrSpec, Word, build_ekr
 from twoflags.errors import ChartMismatch
 
 # the fourteen classes of length 4
@@ -112,8 +111,17 @@ def test_count_width_one():
 
 def test_sandwich_pattern_count():
     for r in range(1, 7):
-        patterns = {sandwich_collapse(w) for w in enumerate_words(r)}
+        patterns = {rec.sandwich for rec in build_atlas(r)}
         assert len(patterns) == 2 ** (r - 1)
+
+
+def test_record_sandwich_is_the_geometric_sandwich_up_to_length_five():
+    # the sandwich word that singularity_class_at computes at the origin of the
+    # pseudo-normal form with zero constants
+    for r in range(1, 6):
+        for rec in build_atlas(r):
+            build = build_ekr(EkrSpec(rec.word))
+            assert rec.sandwich == str(singularity_class_at(build, build.chart.origin()).sandwich), rec.text
 
 
 @pytest.mark.parametrize(
@@ -171,7 +179,6 @@ def test_atlas_records_render_what_the_word_functions_give():
             assert str(rec.word) == rec.text
             assert rec.adjacencies == tuple(str(w) for w in adjacencies(rec.word))
             assert rec.locus == singularity_locus_equations(rec.word)
-            assert rec.sandwich == sandwich_collapse(rec.word)
             letters = rec.word.letters
             expected = sum(1 for j in letters if j == 2) + 2 * sum(1 for j in letters if j == 3)
             assert rec.codimension == codimension(rec.word) == expected

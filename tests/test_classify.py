@@ -11,7 +11,6 @@ from twoflags.atlas import enumerate_words
 from twoflags.classify import (
     SandwichWord,
     _ClosedGeometry,
-    sandwich_class_at,
     singularity_class_at,
     singularity_locus_equations,
 )
@@ -23,13 +22,14 @@ from twoflags.geometry import (
     Chart,
     Distribution,
     Subspace,
+    VectorField,
     big_flag,
     lie_square,
     small_flag,
     small_flag_vectors_at,
     value_at,
 )
-from twoflags.exactalg import span_includes
+from twoflags.exactalg import Poly, span_includes
 
 from test_readoff import stress_point
 
@@ -48,10 +48,10 @@ def random_spec(word: Word, seed) -> EkrSpec:
 def test_sandwich_of_length_two_models():
     ca = model_build("ca_2")
     ex = model_build("ex_2")
-    assert str(sandwich_class_at(ca, ca.chart.origin())) == "1.1"
-    assert str(sandwich_class_at(ex, ex.chart.origin())) == "1.2"
+    assert str(singularity_class_at(ca, ca.chart.origin()).sandwich) == "1.1"
+    assert str(singularity_class_at(ex, ex.chart.origin()).sandwich) == "1.2"
     off = ex.chart.point(x2=1)
-    assert str(sandwich_class_at(ex, off)) == "1.1"
+    assert str(singularity_class_at(ex, off).sandwich) == "1.1"
 
 
 def test_sandwich_word_validation():
@@ -68,7 +68,7 @@ def test_letter_one_correspondence_at_origin():
         for word in enumerate_words(r):
             for spec in (EkrSpec(word), random_spec(word, str(word))):
                 build = build_ekr(spec)
-                sandwich = sandwich_class_at(build, build.chart.origin())
+                sandwich = singularity_class_at(build, build.chart.origin()).sandwich
                 assert [min(j, 2) for j in word.letters] == list(sandwich.letters)
 
 
@@ -142,19 +142,31 @@ def test_class_rejects_a_float_point(generic):
         singularity_class_at(build, (0, 0.5, 0, 0, 0), generic=generic)
 
 
-@pytest.mark.parametrize("classify", [sandwich_class_at, singularity_class_at])
-def test_a_length_zero_germ_has_no_class(classify):
+def test_a_length_zero_germ_has_no_class():
     # TM on a 3-dimensional chart: the tower is D^0 alone, with no Lie square to read
     chart = Chart(("a", "b", "c"))
     with pytest.raises(NotSpecialFlag, match="^chart dimension 3 carries a flag of length 0"):
-        classify(Distribution.frame(chart), chart.origin())
+        singularity_class_at(Distribution.frame(chart), chart.origin())
 
 
-def test_sandwich_rejects_a_float_point():
-    # the sandwich word of a length-1 word reads nothing at the point
-    build = build_ekr(EkrSpec(Word.parse("1")))
-    with pytest.raises(BadSyntax, match=r"inexact value 0\.5"):
-        sandwich_class_at(build, (0, 0.5, 0, 0, 0))
+def test_a_germ_without_a_covariant_subdistribution_is_not_a_special_flag():
+    # D = <X, d/dx2, d/dy2> with X = d/dt + (x1 + x2 y2) d/dx0 + (y1 + y1 y2) d/dy0 + x2 d/dx1 + y2 d/dy1
+    # passes big_flag, but the covariant covectors of D^1 span only 2 dimensions
+    chart = Chart.for_length(2)
+    n = chart.dim
+    u = {name: Poly.variable(n, chart.index(name)) for name in chart.names}
+    components = [Poly.zero(n)] * n
+    for name, component in (("t", Poly.const(n, 1)), ("x0", u["x1"] + u["x2"] * u["y2"]),
+                            ("y0", u["y1"] + u["y1"] * u["y2"]), ("x1", u["x2"]), ("y1", u["y2"])):
+        components[chart.index(name)] = component
+    generators = (VectorField(chart, tuple(components)),) + tuple(
+        VectorField.versor(chart, chart.index(name)) for name in ("x2", "y2")
+    )
+    dist = Distribution(chart, generators)
+    for point in (chart.origin(), (0, -2, 0, 1, 2, 1, 1)):
+        assert len(big_flag(dist, point)) == 3
+        with pytest.raises(NotSpecialFlag, match="^covariant covector space has dimension 2, expected 3$"):
+            singularity_class_at(dist, point, generic=True)
 
 
 def test_generic_mode_agrees_on_models():

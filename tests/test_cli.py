@@ -307,11 +307,33 @@ def verify_argv(draw) -> list[str]:
     return argv
 
 
+# --constants files that must be refused with exit 2: not JSON ("\udcff" is the
+# byte 0xff, written through surrogateescape), not an object of objects, a
+# word, a repeated key, a bad step, a float and non-ASCII digits
+BAD_CONSTANTS = st.sampled_from([
+    "", "{", "b=1", "{'b': {}}", "\udcff",
+    "[]", '["b"]', "1", '"b"', "null",
+    '{"word": "1.2"}', '{"word": "1.2", "b": {}}',
+    '{"b": 1}', '{"b": ["1"]}', '{"c": "1=2"}', '{"b": null}',
+    '{"b": {}, "b": {}}', '{"c": {"1": "2", "1": "5"}}', '{"b": {"1": "1"}, "c": {}, "b": {"1": "1"}}',
+    '{"b": {"x": "1"}}', '{"b": {"": "1"}}', '{"b": {" 1": "1"}}', '{"c": {"01": "1"}}', '{"c": {"1=2": "1"}}',
+    '{"b": {"1": 0.5}}', '{"c": {"1": 1.0}}', '{"b": {"1": 1e400}}', '{"b": {"1": NaN}}',
+    '{"b": {"\u0661": "1"}}', '{"b": {"1": "\u0663"}}', '{"c": {"1": "1/\u0662"}}', '{"c": {"\uff11": "1"}}',
+])
+
+
+@st.composite
+def malformed_constants_argv(draw) -> list[str]:
+    argv = draw(classify_argv())
+    return [*argv[:3], "--constants", draw(BAD_CONSTANTS), *argv[3:]]
+
+
 # an --out value names a path under a fresh directory: the directory itself, a
 # file in a missing directory, or a new file
 OUT = optional("--out", st.sampled_from([".", "", "missing/out.txt", "out.txt"]))
 COMMANDS = st.one_of(
     classify_argv(),
+    malformed_constants_argv(),
     verify_argv(),
     st.tuples(NUMBERS, optional("--width", NUMBERS), OUT).map(lambda case: ["count", "--length", case[0], *case[1], *case[2]]),
     st.tuples(words(8), OUT).map(lambda case: ["locus", "--word", case[0], *case[1]]),
@@ -328,7 +350,14 @@ COMMANDS = st.one_of(
 def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
     # main runs in-process, so an exception it lets through fails the test
     out, err = io.StringIO(), io.StringIO()
+    malformed = "--constants" in argv
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if malformed:
+            at = argv.index("--constants") + 1
+            path = os.path.join(tmp, "constants.json")
+            with open(path, "wb") as handle:
+                handle.write(argv[at].encode("utf-8", "surrogateescape"))
+            argv = [*argv[:at], path, *argv[at + 1 :]]
         if "--out" in argv:
             at = argv.index("--out") + 1
             argv = [*argv[:at], os.path.join(tmp, argv[at]), *argv[at + 1 :]]
@@ -337,7 +366,7 @@ def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     errors = err.getvalue()
-    assert code in (0, 1, 2, 3), (argv, errors)
+    assert code in ((2,) if malformed else (0, 1, 2, 3)), (argv, errors)
     assert errors.count("error:") == (code in (2, 3)), (argv, errors)
     assert "Traceback" not in errors, (argv, errors)
     if code in (2, 3) or "--out" in argv:

@@ -25,11 +25,9 @@ from twoflags.exactalg import (
     _Packing,
     _structural_pivots,
     column_space_basis,
-    format_rational,
     parse_rational,
     poly_content,
     poly_det,
-    poly_divexact,
     polynomial_nullspace,
     polynomial_nullspace_structural,
     primitive_tuple,
@@ -169,7 +167,7 @@ def test_parse_rational_rejects(text):
 
 def test_format_roundtrip():
     for q in [F(-3, 7), F(2), F(0), F(10, 4)]:
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +334,9 @@ def test_divexact_roundtrip():
     y = Poly.variable(3, 1)
     d = x * y + Poly.const(3, 2)
     a = d * (x * x - y + Poly.const(3, F(1, 3)))
-    assert poly_divexact(a, d) * d == a
+    assert a // d * d == a
     with pytest.raises(ArithmeticError):
-        poly_divexact(x, y)
+        x // y
 
 
 def oracle_divexact(a: Poly, d: Poly) -> Poly:
@@ -549,7 +547,7 @@ def test_results_keep_int_or_fraction_coefficients(a, b, factor, var):
         "a * factor": (a * factor, {k: F(v) * factor for k, v in dense_terms(a).items() if factor}),
         "scaled": (a.scaled(factor), {k: F(v) * factor for k, v in dense_terms(a).items() if factor}),
         "partial": (a.partial(var), oracle_partial(a, var)),
-        "divexact": (poly_divexact(a * d, d), dense_terms(a)),
+        "divexact": ((a * d) // d, dense_terms(a)),
     }
     content = poly_content([a, b])
     if content:
@@ -563,13 +561,13 @@ def test_results_keep_int_or_fraction_coefficients(a, b, factor, var):
 
 def test_divexact_by_a_constant_divides_in_z_when_exact():
     x = Poly.variable(3, 0)
-    even = poly_divexact(x.scaled(6) + 4, Poly.const(3, 2))
+    even = (x.scaled(6) + 4) // Poly.const(3, 2)
     assert even.terms == {((0, 1),): 3, (): 2}
     assert all(type(c) is int for c in even.terms.values())
-    odd = poly_divexact(x.scaled(3) + 1, Poly.const(3, -2))
+    odd = (x.scaled(3) + 1) // Poly.const(3, -2)
     assert odd.terms == {((0, 1),): F(-3, 2), (): F(-1, 2)}
     assert_canonical(odd)
-    integral = poly_divexact(x.scaled(F(3, 2)), Poly.const(3, F(3, 4)))
+    integral = x.scaled(F(3, 2)) // Poly.const(3, F(3, 4))
     assert integral.terms == {((0, 1),): 2} and type(integral.terms[((0, 1),)]) is int
 
 
@@ -606,7 +604,7 @@ def test_poly_rejects_float_coefficients(make):
 
 
 def test_rank_identity():
-    rank, basis = rank_and_nullspace(RationalMatrix.identity(3))
+    rank, basis = rank_and_nullspace(RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert rank == 3 and basis == []
 
 

@@ -39,12 +39,12 @@ from twoflags.geometry import (
     big_flag,
     cauchy_char_at,
     covariant_at,
-    exterior_derivative_at,
     lie_bracket,
     lie_square,
     small_flag,
     value_at,
     _Dedup,
+    _exterior_upper,
     _integer_pairing,
     _scaled_columns,
     _squared,
@@ -849,7 +849,9 @@ def test_targets_reuse_the_values_that_big_flag_computed(monkeypatch):
         return original(columns, ambient)
 
     monkeypatch.setattr(geometry, "column_space_basis", counted)
-    for member in tower:
+    # D^0 is the coordinate frame, whose value no target reads, so big_flag leaves none on it
+    assert "_value_at" not in tower[-1].__dict__
+    for member in tower[:-1]:
         cauchy_char_at(member, p)
     covariant_at(tower[-2], p)
     assert calls == []
@@ -896,6 +898,14 @@ def test_a_normal_form_is_its_own_normal_form():
 # ---------------------------------------------------------------------------
 
 
+def exterior_derivative_at(form: OneForm, point) -> RationalMatrix:
+    """The dense d(omega) oracle: entry (i, j) is (da_j/du_i - da_i/du_j)(p),
+    from each coefficient's partial derivatives as polynomials."""
+    n = form.chart.dim
+    partials = [[a.partial(i).eval_at(point) for i in range(n)] for a in form.coefficients]
+    return RationalMatrix.from_rows([[partials[j][i] - partials[i][j] for j in range(n)] for i in range(n)])
+
+
 def constant_form(chart: Chart, name: str) -> OneForm:
     coeffs = [Poly.zero(chart.dim) for _ in range(chart.dim)]
     coeffs[chart.index(name)] = Poly.const(chart.dim, 1)
@@ -911,6 +921,8 @@ def test_exterior_derivative_of_closed_forms():
     coeffs = [Poly.zero(n) for _ in range(n)]
     coeffs[chart.index("x0")] = Poly.variable(n, chart.index("x0"))
     assert exterior_derivative_at(OneForm(chart, tuple(coeffs)), chart.origin()) == zero
+    for form in (constant_form(chart, "x0"), OneForm(chart, tuple(coeffs))):
+        assert _exterior_upper(form, chart.origin()) == {}
 
 
 @settings(max_examples=50, deadline=None)
@@ -944,6 +956,17 @@ def test_exterior_derivative_contact_form():
                 elif (a, b) == (j, i):
                     expected = F(1)
                 assert matrix.at(a, b) == expected
+        assert _exterior_upper(OneForm(chart, tuple(coeffs)), p) == {(j, i): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_fields(), st.lists(coeffs, min_size=7, max_size=7))
+def test_exterior_upper_is_the_dense_oracle_above_the_diagonal(field, point):
+    form = OneForm(field.chart, field.components)
+    matrix = exterior_derivative_at(form, tuple(point))
+    n = field.chart.dim
+    upper = _exterior_upper(form, tuple(point))
+    assert upper == {(i, j): matrix.at(i, j) for i in range(n) for j in range(i + 1, n) if matrix.at(i, j)}
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1124,7 @@ def dense_kernel_image(value: Subspace, rows) -> Subspace:
     for lam in kernel:
         terms = [(x, col) for x, col in zip(lam, columns) if x]
         images.append([sum((x * col[i] for x, col in terms), F(0)) for i in range(n)])
-    return Subspace(n, RationalMatrix.from_columns(images, ambient=n))
+    return Subspace(RationalMatrix.from_columns(images, ambient=n))
 
 
 def oracle_cauchy_char_at(value: Subspace, pairings) -> Subspace:

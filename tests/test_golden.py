@@ -1,4 +1,5 @@
-"""Golden CLI outputs: the exit code and the sha256 of stdout of fixed commands.
+"""Golden CLI outputs: the exit code and the sha256 of stdout of fixed commands,
+and the public names of the package.
 
 The digests pin the output byte for byte, so any change to what a command
 prints shows up here.  ``CONSTANTS`` in an argument list stands for the path
@@ -9,6 +10,7 @@ import hashlib
 
 import pytest
 
+import twoflags
 from twoflags.cli import main
 
 CONSTANTS_TEXT = '{"b": {"3": "1/2"}, "c": {"3": "-2", "4": "5"}}'
@@ -95,3 +97,21 @@ def run_golden(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN])
 def test_cli_output_is_byte_identical(argv, code, digest, tmp_path, capsys):
     assert run_golden(argv, tmp_path, capsys) == (code, digest)
+
+
+# every name `from twoflags import *` gives, the submodules included
+PUBLIC_NAMES = [
+    "AtlasRecord", "BadModelName", "BadSyntax", "Chart", "ChartMismatch", "ClassificationReport",
+    "ConstantNotAdmitted", "DegeneratePivot", "Distribution", "EkrBuild", "EkrSpec", "GeneratorBlowup",
+    "IndexOutOfRange", "NotSpecialFlag", "OneForm", "Poly", "RationalMatrix", "RuleViolation", "SandwichWord",
+    "Subspace", "TwoflagsError", "UnexpectedCovariantDimension", "VectorField", "Word", "adjacencies", "atlas",
+    "big_flag", "build_atlas", "build_ekr", "cauchy_char_at", "classify", "closed_form_F", "closed_form_L",
+    "codimension", "count_classes", "covariant_at", "ekr", "enumerate_words", "errors", "exactalg", "geometry",
+    "iter_atlas", "lie_bracket", "lie_square", "model", "parse_rational", "polynomial_nullspace",
+    "rank_and_nullspace", "singularity_class_at", "singularity_locus_equations", "small_flag", "span_includes",
+    "value_at",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(twoflags.__all__) == PUBLIC_NAMES
