@@ -112,25 +112,41 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _rational(text: str, source: str) -> Fraction:
+    """A rational literal from the input named by ``source``, which a bad one names."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise BadSyntax(f"{source}: {exc}") from None
+
+
 def _parse_point(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
+    return tuple(_rational(part, f"--point coordinate {i}") for i, part in enumerate(text.split(","), start=1))
 
 
 def _constants(args) -> dict:
     """The --constants file with the --b/--c flags laid over it, in the form
-    of EkrSpec.from_json without the word; steps and values stay text.  A
-    step given twice in the file, or twice by the flags, is an error."""
+    of EkrSpec.from_json without the word; steps stay text.  Each value is
+    parsed where its source is known, so a bad one names the file or the
+    flag, the kind and the step.  A step given twice in the file, or twice by
+    the flags, is an error."""
     data = {}
     if args.constants:
         with open(args.constants) as handle:
             try:
-                data = json.load(handle, object_pairs_hook=_JsonObject)
+                # every number stays the text written: parse_rational takes
+                # it, and names the bound of a literal with too many digits
+                data = json.load(handle, object_pairs_hook=_JsonObject, parse_int=str, parse_float=str, parse_constant=str)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise BadSyntax(f"{args.constants}: {exc}") from None
         if not isinstance(data, dict) or "word" in data or not all(isinstance(v, dict) for v in data.values()):
             raise BadSyntax(f'{args.constants}: a constants file holds {{"b": {{...}}, "c": {{...}}}}')
         if data.repeated:
             raise BadSyntax(f"{args.constants}: repeated entry {data.repeated[0]!r}")
+        for kind in ("b", "c"):
+            values = data.get(kind, {})
+            for step, value in values.items():
+                values[step] = _rational(str(value), f"{args.constants}: {kind} constant at step {step}")
     for kind, pairs in (("b", args.b), ("c", args.c)):
         given = set()
         for pair in pairs or []:
@@ -140,7 +156,7 @@ def _constants(args) -> dict:
             if step in given:
                 raise ValueError(f"repeated {kind} constant at step {step}")
             given.add(step)
-            data.setdefault(kind, {})[step] = value
+            data.setdefault(kind, {})[step] = _rational(value, f"--{kind} at step {step}")
     return data
 
 

@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, exact_rational, parse_rational
+from .exactalg import Poly, _decimal, exact_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
@@ -71,7 +72,10 @@ class Word:
         for part in parts:
             if not _SEGMENT_RE.fullmatch(part):
                 raise BadSyntax(f"bad segment {part!r} in word {text!r}")
-            letters.append(int(part))
+            try:
+                letters.append(_decimal(part))
+            except ValueError as exc:
+                raise BadSyntax(f"bad segment in word: {exc}") from None
         return cls(tuple(letters))
 
     @property
@@ -113,7 +117,11 @@ def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
     for step, value in values.items():
         if not _SEGMENT_RE.fullmatch(str(step)):
             raise BadSyntax(f"bad step {step!r} in the {kind} constants")
-        out[int(step)] = parse_rational(str(value))
+        try:
+            number = _decimal(str(step))
+        except ValueError as exc:
+            raise BadSyntax(f"bad step in the {kind} constants: {exc}") from None
+        out[number] = parse_rational(str(value))
     return out
 
 
@@ -256,8 +264,13 @@ def build_ekr(spec: EkrSpec) -> EkrBuild:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _versors_from(chart: Chart, first: int) -> tuple[VectorField, ...]:
-    """The versors d/dx_k, d/dy_k for k = first, ..., length of a flag chart."""
+    """The versors d/dx_k, d/dy_k for k = first, ..., length of a flag chart.
+
+    One shared tuple per (chart, first), kept for the last 256 asked: the
+    builds and closed members of one length share their versors, and with
+    them the occurrence tables that lie_bracket reads."""
     return tuple(
         VectorField.versor(chart, index(k))
         for k in range(first, chart.length + 1)

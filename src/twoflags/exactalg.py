@@ -21,6 +21,7 @@ function, so concurrent use needs no locking.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +41,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _decimal(text: str) -> int:
+    """int(text) for text already matched as ASCII digits with an optional
+    sign.  int() refuses more digits than sys.get_int_max_str_digits(); that
+    refusal, with Python's advice to raise the bound, becomes a ValueError
+    that names the count and the bound."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise ValueError(f"literal of {digits} digits, over the bound of {sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the exact text format: optional sign, integer, optional '/'
     positive integer; ``str`` of a Fraction is its inverse."""
@@ -47,11 +60,11 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+        num, den = map(_decimal, text.split("/"))
+        if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(num, den)
+    return Fraction(_decimal(text))
 
 
 def exact_rational(value: Fraction | int | str) -> Fraction:
@@ -112,17 +125,26 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 def _mul_into(acc: dict, a_terms: dict, b_terms: dict, sign: int, mono_mul=_mono_mul) -> None:
     """Add ``sign`` (1 or -1) times the product of two term maps into ``acc``,
     dropping every 0; ``mono_mul`` multiplies monomials (``add`` for packed
-    ones).  A coefficient may be left an integral Fraction (see _summed)."""
+    ones).  A coefficient may be left an integral Fraction (see _summed).
+
+    The monomial 1 (() or the packed 0) times m is m, with no call: every
+    versor component is the constant 1.  A product of two nonzero
+    coefficients is nonzero, so a monomial new to ``acc`` takes it as it is;
+    only a sum can cancel.
+    """
     for ma, ca in a_terms.items():
         if sign < 0:
             ca = -ca
         for mb, cb in b_terms.items():
-            mono = mono_mul(ma, mb)
-            s = acc.get(mono, 0) + ca * cb
-            if s:
-                acc[mono] = s
+            mono = mono_mul(ma, mb) if ma else mb
+            if mono in acc:
+                s = acc[mono] + ca * cb
+                if s:
+                    acc[mono] = s
+                else:
+                    del acc[mono]
             else:
-                del acc[mono]
+                acc[mono] = ca * cb
 
 
 def _descending_key(mono: Mono, arity: int) -> tuple[int, tuple[int, ...]]:
@@ -372,12 +394,14 @@ class Poly:
         return Poly._of(self.arity, out)
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at a rational point (length must equal the arity); a
-        float coordinate that enters a term makes the sum a float, which
-        raises BadSyntax: one check per call, none per term."""
+        """Exact value at a rational point (length must equal the arity), as
+        a Fraction.  The sum stays an int while every term is one, and a
+        Fraction is made once, at the end.  A float coordinate that enters a
+        term makes the sum a float, which raises BadSyntax: one check per
+        call, none per term."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
-        total = _ZERO
+        total = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for var, exp in mono:
@@ -387,6 +411,8 @@ class Poly:
                 value *= base**exp
             else:
                 total += value
+        if type(total) is int:
+            return Fraction(total) if total else _ZERO
         if type(total) is float:
             for base in point:
                 exact_rational(base)

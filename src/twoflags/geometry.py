@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -34,11 +35,14 @@ from .exactalg import (
     primitive_tuple,
     rank_and_nullspace,
     span_includes,
+    _canonical,
     _mul_into,
     _ZERO,
 )
 
 DEFAULT_GENERATOR_CAP = 50_000
+
+_terms = attrgetter("terms")
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,13 @@ class Chart:
     names: tuple[str, ...]
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_length(cls, r: int) -> "Chart":
-        """The flag chart (t, x0, y0, x1, y1, ..., xr, yr) of dimension 2r + 3."""
+        """The flag chart (t, x0, y0, x1, y1, ..., xr, yr) of dimension 2r + 3.
+
+        One shared chart per length, kept for the last 64 lengths asked: the
+        chart checks of fields and distributions built on it then compare
+        one names tuple with itself."""
         if r < 0:
             raise ChartMismatch(f"length must be nonnegative, got {r}")
         names = ["t"]
@@ -325,11 +334,12 @@ class _Dedup:
         self.extend(candidates)
 
     def add(self, candidate: VectorField) -> None:
-        if candidate.is_zero():
+        terms = tuple(map(_terms, candidate.components))
+        if not any(terms):
             return
         # scalar multiples share their supports; storing the hash, not the
         # frozensets, keeps memory flat
-        support = hash(tuple(frozenset(c.terms) for c in candidate.components))
+        support = hash(tuple(map(frozenset, terms)))
         bucket = self.buckets.setdefault(support, [])
         if any(_proportional(candidate, kept) for kept in bucket):
             return
@@ -446,6 +456,24 @@ def _squared(dist: Distribution) -> int:
     return dist.__dict__.get("_squared", 0)
 
 
+def _integral(field: VectorField) -> VectorField:
+    """``field`` times the lcm s of its coefficient denominators: a positive
+    multiple with int coefficients, or ``field`` itself when it has them, as
+    a normal form does (see VectorField.normalized), unscanned.  s is a
+    multiple of every denominator d, so a coefficient n / d becomes the int
+    n * (s // d), with no Fraction formed."""
+    if field.__dict__.get("_normal"):
+        return field
+    denominators = [c.denominator for comp in field.components if comp.terms for c in comp.terms.values() if type(c) is not int]
+    if not denominators:
+        return field
+    scale = lcm(*denominators)
+    return VectorField(field.chart, tuple(
+        Poly._of(comp.arity, {mono: c.numerator * (scale // c.denominator) for mono, c in comp.terms.items()}) if comp.terms else comp
+        for comp in field.components
+    ))
+
+
 def small_flag(
     dist: Distribution,
     steps: int,
@@ -458,7 +486,9 @@ def small_flag(
     Generator lists drop zero fields and scalar multiples of known fields
     (see _Dedup) and keep each new field in normalized form; with ``normal``
     False each is kept as it was formed, a nonzero multiple of the normal
-    one, since a bracket of multiples is a multiple of the bracket.  Each step
+    one, since a bracket of multiples is a multiple of the bracket.  The raw
+    flag starts from the generators of D cleared of denominators (see
+    _integral), so each of its brackets multiplies ints.  Each step
     brackets the generators of D only with the fields that are new in the
     latest member; brackets with older fields were candidates one step
     earlier.  On the first step every field after the first _squared(D) is
@@ -467,7 +497,7 @@ def small_flag(
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
-    pool = _Dedup(cap, dist.generators, normal=normal)
+    pool = _Dedup(cap, dist.generators if normal else map(_integral, dist.generators), normal=normal)
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
     start = _squared(dist)
@@ -495,12 +525,16 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribu
 
 def _jet_at(field: VectorField, point: tuple[Fraction, ...]) -> tuple[list, list[tuple[int, int, Fraction]]]:
     """The field's value at the point, and its nonzero first partials there
-    as (component j, variable i, dX_j/du_i(p)) triples."""
+    as (component j, variable i, dX_j/du_i(p)) triples.  The nonzero
+    components are found by a scan, not by the occurrence table: the fields
+    of the last round that small_flag_vectors_at builds are never bracketed,
+    so no table is made for them."""
     value = [0] * len(field.components)
     partials = []
-    for j in field.occurrences[0]:
-        value[j], grad = field.components[j].value_and_partials_at(point)
-        partials += [(j, i, d) for i, d in grad.items()]
+    for j, comp in enumerate(field.components):
+        if comp.terms:
+            value[j], grad = comp.value_and_partials_at(point)
+            partials += [(j, i, d) for i, d in grad.items()]
     return value, partials
 
 
@@ -522,11 +556,13 @@ def small_flag_vectors_at(
     the generators of V_(steps-1) count against ``cap``, and the first round
     skips the pairs of the first _squared(dist) generators, as small_flag
     does.  A caller that stops early forms no later bracket.  No scaling
-    changes the span, so V_(steps-1) is built with ``normal`` False.
+    changes the span, so V_(steps-1) is built with ``normal`` False, in
+    integers, and the jets are read at the point with its integral
+    coordinates as ints: at an integral point they are sums of ints.
     """
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
-    point = _check_point(dist.chart, point)
+    point = tuple(map(_canonical, _check_point(dist.chart, point)))
     flag = small_flag(dist, steps - 1, cap, normal=False)
     jets = [_jet_at(field, point) for field in flag[-1].generators]
     for value, _ in jets:

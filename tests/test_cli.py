@@ -185,12 +185,17 @@ BAD_INPUTS = [
     (("verify", "--length", "2", "--cap", "-5"), "--cap must be >= 1, got -5"),
     (("classify", "--word", "1.02"), "bad segment '02'"),
     (("classify", "--word", "1.\u0662"), "bad segment"),
-    (("classify", "--word", "1.2", "--b", "1=\u0663/4"), "not a rational literal"),
+    (("classify", "--word", "1.2", "--b", "1=\u0663/4"), "--b at step 1: not a rational literal"),
+    (("classify", "--word", "1.2", "--b", "1=x"), "--b at step 1: not a rational literal: 'x'"),
+    (("classify", "--model", "appxB_D", "--c", "4=nan"), "--c at step 4: not a rational literal: 'nan'"),
+    (("classify", "--word", "1.2", "--constants", '{"b": {"1": NaN}}'), "constants.json: b constant at step 1: not a rational literal: 'NaN'"),
+    (("classify", "--word", "1.2", "--constants", '{"c": {"2": 0.5}}'), "constants.json: c constant at step 2: not a rational literal: '0.5'"),
     (("classify", "--word", "1.2", "--c", "1=2", "--c", "1=3"), "repeated c constant at step 1"),
     (("classify", "--word", "1.2", "--constants", '{"c": {"1": "2", "1": "5"}}'), "repeated c constant at step 1"),
     (("verify", "--length", "2", "--trials", "-1"), "--trials must be >= 0, got -1"),
     (("verify", "--length", "2", "--trials", "0"), "verify made no classification"),
-    (("classify", "--word", "1.2", "--point", ""), "not a rational literal: ''"),
+    (("classify", "--word", "1.2", "--point", ""), "--point coordinate 1: not a rational literal: ''"),
+    (("classify", "--word", "1.2", "--point", "0,0,0,0,x,0,0"), "--point coordinate 5: not a rational literal: 'x'"),
     (("atlas", "--length", "1200"), "--length must be <= 13, got 1200"),
     (("atlas", "--length", "14"), "--length must be <= 13, got 14"),
     (("verify", "--length", "1200"), "--length must be <= 13, got 1200"),
@@ -238,6 +243,35 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     assert message in err
 
 
+LONG = "1" + "0" * 5000
+# a literal of more digits than int() converts, in each input that takes one:
+# the message names the input and the bound, not sys.set_int_max_str_digits()
+LONG_LITERALS = [
+    (("classify", "--word", "1.2", "--b", f"1={LONG}"), "--b at step 1: "),
+    (("classify", "--word", "1.2", "--c", f"2=-3/{LONG}"), "--c at step 2: "),
+    (("classify", "--word", "1.2", "--point", f"0,0,0,0,{LONG},0,0"), "--point coordinate 5: "),
+    (("classify", "--word", "1.2", "--constants", f'{{"b": {{"1": {LONG}}}}}'), "constants.json: b constant at step 1: "),
+    (("classify", "--word", "1.2", "--constants", f'{{"c": {{"1": "{LONG}/7"}}}}'), "constants.json: c constant at step 1: "),
+    (("classify", "--word", "1.2", "--b", f"{LONG}=1"), "bad step in the b constants: "),
+    (("classify", "--word", f"1.{LONG}"), "bad segment in word: "),
+]
+
+
+@pytest.mark.parametrize("argv, source", LONG_LITERALS, ids=["b", "c", "point", "file-number", "file-text", "step", "word"])
+def test_a_literal_over_the_digit_bound_names_its_input_and_the_bound(argv, source, tmp_path, capsys):
+    argv = list(argv)
+    if "--constants" in argv:
+        at = argv.index("--constants") + 1
+        constants = tmp_path / "constants.json"
+        constants.write_text(argv[at])
+        argv[at] = str(constants)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and source in err
+    assert f"literal of 5001 digits, over the bound of {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err and len(err) < 200
+
+
 def test_atlas_with_a_bad_length_writes_no_file(tmp_path, capsys):
     for fmt in ("json", "jsonl", "csv", "dot"):
         target = tmp_path / f"atlas.{fmt}"
@@ -256,13 +290,13 @@ NUMBERS = st.one_of(
     st.integers(-3, 12).map(str),
     st.sampled_from(
         ["", "01", "+2", " 1", "1.5", "1e3", "x", "--1", "\u0663", "99999999999999999999",
-         "1_0", " 3 ", "2\n", "\uff13", "-0", "\u0660\u0661"]
+         "1_0", " 3 ", "2\n", "\uff13", "-0", "\u0660\u0661", LONG]
     ),
 )
 RATIONALS = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
     NUMBERS,
-    st.sampled_from(["1/0", "-0/3", "1/-2", "/2", "1//2", "0.5", "1/2/3"]),
+    st.sampled_from(["1/0", "-0/3", "1/-2", "/2", "1//2", "0.5", "1/2/3", "nan", "NaN", "-inf", f"1/{LONG}"]),
 )
 STEPS = st.one_of(st.tuples(NUMBERS, RATIONALS).map("=".join), RATIONALS)
 LETTERS = st.sampled_from(["1", "2", "3", "0", "4", "01", "", "a", " 2", "\u0662"])
@@ -317,7 +351,8 @@ BAD_CONSTANTS = st.sampled_from([
     '{"b": 1}', '{"b": ["1"]}', '{"c": "1=2"}', '{"b": null}',
     '{"b": {}, "b": {}}', '{"c": {"1": "2", "1": "5"}}', '{"b": {"1": "1"}, "c": {}, "b": {"1": "1"}}',
     '{"b": {"x": "1"}}', '{"b": {"": "1"}}', '{"b": {" 1": "1"}}', '{"c": {"01": "1"}}', '{"c": {"1=2": "1"}}',
-    '{"b": {"1": 0.5}}', '{"c": {"1": 1.0}}', '{"b": {"1": 1e400}}', '{"b": {"1": NaN}}',
+    '{"b": {"1": 0.5}}', '{"c": {"1": 1.0}}', '{"b": {"1": 1e400}}', '{"b": {"1": NaN}}', '{"c": {"1": -Infinity}}',
+    f'{{"b": {{"1": {LONG}}}}}', f'{{"c": {{"1": -{LONG}}}}}', f'{{"b": {{"1": "{LONG}"}}}}', f'{{"c": {{"1": "1/{LONG}"}}}}',
     '{"b": {"\u0661": "1"}}', '{"b": {"1": "\u0663"}}', '{"c": {"1": "1/\u0662"}}', '{"c": {"\uff11": "1"}}',
 ])
 
@@ -369,5 +404,6 @@ def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
     assert code in ((2,) if malformed else (0, 1, 2, 3)), (argv, errors)
     assert errors.count("error:") == (code in (2, 3)), (argv, errors)
     assert "Traceback" not in errors, (argv, errors)
+    assert "set_int_max_str_digits" not in errors, (argv, errors)
     if code in (2, 3) or "--out" in argv:
         assert out.getvalue() == "", argv

@@ -81,6 +81,26 @@ def test_flag_chart_layout():
     assert chart.x_index(1) == 3 and chart.y_index(2) == 6
 
 
+def test_one_chart_and_one_versor_tuple_per_length():
+    # builds and closed members of one length share their chart and versors,
+    # so the versors' occurrence tables are worked out once
+    for r in range(1, 7):
+        assert Chart.for_length(r) is Chart.for_length(r)
+        assert Chart.for_length(r) == Chart(Chart.for_length(r).names)
+    builds = [build_ekr(EkrSpec(Word.parse(text), b)) for text, b in (("1.2.1.3", {}), ("1.1.2.1", {4: F(2, 7)}))]
+    assert builds[0].chart is builds[1].chart is Chart.for_length(4)
+    for j in range(1, 5):
+        flag_members = [build.flag_member(j) for build in builds]
+        closed_members = [_ClosedGeometry(build, build.chart.origin(), DEFAULT_GENERATOR_CAP).member(j) for build in builds]
+        assert closed_members[0].chart is Chart.for_length(j)
+        for first, second in (flag_members, closed_members):
+            assert first.chart is second.chart
+            assert len(first.generators) == len(second.generators) > 1
+            assert all(a is b for a, b in zip(first.generators[1:], second.generators[1:])), j
+    versor = builds[0].distribution.generators[1]
+    assert versor.occurrences is builds[1].distribution.generators[1].occurrences
+
+
 def test_point_builder():
     chart = Chart.for_length(1)
     p = chart.point(x1=F(1, 2))
@@ -475,10 +495,12 @@ def test_small_flag_generator_cap():
 def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
     # small_flag_vectors_at builds V_(k-1) with normal=False: the members keep
     # as many generators, each raw generator normalizes to the normal one, and
-    # the values agree at the origin and at a stress point.  Closed members are
-    # checked for k <= 5; generic tower members too, but for k <= 2 at length 5,
-    # where their V_3 alone takes seconds per word
-    checked = 0
+    # the values agree at the origin and at a stress point.  Every raw field has
+    # int coefficients, though the seeded constants put Fractions into the
+    # leading fields of the closed members.  Closed members are checked for
+    # k <= 5; generic tower members too, but for k <= 2 at length 5, where
+    # their V_3 alone takes seconds per word
+    checked = fractional = 0
     for r in range(1, 6):
         for word in enumerate_words(r):
             spec = draw_constants(word, random.Random(f"raw|{word}"))
@@ -490,6 +512,9 @@ def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
             for dist, k in [(m, 5) for m in closed] + [(m, 5 if r < 5 else 2) for m in tower]:
                 raw, normal = small_flag(dist, k, normal=False), small_flag(dist, k)
                 assert [len(m.generators) for m in raw] == [len(m.generators) for m in normal], word
+                raw_coefficients = [c for g in raw[-1].generators for comp in g.components for c in comp.terms.values()]
+                assert all(type(c) is int for c in raw_coefficients), word
+                fractional += any(type(c) is not int for g in dist.generators for comp in g.components for c in comp.terms.values())
                 for m_raw, m_normal in zip(raw, normal):
                     assert [g.normalized().signature() for g in m_raw.generators] == signatures(m_normal), word
                 for point in points:
@@ -497,6 +522,7 @@ def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
                     assert value_at(raw[-1], p) == value_at(normal[-1], p), (word, point)
                 checked += 1
     assert checked == 499
+    assert fractional > 100
 
 
 class oracle_dedup:
