@@ -130,8 +130,10 @@ class EkrSpec:
     """A word plus its admitted shift constants (1-based step -> value).
 
     b constants exist only at steps with letter 1, c constants at steps with
-    letter 1 or 2; any other key raises ConstantNotAdmitted.  Missing
-    constants default to 0.
+    letter 1 or 2; any other key raises ConstantNotAdmitted.  A step is an
+    int (not a bool): any other key raises BadSyntax, since int() would move
+    "1_0", " 1 ", True or 1.0 to another step.  Missing constants default
+    to 0.
     """
 
     word: Word
@@ -140,7 +142,11 @@ class EkrSpec:
 
     def __post_init__(self):
         for kind, admits in (("b", _admits_b), ("c", _admits_c)):
-            values = {int(k): exact_rational(v) for k, v in getattr(self, kind).items()}
+            values = {}
+            for step, value in getattr(self, kind).items():
+                if type(step) is not int:
+                    raise BadSyntax(f"{kind} constant at step {step!r}: a step is an int, not a {type(step).__name__}")
+                values[step] = exact_rational(value)
             object.__setattr__(self, kind, values)
             for step in values:
                 if not 1 <= step <= self.word.length:

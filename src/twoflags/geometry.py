@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -169,13 +169,12 @@ class VectorField:
     def normalized(self) -> "VectorField":
         """Primitive form: content 1, first nonzero leading coefficient positive.
 
-        A normal form records on the instance, like ``occurrences``, that it
-        is its own normal form, so normalizing it again is one lookup."""
-        if self.__dict__.get("_normal"):
+        A field already in that form is returned itself, with its occurrence
+        table."""
+        components = primitive_tuple(self.components)
+        if all(map(is_, components, self.components)):
             return self
-        normal = VectorField(self.chart, primitive_tuple(self.components))
-        normal.__dict__["_normal"] = True
-        return normal
+        return VectorField(self.chart, components)
 
     def signature(self) -> tuple:
         return tuple(c.signature() for c in self.components)
@@ -320,15 +319,12 @@ class _Dedup:
 
     Kept fields sit in buckets keyed by the hash of their supports, so a
     candidate is compared only with the kept fields of its bucket; a hash
-    collision costs one support check.  Only a kept field is normalized, and
-    the normalized first-seen field is the one kept; with ``normal`` False it
-    is kept as it was formed.  _proportional is scale-invariant, so the same
-    fields are kept either way.
+    collision costs one support check.  The first-seen field of each multiple
+    is kept as it was formed.
     """
 
-    def __init__(self, cap: int, candidates: Iterable[VectorField] = (), *, normal: bool = True):
+    def __init__(self, cap: int, candidates: Iterable[VectorField] = ()):
         self.cap = cap
-        self.normal = normal
         self.fields: list[VectorField] = []
         self.buckets: dict[int, list[VectorField]] = {}
         self.extend(candidates)
@@ -343,8 +339,6 @@ class _Dedup:
         bucket = self.buckets.setdefault(support, [])
         if any(_proportional(candidate, kept) for kept in bucket):
             return
-        if self.normal:
-            candidate = candidate.normalized()
         bucket.append(candidate)
         self.fields.append(candidate)
         if len(self.fields) > self.cap:
@@ -458,12 +452,9 @@ def _squared(dist: Distribution) -> int:
 
 def _integral(field: VectorField) -> VectorField:
     """``field`` times the lcm s of its coefficient denominators: a positive
-    multiple with int coefficients, or ``field`` itself when it has them, as
-    a normal form does (see VectorField.normalized), unscanned.  s is a
-    multiple of every denominator d, so a coefficient n / d becomes the int
-    n * (s // d), with no Fraction formed."""
-    if field.__dict__.get("_normal"):
-        return field
+    multiple with int coefficients, or ``field`` itself when it has them.  s
+    is a multiple of every denominator d, so a coefficient n / d becomes the
+    int n * (s // d), with no Fraction formed."""
     denominators = [c.denominator for comp in field.components if comp.terms for c in comp.terms.values() if type(c) is not int]
     if not denominators:
         return field
@@ -474,30 +465,22 @@ def _integral(field: VectorField) -> VectorField:
     ))
 
 
-def small_flag(
-    dist: Distribution,
-    steps: int,
-    cap: int = DEFAULT_GENERATOR_CAP,
-    *,
-    normal: bool = True,
-) -> list[Distribution]:
+def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
-    Generator lists drop zero fields and scalar multiples of known fields
-    (see _Dedup) and keep each new field in normalized form; with ``normal``
-    False each is kept as it was formed, a nonzero multiple of the normal
-    one, since a bracket of multiples is a multiple of the bracket.  The raw
-    flag starts from the generators of D cleared of denominators (see
-    _integral), so each of its brackets multiplies ints.  Each step
-    brackets the generators of D only with the fields that are new in the
-    latest member; brackets with older fields were candidates one step
-    earlier.  On the first step every field after the first _squared(D) is
-    new, and generator i is bracketed only with generators k > i: [g, g] = 0
-    and [g_k, g_i] = -[g_i, g_k].
+    The flag starts from the generators of D cleared of denominators (see
+    _integral), so each of its brackets multiplies ints, and keeps every
+    field as it was formed; generator lists drop zero fields and scalar
+    multiples of known fields (see _Dedup).  Each step brackets the
+    generators of D only with the fields that are new in the latest member;
+    brackets with older fields were candidates one step earlier.  On the
+    first step every field after the first _squared(D) is new, and generator
+    i is bracketed only with generators k > i: [g, g] = 0 and
+    [g_k, g_i] = -[g_i, g_k].
     """
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
-    pool = _Dedup(cap, dist.generators if normal else map(_integral, dist.generators), normal=normal)
+    pool = _Dedup(cap, map(_integral, dist.generators))
     base = list(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
     start = _squared(dist)
@@ -512,13 +495,17 @@ def small_flag(
 
 
 def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
-    """D + [D, D]: the second member of the small flag of D.
+    """D + [D, D]: the second member of the small flag of D, its fields in
+    normal form (see VectorField.normalized).  This is the one place fields
+    are normalized: a tower member's fields are their own normal forms, so
+    the square of a member starts with the member's own fields.
 
     Its generators start with the k deduplicated generators of D, each pair
     of which was bracketed here or lies in D's recorded prefix, so the square
     records k on itself (see _squared): squaring it again skips those pairs.
     """
     base, square = small_flag(dist, 2, cap)
+    square = Distribution(dist.chart, tuple(g.normalized() for g in square.generators))
     square.__dict__["_squared"] = len(base.generators)
     return square
 
@@ -555,15 +542,14 @@ def small_flag_vectors_at(
     brackets and the multiples of kept fields, so the span is the same; only
     the generators of V_(steps-1) count against ``cap``, and the first round
     skips the pairs of the first _squared(dist) generators, as small_flag
-    does.  A caller that stops early forms no later bracket.  No scaling
-    changes the span, so V_(steps-1) is built with ``normal`` False, in
-    integers, and the jets are read at the point with its integral
-    coordinates as ints: at an integral point they are sums of ints.
+    does.  A caller that stops early forms no later bracket.  V_(steps-1)
+    is built in integers, and the jets are read at the point with its
+    integral coordinates as ints: at an integral point they are sums of ints.
     """
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
     point = tuple(map(_canonical, _check_point(dist.chart, point)))
-    flag = small_flag(dist, steps - 1, cap, normal=False)
+    flag = small_flag(dist, steps - 1, cap)
     jets = [_jet_at(field, point) for field in flag[-1].generators]
     for value, _ in jets:
         yield value

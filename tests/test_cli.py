@@ -254,10 +254,19 @@ LONG_LITERALS = [
     (("classify", "--word", "1.2", "--constants", f'{{"c": {{"1": "{LONG}/7"}}}}'), "constants.json: c constant at step 1: "),
     (("classify", "--word", "1.2", "--b", f"{LONG}=1"), "bad step in the b constants: "),
     (("classify", "--word", f"1.{LONG}"), "bad segment in word: "),
+    (("classify", "--word", "1.2", "--cap", LONG), "error: argument --cap: "),
+    (("verify", "--length", "3", "--trials", LONG), "error: argument --trials: "),
+    (("verify", "--length", "3", "--seed", LONG), "error: argument --seed: "),
+    (("count", "--width", LONG, "--length", "3"), "error: argument --width: "),
+    (("count", "--length", LONG), "error: argument --length: "),
 ]
 
 
-@pytest.mark.parametrize("argv, source", LONG_LITERALS, ids=["b", "c", "point", "file-number", "file-text", "step", "word"])
+@pytest.mark.parametrize(
+    "argv, source",
+    LONG_LITERALS,
+    ids=["b", "c", "point", "file-number", "file-text", "step", "word", "cap", "trials", "seed", "width", "length"],
+)
 def test_a_literal_over_the_digit_bound_names_its_input_and_the_bound(argv, source, tmp_path, capsys):
     argv = list(argv)
     if "--constants" in argv:
@@ -265,7 +274,12 @@ def test_a_literal_over_the_digit_bound_names_its_input_and_the_bound(argv, sour
         constants = tmp_path / "constants.json"
         constants.write_text(argv[at])
         argv[at] = str(constants)
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:  # argparse rejected an integer option: its usage, then its one error line
+        code, (out, err) = exc.code, capsys.readouterr()
+        usage, _, err = err.partition(f"twoflags {argv[0]}: ")
+        assert usage.startswith(f"usage: twoflags {argv[0]} ")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and source in err
     assert f"literal of 5001 digits, over the bound of {sys.get_int_max_str_digits()} digits" in err

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,15 @@ def test_spec_rejects_float_constants():
         EkrSpec(word, {1: 0.3})
     with pytest.raises(BadSyntax, match=r"inexact value 0\.25"):
         EkrSpec(word, c={2: 0.25})
+
+
+@pytest.mark.parametrize("step", ["\u0661", " 1 ", True, 1.0, "1_0"], ids=["arabic-indic", "spaces", "bool", "float", "underscore"])
+def test_spec_rejects_a_step_that_is_not_an_int(step):
+    # int() would move each of these to step 1, or "1_0" to step 10
+    word = Word.parse("1.2.1.2.1.2.1.2.1.2")
+    for kind in ("b", "c"):
+        with pytest.raises(BadSyntax, match=f"^{kind} constant at step {re.escape(repr(step))}: a step is an int, not a {type(step).__name__}$"):
+            EkrSpec(word, **{kind: {step: F(1)}})
 
 
 def test_spec_json_roundtrip():

@@ -487,19 +487,18 @@ def test_small_flag_of_involutive_distribution_is_stationary():
 
 def test_small_flag_generator_cap():
     build = build_ekr(EkrSpec(Word.parse("1.2.1.2")))
-    for normal in (True, False):
-        with pytest.raises(GeneratorBlowup):
-            small_flag(build.distribution, 5, cap=4, normal=normal)
+    with pytest.raises(GeneratorBlowup):
+        small_flag(build.distribution, 5, cap=4)
 
 
 def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
-    # small_flag_vectors_at builds V_(k-1) with normal=False: the members keep
-    # as many generators, each raw generator normalizes to the normal one, and
-    # the values agree at the origin and at a stress point.  Every raw field has
-    # int coefficients, though the seeded constants put Fractions into the
-    # leading fields of the closed members.  Closed members are checked for
-    # k <= 5; generic tower members too, but for k <= 2 at length 5, where
-    # their V_3 alone takes seconds per word
+    # small_flag keeps its fields as formed: its members keep as many
+    # generators as the oracle's normal ones, each raw generator normalizes to
+    # the oracle's, and the values agree at the origin and at a stress point.
+    # Every raw field has int coefficients, though the seeded constants put
+    # Fractions into the leading fields of the closed members.  Closed members
+    # are checked for k <= 5; generic tower members too, but for k <= 2 at
+    # length 5, where their V_3 alone takes seconds per word
     checked = fractional = 0
     for r in range(1, 6):
         for word in enumerate_words(r):
@@ -510,13 +509,13 @@ def test_raw_small_flag_is_the_normal_one_up_to_scaling_up_to_length_five():
             closed = [_ClosedGeometry(build, origin, DEFAULT_GENERATOR_CAP).member(j) for j in range(1, r + 1)]
             tower = big_flag(build.distribution, origin)[1:-1]
             for dist, k in [(m, 5) for m in closed] + [(m, 5 if r < 5 else 2) for m in tower]:
-                raw, normal = small_flag(dist, k, normal=False), small_flag(dist, k)
+                raw, normal = small_flag(dist, k), oracle_small_flag(dist, k)
                 assert [len(m.generators) for m in raw] == [len(m.generators) for m in normal], word
                 raw_coefficients = [c for g in raw[-1].generators for comp in g.components for c in comp.terms.values()]
                 assert all(type(c) is int for c in raw_coefficients), word
                 fractional += any(type(c) is not int for g in dist.generators for comp in g.components for c in comp.terms.values())
                 for m_raw, m_normal in zip(raw, normal):
-                    assert [g.normalized().signature() for g in m_raw.generators] == signatures(m_normal), word
+                    assert normal_signatures(m_raw) == signatures(m_normal), word
                 for point in points:
                     p = point[: dist.chart.dim]
                     assert value_at(raw[-1], p) == value_at(normal[-1], p), (word, point)
@@ -564,13 +563,10 @@ def test_dedup_drops_scalar_multiples_and_keeps_the_first_normalized_field():
     candidates = [first, first.scaled(-1), first.scaled(F(-3, 7)), first.scaled(F(5, 2)), first.scaled(0)]
     pool = _Dedup(10)
     pool.extend(candidates)
-    assert pool.fields == [first.normalized()]
-    # content 1 and a positive leading (highest-degree) coefficient
-    assert [g.signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
-    # without normal forms the first candidate itself is kept
-    raw = _Dedup(10, normal=False)
-    raw.extend(candidates)
-    assert len(raw.fields) == 1 and raw.fields[0] is first
+    # the first candidate itself is kept; its normal form has content 1 and a
+    # positive leading (highest-degree) coefficient
+    assert len(pool.fields) == 1 and pool.fields[0] is first
+    assert [g.normalized().signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
 
 
 def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
@@ -584,10 +580,9 @@ def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
     pool, oracle = _Dedup(10), oracle_dedup(10)
     pool.extend(candidates)
     oracle.extend(candidates)
-    assert pool.fields == [g.normalized() for g in candidates]
-    assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
-    raw = _Dedup(10, candidates, normal=False)
-    assert all(kept is g for kept, g in zip(raw.fields, candidates, strict=True))
+    assert all(kept is g for kept, g in zip(pool.fields, candidates, strict=True))
+    assert [g.normalized().signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    assert _Dedup(10, candidates).fields == pool.fields
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,11 +601,10 @@ def test_dedup_keeps_what_the_normalize_then_signature_oracle_keeps(picks):
     pool, oracle = _Dedup(10), oracle_dedup(10)
     pool.extend(candidates)
     oracle.extend(candidates)
-    assert [g.signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
-    # without normal forms the first candidate of each kept multiple is itself kept
-    raw = _Dedup(10, candidates, normal=False)
+    assert [g.normalized().signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    # the first candidate of each kept multiple is itself kept
     firsts = [next(g for g in candidates if g.normalized().signature() == kept.signature()) for kept in oracle.fields]
-    assert all(a is b for a, b in zip(raw.fields, firsts, strict=True))
+    assert all(a is b for a, b in zip(pool.fields, firsts, strict=True))
 
 
 # The ordered-pair loops that lie_square and small_flag ran before small_flag
@@ -648,6 +642,12 @@ def signatures(dist: Distribution) -> list[tuple]:
     return [g.signature() for g in dist.generators]
 
 
+def normal_signatures(dist: Distribution) -> list[tuple]:
+    """The signatures of the normal forms of the generators: small_flag keeps
+    each field as it was formed, and the oracles keep normal forms."""
+    return [g.normalized().signature() for g in dist.generators]
+
+
 def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
     from twoflags.atlas import enumerate_words
     from twoflags.cli import draw_constants
@@ -659,7 +659,7 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                 for j in range(r + 1):
                     member = build.flag_member(j)
                     assert signatures(lie_square(member)) == signatures(oracle_lie_square(member)), (spec, j)
-                    got = [signatures(m) for m in small_flag(member, 5)]
+                    got = [normal_signatures(m) for m in small_flag(member, 5)]
                     assert got == [signatures(m) for m in oracle_small_flag(member, 5)], (spec, j)
                 point = build.chart.origin()
                 assert_tower_matches_the_oracle(big_flag(build.distribution, point), build.distribution, point, spec)
@@ -755,6 +755,16 @@ def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
             assert signatures(lie_square(member)) == signatures(lie_square(plain)), (spec, j)
 
 
+def test_the_square_of_a_tower_member_starts_with_its_very_fields_up_to_length_four():
+    # lie_square returns normal forms, which small_flag and normalized return
+    # as they are: each field keeps its object, and its occurrence table, from
+    # one square to the next
+    for r in range(1, 5):
+        for spec, j, member, _ in generic_tower_members(r, "same"):
+            head = lie_square(member).generators[: len(member.generators)]
+            assert all(a is b for a, b in zip(head, member.generators, strict=True)), (spec, j)
+
+
 def test_small_flags_of_tower_members_equal_the_plain_ones_up_to_length_four():
     # the recorded prefix skips pairs on the first step only: every member of
     # the flag, and the cap at which it blows up, are those of the unmarked copy
@@ -798,9 +808,9 @@ def test_flag_generators_and_annihilators_have_int_coefficients_up_to_length_fou
                     assert int_coefficients(form.coefficients), word
 
 
-def flags_or_blowup(flags) -> list | str:
+def flags_or_blowup(flags, signed=signatures) -> list | str:
     try:
-        return [signatures(m) for m in flags()]
+        return [signed(m) for m in flags()]
     except GeneratorBlowup:
         return "blowup"
 
@@ -819,7 +829,7 @@ def test_generator_cap_is_hit_where_the_oracle_hits_it(text, j):
     total = len(oracle_small_flag(dist, 5)[-1].generators)
     # every cap reached on the first step, where pairs are dropped, and the last two
     for cap in [*range(1, square + 1), total - 1, total]:
-        got = flags_or_blowup(lambda: small_flag(dist, 5, cap))
+        got = flags_or_blowup(lambda: small_flag(dist, 5, cap), normal_signatures)
         assert got == flags_or_blowup(lambda: oracle_small_flag(dist, 5, cap)), cap
         assert (got == "blowup") == (cap < total), cap
 
