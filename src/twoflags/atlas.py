@@ -6,15 +6,16 @@ JSON-lines, CSV and DOT form.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
 # longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and dot
-# emitters peaks near 208 MB, and the streamed `atlas --length 13` takes 5-7 s at an
-# 84 MB peak, mostly its list of words, in every format on 2 cores; each letter triples both
+# emitters peaks near 186 MB, and the streamed `atlas --length 13` takes 2-3.5 s
+# (dot, which lists the words twice, 3-5 s) at an 83-85 MB peak, mostly its list
+# of words, on 2 cores; each letter triples both
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
 # big-integer steps, each on numbers that grow with the length, so the
@@ -71,16 +72,16 @@ def codimension(word: Word) -> int:
     return word.letters.count(2) + 2 * word.letters.count(3)
 
 
-def _lowered(text: str) -> list[str]:
+def _lowered(text: str) -> tuple[list[str], list[str]]:
     """The texts of a word's guaranteed adjacencies, from its text: each 3
-    lowered, then each 2 past the last 3."""
-    lowered = []
-    for letter, lower, start in (("3", "2", 0), ("2", "1", text.rfind("3") + 1)):
+    lowered, and each 2 past the last 3 lowered."""
+    threes, twos = [], []
+    for lowered, letter, lower, start in ((threes, "3", "2", 0), (twos, "2", "1", text.rfind("3") + 1)):
         pos = text.find(letter, start)
         while pos >= 0:
             lowered.append(text[:pos] + lower + text[pos + 1 :])
             pos = text.find(letter, pos + 2)  # letters sit two characters apart
-    return lowered
+    return threes, twos
 
 
 def adjacencies(word: Word) -> list[Word]:
@@ -90,11 +91,11 @@ def adjacencies(word: Word) -> list[Word]:
     and no letter 3 occurs past position l.  The full adjacency question
     is open; only these edges are emitted.
     """
-    return [Word.parse(text) for text in _lowered(str(word))]
+    threes, twos = _lowered(str(word))
+    return [Word.parse(text) for text in threes + twos]
 
 
-@dataclass(frozen=True, slots=True)
-class AtlasRecord:
+class AtlasRecord(NamedTuple):
     text: str
     length: int
     codimension: int
@@ -114,14 +115,41 @@ class AtlasRecord:
 def iter_atlas(r: int) -> Iterator[AtlasRecord]:
     """The records of build_atlas(r), one at a time; the words are listed,
     and a bad length raised, when it is called."""
-    # what each position adds to a locus, by its letter: the equations
-    # singularity_locus_equations writes, formatted once per length
-    equations = [{"1": (), "2": (f"x{pos}=0",), "3": (f"x{pos}=0", f"y{pos}=0")} for pos in range(1, r + 1)]
-    return (
-        AtlasRecord(text, r, text.count("2") + 2 * text.count("3"), text.replace("3", "2"),
-                    sum([added[letter] for added, letter in zip(equations, text[::2])], ()), tuple(_lowered(text)))
-        for text in map(str, enumerate_words(r))
-    )
+    return _records(enumerate_words(r), r)
+
+
+def _records(words: list[Word], r: int) -> Iterator[AtlasRecord]:
+    """Each record joins the fields of its word's two halves, each worked out
+    once: letters 1..h, and letters h+1..r, whose text puts a dot before each."""
+    # about 3^(h-1)/2 left halves, each a word, and up to 3^(r-h) right
+    # halves, any letters: h = (r + 1) // 2 keeps both near 3^(r/2)
+    h = (r + 1) // 2
+
+    def half(letters: tuple[int, ...], text: str, start: int) -> tuple:
+        # the equations singularity_locus_equations writes: letter j at a position adds j - 1
+        locus = tuple(eq for pos, j in enumerate(letters, start) for eq in (f"x{pos}=0", f"y{pos}=0")[: j - 1])
+        return (text, letters.count(2) + 2 * letters.count(3), text.replace("3", "2"), locus, *_lowered(text))
+
+    lefts, rights = {}, {}  # the fields of each distinct half, by its letters
+    sandwiches = {}  # one string per pattern, shared by its records
+    for word in words:
+        letters = word.letters
+        left, right = letters[:h], letters[h:]
+        if left not in lefts:
+            lefts[left] = half(left, ".".join(map(str, left)), 1)
+        if right not in rights:
+            rights[right] = half(right, "".join(f".{j}" for j in right), h + 1)
+        ta, ca, sa, la, threes_a, twos_a = lefts[left]
+        tb, cb, sb, lb, threes_b, twos_b = rights[right]
+        sandwich = sa + sb
+        # _lowered on the whole text: every 3 lowered, then every 2 past the last 3,
+        # which leaves out the left half's 2s when the right half holds a 3
+        lowered = [t + tb for t in threes_a]
+        lowered += [ta + t for t in threes_b]
+        if not threes_b:
+            lowered += [t + tb for t in twos_a]
+        lowered += [ta + t for t in twos_b]
+        yield AtlasRecord(ta + tb, r, ca + cb, sandwiches.setdefault(sandwich, sandwich), la + lb, tuple(lowered))
 
 
 def build_atlas(r: int) -> list[AtlasRecord]:
@@ -163,13 +191,15 @@ def _csv_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
 
 
 def _dot_lines(words: Iterable[str], records: Callable[[], Iterable[AtlasRecord]]) -> Iterator[str]:
-    """A node line per word text, then the edge lines of records(), called once the nodes are done."""
+    """A node line per word text, then the edge lines of records(), called once
+    the nodes are done, in one string per record."""
     yield "digraph adjacencies {\n"
     for text in words:
         yield f'    "{text}";\n'
     for rec in records():
-        for target in rec.adjacencies:
-            yield f'    "{rec.text}" -> "{target}";\n'
+        if rec.adjacencies:
+            source = f'    "{rec.text}" -> "'
+            yield source + f'";\n{source}'.join(rec.adjacencies) + '";\n'
     yield "}\n"
 
 

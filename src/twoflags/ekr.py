@@ -50,6 +50,10 @@ class Word:
         letters = self.letters
         if not letters:
             raise RuleViolation("a word needs at least one letter")
+        # True == 1 and 1.0 == 1, but neither prints as the letter 1
+        if set(map(type, letters)) != {int}:
+            letter = next(letter for letter in letters if type(letter) is not int)
+            raise RuleViolation(f"letter {letter!r} is not an int but a {type(letter).__name__}")
         if not _LETTERS.issuperset(letters):
             letter = next(letter for letter in letters if letter not in _LETTERS)
             raise RuleViolation(f"letter {letter} is outside the alphabet 1..3")

@@ -2,12 +2,14 @@
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
 
 from twoflags.atlas import (
     MAX_COUNT_STEPS,
+    AtlasRecord,
     adjacencies,
     adjacency_dot,
     atlas_csv,
@@ -171,17 +173,33 @@ def test_atlas_records_length_four():
 
 
 def test_atlas_records_render_what_the_word_functions_give():
-    # adjacencies are formatted by slicing the word's text and loci from a
-    # table of per-position equations; the Word-level functions, and the
-    # codimension as a sum over letters, are the reference
-    for r in range(1, 9):
-        for rec in build_atlas(r):
-            assert str(rec.word) == rec.text
-            assert rec.adjacencies == tuple(str(w) for w in adjacencies(rec.word))
-            assert rec.locus == singularity_locus_equations(rec.word)
-            letters = rec.word.letters
-            expected = sum(1 for j in letters if j == 2) + 2 * sum(1 for j in letters if j == 3)
-            assert rec.codimension == codimension(rec.word) == expected
+    # every field is joined from fields of the word's two halves; the
+    # Word-level functions, and the codimension as a sum over letters, are the
+    # reference; at lengths 11 and 12, where each half holds several letters,
+    # every 97th record is checked
+    for r, step in [*((r, 1) for r in range(1, 9)), (11, 97), (12, 97)]:
+        for rec, word in zip(itertools.islice(iter_atlas(r), 0, None, step), enumerate_words(r)[::step], strict=True):
+            assert rec.word == word and rec.text == str(word)
+            assert rec.adjacencies == tuple(str(w) for w in adjacencies(word))
+            assert rec.locus == singularity_locus_equations(word)
+            expected = sum(1 for j in word.letters if j == 2) + 2 * sum(1 for j in word.letters if j == 3)
+            assert rec.codimension == codimension(word) == expected
+            assert rec.sandwich == rec.text.replace("3", "2")
+
+
+def test_atlas_record_of_length_one():
+    # its right half is empty
+    assert build_atlas(1) == [AtlasRecord("1", 1, 0, "1", (), ())]
+
+
+def test_atlas_record_is_immutable():
+    rec = build_atlas(3)[-1]
+    for name in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    assert rec.word == Word.parse("1.2.3")
+    assert rec.to_json() == {"word": "1.2.3", "length": 3, "codimension": 3, "sandwich": "1.2.2",
+                             "locus": ["x2=0", "x3=0", "y3=0"], "adjacencies": ["1.2.2"]}
 
 
 def test_atlas_csv_shape():

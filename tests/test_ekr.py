@@ -96,6 +96,17 @@ def test_word_validator_matches_the_running_maximum_oracle():
     assert checked == 19531
 
 
+@pytest.mark.parametrize(
+    "letters, bad",
+    [((True, 2), True), ((1.0, 2), 1.0), ((Fraction(1), 2, 3.0), Fraction(1)), ((1, 2, False), False)],
+    ids=["bool", "float", "fraction", "late-bool"],
+)
+def test_word_rejects_a_letter_that_is_not_an_int(letters, bad):
+    # each equals an int letter, so its word would equal a word of ints that prints otherwise
+    with pytest.raises(RuleViolation, match=f"^letter {re.escape(repr(bad))} is not an int but a {type(bad).__name__}$"):
+        Word(letters)
+
+
 def test_word_prefix():
     word = Word.parse("1.2.1.3")
     assert str(word.prefix(2)) == "1.2"
