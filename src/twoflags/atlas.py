@@ -5,6 +5,7 @@ JSON-lines, CSV and DOT form.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
@@ -12,10 +13,11 @@ from .classify import singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
-# longest word enumerate_words lists: build_atlas(12) with the jsonl, csv and dot
-# emitters peaks near 186 MB, and the streamed `atlas --length 13` takes 2-3.5 s
-# (dot, which lists the words twice, 3-5 s) at an 83-85 MB peak, mostly its list
-# of words, on 2 cores; each letter triples both
+# longest word enumerate_words lists and iter_atlas covers: build_atlas(12) with
+# the jsonl, csv and dot emitters peaks near 187 MB, and the streamed
+# `atlas --length 13` takes 1.5-1.7 s (dot, which makes the records twice,
+# 2.1-2.2 s) at a 19 MB peak, which holds no list of words, on 2 cores; each
+# letter triples the time and the output
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
 # big-integer steps, each on numbers that grow with the length, so the
@@ -24,12 +26,16 @@ MAX_LENGTH = 13
 MAX_COUNT_STEPS = 300_000
 
 
-def enumerate_words(r: int) -> list[Word]:
-    """All valid words of length r, in lexicographic order."""
+def _check_length(r: int) -> None:
     if r < 1:
         raise ChartMismatch(f"length must be >= 1, got {r}")
     if r > MAX_LENGTH:
         raise ChartMismatch(f"length must be <= {MAX_LENGTH}, got {r}")
+
+
+def enumerate_words(r: int) -> list[Word]:
+    """All valid words of length r, in lexicographic order."""
+    _check_length(r)
     prefixes = [(1,)]
     for _ in range(r - 1):
         # a letter rises at most one above the running maximum, which is 2 or 3 once a 2 occurs
@@ -113,14 +119,16 @@ class AtlasRecord(NamedTuple):
 
 
 def iter_atlas(r: int) -> Iterator[AtlasRecord]:
-    """The records of build_atlas(r), one at a time; the words are listed,
-    and a bad length raised, when it is called."""
-    return _records(enumerate_words(r), r)
+    """The records of build_atlas(r), one at a time; a bad length raises when
+    it is called."""
+    _check_length(r)
+    return _records(r)
 
 
-def _records(words: list[Word], r: int) -> Iterator[AtlasRecord]:
+def _records(r: int) -> Iterator[AtlasRecord]:
     """Each record joins the fields of its word's two halves, each worked out
-    once: letters 1..h, and letters h+1..r, whose text puts a dot before each."""
+    once: letters 1..h, and letters h+1..r, whose text puts a dot before each.
+    No list of the words of length r is made."""
     # about 3^(h-1)/2 left halves, each a word, and up to 3^(r-h) right
     # halves, any letters: h = (r + 1) // 2 keeps both near 3^(r/2)
     h = (r + 1) // 2
@@ -130,26 +138,28 @@ def _records(words: list[Word], r: int) -> Iterator[AtlasRecord]:
         locus = tuple(eq for pos, j in enumerate(letters, start) for eq in (f"x{pos}=0", f"y{pos}=0")[: j - 1])
         return (text, letters.count(2) + 2 * letters.count(3), text.replace("3", "2"), locus, *_lowered(text))
 
-    lefts, rights = {}, {}  # the fields of each distinct half, by its letters
+    def rights(halves: Iterable[tuple[int, ...]]) -> list[tuple]:
+        return [half(right, "".join(f".{j}" for j in right), h + 1) for right in halves]
+
+    # a left half that holds a 2 may be followed by any letters; 1^h, the
+    # first left half, only by the tail of a word of length r - h + 1; both
+    # lists, like the left halves, are in lexicographic order, and so are the records
+    after_two = rights(itertools.product((1, 2, 3), repeat=r - h))
+    after_ones = rights(word.letters[1:] for word in enumerate_words(r - h + 1))
     sandwiches = {}  # one string per pattern, shared by its records
-    for word in words:
+    for word in enumerate_words(h):
         letters = word.letters
-        left, right = letters[:h], letters[h:]
-        if left not in lefts:
-            lefts[left] = half(left, ".".join(map(str, left)), 1)
-        if right not in rights:
-            rights[right] = half(right, "".join(f".{j}" for j in right), h + 1)
-        ta, ca, sa, la, threes_a, twos_a = lefts[left]
-        tb, cb, sb, lb, threes_b, twos_b = rights[right]
-        sandwich = sa + sb
-        # _lowered on the whole text: every 3 lowered, then every 2 past the last 3,
-        # which leaves out the left half's 2s when the right half holds a 3
-        lowered = [t + tb for t in threes_a]
-        lowered += [ta + t for t in threes_b]
-        if not threes_b:
-            lowered += [t + tb for t in twos_a]
-        lowered += [ta + t for t in twos_b]
-        yield AtlasRecord(ta + tb, r, ca + cb, sandwiches.setdefault(sandwich, sandwich), la + lb, tuple(lowered))
+        ta, ca, sa, la, threes_a, twos_a = half(letters, ".".join(map(str, letters)), 1)
+        for tb, cb, sb, lb, threes_b, twos_b in after_two if 2 in letters else after_ones:
+            sandwich = sa + sb
+            # _lowered on the whole text: every 3 lowered, then every 2 past the last 3,
+            # which leaves out the left half's 2s when the right half holds a 3
+            lowered = [t + tb for t in threes_a]
+            lowered += [ta + t for t in threes_b]
+            if not threes_b:
+                lowered += [t + tb for t in twos_a]
+            lowered += [ta + t for t in twos_b]
+            yield AtlasRecord(ta + tb, r, ca + cb, sandwiches.setdefault(sandwich, sandwich), la + lb, tuple(lowered))
 
 
 def build_atlas(r: int) -> list[AtlasRecord]:
@@ -190,12 +200,12 @@ def _csv_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
         yield f"{rec.text},{rec.length},{rec.codimension},{rec.sandwich},{';'.join(rec.locus)},{';'.join(rec.adjacencies)}\n"
 
 
-def _dot_lines(words: Iterable[str], records: Callable[[], Iterable[AtlasRecord]]) -> Iterator[str]:
-    """A node line per word text, then the edge lines of records(), called once
-    the nodes are done, in one string per record."""
+def _dot_lines(records: Callable[[], Iterable[AtlasRecord]]) -> Iterator[str]:
+    """A node line per record of one pass of records(), then the edge lines of
+    a second pass, in one string per record."""
     yield "digraph adjacencies {\n"
-    for text in words:
-        yield f'    "{text}";\n'
+    for rec in records():
+        yield f'    "{rec.text}";\n'
     for rec in records():
         if rec.adjacencies:
             source = f'    "{rec.text}" -> "'
@@ -216,4 +226,4 @@ def atlas_csv(records: list[AtlasRecord]) -> str:
 
 
 def adjacency_dot(records: list[AtlasRecord]) -> str:
-    return "".join(_dot_lines((rec.text for rec in records), lambda: records))
+    return "".join(_dot_lines(lambda: records))

@@ -200,10 +200,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    # the words are listed before the first line is written, so a bad length writes nothing
-    if args.format == "dot":  # node lines need only the word texts
-        words = map(str, atlas_mod.enumerate_words(args.length))
-        lines = atlas_mod._dot_lines(words, lambda: atlas_mod.iter_atlas(args.length))
+    atlas_mod._check_length(args.length)  # before the first line is written, so a bad length writes nothing
+    if args.format == "dot":  # node lines from one pass of the records, edge lines from a second
+        lines = atlas_mod._dot_lines(lambda: atlas_mod.iter_atlas(args.length))
     elif args.format == "json":
         lines = itertools.chain(atlas_mod._json_lines(atlas_mod.iter_atlas(args.length)), "\n")
     elif args.format == "jsonl":

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -173,18 +174,37 @@ def test_atlas_records_length_four():
 
 
 def test_atlas_records_render_what_the_word_functions_give():
-    # every field is joined from fields of the word's two halves; the
-    # Word-level functions, and the codimension as a sum over letters, are the
-    # reference; at lengths 11 and 12, where each half holds several letters,
-    # every 97th record is checked
-    for r, step in [*((r, 1) for r in range(1, 9)), (11, 97), (12, 97)]:
+    # every field is joined from fields of the word's two halves, and no word
+    # of length r is listed to make them; the Word-level functions, and the
+    # codimension as a sum over letters, are the reference; at lengths 11 and
+    # 12, where each half holds several letters, every 97th record is checked
+    for r, step in [*((r, 1) for r in range(1, 11)), (11, 97), (12, 97)]:
         for rec, word in zip(itertools.islice(iter_atlas(r), 0, None, step), enumerate_words(r)[::step], strict=True):
-            assert rec.word == word and rec.text == str(word)
+            assert rec.word == word and rec.text == str(word) and rec.length == r
             assert rec.adjacencies == tuple(str(w) for w in adjacencies(word))
             assert rec.locus == singularity_locus_equations(word)
             expected = sum(1 for j in word.letters if j == 2) + 2 * sum(1 for j in word.letters if j == 3)
             assert rec.codimension == codimension(word) == expected
             assert rec.sandwich == rec.text.replace("3", "2")
+
+
+@pytest.mark.parametrize("r, message", [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (14, "<= 13, got 14")])
+def test_iter_atlas_raises_on_a_bad_length_when_called(r, message):
+    # the length named is r, not the length of a half
+    with pytest.raises(ChartMismatch, match=f"^length must be {message}$"):
+        iter_atlas(r)
+
+
+def test_draining_iter_atlas_holds_no_list_of_words():
+    # the 88,574 words of length 12 alone take about 20 MB; the fields of the
+    # halves and the shared sandwich strings about 1 MB
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_atlas(12)) == 88_574
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_atlas_record_of_length_one():

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,18 @@ def test_sandwich_of_length_two_models():
 def test_sandwich_word_validation():
     with pytest.raises(Exception):
         SandwichWord((2, 1))
+
+
+@pytest.mark.parametrize(
+    "letters, bad",
+    [((True, 2), True), ((1.0, 2.0), 1.0), ((Fraction(1), 2), Fraction(1)), ((1, 2, True), True)],
+    ids=["bool", "float", "fraction", "late-bool"],
+)
+def test_sandwich_word_rejects_a_letter_that_is_not_an_int(letters, bad):
+    # each equals an int letter, so its word would equal a word of ints that prints otherwise
+    pattern = f"^sandwich letter {re.escape(repr(bad))} is not an int but a {type(bad).__name__}$"
+    with pytest.raises(ChartMismatch, match=pattern):
+        SandwichWord(letters)
 
 
 def test_letter_one_correspondence_at_origin():
