@@ -6,18 +6,17 @@ JSON-lines, CSV and DOT form.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .classify import singularity_locus_equations
+from .classify import _locus_equations, singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
 
 # longest word enumerate_words lists and iter_atlas covers: build_atlas(12) with
 # the jsonl, csv and dot emitters peaks near 187 MB, and the streamed
-# `atlas --length 13` takes 1.5-1.7 s (dot, which makes the records twice,
-# 2.1-2.2 s) at a 19 MB peak, which holds no list of words, on 2 cores; each
-# letter triples the time and the output
+# `atlas --length 13` takes 1.0-1.7 s in every format at a 19 MB peak, which
+# holds no list of words, on 2 cores; each letter triples the time and the output
 MAX_LENGTH = 13
 # largest length * min(width + 1, length) count_classes takes: about that many
 # big-integer steps, each on numbers that grow with the length, so the
@@ -74,8 +73,8 @@ def count_classes(m: int, r: int) -> int:
 
 
 def codimension(word: Word) -> int:
-    """Number of letters 2 plus twice the number of letters 3."""
-    return word.letters.count(2) + 2 * word.letters.count(3)
+    """Number of letters 2 plus twice the number of letters 3: one per locus equation."""
+    return len(singularity_locus_equations(word))
 
 
 def _lowered(text: str) -> tuple[list[str], list[str]]:
@@ -125,18 +124,17 @@ def iter_atlas(r: int) -> Iterator[AtlasRecord]:
     return _records(r)
 
 
-def _records(r: int) -> Iterator[AtlasRecord]:
-    """Each record joins the fields of its word's two halves, each worked out
-    once: letters 1..h, and letters h+1..r, whose text puts a dot before each.
-    No list of the words of length r is made."""
+def _halves(r: int) -> Iterator[tuple[tuple, list[tuple]]]:
+    """Each left half's fields, letters 1..h, with the fields of the right halves
+    that may follow it, letters h+1..r, whose text puts a dot before each: each
+    half is worked out once, and no list of the words of length r is made."""
     # about 3^(h-1)/2 left halves, each a word, and up to 3^(r-h) right
     # halves, any letters: h = (r + 1) // 2 keeps both near 3^(r/2)
     h = (r + 1) // 2
 
     def half(letters: tuple[int, ...], text: str, start: int) -> tuple:
-        # the equations singularity_locus_equations writes: letter j at a position adds j - 1
-        locus = tuple(eq for pos, j in enumerate(letters, start) for eq in (f"x{pos}=0", f"y{pos}=0")[: j - 1])
-        return (text, letters.count(2) + 2 * letters.count(3), text.replace("3", "2"), locus, *_lowered(text))
+        locus = _locus_equations(letters, start)
+        return (text, len(locus), text.replace("3", "2"), locus, *_lowered(text))
 
     def rights(halves: Iterable[tuple[int, ...]]) -> list[tuple]:
         return [half(right, "".join(f".{j}" for j in right), h + 1) for right in halves]
@@ -146,11 +144,20 @@ def _records(r: int) -> Iterator[AtlasRecord]:
     # lists, like the left halves, are in lexicographic order, and so are the records
     after_two = rights(itertools.product((1, 2, 3), repeat=r - h))
     after_ones = rights(word.letters[1:] for word in enumerate_words(r - h + 1))
-    sandwiches = {}  # one string per pattern, shared by its records
     for word in enumerate_words(h):
-        letters = word.letters
-        ta, ca, sa, la, threes_a, twos_a = half(letters, ".".join(map(str, letters)), 1)
-        for tb, cb, sb, lb, threes_b, twos_b in after_two if 2 in letters else after_ones:
+        yield half(word.letters, str(word), 1), after_two if 2 in word.letters else after_ones
+
+
+def _texts(r: int) -> Iterator[str]:
+    """The texts of the records of length r, in their order, without the records."""
+    return (left[0] + right[0] for left, rights in _halves(r) for right in rights)
+
+
+def _records(r: int) -> Iterator[AtlasRecord]:
+    """Each record joins the fields of its word's two halves."""
+    sandwiches = {}  # one string per pattern, shared by its records
+    for (ta, ca, sa, la, threes_a, twos_a), rights in _halves(r):
+        for tb, cb, sb, lb, threes_b, twos_b in rights:
             sandwich = sa + sb
             # _lowered on the whole text: every 3 lowered, then every 2 past the last 3,
             # which leaves out the left half's 2s when the right half holds a 3
@@ -200,13 +207,12 @@ def _csv_lines(records: Iterable[AtlasRecord]) -> Iterator[str]:
         yield f"{rec.text},{rec.length},{rec.codimension},{rec.sandwich},{';'.join(rec.locus)},{';'.join(rec.adjacencies)}\n"
 
 
-def _dot_lines(records: Callable[[], Iterable[AtlasRecord]]) -> Iterator[str]:
-    """A node line per record of one pass of records(), then the edge lines of
-    a second pass, in one string per record."""
+def _dot_lines(texts: Iterable[str], records: Iterable[AtlasRecord]) -> Iterator[str]:
+    """A node line per text, then the edge lines of each record as one string."""
     yield "digraph adjacencies {\n"
-    for rec in records():
-        yield f'    "{rec.text}";\n'
-    for rec in records():
+    for text in texts:
+        yield f'    "{text}";\n'
+    for rec in records:
         if rec.adjacencies:
             source = f'    "{rec.text}" -> "'
             yield source + f'";\n{source}'.join(rec.adjacencies) + '";\n'
@@ -226,4 +232,4 @@ def atlas_csv(records: list[AtlasRecord]) -> str:
 
 
 def adjacency_dot(records: list[AtlasRecord]) -> str:
-    return "".join(_dot_lines(lambda: records))
+    return "".join(_dot_lines((rec.text for rec in records), records))

@@ -254,6 +254,11 @@ def singularity_class_at(
     )
 
 
+def _locus_equations(letters: Sequence[int], start: int) -> tuple[str, ...]:
+    """x_k = 0 at each letter 2 and x_s = y_s = 0 at each letter 3, the first letter at position start."""
+    return tuple(eq for pos, j in enumerate(letters, start) for eq in (f"x{pos}=0", f"y{pos}=0")[: j - 1])
+
+
 def singularity_locus_equations(word: Word) -> tuple[str, ...]:
     """Coordinate equations of the locus of ``word`` in its own chart.
 
@@ -261,11 +266,4 @@ def singularity_locus_equations(word: Word) -> tuple[str, ...]:
     for every position s carrying the letter 3; the number of equations is
     the codimension of the class.
     """
-    equations = []
-    for pos, letter in enumerate(word.letters, start=1):
-        if letter == 2:
-            equations.append(f"x{pos}=0")
-        elif letter == 3:
-            equations.append(f"x{pos}=0")
-            equations.append(f"y{pos}=0")
-    return tuple(equations)
+    return _locus_equations(word.letters, 1)

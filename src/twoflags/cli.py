@@ -201,8 +201,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_atlas(args) -> int:
     atlas_mod._check_length(args.length)  # before the first line is written, so a bad length writes nothing
-    if args.format == "dot":  # node lines from one pass of the records, edge lines from a second
-        lines = atlas_mod._dot_lines(lambda: atlas_mod.iter_atlas(args.length))
+    if args.format == "dot":  # node lines from the record texts alone, edge lines from the records
+        lines = atlas_mod._dot_lines(atlas_mod._texts(args.length), atlas_mod.iter_atlas(args.length))
     elif args.format == "json":
         lines = itertools.chain(atlas_mod._json_lines(atlas_mod.iter_atlas(args.length)), "\n")
     elif args.format == "jsonl":

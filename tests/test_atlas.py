@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from twoflags import atlas as atlas_mod
 from twoflags.atlas import (
     MAX_COUNT_STEPS,
     AtlasRecord,
@@ -188,6 +189,12 @@ def test_atlas_records_render_what_the_word_functions_give():
             assert rec.sandwich == rec.text.replace("3", "2")
 
 
+def test_codimension_counts_the_locus_equations_up_to_length_eight():
+    for r in range(1, 9):
+        for word in enumerate_words(r):
+            assert codimension(word) == len(singularity_locus_equations(word))
+
+
 @pytest.mark.parametrize("r, message", [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (14, "<= 13, got 14")])
 def test_iter_atlas_raises_on_a_bad_length_when_called(r, message):
     # the length named is r, not the length of a half
@@ -305,10 +312,27 @@ def test_emitters_of_no_records():
 
 @pytest.mark.parametrize("fmt", sorted(EMITTERS))
 def test_streamed_cli_output_equals_the_list_emitter(fmt, capsys):
+    # dot, whose node lines come from the half texts, up to length 10
     emitter = EMITTERS[fmt][0]
-    for r in range(1, 9):
+    for r in range(1, 11 if fmt == "dot" else 9):
         assert main(["atlas", "--length", str(r), "--format", fmt]) == 0
         captured = capsys.readouterr()
         # the CLI ends the json array with a newline, as it always has
         assert captured.out == emitter(build_atlas(r)) + ("\n" if fmt == "json" else ""), r
         assert captured.err == ""
+
+
+def test_cli_dot_forms_each_record_once(monkeypatch, capsys):
+    # node lines come from the half texts alone, so only the edge pass forms records
+    formed = []
+
+    class Counted(AtlasRecord):
+        def __new__(cls, *fields):
+            formed.append(fields[0])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(atlas_mod, "AtlasRecord", Counted)
+    assert main(["atlas", "--length", "8", "--format", "dot"]) == 0
+    assert len(formed) == len(set(formed)) == 1_094
+    monkeypatch.undo()
+    assert capsys.readouterr().out == adjacency_dot(build_atlas(8))
