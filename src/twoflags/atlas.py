@@ -25,7 +25,14 @@ MAX_LENGTH = 13
 MAX_COUNT_STEPS = 300_000
 
 
+def _check_int(name: str, value) -> None:
+    # True == 1 and 2.0 == 2, but neither prints as an int
+    if type(value) is not int:
+        raise ChartMismatch(f"{name} {value!r} is not an int but a {type(value).__name__}")
+
+
 def _check_length(r: int) -> None:
+    _check_int("length", r)
     if r < 1:
         raise ChartMismatch(f"length must be >= 1, got {r}")
     if r > MAX_LENGTH:
@@ -59,6 +66,8 @@ def count_classes(m: int, r: int) -> int:
     Width 1 counts the corresponding classes of 1-flags: 2^(r-2) for
     r >= 2 and a single class in length 1.
     """
+    _check_int("width", m)
+    _check_int("length", r)
     if m < 1 or r < 1:
         raise ChartMismatch(f"width and length must be >= 1, got m={m}, r={r}")
     # the running maximum of a word never exceeds its length

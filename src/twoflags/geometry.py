@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import lcm
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,7 +32,6 @@ from .exactalg import (
     exact_rational,
     polynomial_nullspace,
     polynomial_nullspace_structural,
-    primitive_tuple,
     rank_and_nullspace,
     span_includes,
     _canonical,
@@ -165,16 +164,6 @@ class VectorField:
     def eval_at(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         point = _check_point(self.chart, point)
         return tuple(c.eval_at(point) for c in self.components)
-
-    def normalized(self) -> "VectorField":
-        """Primitive form: content 1, first nonzero leading coefficient positive.
-
-        A field already in that form is returned itself, with its occurrence
-        table."""
-        components = primitive_tuple(self.components)
-        if all(map(is_, components, self.components)):
-            return self
-        return VectorField(self.chart, components)
 
     def signature(self) -> tuple:
         return tuple(c.signature() for c in self.components)
@@ -495,17 +484,16 @@ def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP)
 
 
 def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribution:
-    """D + [D, D]: the second member of the small flag of D, its fields in
-    normal form (see VectorField.normalized).  This is the one place fields
-    are normalized: a tower member's fields are their own normal forms, so
-    the square of a member starts with the member's own fields.
+    """D + [D, D]: the second member of the small flag of D, its fields as
+    small_flag formed them.  A tower member's fields have int coefficients,
+    which _integral and _Dedup keep as they are, so the square of a member
+    starts with the member's own fields.
 
     Its generators start with the k deduplicated generators of D, each pair
     of which was bracketed here or lies in D's recorded prefix, so the square
     records k on itself (see _squared): squaring it again skips those pairs.
     """
     base, square = small_flag(dist, 2, cap)
-    square = Distribution(dist.chart, tuple(g.normalized() for g in square.generators))
     square.__dict__["_squared"] = len(base.generators)
     return square
 

@@ -4,7 +4,9 @@ import csv
 import io
 import itertools
 import json
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -200,6 +202,23 @@ def test_iter_atlas_raises_on_a_bad_length_when_called(r, message):
     # the length named is r, not the length of a half
     with pytest.raises(ChartMismatch, match=f"^length must be {message}$"):
         iter_atlas(r)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(3), "3"])
+def test_a_length_that_is_not_an_int_is_named_with_its_type(bad):
+    # True would print as a length True in jsonl and csv; 2.0 and "3" would
+    # fail with a bare TypeError
+    message = f"^length {re.escape(repr(bad))} is not an int but a {type(bad).__name__}$"
+    for call in (
+        lambda: build_atlas(bad),
+        lambda: iter_atlas(bad),
+        lambda: enumerate_words(bad),
+        lambda: count_classes(2, bad),
+    ):
+        with pytest.raises(ChartMismatch, match=message):
+            call()
+    with pytest.raises(ChartMismatch, match=f"^width {re.escape(repr(bad))} is not an int but a {type(bad).__name__}$"):
+        count_classes(bad, 3)
 
 
 def test_draining_iter_atlas_holds_no_list_of_words():

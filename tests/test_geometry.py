@@ -27,7 +27,14 @@ from twoflags.errors import (
     TwoflagsError,
     UnexpectedCovariantDimension,
 )
-from twoflags.exactalg import Poly, RationalMatrix, column_space_basis, polynomial_nullspace, rank_and_nullspace
+from twoflags.exactalg import (
+    Poly,
+    RationalMatrix,
+    column_space_basis,
+    polynomial_nullspace,
+    primitive_tuple,
+    rank_and_nullspace,
+)
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
     Chart,
@@ -445,8 +452,25 @@ def hand_built_family(which: str, b3, c3, c4=None) -> Distribution:
     return Distribution(chart, (lead, versor("x4"), versor("y4")))
 
 
+def normal_form(field: VectorField) -> VectorField:
+    """The oracles' normal form of a field: content 1, first nonzero leading
+    coefficient positive.  Two nonzero fields are scalar multiples of each
+    other exactly when their normal forms are equal."""
+    return VectorField(field.chart, primitive_tuple(field.components))
+
+
 def proportional(a: VectorField, b: VectorField) -> bool:
-    return a.normalized() == b.normalized()
+    return normal_form(a) == normal_form(b)
+
+
+def test_a_normal_form_is_its_own_normal_form():
+    chart = Chart.for_length(0)
+    n = chart.dim
+    field = VectorField(chart, (Poly(n, {((1, 1),): -4}), Poly.zero(n), Poly(n, {(): 6})))
+    normal = normal_form(field)
+    assert normal == VectorField(chart, (Poly(n, {((1, 1),): 2}), Poly.zero(n), Poly(n, {(): -3})))
+    assert all(a is b for a, b in zip(normal_form(normal).components, normal.components))
+    assert normal_form(field.scaled(F(-5, 3))) == normal
 
 
 def test_family_D_small_flag_generator():
@@ -536,7 +560,7 @@ class oracle_dedup:
     def add(self, candidate: VectorField) -> None:
         if candidate.is_zero():
             return
-        normal = candidate.normalized()
+        normal = normal_form(candidate)
         if normal.signature() in self.seen:
             return
         self.seen.add(normal.signature())
@@ -566,7 +590,7 @@ def test_dedup_drops_scalar_multiples_and_keeps_the_first_normalized_field():
     # the first candidate itself is kept; its normal form has content 1 and a
     # positive leading (highest-degree) coefficient
     assert len(pool.fields) == 1 and pool.fields[0] is first
-    assert [g.normalized().signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
+    assert [normal_form(g).signature() for g in pool.fields] == [field_of(chart, {(): -1, u: 2}, {u: 3}).signature()]
 
 
 def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
@@ -581,7 +605,7 @@ def test_dedup_keeps_fields_that_share_a_support_or_the_term_counts():
     pool.extend(candidates)
     oracle.extend(candidates)
     assert all(kept is g for kept, g in zip(pool.fields, candidates, strict=True))
-    assert [g.normalized().signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    assert [normal_form(g).signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
     assert _Dedup(10, candidates).fields == pool.fields
 
 
@@ -601,9 +625,9 @@ def test_dedup_keeps_what_the_normalize_then_signature_oracle_keeps(picks):
     pool, oracle = _Dedup(10), oracle_dedup(10)
     pool.extend(candidates)
     oracle.extend(candidates)
-    assert [g.normalized().signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
+    assert [normal_form(g).signature() for g in pool.fields] == [g.signature() for g in oracle.fields]
     # the first candidate of each kept multiple is itself kept
-    firsts = [next(g for g in candidates if g.normalized().signature() == kept.signature()) for kept in oracle.fields]
+    firsts = [next(g for g in candidates if normal_form(g).signature() == kept.signature()) for kept in oracle.fields]
     assert all(a is b for a, b in zip(pool.fields, firsts, strict=True))
 
 
@@ -645,7 +669,7 @@ def signatures(dist: Distribution) -> list[tuple]:
 def normal_signatures(dist: Distribution) -> list[tuple]:
     """The signatures of the normal forms of the generators: small_flag keeps
     each field as it was formed, and the oracles keep normal forms."""
-    return [g.normalized().signature() for g in dist.generators]
+    return [normal_form(g).signature() for g in dist.generators]
 
 
 def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
@@ -658,7 +682,7 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                 build = build_ekr(spec)
                 for j in range(r + 1):
                     member = build.flag_member(j)
-                    assert signatures(lie_square(member)) == signatures(oracle_lie_square(member)), (spec, j)
+                    assert normal_signatures(lie_square(member)) == signatures(oracle_lie_square(member)), (spec, j)
                     got = [normal_signatures(m) for m in small_flag(member, 5)]
                     assert got == [signatures(m) for m in oracle_small_flag(member, 5)], (spec, j)
                 point = build.chart.origin()
@@ -666,13 +690,13 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
 
 
 def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distribution, point: tuple, label) -> None:
-    """D^r, ..., D^1 match the oracle's squares signature for signature.  The
-    last square is decided at the point, so D^0 is the coordinate frame, and
-    the oracle's polynomial D^0 has full rank there."""
+    """D^r, ..., D^1 match the oracle's squares normal signature for normal
+    signature.  The last square is decided at the point, so D^0 is the
+    coordinate frame, and the oracle's polynomial D^0 has full rank there."""
     oracle = [dist]
     for _ in range(len(tower) - 1):
         oracle.append(oracle_lie_square(oracle[-1]))
-    assert [signatures(m) for m in tower[:-1]] == [signatures(m) for m in oracle[:-1]], label
+    assert [normal_signatures(m) for m in tower[:-1]] == [normal_signatures(m) for m in oracle[:-1]], label
     chart = dist.chart
     assert signatures(tower[-1]) == [VectorField.versor(chart, i).signature() for i in range(chart.dim)], label
     assert value_at(oracle[-1], point).dim == chart.dim, label
@@ -756,13 +780,22 @@ def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
 
 
 def test_the_square_of_a_tower_member_starts_with_its_very_fields_up_to_length_four():
-    # lie_square returns normal forms, which small_flag and normalized return
-    # as they are: each field keeps its object, and its occurrence table, from
-    # one square to the next
+    # a tower member's fields have int coefficients, which _integral returns
+    # as they are and _Dedup keeps: each field keeps its object, and its
+    # occurrence table, from one square to the next
     for r in range(1, 5):
         for spec, j, member, _ in generic_tower_members(r, "same"):
             head = lie_square(member).generators[: len(member.generators)]
             assert all(a is b for a, b in zip(head, member.generators, strict=True)), (spec, j)
+
+
+def test_the_square_of_a_tower_member_is_its_small_flag_member_as_formed_up_to_length_four():
+    # lie_square returns the second member of small_flag itself, with no
+    # rescaling of its fields, and every tower field has int coefficients
+    for r in range(1, 5):
+        for spec, j, member, _ in generic_tower_members(r, "as-formed"):
+            assert signatures(lie_square(member)) == signatures(small_flag(member, 2)[-1]), (spec, j)
+            assert all(int_coefficients(g.components) for g in member.generators), (spec, j)
 
 
 def test_small_flags_of_tower_members_equal_the_plain_ones_up_to_length_four():
@@ -787,8 +820,9 @@ def int_coefficients(polys) -> bool:
 
 
 def test_flag_generators_and_annihilators_have_int_coefficients_up_to_length_four():
-    # _Dedup and primitive_tuple leave content 1, so brackets and eliminations
-    # run on int coefficients even when the constants are fractions
+    # small_flag clears the denominators of D's generators, and primitive_tuple
+    # leaves each covector content 1, so brackets and eliminations run on int
+    # coefficients even when the constants are fractions
     from twoflags.atlas import enumerate_words
     from twoflags.cli import draw_constants
 
@@ -823,7 +857,7 @@ def test_generator_cap_is_hit_where_the_oracle_hits_it(text, j):
         dist = oracle_lie_square(dist)
     square = len(oracle_lie_square(dist).generators)
     for cap in range(1, square + 1):
-        got = flags_or_blowup(lambda: [lie_square(dist, cap)])
+        got = flags_or_blowup(lambda: [lie_square(dist, cap)], normal_signatures)
         assert got == flags_or_blowup(lambda: [oracle_lie_square(dist, cap)]), cap
         assert (got == "blowup") == (cap < square), cap
     total = len(oracle_small_flag(dist, 5)[-1].generators)
@@ -919,16 +953,6 @@ def test_covariant_then_cauchy_of_one_member_pair_once(monkeypatch):
     assert calls == [p, q]
 
 
-def test_a_normal_form_is_its_own_normal_form():
-    chart = Chart.for_length(0)
-    n = chart.dim
-    field = VectorField(chart, (Poly(n, {((1, 1),): -4}), Poly.zero(n), Poly(n, {(): 6})))
-    normal = field.normalized()
-    assert normal == VectorField(chart, (Poly(n, {((1, 1),): 2}), Poly.zero(n), Poly(n, {(): -3})))
-    assert normal.normalized() is normal
-    assert field.normalized() is not normal and field.normalized() == normal
-
-
 # ---------------------------------------------------------------------------
 # Exterior derivative
 # ---------------------------------------------------------------------------
@@ -1021,9 +1045,6 @@ def pair_with(form: OneForm, x: VectorField) -> Poly:
 
 def test_annihilator_of_bcd_model():
     # corank 2: the covectors represent dx1 - y1 dx0 and dx2 - y2 dx0
-    from twoflags.exactalg import primitive_tuple
-    from twoflags.geometry import annihilator_at
-
     dist = model("bcd", m=2, n=3)
     chart = dist.chart
     n = chart.dim
