@@ -12,6 +12,7 @@ from typing import NamedTuple
 from .classify import _locus_equations, singularity_locus_equations
 from .ekr import Word
 from .errors import ChartMismatch
+from .exactalg import _check_int
 
 # longest word enumerate_words lists and iter_atlas covers: build_atlas(12) with
 # the jsonl, csv and dot emitters peaks near 187 MB, and the streamed
@@ -23,12 +24,6 @@ MAX_LENGTH = 13
 # narrowest table is the slowest; width 2 at length 100000 takes 1.5 s on
 # 2 cores (width 5 at 50000, and width 546 at 547, take 1.0 s and 0.05 s)
 MAX_COUNT_STEPS = 300_000
-
-
-def _check_int(name: str, value) -> None:
-    # True == 1 and 2.0 == 2, but neither prints as an int
-    if type(value) is not int:
-        raise ChartMismatch(f"{name} {value!r} is not an int but a {type(value).__name__}")
 
 
 def _check_length(r: int) -> None:

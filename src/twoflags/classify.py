@@ -43,7 +43,7 @@ from .geometry import (
     small_flag_vectors_at,
     value_at,
 )
-from .exactalg import Poly, RationalMatrix, annihilates, span_includes
+from .exactalg import Poly, RationalMatrix, _check_int, annihilates, span_includes
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class SandwichWord:
     def __post_init__(self):
         # True == 1 and 1.0 == 1, but neither prints as the letter 1
         if set(map(type, self.letters)) - {int}:
-            letter = next(letter for letter in self.letters if type(letter) is not int)
-            raise ChartMismatch(f"sandwich letter {letter!r} is not an int but a {type(letter).__name__}")
+            _check_int("sandwich letter", next(letter for letter in self.letters if type(letter) is not int))
         if not self.letters or self.letters[0] != 1:
             raise ChartMismatch("a sandwich word starts with the letter 1")
         if any(letter not in (1, 2) for letter in self.letters):

@@ -77,6 +77,12 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
+def _check_int(name: str, value) -> None:
+    # True == 1 and 2.0 == 2, but neither prints as an int
+    if type(value) is not int:
+        raise ChartMismatch(f"{name} {value!r} is not an int but a {type(value).__name__}")
+
+
 def _canonical(value: int | Fraction) -> int | Fraction:
     """A coefficient in canonical form: an integral Fraction becomes its int numerator."""
     return value if type(value) is int or value.denominator != 1 else value.numerator

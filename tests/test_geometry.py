@@ -8,6 +8,7 @@ set."""
 
 import os
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoflags.atlas import enumerate_words
-from twoflags.classify import _ClosedGeometry
+from twoflags.classify import _ClosedGeometry, singularity_class_at
 from twoflags.cli import draw_constants
 from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, closed_form_L, model
 from twoflags.errors import (
@@ -49,6 +50,7 @@ from twoflags.geometry import (
     lie_bracket,
     lie_square,
     small_flag,
+    small_flag_vectors_at,
     value_at,
     _Dedup,
     _exterior_upper,
@@ -687,6 +689,55 @@ def test_flags_match_the_ordered_pair_oracle_up_to_length_four():
                     assert got == [signatures(m) for m in oracle_small_flag(member, 5)], (spec, j)
                 point = build.chart.origin()
                 assert_tower_matches_the_oracle(big_flag(build.distribution, point), build.distribution, point, spec)
+
+
+@pytest.mark.parametrize("l", [6, 8, 10])
+def test_long_gaps_classify_as_the_word_and_their_refined_small_flags_match_the_oracle(l, monkeypatch):
+    # 1.2.1^l.3 and 1.2.1^l.2 refine member l + 3 by V_(2l+3) after a gap of
+    # l letters 1, where V_(2l+2) holds about 2l^2 fields; no other tier-1 test
+    # or CI digest reaches a gap beyond l = 5.  Every kept field of V_(2l+2)
+    # is the first candidate of its multiples, as it was formed
+    add = _Dedup.add
+    for last in ("3", "2"):
+        word = Word.parse(".".join(["1", "2"] + ["1"] * l + [last]))
+        for spec in (EkrSpec(word), draw_constants(word, random.Random(f"long-gap|{word}"))):
+            build = build_ekr(spec)
+            origin = build.chart.origin()
+            assert singularity_class_at(build, origin).word == word, spec
+            member = _ClosedGeometry(build, origin, DEFAULT_GENERATOR_CAP).member(l + 3)
+            candidates = []
+            monkeypatch.setattr(_Dedup, "add", lambda pool, field: (candidates.append(field), add(pool, field)))
+            raw = small_flag(member, 2 * l + 2)
+            monkeypatch.undo()
+            normal = oracle_small_flag(member, 2 * l + 2)
+            assert [len(m.generators) for m in raw] == [len(m.generators) for m in normal], spec
+            assert [normal_signatures(m) for m in raw] == [signatures(m) for m in normal], spec
+            first: dict[tuple, VectorField] = {}
+            for field in candidates:
+                if not field.is_zero():
+                    first.setdefault(normal_form(field).signature(), field)
+            assert all(g is first[normal_form(g).signature()] for g in raw[-1].generators), spec
+
+
+@pytest.mark.parametrize("value", [True, 2.0, F(3)])
+def test_a_cap_step_count_or_chart_length_that_is_not_an_int_is_named_with_its_type(value):
+    # True == 1 and 2.0 == 2 pass a bound check, and True would share the
+    # memo entry of Chart.for_length(1), which exists here
+    dist = build_ekr(EkrSpec(Word.parse("1.2.1"))).distribution
+    point = dist.chart.origin()
+    assert Chart.for_length(1).dim == 5
+    calls = [
+        lambda: big_flag(dist, point, cap=value),
+        lambda: lie_square(dist, cap=value),
+        lambda: small_flag(dist, value),
+        lambda: small_flag(dist, 2, cap=value),
+        lambda: list(small_flag_vectors_at(dist, value, point)),
+        lambda: Chart.for_length(value),
+    ]
+    message = re.escape(f"{value!r} is not an int but a {type(value).__name__}")
+    for call in calls:
+        with pytest.raises(ChartMismatch, match=message):
+            call()
 
 
 def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distribution, point: tuple, label) -> None:
