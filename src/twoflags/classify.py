@@ -61,9 +61,6 @@ class SandwichWord:
         if any(letter not in (1, 2) for letter in self.letters):
             raise ChartMismatch("sandwich letters are 1 or 2")
 
-    def non_one_positions(self) -> list[int]:
-        return [pos for pos, letter in enumerate(self.letters, start=1) if letter != 1]
-
     def __str__(self) -> str:
         return ".".join(str(letter) for letter in self.letters)
 
@@ -152,8 +149,14 @@ class _ClosedGeometry:
         return self.members[j]
 
     def value(self, j: int) -> RationalMatrix:
-        """The generators of member j evaluated at the point, as columns."""
-        return _evaluated(self.member(j), self.point)
+        """The generators of member j at the point cut to its chart, as
+        columns; a zero component is the shared 0, not evaluated."""
+        dist = self.member(j)
+        n = dist.chart.dim
+        point = self.point[:n]
+        zero = Fraction(0)
+        columns = [tuple(c.eval_at(point) if c.terms else zero for c in gen.components) for gen in dist.generators]
+        return RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
 
 
 class _GenericGeometry:
@@ -181,16 +184,6 @@ class _GenericGeometry:
         return value_at(self.member(j), self.point).basis
 
 
-def _evaluated(dist: Distribution, point: tuple[Fraction, ...]) -> RationalMatrix:
-    """The generators of ``dist`` at the point cut to its chart, as columns;
-    a zero component is the shared 0, not evaluated."""
-    n = dist.chart.dim
-    point = point[:n]
-    zero = Fraction(0)
-    columns = [tuple(c.eval_at(point) if c.terms else zero for c in gen.components) for gen in dist.generators]
-    return RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
-
-
 def _included(geo, s: int, nu: int, member: int) -> bool:
     """Whether V_member of flag member s lies in the target of position nu at
     the point, cut to the chart of the member; V_1 is the member itself.
@@ -209,15 +202,6 @@ def _included(geo, s: int, nu: int, member: int) -> bool:
     return all(annihilates(covectors, vector) for vector in vectors)
 
 
-def _geometry(obj, point, generic: bool, cap: int):
-    """The geometry source of ``obj`` at ``point``, admitted once: length checked, no float."""
-    point = _check_point(obj.chart, point)
-    if isinstance(obj, EkrBuild) and not generic:
-        return _ClosedGeometry(obj, point, cap)
-    dist = obj.distribution if isinstance(obj, EkrBuild) else obj
-    return _GenericGeometry(dist, point, cap)
-
-
 def singularity_class_at(
     obj: EkrBuild | Distribution,
     point: Sequence[Fraction],
@@ -227,28 +211,34 @@ def singularity_class_at(
     """The singularity class of the germ at ``point``, with its sandwich word
     and refinement evidence.
 
-    The positions nu, l, s are read off the sandwich word computed at the
-    point itself, not off any label the input happens to carry.
+    The cap and the point are admitted once, before any geometry is built.
+    The word is read once, left to right, off the point itself, not off any
+    label the input happens to carry.
     """
-    geo = _geometry(obj, point, generic, cap)
-    sandwich = SandwichWord((1,) + tuple(2 if _included(geo, j, j, 1) else 1 for j in range(2, geo.r + 1)))
-    letters = list(sandwich.letters)
-    non_one = sandwich.non_one_positions()
+    _check_int("cap", cap)
+    point = _check_point(obj.chart, point)
+    if isinstance(obj, EkrBuild) and not generic:
+        geo = _ClosedGeometry(obj, point, cap)
+    else:
+        geo = _GenericGeometry(obj.distribution if isinstance(obj, EkrBuild) else obj, point, cap)
+    sandwich, letters = [1], [1]
     evidence: list[Evidence] = []
-    if non_one:
-        first = non_one[0]
-        letters[first - 1] = 2
-        for prev, s in zip(non_one, non_one[1:]):
-            l = s - prev - 1
-            member = 2 * l + 3
-            included = _included(geo, s, prev, member)
-            letters[s - 1] = 3 if included else 2
-            evidence.append(Evidence(position=s, nu=prev, l=l, member=member, included=included))
-    word = Word(tuple(letters))
+    nu = None  # the nearest non-1 position so far
+    for s in range(2, geo.r + 1):
+        letter = 2 if _included(geo, s, s, 1) else 1
+        sandwich.append(letter)
+        if letter == 2 and nu is not None:
+            l = s - nu - 1
+            included = _included(geo, s, nu, 2 * l + 3)
+            evidence.append(Evidence(position=s, nu=nu, l=l, member=2 * l + 3, included=included))
+            letter = 3 if included else 2
+        letters.append(letter)
+        if letter != 1:
+            nu = s
     return ClassificationReport(
         point=geo.point,
-        sandwich=sandwich,
-        word=word,
+        sandwich=SandwichWord(tuple(sandwich)),
+        word=Word(tuple(letters)),
         evidence=tuple(evidence),
     )
 

@@ -284,6 +284,16 @@ def test_generic_route_decides_with_a_cap_below_the_polynomial_last_square():
         singularity_class_at(build, point, generic=True, cap=cap - 1)
 
 
+@pytest.mark.parametrize("cap", [2.5, True, Fraction(3)], ids=["float", "bool", "fraction"])
+@pytest.mark.parametrize("text, generic", [("1.1.1", False), ("1.2.2", False), ("1.1", True)])
+def test_a_cap_that_is_not_an_int_is_refused_on_every_route_and_word(text, generic, cap):
+    # closed 1.1.1 forms no generator, so the cap must be checked on entry, not where it bites
+    build = build_ekr(EkrSpec(Word.parse(text)))
+    pattern = f"^cap {re.escape(repr(cap))} is not an int but a {type(cap).__name__}$"
+    with pytest.raises(ChartMismatch, match=pattern):
+        singularity_class_at(build, build.chart.origin(), generic=generic, cap=cap)
+
+
 def test_report_json_shape():
     build = build_ekr(appendix_b_spec("E", b3=F(1), c3=F(1)))
     report = singularity_class_at(build, build.chart.origin())

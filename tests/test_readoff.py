@@ -96,9 +96,24 @@ def stress_point(spec: EkrSpec, rng: random.Random) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
+def _check_report_shape(report) -> None:
+    """The sandwich word is the class with each 3 read as 2, and the evidence
+    has one entry per non-first non-1 position, in order, refined against
+    the previous non-1 position; it is included exactly at the letters 3."""
+    word = report.word.letters
+    assert str(report.sandwich) == str(report.word).replace("3", "2"), (str(report.sandwich), str(report.word))
+    non_one = [pos for pos, letter in enumerate(word, start=1) if letter != 1]
+    assert [e.position for e in report.evidence] == non_one[1:], (str(report.word), report.evidence)
+    for e, nu in zip(report.evidence, non_one):
+        l = e.position - nu - 1
+        assert (e.nu, e.l, e.member) == (nu, l, 2 * l + 3), (str(report.word), e)
+        assert e.included == (word[e.position - 1] == 3), (str(report.word), e)
+
+
 def _sweep(lengths, points: int, generic: bool, tag: str) -> tuple[int, int]:
     """Every word of the given lengths, zero and seeded constants, at seeded
-    stress points: the route's class must equal the read-off.  Returns the
+    stress points: the route's class must equal the read-off, and its report
+    must have the shape of ``_check_report_shape``.  Returns the
     number of germs and of those whose class has a 3 at a position where the
     word has a 1 or a 2."""
     germs = new_threes = 0
@@ -113,6 +128,7 @@ def _sweep(lengths, points: int, generic: bool, tag: str) -> tuple[int, int]:
                     expected = oracle_read_class(spec, point)
                     report = singularity_class_at(build, point, generic=generic)
                     assert report.word == expected, (str(spec.to_json()), point, str(report.word), str(expected))
+                    _check_report_shape(report)
                     germs += 1
                     new_threes += any(read == 3 != letter for read, letter in zip(expected.letters, word.letters))
     return germs, new_threes
