@@ -6,8 +6,8 @@ the role of L(D^0)).  The singularity word refines every non-first
 non-1 sandwich letter to 2 or 3 by testing the member V_{2l+3} of the
 small flag of D^s against the same target space, where the nearest non-1
 letter to the left sits at position nu and l = s - nu - 1.  Only the value
-of V_{2l+3} at p is read, so its last bracket round is formed at p from the
-1-jets of the fields of V_{2l+2}, never as polynomial fields.
+of V_{2l+3} at p is read, so its last two bracket rounds are formed at p
+from the 2-jets of the fields of V_{2l+1}, never as polynomial fields.
 
 Two geometry sources are available.  For a pseudo-normal form flag member
 j comes from the step-j leading field, read on the chart of the length-j
@@ -150,13 +150,17 @@ class _ClosedGeometry:
 
     def value(self, j: int) -> RationalMatrix:
         """The generators of member j at the point cut to its chart, as
-        columns; a zero component is the shared 0, not evaluated."""
-        dist = self.member(j)
-        n = dist.chart.dim
+        columns.  Only the leading field is evaluated, a zero component as
+        the shared 0; d/dx_j and d/dy_j, the last two coordinates, are
+        written as the constant unit columns they are."""
+        lead = self.member(j).generators[0]
+        n = lead.chart.dim
         point = self.point[:n]
-        zero = Fraction(0)
-        columns = [tuple(c.eval_at(point) if c.terms else zero for c in gen.components) for gen in dist.generators]
-        return RationalMatrix._of(n, len(columns), tuple(col[i] for i in range(n) for col in columns))
+        zero, one = Fraction(0), Fraction(1)
+        values = [c.eval_at(point) if c.terms else zero for c in lead.components]
+        entries = [x for v in values[:-2] for x in (v, zero, zero)]
+        entries += (values[-2], one, zero, values[-1], zero, one)
+        return RationalMatrix._of(n, 3, tuple(entries))
 
 
 class _GenericGeometry:
@@ -189,8 +193,8 @@ def _included(geo, s: int, nu: int, member: int) -> bool:
     the point, cut to the chart of the member; V_1 is the member itself.
 
     V_1(p) is the source's own ``value``, tested by span_includes.  For a
-    refinement only V_(member-1) is built as fields; the vectors of
-    small_flag_vectors_at, which add the values at p of the last round's
+    refinement only V_(member-2) is built as fields; the vectors of
+    small_flag_vectors_at, which add the values at p of the last two rounds'
     brackets, are tested against the target's annihilator one at a time, and
     the first one outside the target decides (the letter is then a 2)."""
     target = geo.target(nu, s).basis

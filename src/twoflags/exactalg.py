@@ -103,11 +103,14 @@ def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted exponent tuples, adding exponents of shared variables."""
+    """Merge two sorted exponent tuples, adding exponents of shared variables;
+    when every variable of a comes before every one of b, that is a + b."""
     if not a:
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:
+        return a + b
     out: list[tuple[int, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -357,7 +360,17 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scaled(other)
         self._check_same_arity(other)
-        out: dict[Mono, int | Fraction] = {}
+        if len(self.terms) == 1:
+            self, other = other, self
+        if len(other.terms) == 1:
+            # distinct monomials times one monomial stay distinct, so nothing is summed
+            ((mb, cb),) = other.terms.items()
+            out = {}
+            for ma, ca in self.terms.items():
+                c = ca * cb
+                out[_mono_mul(ma, mb)] = c if type(c) is int else _canonical(c)
+            return Poly._of(self.arity, out)
+        out = {}
         _mul_into(out, self.terms, other.terms, 1)
         return Poly._summed(self.arity, out)
 
@@ -453,6 +466,62 @@ class Poly:
                     for var, exp in mono:
                         partials[var] = partials.get(var, 0) + _quotient(coeff * exp, point[var])
         return value, {var: d for var, d in partials.items() if d}
+
+    def two_jet_at(
+        self, point: Sequence[Fraction]
+    ) -> tuple[int | Fraction, dict[int, int | Fraction], dict[tuple[int, int], int | Fraction]]:
+        """The value at an admitted rational point, the nonzero first
+        partials there, {a: d/du_a}, and the nonzero second partials,
+        {(a, b): d^2/du_a du_b} with a <= b, in one pass, by the zero-factor
+        rule of value_and_partials_at.  With r the term's coefficient times
+        its factors that do not vanish at p, a term whose vanishing factors
+        have total degree > 2 adds nothing; with none, it adds r to the value,
+        r e_a / p_a to d/du_a, r e_a e_b / (p_a p_b) to d^2/du_a du_b and
+        r e_a (e_a - 1) / p_a^2 to d^2/du_a^2.  A vanishing u_a adds r to
+        d/du_a and r e_b / p_b to d^2/du_a du_b, a vanishing u_a^2 adds 2r to
+        d^2/du_a^2, and vanishing u_a u_b add r to d^2/du_a du_b."""
+        if len(point) != self.arity:
+            raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
+        value = 0
+        partials: dict[int, int | Fraction] = {}
+        seconds: dict[tuple[int, int], int | Fraction] = {}
+        for mono, coeff in self.terms.items():
+            a = b = None  # the variables of the vanishing factors, each once per unit of degree
+            for var, exp in mono:
+                base = point[var]
+                if base:
+                    coeff *= base**exp
+                elif a is None and exp <= 2:
+                    a = var
+                    if exp == 2:
+                        b = var
+                elif b is None and exp == 1:
+                    b = var
+                else:
+                    break
+            else:
+                if a is None:
+                    value += coeff
+                    for pos, (a, ea) in enumerate(mono):
+                        pa = point[a]
+                        partials[a] = partials.get(a, 0) + _quotient(coeff * ea, pa)
+                        if ea > 1:
+                            seconds[a, a] = seconds.get((a, a), 0) + _quotient(coeff * ea * (ea - 1), pa * pa)
+                        for var, exp in mono[pos + 1 :]:
+                            seconds[a, var] = seconds.get((a, var), 0) + _quotient(coeff * ea * exp, pa * point[var])
+                elif b is None:
+                    partials[a] = partials.get(a, 0) + coeff
+                    for var, exp in mono:
+                        if var != a:
+                            key = (a, var) if a < var else (var, a)
+                            seconds[key] = seconds.get(key, 0) + _quotient(coeff * exp, point[var])
+                else:
+                    seconds[a, b] = seconds.get((a, b), 0) + (coeff if a != b else 2 * coeff)
+        return (
+            value,
+            {a: d for a, d in partials.items() if d},
+            {key: d for key, d in seconds.items() if d},
+        )
 
     # -- dunder plumbing -----------------------------------------------------
 

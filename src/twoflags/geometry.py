@@ -209,6 +209,14 @@ class Distribution:
                 raise ChartMismatch("generator lives on a different chart")
 
     @classmethod
+    def _of(cls, chart: Chart, generators: tuple[VectorField, ...]) -> "Distribution":
+        """A distribution around nonempty generators already on ``chart``: nothing is checked."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "chart", chart)
+        object.__setattr__(dist, "generators", generators)
+        return dist
+
+    @classmethod
     def frame(cls, chart: Chart) -> "Distribution":
         """The coordinate frame d/du_0, ..., d/du_(dim-1): all of TM."""
         return cls(chart, tuple(VectorField.versor(chart, i) for i in range(chart.dim)))
@@ -263,7 +271,8 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     contains u_i, and likewise for each nonzero Y_i.  The products of
     component j are summed into one term map, whose coefficients are
     canonicalised once, so no Poly is built for a product or a partial sum;
-    a component that no product reaches is one shared zero.
+    a component that no product reaches is one shared zero, and only the
+    summed components are set.
     """
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
@@ -278,8 +287,10 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     for i in y_support:
         for j in x_occurs[i]:
             _mul_into(sums.setdefault(j, {}), ys[i].terms, xs[j].partial(i).terms, -1)
-    zero = Poly._of(n, {})
-    return VectorField(x.chart, tuple(Poly._summed(n, sums[j]) if j in sums else zero for j in range(n)))
+    components = [Poly._of(n, {})] * n
+    for j, terms in sums.items():
+        components[j] = Poly._summed(n, terms)
+    return VectorField(x.chart, tuple(components))
 
 
 def _proportional(a: Sequence[dict], b: Sequence[dict]) -> bool:
@@ -471,7 +482,8 @@ def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP)
             for h in pool.fields[max(start, i + 1) : before]:
                 pool.add(lie_bracket(g, h))
         start = before
-        flag.append(Distribution(dist.chart, tuple(pool.fields)))
+        # the pool's fields are on the chart of flag[0], which checked them, or brackets of two of them
+        flag.append(Distribution._of(dist.chart, tuple(pool.fields)))
     return flag
 
 
@@ -490,19 +502,84 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribu
     return square
 
 
-def _jet_at(field: VectorField, point: tuple[Fraction, ...]) -> tuple[list, list[tuple[int, int, Fraction]]]:
-    """The field's value at the point, and its nonzero first partials there
-    as (component j, variable i, dX_j/du_i(p)) triples.  The nonzero
-    components are found by a scan, not by the occurrence table: the fields
-    of the last round that small_flag_vectors_at builds are never bracketed,
-    so no table is made for them."""
+# a field's jet at p: its value, its nonzero first partials grouped by component,
+# {j: [(i, dX_j/du_i(p)), ...]}, and for a 2-jet its nonzero second partials as
+# (j, a, b, d^2X_j/du_a du_b(p)) with a <= b
+_Jet = tuple[list, dict[int, list[tuple[int, int | Fraction]]], list[tuple[int, int, int, int | Fraction]]]
+
+
+def _jet_at(field: VectorField, point: tuple[Fraction, ...], order: int) -> _Jet:
+    """The field's 1-jet (``order`` 1, no second partials) or 2-jet at the
+    point, each component's read by Poly.value_and_partials_at or
+    Poly.two_jet_at.  The nonzero components are found by a scan, not by the
+    occurrence table: the fields new in the last member that
+    small_flag_vectors_at builds are never bracketed, so no table is made
+    for them."""
     value = [0] * len(field.components)
-    partials = []
+    grad = {}
+    seconds = []
     for j, comp in enumerate(field.components):
         if comp.terms:
-            value[j], grad = comp.value_and_partials_at(point)
-            partials += [(j, i, d) for i, d in grad.items()]
-    return value, partials
+            if order == 1:
+                value[j], partials = comp.value_and_partials_at(point)
+            else:
+                value[j], partials, second = comp.two_jet_at(point)
+                if second:
+                    seconds += [(j, a, b, d) for (a, b), d in second.items()]
+            if partials:
+                grad[j] = list(partials.items())
+    return value, grad, seconds
+
+
+def _bracket_value(g: _Jet, h: _Jet, n: int) -> list:
+    """[g, h](p)_j = sum_i g_i(p) dh_j/du_i(p) - h_i(p) dg_j/du_i(p), from the 1-jets of g and h."""
+    bracket = [0] * n
+    g_value, h_value = g[0], h[0]
+    for j, row in h[1].items():
+        for i, d in row:
+            if g_value[i]:
+                bracket[j] += g_value[i] * d
+    for j, row in g[1].items():
+        for i, d in row:
+            if h_value[i]:
+                bracket[j] -= h_value[i] * d
+    return bracket
+
+
+def _bracket_jet(g: _Jet, h: _Jet, n: int) -> _Jet | None:
+    """The 1-jet at p of [g, h] from the 2-jets of g and h, or None when it
+    is zero: its value by _bracket_value, and
+    d[g,h]_j/du_k(p) = sum_i dg_i/du_k dh_j/du_i + g_i d^2h_j/du_i du_k
+    - dh_i/du_k dg_j/du_i - h_i d^2g_j/du_i du_k, all read at p."""
+    partials: dict[tuple[int, int], int | Fraction] = {}
+    for x, y, sign in ((g, h, 1), (h, g, -1)):
+        x_value, x_grad = x[0], x[1]
+        for j, row in y[1].items():
+            for i, d in row:
+                for k, e in x_grad.get(i, ()):
+                    partials[j, k] = partials.get((j, k), 0) + sign * e * d
+        for j, a, b, d in y[2]:
+            if x_value[a]:
+                partials[j, b] = partials.get((j, b), 0) + sign * x_value[a] * d
+            if a != b and x_value[b]:
+                partials[j, a] = partials.get((j, a), 0) + sign * x_value[b] * d
+    grad: dict[int, list] = {}
+    for (j, k), d in partials.items():
+        if d:
+            grad.setdefault(j, []).append((k, d))
+    value = _bracket_value(g, h, n)
+    if not grad and not any(value):
+        return None
+    return value, grad, []
+
+
+def _pairs(jets: list[_Jet], base: int, start: int) -> Iterator[tuple[_Jet, _Jet]]:
+    """small_flag's pairs of a round: each of the first ``base`` jets, those
+    of D's generators, with each jet from index ``start`` on that comes after
+    it; after the first round ``start`` >= ``base``, so every pair is taken."""
+    for k, g in enumerate(jets[:base]):
+        for h in jets[max(start, k + 1) :]:
+            yield g, h
 
 
 def small_flag_vectors_at(
@@ -514,38 +591,49 @@ def small_flag_vectors_at(
     """Vectors spanning V_steps(p), the value at ``point`` of the last member
     of small_flag(dist, steps) for steps >= 2, formed one at a time.
 
-    The last round builds no field.  The values of the generators of
-    V_(steps-1) come first, then the values of the brackets that small_flag's
-    last round forms, each generator g of D with each field h new in
-    V_(steps-1): [g, h](p)_j = sum_i g_i(p) dh_j/du_i(p) - h_i(p) dg_j/du_i(p),
-    read off the 1-jets of g and h at p.  small_flag keeps all but the zero
-    brackets and the multiples of kept fields, so the span is the same; only
-    the generators of V_(steps-1) count against ``cap``, and the first round
-    skips the pairs of the first _squared(dist) generators, as small_flag
-    does.  A caller that stops early forms no later bracket.  V_(steps-1)
-    is built in integers, and the jets are read at the point with its
-    integral coordinates as ints: at an integral point they are sums of ints.
+    Only V_(steps-2) is built as fields (V_1 for steps = 2), so only its
+    generators count against ``cap``; the last two rounds are formed at p.
+    For steps >= 3 the penultimate round brackets small_flag's pairs, each
+    generator g of D with each field h new in V_(steps-2), as 1-jets at p
+    read off the 2-jets of g and h (see _bracket_jet), and keeps every jet
+    that is not zero.  With the 1-jets of V_(steps-2)'s fields they stand
+    for V_(steps-1), whose values come first.  The last round then yields
+    [g, h](p) for each g and each jet h new in V_(steps-1) (see
+    _bracket_value).  small_flag drops a bracket that is zero or a multiple
+    of a kept field; its jet is then zero or proportional to a kept one, or
+    adds only the values of brackets that V_steps holds, so the span is the
+    same.  The first round skips the pairs of the first _squared(dist)
+    generators, as small_flag does.  A caller that stops early forms no
+    later bracket.  The fields are built in integers, and the jets are read
+    at the point with its integral coordinates as ints: at an integral point
+    they are sums of ints.
     """
     _check_int("steps", steps)
     if steps < 2:
         raise ChartMismatch(f"steps must be >= 2, got {steps}")
     point = tuple(map(_canonical, _check_point(dist.chart, point)))
-    flag = small_flag(dist, steps - 1, cap)
-    jets = [_jet_at(field, point) for field in flag[-1].generators]
-    for value, _ in jets:
-        yield value
     n = dist.chart.dim
+    flag = small_flag(dist, max(steps - 2, 1), cap)
+    base = len(flag[0].generators)
     start = len(flag[-2].generators) if len(flag) > 1 else _squared(dist)
-    for k, (g_value, g_partials) in enumerate(jets[: len(flag[0].generators)]):
-        for h_value, h_partials in jets[max(start, k + 1) :]:
-            bracket = [0] * n
-            for j, i, d in h_partials:
-                if g_value[i]:
-                    bracket[j] += g_value[i] * d
-            for j, i, d in g_partials:
-                if h_value[i]:
-                    bracket[j] -= h_value[i] * d
-            yield bracket
+    # only a field of a penultimate pair, one of D's or new in V_(steps-2), needs its 2-jet
+    jets = [
+        _jet_at(field, point, 2 if steps > 2 and (k < base or k >= start) else 1)
+        for k, field in enumerate(flag[-1].generators)
+    ]
+    for jet in jets:
+        yield jet[0]
+    if steps > 2:
+        brackets = []
+        for g, h in _pairs(jets, base, start):
+            jet = _bracket_jet(g, h, n)
+            if jet is not None:
+                brackets.append(jet)
+                yield jet[0]
+        start = len(jets)
+        jets += brackets
+    for g, h in _pairs(jets, base, start):
+        yield _bracket_value(g, h, n)
 
 
 # ---------------------------------------------------------------------------

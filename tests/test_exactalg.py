@@ -329,6 +329,29 @@ def test_mul_matches_term_oracle(a, b):
     assert dense_terms(a * b) == oracle_mul(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys(max_terms=1))
+def test_mul_by_one_term_matches_term_oracle(a, b):
+    # a one-term factor forms each product monomial directly, on either side
+    assert dense_terms(a * b) == dense_terms(b * a) == oracle_mul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polys(arity=4, max_terms=5),
+    st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=4, max_size=4),
+)
+def test_two_jet_matches_the_evaluated_partials(poly, point):
+    # zero coordinates exercise the vanishing factors: a term adds to the
+    # 2-jet only when its vanishing factors have total degree at most 2
+    point = tuple(point)
+    value, partials, seconds = poly.two_jet_at(point)
+    assert value == poly.eval_at(point)
+    assert partials == {a: d for a in range(4) if (d := poly.partial(a).eval_at(point))}
+    expected = {(a, b): d for a in range(4) for b in range(a, 4) if (d := poly.partial(a).partial(b).eval_at(point))}
+    assert seconds == expected
+
+
 def test_divexact_roundtrip():
     x = Poly.variable(3, 0)
     y = Poly.variable(3, 1)
