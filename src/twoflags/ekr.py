@@ -31,7 +31,7 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, _decimal, exact_rational, parse_rational
+from .exactalg import Poly, _check_int, _decimal, exact_rational, parse_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
@@ -226,6 +226,7 @@ class EkrBuild:
         For 1 <= j <= length the member is spanned by the step-j leading
         field together with the versors d/dx_k, d/dy_k for k >= j.
         """
+        _check_int("flag member", j)
         r = self.length
         if not 0 <= j <= r:
             raise IndexOutOfRange(f"flag member {j} outside 0..{r}")

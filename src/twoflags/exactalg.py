@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -437,91 +437,55 @@ class Poly:
                 exact_rational(base)
         return total
 
-    def value_and_partials_at(self, point: Sequence[Fraction]) -> tuple[int | Fraction, dict[int, int | Fraction]]:
-        """The value at an admitted rational point and the nonzero first
-        partials there, {variable: d/du_variable}, in one pass.  A term with
-        a factor u_v^e vanishing there adds nothing when e > 1 or a second
-        factor vanishes, else only its other factors' product, to d/du_v (at
-        the origin only terms of degree at most 1 count).  Any other term
-        adds its value c, and e * c / u_v to d/du_v for each factor."""
-        if len(point) != self.arity:
-            raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
-        value = 0
-        partials: dict[int, int | Fraction] = {}
-        for mono, coeff in self.terms.items():
-            vanishing = None
-            for var, exp in mono:
-                base = point[var]
-                if base:
-                    coeff *= base**exp
-                elif vanishing is None and exp == 1:
-                    vanishing = var
-                else:
-                    break
-            else:
-                if vanishing is not None:
-                    partials[vanishing] = partials.get(vanishing, 0) + coeff
-                else:
-                    value += coeff
-                    for var, exp in mono:
-                        partials[var] = partials.get(var, 0) + _quotient(coeff * exp, point[var])
-        return value, {var: d for var, d in partials.items() if d}
+    def jet_at(self, point: Sequence[Fraction], order: int) -> dict[Mono, int | Fraction]:
+        """The Taylor polynomial at an admitted rational point p, truncated at
+        total degree ``order``: {m: c}, nonzero c, with m a monomial in
+        v = u - p.  The coefficient of v^m is d^m f(p) / m!, so () holds the
+        value, v_a the partial d/du_a, v_a v_b (a < b) d^2/du_a du_b, and v_a^2
+        half of d^2/du_a^2.
 
-    def two_jet_at(
-        self, point: Sequence[Fraction]
-    ) -> tuple[int | Fraction, dict[int, int | Fraction], dict[tuple[int, int], int | Fraction]]:
-        """The value at an admitted rational point, the nonzero first
-        partials there, {a: d/du_a}, and the nonzero second partials,
-        {(a, b): d^2/du_a du_b} with a <= b, in one pass, by the zero-factor
-        rule of value_and_partials_at.  With r the term's coefficient times
-        its factors that do not vanish at p, a term whose vanishing factors
-        have total degree > 2 adds nothing; with none, it adds r to the value,
-        r e_a / p_a to d/du_a, r e_a e_b / (p_a p_b) to d^2/du_a du_b and
-        r e_a (e_a - 1) / p_a^2 to d^2/du_a^2.  A vanishing u_a adds r to
-        d/du_a and r e_b / p_b to d^2/du_a du_b, a vanishing u_a^2 adds 2r to
-        d^2/du_a^2, and vanishing u_a u_b add r to d^2/du_a du_b."""
+        A term's factors that vanish at p stay as they are and use up their
+        degree; a term whose vanishing factors pass ``order`` adds nothing,
+        and one whose every factor vanishes (any term at the origin) is its
+        own v-monomial.  Each other factor (p_a + v_a)^e adds
+        C(e, k) p_a^(e - k) v_a^k for each k up to the degree left.  Only
+        products are formed, and each coefficient is canonicalised once, at
+        the end."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
-        value = 0
-        partials: dict[int, int | Fraction] = {}
-        seconds: dict[tuple[int, int], int | Fraction] = {}
+        _check_int("order", order)
+        if order < 0:
+            raise ChartMismatch(f"order must be >= 0, got {order}")
+        jet: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
-            a = b = None  # the variables of the vanishing factors, each once per unit of degree
+            left = order  # the degree left to the factors that do not vanish at p
+            shifted = False
+            for var, exp in mono:
+                if point[var]:
+                    shifted = True
+                else:
+                    left -= exp
+            if left < 0:
+                continue
+            if not shifted:
+                jet[mono] = jet.get(mono, 0) + coeff
+                continue
+            parts = [((), 0, coeff)]  # (v-monomial, its degree from shifted factors, coefficient)
             for var, exp in mono:
                 base = point[var]
-                if base:
-                    coeff *= base**exp
-                elif a is None and exp <= 2:
-                    a = var
-                    if exp == 2:
-                        b = var
-                elif b is None and exp == 1:
-                    b = var
-                else:
-                    break
-            else:
-                if a is None:
-                    value += coeff
-                    for pos, (a, ea) in enumerate(mono):
-                        pa = point[a]
-                        partials[a] = partials.get(a, 0) + _quotient(coeff * ea, pa)
-                        if ea > 1:
-                            seconds[a, a] = seconds.get((a, a), 0) + _quotient(coeff * ea * (ea - 1), pa * pa)
-                        for var, exp in mono[pos + 1 :]:
-                            seconds[a, var] = seconds.get((a, var), 0) + _quotient(coeff * ea * exp, pa * point[var])
-                elif b is None:
-                    partials[a] = partials.get(a, 0) + coeff
-                    for var, exp in mono:
-                        if var != a:
-                            key = (a, var) if a < var else (var, a)
-                            seconds[key] = seconds.get(key, 0) + _quotient(coeff * exp, point[var])
-                else:
-                    seconds[a, b] = seconds.get((a, b), 0) + (coeff if a != b else 2 * coeff)
-        return (
-            value,
-            {a: d for a, d in partials.items() if d},
-            {key: d for key, d in seconds.items() if d},
-        )
+                if not base:
+                    parts = [(m + ((var, exp),), d, c) for m, d, c in parts]
+                    continue
+                # the v^0 and v^e terms of (p + v)^e are p^e and 1: no binomial is formed for them
+                grown = []
+                for m, d, c in parts:
+                    grown.append((m, d, c * base**exp))
+                    for k in range(1, min(exp, left - d) + 1):
+                        grown.append((m + ((var, k),), d + k, c if k == exp else c * comb(exp, k) * base ** (exp - k)))
+                parts = grown
+            for m, _, c in parts:
+                jet[m] = jet.get(m, 0) + c
+        return {m: _canonical(c) for m, c in jet.items() if c}
 
     # -- dunder plumbing -----------------------------------------------------
 
@@ -640,10 +604,16 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], ambient: int | None = None) -> "RationalMatrix":
+        """The matrix with these columns, each of ``ambient`` entries when it
+        is given, else of as many as the first; a column of another length
+        raises ChartMismatch."""
         if not columns:
             return cls(ambient or 0, 0, ())
-        nrows = len(columns[0])
-        return cls.from_rows([[col[i] for col in columns] for i in range(nrows)])
+        nrows = len(columns[0]) if ambient is None else ambient
+        for j, col in enumerate(columns):
+            if len(col) != nrows:
+                raise ChartMismatch(f"column {j} has {len(col)} entries, expected {nrows}")
+        return cls(nrows, len(columns), tuple(col[i] for i in range(nrows) for col in columns))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

@@ -456,6 +456,16 @@ def _integral(field: VectorField) -> VectorField:
     ))
 
 
+def _pairs(items: list, base: int, start: int) -> Iterator[tuple]:
+    """small_flag's pairs of a round, of fields or of their jets: each of the
+    first ``base`` items, those of D's generators, with each item from index
+    ``start`` on that comes after it; after the first round ``start`` >=
+    ``base``, so every pair is taken."""
+    for k, g in enumerate(items[:base]):
+        for h in items[max(start, k + 1) :]:
+            yield g, h
+
+
 def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP) -> list[Distribution]:
     """Small flag V_1 = D, V_{i+1} = V_i + [D, V_i]; returns [V_1, ..., V_steps].
 
@@ -473,14 +483,13 @@ def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP)
     if steps < 1:
         raise ChartMismatch(f"steps must be >= 1, got {steps}")
     pool = _Dedup(cap, map(_integral, dist.generators))
-    base = list(pool.fields)
+    base = len(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
     start = _squared(dist)
     for _ in range(steps - 1):
         before = len(pool.fields)
-        for i, g in enumerate(base):
-            for h in pool.fields[max(start, i + 1) : before]:
-                pool.add(lie_bracket(g, h))
+        for g, h in _pairs(pool.fields[:before], base, start):
+            pool.add(lie_bracket(g, h))
         start = before
         # the pool's fields are on the chart of flag[0], which checked them, or brackets of two of them
         flag.append(Distribution._of(dist.chart, tuple(pool.fields)))
@@ -503,31 +512,38 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribu
 
 
 # a field's jet at p: its value, its nonzero first partials grouped by component,
-# {j: [(i, dX_j/du_i(p)), ...]}, and for a 2-jet its nonzero second partials as
-# (j, a, b, d^2X_j/du_a du_b(p)) with a <= b
+# {j: [(i, dX_j/du_i(p)), ...]}, and its nonzero second partials as
+# (j, a, b, d^2X_j/du_a du_b(p)) with a <= b; a jet of lower order lacks the
+# partials above it
 _Jet = tuple[list, dict[int, list[tuple[int, int | Fraction]]], list[tuple[int, int, int, int | Fraction]]]
 
 
 def _jet_at(field: VectorField, point: tuple[Fraction, ...], order: int) -> _Jet:
-    """The field's 1-jet (``order`` 1, no second partials) or 2-jet at the
-    point, each component's read by Poly.value_and_partials_at or
-    Poly.two_jet_at.  The nonzero components are found by a scan, not by the
-    occurrence table: the fields new in the last member that
-    small_flag_vectors_at builds are never bracketed, so no table is made
-    for them."""
+    """The field's jet at the point to ``order`` (0, 1 or 2), each
+    component's read off its Taylor polynomial there (Poly.jet_at): the
+    value is the coefficient of (), d/du_a that of v_a, d^2/du_a du_b (a < b)
+    that of v_a v_b, and d^2/du_a^2 twice that of v_a^2.  The nonzero
+    components are found by a scan, not by the occurrence table: the fields
+    new in the last member that small_flag_vectors_at builds are never
+    bracketed, so no table is made for them."""
     value = [0] * len(field.components)
     grad = {}
     seconds = []
     for j, comp in enumerate(field.components):
         if comp.terms:
-            if order == 1:
-                value[j], partials = comp.value_and_partials_at(point)
-            else:
-                value[j], partials, second = comp.two_jet_at(point)
-                if second:
-                    seconds += [(j, a, b, d) for (a, b), d in second.items()]
+            partials = []
+            for mono, c in comp.jet_at(point, order).items():
+                if not mono:
+                    value[j] = c
+                elif len(mono) == 2:
+                    (a, _), (b, _) = mono
+                    seconds.append((j, a, b, c))
+                elif mono[0][1] == 1:
+                    partials.append((mono[0][0], c))
+                else:
+                    seconds.append((j, mono[0][0], mono[0][0], 2 * c))
             if partials:
-                grad[j] = list(partials.items())
+                grad[j] = partials
     return value, grad, seconds
 
 
@@ -573,15 +589,6 @@ def _bracket_jet(g: _Jet, h: _Jet, n: int) -> _Jet | None:
     return value, grad, []
 
 
-def _pairs(jets: list[_Jet], base: int, start: int) -> Iterator[tuple[_Jet, _Jet]]:
-    """small_flag's pairs of a round: each of the first ``base`` jets, those
-    of D's generators, with each jet from index ``start`` on that comes after
-    it; after the first round ``start`` >= ``base``, so every pair is taken."""
-    for k, g in enumerate(jets[:base]):
-        for h in jets[max(start, k + 1) :]:
-            yield g, h
-
-
 def small_flag_vectors_at(
     dist: Distribution,
     steps: int,
@@ -593,11 +600,12 @@ def small_flag_vectors_at(
 
     Only V_(steps-2) is built as fields (V_1 for steps = 2), so only its
     generators count against ``cap``; the last two rounds are formed at p.
-    For steps >= 3 the penultimate round brackets small_flag's pairs, each
-    generator g of D with each field h new in V_(steps-2), as 1-jets at p
-    read off the 2-jets of g and h (see _bracket_jet), and keeps every jet
-    that is not zero.  With the 1-jets of V_(steps-2)'s fields they stand
-    for V_(steps-1), whose values come first.  The last round then yields
+    Both rounds take their pairs from _pairs, as small_flag's rounds do.
+    For steps >= 3 the penultimate round brackets each generator g of D with
+    each field h new in V_(steps-2), as 1-jets at p read off the 2-jets of g
+    and h (see _bracket_jet), and keeps every jet that is not zero.  With
+    the jets of V_(steps-2)'s fields (the value alone of a field in no pair)
+    they stand for V_(steps-1), whose values come first.  The last round then yields
     [g, h](p) for each g and each jet h new in V_(steps-1) (see
     _bracket_value).  small_flag drops a bracket that is zero or a multiple
     of a kept field; its jet is then zero or proportional to a kept one, or
@@ -616,9 +624,12 @@ def small_flag_vectors_at(
     flag = small_flag(dist, max(steps - 2, 1), cap)
     base = len(flag[0].generators)
     start = len(flag[-2].generators) if len(flag) > 1 else _squared(dist)
-    # only a field of a penultimate pair, one of D's or new in V_(steps-2), needs its 2-jet
+    # each field is read to the order its pairs use: the last round alone
+    # (steps 2) reads 1-jets, and a penultimate round reads the 2-jet of a
+    # field of its pairs, one of D's or new in V_(steps-2), and only the value
+    # of any other field
     jets = [
-        _jet_at(field, point, 2 if steps > 2 and (k < base or k >= start) else 1)
+        _jet_at(field, point, 1 if steps == 2 else 2 if k < base or k >= start else 0)
         for k, field in enumerate(flag[-1].generators)
     ]
     for jet in jets:
@@ -646,7 +657,10 @@ def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int,
     the matrix is antisymmetric, so entry (j, i) is minus entry (i, j)."""
     entries: dict[tuple[int, int], int | Fraction] = {}
     for j, coeff in enumerate(form.coefficients):
-        for i, value in coeff.value_and_partials_at(point)[1].items():
+        for mono, value in coeff.jet_at(point, 1).items():
+            if not mono:
+                continue
+            i = mono[0][0]
             if i < j:
                 entries[(i, j)] = entries.get((i, j), 0) + value
             elif i > j:

@@ -478,3 +478,19 @@ def test_pointwise_last_two_rounds_span_the_small_flag_value_up_to_length_four()
                             assert pointwise == value_at(small_flag(dist, k)[-1], p), (str(word), point, j, k)
                             checked += 1
     assert (checked, squared) == (1350, 162)
+
+
+@pytest.mark.parametrize("last", ["3", "2"])
+def test_pointwise_rounds_span_the_small_flag_value_after_a_gap_of_six(last):
+    # V_15 of member 9 of 1.2.1^6.3 and 1.2.1^6.2, the refinement after a gap
+    # l = 6, at the origin and at t = 1, y0 = 2, y1 = -1, where y1 enters the
+    # leading fields, so the jets read terms that do not vanish at the point
+    build = build_ekr(EkrSpec(Word.parse(".".join(["1", "2"] + ["1"] * 6 + [last]))))
+    member = build.flag_member(9)
+    n = build.chart.dim
+    shifted = [F(0)] * n
+    for name, value in (("t", 1), ("y0", 2), ("y1", -1)):
+        shifted[build.chart.index(name)] = F(value)
+    for p in (build.chart.origin(), tuple(shifted)):
+        pointwise = Subspace.from_vectors(n, list(small_flag_vectors_at(member, 15, p)))
+        assert pointwise == value_at(small_flag(member, 15)[-1], p), p

@@ -24,6 +24,7 @@ from twoflags.ekr import (
 from twoflags.errors import (
     BadModelName,
     BadSyntax,
+    ChartMismatch,
     ConstantNotAdmitted,
     IndexOutOfRange,
     RuleViolation,
@@ -323,6 +324,15 @@ def test_top_flag_member_is_the_stored_distribution():
             assert build.flag_member(r) is build.distribution
             versors = [VectorField.versor(chart, chart.index(f"{kind}{r}")) for kind in "xy"]
             assert signatures(build.distribution.generators) == signatures([build.leading[-1], *versors])
+
+
+def test_flag_member_takes_only_an_int():
+    # True == 1 and 1.0 == 1, but neither is a member number
+    build = build_ekr(EkrSpec(Word.parse("1.2.3")))
+    for j in (True, 1.0, Fraction(1)):
+        with pytest.raises(ChartMismatch, match=re.escape(f"flag member {j!r} is not an int but a {type(j).__name__}")):
+            build.flag_member(j)
+    assert build.flag_member(1).generators[0] is build.leading[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ or checked as algebraic identities on randomized inputs.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,20 +337,51 @@ def test_mul_by_one_term_matches_term_oracle(a, b):
     assert dense_terms(a * b) == dense_terms(b * a) == oracle_mul(a, b)
 
 
+def oracle_jet(poly: Poly, point: tuple, order: int) -> dict:
+    """The Taylor coefficients d^m f(p) / m! of total degree at most
+    ``order``, each from iterated Poly.partial and eval_at, the nonzero ones
+    keyed by m as a monomial."""
+    jet = {}
+    for exps in product(range(order + 1), repeat=poly.arity):
+        if sum(exps) > order:
+            continue
+        derivative = poly
+        for var, exp in enumerate(exps):
+            for _ in range(exp):
+                derivative = derivative.partial(var)
+        coefficient = derivative.eval_at(point) / prod(map(factorial, exps))
+        if coefficient:
+            jet[tuple((var, exp) for var, exp in enumerate(exps) if exp)] = coefficient
+    return jet
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     polys(arity=4, max_terms=5),
     st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=3),
 )
-def test_two_jet_matches_the_evaluated_partials(poly, point):
+def test_jet_at_matches_the_taylor_coefficients(poly, point, order):
     # zero coordinates exercise the vanishing factors: a term adds to the
-    # 2-jet only when its vanishing factors have total degree at most 2
+    # jet only when its vanishing factors have total degree at most the order
     point = tuple(point)
-    value, partials, seconds = poly.two_jet_at(point)
-    assert value == poly.eval_at(point)
-    assert partials == {a: d for a in range(4) if (d := poly.partial(a).eval_at(point))}
-    expected = {(a, b): d for a in range(4) for b in range(a, 4) if (d := poly.partial(a).partial(b).eval_at(point))}
-    assert seconds == expected
+    jet = poly.jet_at(point, order)
+    assert jet == oracle_jet(poly, point, order)
+    assert all(type(c) is int or c.denominator != 1 for c in jet.values())
+
+
+def test_jet_at_the_origin_keeps_the_terms_up_to_the_order():
+    n = 4
+    poly = Poly(n, {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3), ((1, 2),): 7, ((0, 1), (3, 1)): 9, ((2, 3),): 4})
+    origin = (F(0),) * n
+    assert poly.jet_at(origin, 0) == {(): 5}
+    assert poly.jet_at(origin, 1) == {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3)}
+    assert poly.jet_at(origin, 2) == {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3), ((1, 2),): 7, ((0, 1), (3, 1)): 9}
+    assert poly.jet_at(origin, 3) == poly.terms
+    with pytest.raises(ChartMismatch, match="order"):
+        poly.jet_at(origin, -1)
+    with pytest.raises(ChartMismatch, match="order True"):
+        poly.jet_at(origin, True)
 
 
 def test_divexact_roundtrip():
@@ -717,6 +749,16 @@ def test_span_includes_agrees_with_the_oracle_ranks(pair):
     a, b = pair
     joined = RationalMatrix.from_columns(b.columns() + a.columns(), ambient=b.rows)
     assert span_includes(a, b) == (oracle_gauss_jordan(joined)[0] == oracle_gauss_jordan(b)[0])
+
+
+def test_from_columns_refuses_a_column_of_another_length():
+    assert RationalMatrix.from_columns([(1, 2), (3, 4)], ambient=2) == RationalMatrix(2, 2, (1, 3, 2, 4))
+    with pytest.raises(ChartMismatch, match="column 1 has 3 entries, expected 2"):
+        RationalMatrix.from_columns([(1, 2), (3, 4, 5)])
+    with pytest.raises(ChartMismatch, match="column 1 has 1 entries, expected 2"):
+        RationalMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ChartMismatch, match="column 0 has 2 entries, expected 5"):
+        RationalMatrix.from_columns([(1, 2), (3, 4)], ambient=5)
 
 
 def test_span_includes_basic():

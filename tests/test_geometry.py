@@ -314,25 +314,6 @@ def test_bracket_differentiates_only_the_pairs_of_the_occurrence_tables(x, y):
     assert len(calls) == pairs
 
 
-@settings(max_examples=200, deadline=None)
-@given(sparse_fields(), st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=7, max_size=7))
-def test_value_and_partials_match_the_evaluated_partials(field, point):
-    # zero coordinates exercise the vanishing factors: a term adds to a
-    # partial only when at most one simple factor vanishes at the point
-    point = tuple(point)
-    for comp in field.components:
-        value, partials = comp.value_and_partials_at(point)
-        assert value == comp.eval_at(point)
-        expected = {i: comp.partial(i).eval_at(point) for i in range(len(point))}
-        assert partials == {i: d for i, d in expected.items() if d}
-
-
-def test_value_and_partials_at_the_origin_read_the_terms_of_degree_at_most_one():
-    n = 4
-    poly = Poly(n, {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3), ((1, 2),): 7, ((0, 1), (3, 1)): 9})
-    assert poly.value_and_partials_at((F(0),) * n) == (5, {1: -2, 2: F(1, 3)})
-
-
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ def gradient_rank(conditions: list, point: tuple[Fraction, ...]) -> int:
         return 0
     rows = []
     for poly in conditions:
-        partials = poly.value_and_partials_at(point[: poly.arity])[1]
-        rows.append([partials.get(i, 0) for i in range(len(point))])
+        jet = poly.jet_at(point[: poly.arity], 1)
+        rows.append([jet.get(((i, 1),), 0) for i in range(len(point))])
     return rank_and_nullspace(RationalMatrix.from_rows(rows))[0]
 
 
