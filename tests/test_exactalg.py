@@ -370,6 +370,25 @@ def test_jet_at_matches_the_taylor_coefficients(poly, point, order):
     assert all(type(c) is int or c.denominator != 1 for c in jet.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    polys(arity=4, max_terms=5),
+    st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=4, max_size=4),
+)
+def test_two_jet_matches_the_evaluated_partials(poly, point):
+    # the 2-jet holds the value, the first partials, the mixed second partials
+    # and half of each pure second partial, each from an evaluated Poly.partial
+    point = tuple(point)
+    jet = poly.jet_at(point, 2)
+    expected = {(): poly.eval_at(point)}
+    for a in range(4):
+        expected[((a, 1),)] = poly.partial(a).eval_at(point)
+        expected[((a, 2),)] = poly.partial(a).partial(a).eval_at(point) / 2
+        for b in range(a + 1, 4):
+            expected[((a, 1), (b, 1))] = poly.partial(a).partial(b).eval_at(point)
+    assert jet == {m: c for m, c in expected.items() if c}
+
+
 def test_jet_at_the_origin_keeps_the_terms_up_to_the_order():
     n = 4
     poly = Poly(n, {(): 5, ((1, 1),): -2, ((2, 1),): F(1, 3), ((1, 2),): 7, ((0, 1), (3, 1)): 9, ((2, 3),): 4})

@@ -314,6 +314,19 @@ def test_bracket_differentiates_only_the_pairs_of_the_occurrence_tables(x, y):
     assert len(calls) == pairs
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields(), st.lists(st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 3), F(-3, 2))), min_size=7, max_size=7))
+def test_value_and_partials_match_the_evaluated_partials(field, point):
+    # zero coordinates exercise the vanishing factors: a term adds to a
+    # partial only when at most one simple factor vanishes at the point
+    point = tuple(point)
+    for comp in field.components:
+        jet = comp.jet_at(point, 1)
+        assert jet.get((), 0) == comp.eval_at(point)
+        expected = {((i, 1),): comp.partial(i).eval_at(point) for i in range(len(point))}
+        assert {m: c for m, c in jet.items() if m} == {m: d for m, d in expected.items() if d}
+
+
 # ---------------------------------------------------------------------------
 # Lie squares and big flags
 # ---------------------------------------------------------------------------
