@@ -9,10 +9,10 @@ letter to the left sits at position nu and l = s - nu - 1.  Only the value
 of V_{2l+3} at p is read, so its last two bracket rounds are formed at p
 from the 2-jets of the fields of V_{2l+1}, never as polynomial fields.
 
-Two geometry sources are available.  For a pseudo-normal form flag member
-j comes from the step-j leading field, read on the chart of the length-j
-prefix (the variables the member does not depend on are factored out), and
-the covariant/Cauchy spaces from their closed forms.  The generic source
+Two geometry sources are available.  For a pseudo-normal form a sandwich
+letter s reads only the value of the step-s leading field, a refinement
+builds flag member s on the chart of the length-s prefix, and the
+covariant/Cauchy spaces come from their closed forms.  The generic source
 recomputes everything from scratch: big flag by brute-force Lie squares,
 covariant and Cauchy subspaces by pointwise linear algebra, small flags on
 the full chart.  A source supplies only flag members and targets; one
@@ -43,7 +43,7 @@ from .geometry import (
     small_flag_vectors_at,
     value_at,
 )
-from .exactalg import Poly, RationalMatrix, _check_int, annihilates, span_includes
+from .exactalg import _ZERO, Poly, RationalMatrix, _check_int, annihilates, span_includes
 
 
 @dataclass(frozen=True)
@@ -133,34 +133,25 @@ class _ClosedGeometry:
         self.point = point
         self.cap = cap
         self.r = build.length
-        self.members: dict[int, Distribution] = {}
 
     def member(self, j: int) -> Distribution:
-        """The step-j leading field plus d/dx_j and d/dy_j, on Chart.for_length(j),
-        built once per germ.  The field's terms are taken as they stand: they
-        use only the variables of that chart (tests/test_classify.py checks
-        this for every word of length at most 7)."""
-        if j not in self.members:
-            chart = Chart.for_length(j)
-            n = chart.dim
-            lead = self.build.leading[j - 1].components[:n]
-            lead = VectorField(chart, tuple(Poly._of(n, c.terms) for c in lead))
-            self.members[j] = Distribution(chart, (lead,) + _versors_from(chart, j))
-        return self.members[j]
+        """The step-j leading field, its terms taken as they stand (see value),
+        plus d/dx_j and d/dy_j, on Chart.for_length(j): built for a refinement."""
+        chart = Chart.for_length(j)
+        lead = self.build.leading[j - 1].components[: chart.dim]
+        lead = VectorField(chart, tuple(Poly._of(chart.dim, c.terms) for c in lead))
+        return Distribution(chart, (lead,) + _versors_from(chart, j))
 
     def value(self, j: int) -> RationalMatrix:
-        """The generators of member j at the point cut to its chart, as
-        columns.  Only the leading field is evaluated, a zero component as
-        the shared 0; d/dx_j and d/dy_j, the last two coordinates, are
-        written as the constant unit columns they are."""
-        lead = self.member(j).generators[0]
-        n = lead.chart.dim
-        point = self.point[:n]
-        zero, one = Fraction(0), Fraction(1)
-        values = [c.eval_at(point) if c.terms else zero for c in lead.components]
-        entries = [x for v in values[:-2] for x in (v, zero, zero)]
-        entries += (values[-2], one, zero, values[-1], zero, one)
-        return RationalMatrix._of(n, 3, tuple(entries))
+        """Z_j(p), the step-j leading field at the point cut to chart j, as one
+        column, a zero component as the shared 0.  It decides the sandwich
+        letter: each target of chart j (F, or L(D^(j-2)) for j >= 3) holds
+        d/dx_j and d/dy_j, so D^j(p) lies in it exactly when Z_j(p) does.  Z_j
+        uses only the variables of chart j (tests/test_classify.py checks this
+        up to length 7), so its components, evaluated at the full point, are
+        its values on that chart."""
+        lead = self.build.leading[j - 1].components[: Chart.for_length(j).dim]
+        return RationalMatrix._of(len(lead), 1, tuple(c.eval_at(self.point) if c.terms else _ZERO for c in lead))
 
 
 class _GenericGeometry:

@@ -87,6 +87,9 @@ class Word:
         return len(self.letters)
 
     def prefix(self, s: int) -> "Word":
+        _check_int("prefix length", s)
+        if not 1 <= s <= self.length:
+            raise IndexOutOfRange(f"prefix length {s} outside 1..{self.length}")
         return Word(self.letters[:s])
 
     def __str__(self) -> str:
@@ -299,6 +302,7 @@ def closed_form_F(r: int) -> Distribution:
 
 def closed_form_L(j: int, r: int) -> Distribution:
     """L of flag member j: (d/dx_{j+1}, ..., d/dyr) for 1 <= j <= r - 1."""
+    _check_int("flag member", j)
     if not 1 <= j <= r - 1:
         raise IndexOutOfRange(f"L is a distribution only for 1 <= j <= {r - 1}, got {j}")
     chart = Chart.for_length(r)

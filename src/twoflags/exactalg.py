@@ -14,8 +14,8 @@ an ``int`` and any other a Fraction with denominator > 1: nearly every
 coefficient is an integer, and int arithmetic skips the gcd work of every
 Fraction step.  The two kinds compare and hash alike (``2 == Fraction(2)``).
 
-Every value is immutable after construction and every operation is a pure
-function, so concurrent use needs no locking.
+Every operation is a pure function, and no answer depends on the one memo
+(a matrix's annihilator), so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -450,7 +450,7 @@ class Poly:
         own v-monomial.  Each other factor (p_a + v_a)^e adds
         C(e, k) p_a^(e - k) v_a^k for each k up to the degree left.  Only
         products are formed, and each coefficient is canonicalised once, at
-        the end."""
+        the end, where a float that entered a term raises BadSyntax."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         _check_int("order", order)
@@ -485,7 +485,11 @@ class Poly:
                 parts = grown
             for m, _, c in parts:
                 jet[m] = jet.get(m, 0) + c
-        return {m: _canonical(c) for m, c in jet.items() if c}
+        try:
+            return {m: _canonical(c) for m, c in jet.items() if c}
+        except AttributeError:  # a float coordinate entered a term: name it
+            tuple(map(exact_rational, point))
+            raise
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -12,6 +12,7 @@ from twoflags.atlas import enumerate_words
 from twoflags.classify import (
     SandwichWord,
     _ClosedGeometry,
+    _closed_target,
     singularity_class_at,
     singularity_locus_equations,
 )
@@ -376,9 +377,21 @@ def test_closed_members_are_the_prefix_distributions():
                 geo = _ClosedGeometry(build, build.chart.origin(), DEFAULT_GENERATOR_CAP)
                 for j in range(1, r + 1):
                     assert geo.member(j) == build.prefix_build(j).distribution, (str(word), j)
-                    assert geo.member(j) is geo.member(j)  # built once per germ
                     checked += 1
     assert checked == 2026
+
+
+def test_closed_targets_hold_the_last_two_versors_of_their_chart():
+    # the premise of _ClosedGeometry.value: D^s = (Z_s, d/dx_s, d/dy_s) lies
+    # in the target of position nu on chart s exactly when Z_s does
+    for s in range(2, 14):
+        chart = Chart.for_length(s)
+        for nu in range(2, s + 1):
+            target = _closed_target(nu, s)
+            for index in (chart.x_index(s), chart.y_index(s)):
+                unit = [F(0)] * chart.dim
+                unit[index] = F(1)
+                assert target.contains_vector(unit), (nu, s, index)
 
 
 def test_leading_fields_use_only_the_variables_of_their_prefix_charts_up_to_length_seven():

@@ -113,6 +113,27 @@ def test_word_prefix():
     assert str(word.prefix(2)) == "1.2"
 
 
+@pytest.mark.parametrize("s", [True, 1.0, 0, -1, 4], ids=["bool", "float", "zero", "negative", "past-the-end"])
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        lambda word, s: word.prefix(s),
+        lambda word, s: EkrSpec(word).prefix(s),
+        lambda word, s: build_ekr(EkrSpec(word)).prefix_build(s),
+    ],
+    ids=["Word.prefix", "EkrSpec.prefix", "EkrBuild.prefix_build"],
+)
+def test_prefix_length_is_an_int_from_one_to_the_length(prefix, s):
+    # True would give the length-1 prefix, -1 would drop the last letter and 4 would give the whole word
+    word = Word.parse("1.2.1")
+    if type(s) is int:
+        with pytest.raises(IndexOutOfRange, match=f"^prefix length {s} outside 1..3$"):
+            prefix(word, s)
+    else:
+        with pytest.raises(ChartMismatch, match=f"^prefix length {s!r} is not an int but a {type(s).__name__}$"):
+            prefix(word, s)
+
+
 # ---------------------------------------------------------------------------
 # Constants bookkeeping
 # ---------------------------------------------------------------------------
@@ -364,6 +385,13 @@ def test_closed_form_L_range():
         closed_form_L(3, 3)
     with pytest.raises(IndexOutOfRange):
         closed_form_F(0)
+
+
+def test_closed_form_L_takes_only_an_int():
+    # True == 1 would give L of member 1, and 2.0 would reach range()
+    for j in (True, 2.0):
+        with pytest.raises(ChartMismatch, match=re.escape(f"flag member {j!r} is not an int but a {type(j).__name__}")):
+            closed_form_L(j, 4)
 
 
 # ---------------------------------------------------------------------------
