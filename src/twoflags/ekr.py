@@ -31,7 +31,7 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, _check_int, _decimal, exact_rational, parse_rational
+from .exactalg import Poly, _check_int, _decimal, exact_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
@@ -128,7 +128,7 @@ def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
             number = _decimal(str(step))
         except ValueError as exc:
             raise BadSyntax(f"bad step in the {kind} constants: {exc}") from None
-        out[number] = parse_rational(str(value))
+        out[number] = exact_rational(str(value))
     return out
 
 

@@ -69,9 +69,15 @@ def parse_rational(text: str) -> Fraction:
 
 def exact_rational(value: Fraction | int | str) -> Fraction:
     """``value`` as a Fraction; a float raises BadSyntax (0.1 would become
-    3602879701896397/36028797018963968)."""
+    3602879701896397/36028797018963968), and so does text that
+    parse_rational refuses ("1e3" or "0.1" would become 1000 or 1/10)."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise BadSyntax(str(exc)) from None
     if isinstance(value, float):
         raise BadSyntax(f"inexact value {value!r}: give an int, a Fraction or a rational literal")
     return Fraction(value)
@@ -578,6 +584,11 @@ class RationalMatrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            size = getattr(self, name)
+            _check_int(name, size)
+            if size < 0:
+                raise ChartMismatch(f"{name} must be >= 0, got {size}")
         if len(self.entries) != self.rows * self.cols:
             raise ChartMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"

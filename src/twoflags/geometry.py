@@ -378,10 +378,8 @@ def big_flag(
     Raises NotSpecialFlag unless the pointwise ranks run 3, 5, ..., dim and
     the tower reaches full rank within (dim - 3) / 2 steps.
 
-    Each square is semi-naive: lie_square records on each member the prefix
-    of its generators whose pairs it has bracketed, so the next square
-    brackets only the pairs with a newer field.  The value at ``point`` of
-    each member D^r, ..., D^1 stays with it (see value_at).
+    The value at ``point`` of each member D^r, ..., D^1 stays with it (see
+    value_at).
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
     decided at the point and built as no field (see _square_rank_at): only
@@ -436,11 +434,6 @@ def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int) -
     return value.dim + (first is not None)
 
 
-def _squared(dist: Distribution) -> int:
-    """k as lie_square recorded it, else 0: each bracket of two of the first k generators is 0 or a multiple of one."""
-    return dist.__dict__.get("_squared", 0)
-
-
 def _integral(field: VectorField) -> VectorField:
     """``field`` times the lcm s of its coefficient denominators: a positive
     multiple with int coefficients, or ``field`` itself when it has them.  s
@@ -475,9 +468,8 @@ def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP)
     multiples of known fields (see _Dedup).  Each step brackets the
     generators of D only with the fields that are new in the latest member;
     brackets with older fields were candidates one step earlier.  On the
-    first step every field after the first _squared(D) is new, and generator
-    i is bracketed only with generators k > i: [g, g] = 0 and
-    [g_k, g_i] = -[g_i, g_k].
+    first step generator i is bracketed only with generators k > i:
+    [g, g] = 0 and [g_k, g_i] = -[g_i, g_k].
     """
     _check_int("steps", steps)
     if steps < 1:
@@ -485,7 +477,7 @@ def small_flag(dist: Distribution, steps: int, cap: int = DEFAULT_GENERATOR_CAP)
     pool = _Dedup(cap, map(_integral, dist.generators))
     base = len(pool.fields)
     flag = [Distribution(dist.chart, tuple(pool.fields))]
-    start = _squared(dist)
+    start = 0
     for _ in range(steps - 1):
         before = len(pool.fields)
         for g, h in _pairs(pool.fields[:before], base, start):
@@ -501,14 +493,8 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribu
     small_flag formed them.  A tower member's fields have int coefficients,
     which _integral and _Dedup keep as they are, so the square of a member
     starts with the member's own fields.
-
-    Its generators start with the k deduplicated generators of D, each pair
-    of which was bracketed here or lies in D's recorded prefix, so the square
-    records k on itself (see _squared): squaring it again skips those pairs.
     """
-    base, square = small_flag(dist, 2, cap)
-    square.__dict__["_squared"] = len(base.generators)
-    return square
+    return small_flag(dist, 2, cap)[1]
 
 
 # a field's jet at p: its value, its nonzero first partials grouped by component,
@@ -610,11 +596,9 @@ def small_flag_vectors_at(
     _bracket_value).  small_flag drops a bracket that is zero or a multiple
     of a kept field; its jet is then zero or proportional to a kept one, or
     adds only the values of brackets that V_steps holds, so the span is the
-    same.  The first round skips the pairs of the first _squared(dist)
-    generators, as small_flag does.  A caller that stops early forms no
-    later bracket.  The fields are built in integers, and the jets are read
-    at the point with its integral coordinates as ints: at an integral point
-    they are sums of ints.
+    same.  A caller that stops early forms no later bracket.  The fields are
+    built in integers, and the jets are read at the point with its integral
+    coordinates as ints: at an integral point they are sums of ints.
     """
     _check_int("steps", steps)
     if steps < 2:
@@ -623,7 +607,7 @@ def small_flag_vectors_at(
     n = dist.chart.dim
     flag = small_flag(dist, max(steps - 2, 1), cap)
     base = len(flag[0].generators)
-    start = len(flag[-2].generators) if len(flag) > 1 else _squared(dist)
+    start = len(flag[-2].generators) if len(flag) > 1 else 0
     # each field is read to the order its pairs use: the last round alone
     # (steps 2) reads 1-jets, and a penultimate round reads the 2-jet of a
     # field of its pairs, one of D's or new in V_(steps-2), and only the value

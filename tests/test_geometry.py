@@ -32,6 +32,7 @@ from twoflags.exactalg import (
     Poly,
     RationalMatrix,
     column_space_basis,
+    parse_rational,
     polynomial_nullspace,
     primitive_tuple,
     rank_and_nullspace,
@@ -56,7 +57,6 @@ from twoflags.geometry import (
     _exterior_upper,
     _integer_pairing,
     _scaled_columns,
-    _squared,
 )
 
 from test_readoff import stress_point
@@ -154,6 +154,49 @@ def test_points_reject_floats(make):
 )
 def test_pointwise_matrices_reject_floats(make):
     with pytest.raises(BadSyntax, match=r"inexact value 0\.1"):
+        make()
+
+
+# each entry point that admits a rational from text, on the text
+RATIONAL_TEXT_ENTRIES = {
+    "EkrSpec": lambda text: EkrSpec(Word.parse("1.1"), {1: text}).b[1],
+    "EkrSpec.from_json": lambda text: EkrSpec.from_json({"word": "1.1", "b": {"1": text}}).b[1],
+    "Chart.point": lambda text: Chart.for_length(1).point(t=text)[0],
+    "Poly": lambda text: Poly(2, {(): text}).terms[()],
+    "RationalMatrix.from_rows": lambda text: RationalMatrix.from_rows([[text, 1]]).at(0, 0),
+}
+
+
+@pytest.mark.parametrize("entry", RATIONAL_TEXT_ENTRIES)
+@pytest.mark.parametrize("text", ["1e3", "0.1", " 1_0 ", "1e2", "2/0", "9" * 5000], ids=lambda t: t if len(t) < 9 else f"{len(t)} digits")
+def test_rational_text_has_the_one_grammar_of_parse_rational(entry, text):
+    # Fraction() would take "1e3" as 1000, "0.1" as 1/10 and "1_0" as 10, and
+    # refuse 5,000 digits without naming the bound
+    with pytest.raises(ValueError) as refused:
+        parse_rational(text)
+    with pytest.raises(BadSyntax, match=f"^{re.escape(str(refused.value))}$"):
+        RATIONAL_TEXT_ENTRIES[entry](text)
+
+
+@pytest.mark.parametrize("entry", RATIONAL_TEXT_ENTRIES)
+def test_rational_text_in_the_grammar_still_parses(entry):
+    assert RATIONAL_TEXT_ENTRIES[entry]("3/4") == F(3, 4)
+    assert RATIONAL_TEXT_ENTRIES[entry]("-2") == -2
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: RationalMatrix(-1, -1, (1,)), "rows must be >= 0, got -1"),
+        (lambda: RationalMatrix(0, -5, ()), "cols must be >= 0, got -5"),
+        (lambda: RationalMatrix(True, 1, (1,)), "rows True is not an int but a bool"),
+        (lambda: RationalMatrix.from_columns([], ambient=-2), "rows must be >= 0, got -2"),
+        (lambda: Subspace.from_vectors(-2, []), "rows must be >= 0, got -2"),
+    ],
+    ids=["negative", "negative cols", "bool rows", "from_columns", "Subspace.from_vectors"],
+)
+def test_matrix_dimensions_are_ints_at_least_zero(make, message):
+    with pytest.raises(ChartMismatch, match=f"^{message}$"):
         make()
 
 
@@ -749,7 +792,7 @@ def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distributio
 
 
 def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
-    # each semi-naive square skips the pairs of the member squared before it
+    # each square brackets a generator only with later fields
     words = enumerate_words(5)
     assert len(words) == 41
     for word in words:
@@ -760,8 +803,7 @@ def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
 
 @pytest.mark.parametrize("text", ["1.2.1", "1.2.3", "1.1.2"])
 def test_big_flag_of_repeated_and_zero_generators_matches_the_oracle(text):
-    # the first square keeps 3 of the 5 raw generators (g0, 2 g0, 0, g1, g2),
-    # so the next square may skip only the pairs of those 3
+    # the first square keeps 3 of the 5 raw generators (g0, 2 g0, 0, g1, g2)
     build = build_ekr(EkrSpec(Word.parse(text)))
     g0, g1, g2 = build.distribution.generators
     zero = VectorField(build.chart, (Poly.zero(build.chart.dim),) * build.chart.dim)
@@ -769,7 +811,6 @@ def test_big_flag_of_repeated_and_zero_generators_matches_the_oracle(text):
     tower = big_flag(dist, build.chart.origin())
     assert tower[0] is dist
     assert len(tower) == 4
-    assert _squared(tower[1]) == 3
     assert_tower_matches_the_oracle(tower, dist, build.chart.origin(), text)
 
 
@@ -804,25 +845,35 @@ def test_a_deficient_last_square_names_its_pointwise_rank():
 
 
 def generic_tower_members(r: int, salt: str):
-    """(spec, j, D^j, an unmarked copy of D^j) for each member D^j, 0 < j < r,
+    """(spec, j, D^j, a fresh copy of D^j) for each member D^j, 0 < j < r,
     that lie_square built in the generic tower of every length-r word, with
-    zero and seeded constants; the copy has the same generators, and
-    _squared(copy) is 0."""
+    zero and seeded constants; the copy is a new Distribution with the same
+    generators."""
     for word in enumerate_words(r):
         for spec in (EkrSpec(word), draw_constants(word, random.Random(f"{salt}|{word}"))):
             build = build_ekr(spec)
             tower = big_flag(build.distribution, build.chart.origin())
             for j in range(1, r):
                 member = tower[j]
-                assert _squared(member) > 0, (spec, j)
                 yield spec, j, member, Distribution(member.chart, member.generators)
 
 
 def test_semi_naive_lie_square_equals_the_plain_one_up_to_length_four():
     for r in range(1, 5):
         for spec, j, member, plain in generic_tower_members(r, "semi"):
-            assert _squared(plain) == 0
             assert signatures(lie_square(member)) == signatures(lie_square(plain)), (spec, j)
+
+
+def test_lie_square_and_small_flag_leave_the_member_as_they_found_it_up_to_length_four():
+    # the square and the flag are functions of D's generators alone: they
+    # write nothing on D, and the square carries only its two fields
+    for r in range(1, 5):
+        for spec, j, member, _ in generic_tower_members(r, "pure"):
+            before = dict(vars(member))
+            square = lie_square(member)
+            small_flag(member, 3)
+            assert vars(member) == before, (spec, j)
+            assert set(vars(square)) == {"chart", "generators"}, (spec, j)
 
 
 def test_the_square_of_a_tower_member_starts_with_its_very_fields_up_to_length_four():
@@ -845,8 +896,8 @@ def test_the_square_of_a_tower_member_is_its_small_flag_member_as_formed_up_to_l
 
 
 def test_small_flags_of_tower_members_equal_the_plain_ones_up_to_length_four():
-    # the recorded prefix skips pairs on the first step only: every member of
-    # the flag, and the cap at which it blows up, are those of the unmarked copy
+    # a tower member and its fresh copy give the same flag: every member of
+    # the flag, and the cap at which it blows up, are those of the copy
     for r in range(1, 5):
         for spec, j, member, plain in generic_tower_members(r, "semi-flag"):
             expected = [signatures(m) for m in small_flag(plain, 5)]
