@@ -43,7 +43,7 @@ from .geometry import (
     small_flag_vectors_at,
     value_at,
 )
-from .exactalg import _ZERO, Poly, RationalMatrix, _check_int, annihilates, span_includes
+from .exactalg import Poly, RationalMatrix, _check_int, annihilates, span_includes
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,18 @@ class _ClosedGeometry:
         """The step-j leading field, its terms taken as they stand (see value),
         plus d/dx_j and d/dy_j, on Chart.for_length(j): built for a refinement."""
         chart = Chart.for_length(j)
-        lead = self.build.leading[j - 1].components[: chart.dim]
-        lead = VectorField(chart, tuple(Poly._of(chart.dim, c.terms) for c in lead))
+        lead = VectorField._of(chart, tuple((i, Poly._of(chart.dim, c.terms)) for i, c in self.build.leading[j - 1].support))
         return Distribution(chart, (lead,) + _versors_from(chart, j))
 
     def value(self, j: int) -> RationalMatrix:
         """Z_j(p), the step-j leading field at the point cut to chart j, as one
-        column, a zero component as the shared 0.  It decides the sandwich
-        letter: each target of chart j (F, or L(D^(j-2)) for j >= 3) holds
-        d/dx_j and d/dy_j, so D^j(p) lies in it exactly when Z_j(p) does.  Z_j
-        uses only the variables of chart j (tests/test_classify.py checks this
-        up to length 7), so its components, evaluated at the full point, are
-        its values on that chart."""
-        lead = self.build.leading[j - 1].components[: Chart.for_length(j).dim]
-        return RationalMatrix._of(len(lead), 1, tuple(c.eval_at(self.point) if c.terms else _ZERO for c in lead))
+        column.  It decides the sandwich letter: each target of chart j (F, or
+        L(D^(j-2)) for j >= 3) holds d/dx_j and d/dy_j, so D^j(p) lies in it
+        exactly when Z_j(p) does.  Z_j uses only the variables of chart j
+        (tests/test_classify.py checks this up to length 7), so its value at
+        the full point, cut to chart j, is its value on that chart."""
+        dim = Chart.for_length(j).dim
+        return RationalMatrix._of(dim, 1, self.build.leading[j - 1]._value(self.point)[:dim])
 
 
 class _GenericGeometry:

@@ -284,7 +284,7 @@ def _versors_from(chart: Chart, first: int) -> tuple[VectorField, ...]:
 
     One shared tuple per (chart, first), kept for the last 256 asked: the
     builds and closed members of one length share their versors, and with
-    them the occurrence tables that lie_bracket reads."""
+    them the one-entry occurrence table of each that lie_bracket reads."""
     return tuple(
         VectorField.versor(chart, index(k))
         for k in range(first, chart.length + 1)

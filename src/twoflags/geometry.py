@@ -105,18 +105,36 @@ def _check_point(chart: Chart, point: Sequence[Fraction]) -> tuple[Fraction, ...
     return tuple(exact_rational(v) for v in point)
 
 
-@dataclass(frozen=True)
+_zero = lru_cache(maxsize=64)(Poly.zero)  # the zero Poly of an arity, one shared by the dense views of fields
+
+
+@dataclass(frozen=True, init=False)
 class VectorField:
-    """Vector field with one polynomial component per chart coordinate."""
+    """Vector field stored as its support: the (index, component) pairs of
+    its nonzero polynomial components, in increasing index order."""
 
     chart: Chart
-    components: tuple[Poly, ...]
+    support: tuple[tuple[int, Poly], ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
-            raise ChartMismatch(
-                f"{len(self.components)} components on a {self.chart.dim}-dimensional chart"
-            )
+    def __init__(self, chart: Chart, components: Sequence[Poly]):
+        if len(components) != chart.dim:
+            raise ChartMismatch(f"{len(components)} components on a {chart.dim}-dimensional chart")
+        support = []
+        for j, comp in enumerate(components):
+            if not isinstance(comp, Poly) or comp.arity != chart.dim:
+                raise ChartMismatch(f"component {j} is not a polynomial on the {chart.dim}-dimensional chart")
+            if comp.terms:
+                support.append((j, comp))
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "support", tuple(support))
+
+    @classmethod
+    def _of(cls, chart: Chart, support: tuple[tuple[int, Poly], ...]) -> "VectorField":
+        """A field around a computed support already on ``chart``: nothing is checked."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "chart", chart)
+        object.__setattr__(field, "support", support)
+        return field
 
     @classmethod
     def versor(cls, chart: Chart, index: int) -> "VectorField":
@@ -124,59 +142,63 @@ class VectorField:
         comps[index] = Poly.const(chart.dim, 1)
         return cls(chart, tuple(comps))
 
+    @property
+    def components(self) -> tuple[Poly, ...]:
+        """The dense view, one component per coordinate, a zero one the shared zero of its arity."""
+        support = dict(self.support)
+        return tuple(support.get(j, _zero(self.chart.dim)) for j in range(self.chart.dim))
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.support
 
     @cached_property
-    def occurrences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The field's occurrence table: the indices of its nonzero
-        components, and for each variable the indices of the components
-        that contain it.  Worked out on first use and kept with the field,
-        which is immutable."""
-        support = []
-        occurs: list[list[int]] = [[] for _ in self.components]
-        for j, comp in enumerate(self.components):
-            if comp.terms:
-                support.append(j)
-                for var in {var for mono in comp.terms for var, _ in mono}:
-                    occurs[var].append(j)
-        return tuple(support), tuple(map(tuple, occurs))
+    def occurrences(self) -> dict[int, list[tuple[int, Poly]]]:
+        """The field's occurrence table: for each variable of its support, the
+        (index, component) pairs of the support whose component contains it.
+        Worked out on first use and kept with the field, which is immutable."""
+        occurs: dict[int, list[tuple[int, Poly]]] = {}
+        for pair in self.support:
+            for var in {var for mono in pair[1].terms for var, _ in mono}:
+                occurs.setdefault(var, []).append(pair)
+        return occurs
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        self._check_chart(other)
-        return VectorField(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
+        if self.chart != other.chart:
+            raise ChartMismatch("vector fields live on different charts")
+        sums = dict(self.support)
+        for j, comp in other.support:
+            sums[j] = sums[j] + comp if j in sums else comp
+        return VectorField._of(self.chart, tuple((j, comp) for j, comp in sorted(sums.items()) if comp.terms))
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return VectorField._of(self.chart, tuple((j, -comp) for j, comp in self.support))
 
     def scaled(self, factor: Poly | Fraction | int) -> "VectorField":
-        return VectorField(self.chart, tuple(c * factor for c in self.components))
+        return VectorField._of(self.chart, tuple((j, comp * factor) for j, comp in self.support if factor))
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative X(f) = sum_i X_i df/du_i."""
         out = Poly.zero(self.chart.dim)
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero():
-                out = out + comp * f.partial(i)
+        for i, comp in self.support:
+            out = out + comp * f.partial(i)
         return out
 
+    def _value(self, point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """The field's value at an admitted point: each component of the
+        support evaluated there, every other coordinate the shared 0."""
+        value = [_ZERO] * self.chart.dim
+        for j, comp in self.support:
+            value[j] = comp.eval_at(point)
+        return tuple(value)
+
     def eval_at(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        point = _check_point(self.chart, point)
-        return tuple(c.eval_at(point) for c in self.components)
+        return self._value(_check_point(self.chart, point))
 
     def signature(self) -> tuple:
-        return tuple(c.signature() for c in self.components)
-
-    def _check_chart(self, other: "VectorField") -> None:
-        if self.chart != other.chart:
-            raise ChartMismatch("vector fields live on different charts")
+        return tuple((j, comp.signature()) for j, comp in self.support)
 
     def __str__(self) -> str:
-        parts = [
-            f"({comp})*d_{name}"
-            for comp, name in zip(self.components, self.chart.names)
-            if not comp.is_zero()
-        ]
+        parts = [f"({comp})*d_{self.chart.names[j]}" for j, comp in self.support]
         return " + ".join(parts) if parts else "0"
 
 
@@ -204,9 +226,9 @@ class Distribution:
     def __post_init__(self):
         if not self.generators:
             raise ChartMismatch("a distribution needs at least one generator")
-        for gen in self.generators:
-            if gen.chart != self.chart:
-                raise ChartMismatch("generator lives on a different chart")
+        for k, gen in enumerate(self.generators):
+            if not isinstance(gen, VectorField) or gen.chart != self.chart:
+                raise ChartMismatch(f"generator {k} is not a vector field on the chart")
 
     @classmethod
     def _of(cls, chart: Chart, generators: tuple[VectorField, ...]) -> "Distribution":
@@ -266,31 +288,25 @@ class Subspace:
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Coordinate Lie bracket [X,Y]_j = sum_i (X_i dY_j/du_i - Y_i dX_j/du_i).
 
-    Only the nonzero terms are formed, read off the occurrence tables: for
-    each nonzero X_i, the term X_i dY_j/du_i of every component Y_j that
-    contains u_i, and likewise for each nonzero Y_i.  The products of
-    component j are summed into one term map, whose coefficients are
-    canonicalised once, so no Poly is built for a product or a partial sum;
-    a component that no product reaches is one shared zero, and only the
-    summed components are set.
+    Only the nonzero terms are formed: for each X_i of the support of X, the
+    term X_i dY_j/du_i of every component Y_j that contains u_i (Y's
+    occurrence table), and likewise for each Y_i.  The products of component
+    j are summed into one term map, whose coefficients are canonicalised
+    once, so no Poly is built for a product or a partial sum; the maps that
+    do not cancel are the bracket's support.
     """
     if x.chart != y.chart:
         raise ChartMismatch("bracket of fields on different charts")
     n = x.chart.dim
-    xs, ys = x.components, y.components
-    x_support, x_occurs = x.occurrences
-    y_support, y_occurs = y.occurrences
+    x_occurs, y_occurs = x.occurrences, y.occurrences
     sums: dict[int, dict] = {}
-    for i in x_support:
-        for j in y_occurs[i]:
-            _mul_into(sums.setdefault(j, {}), xs[i].terms, ys[j].partial(i).terms, 1)
-    for i in y_support:
-        for j in x_occurs[i]:
-            _mul_into(sums.setdefault(j, {}), ys[i].terms, xs[j].partial(i).terms, -1)
-    components = [Poly._of(n, {})] * n
-    for j, terms in sums.items():
-        components[j] = Poly._summed(n, terms)
-    return VectorField(x.chart, tuple(components))
+    for i, xi in x.support:
+        for j, yj in y_occurs.get(i, ()):
+            _mul_into(sums.setdefault(j, {}), xi.terms, yj.partial(i).terms, 1)
+    for i, yi in y.support:
+        for j, xj in x_occurs.get(i, ()):
+            _mul_into(sums.setdefault(j, {}), yi.terms, xj.partial(i).terms, -1)
+    return VectorField._of(x.chart, tuple((j, Poly._summed(n, terms)) for j, terms in sorted(sums.items()) if terms))
 
 
 def _proportional(a: Sequence[dict], b: Sequence[dict]) -> bool:
@@ -320,14 +336,11 @@ class _Dedup:
         self.extend(candidates)
 
     def add(self, candidate: VectorField) -> None:
-        support = [(j, c.terms) for j, c in enumerate(candidate.components) if c.terms]
-        if not support:
+        if not candidate.support:
             return
-        # the key holds the monomial sets, not their hash, so no support is tested
-        # twice: 1.2.1^100.3 at the origin classifies in 6.0-7.7 s, not 9.2-11.6 s,
-        # but peaks at 162 MB, not 156 MB (2 cores, Python 3.11)
-        bucket = self.buckets.setdefault(tuple((j, frozenset(terms)) for j, terms in support), [])
-        terms = tuple(terms for _, terms in support)
+        # the key holds the monomial sets, not their hash, so no support is tested twice
+        bucket = self.buckets.setdefault(tuple((j, frozenset(c.terms)) for j, c in candidate.support), [])
+        terms = tuple(c.terms for _, c in candidate.support)
         if any(_proportional(terms, kept) for kept in bucket):
             return
         bucket.append(terms)
@@ -363,9 +376,8 @@ def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     tower member once, and the Cauchy, covariant and sandwich computations
     at the same point reuse it.
     """
-    # the point was admitted once, not per generator by eval_at; a zero component is 0, not evaluated
-    vectors = [tuple(c.eval_at(point) if c.terms else _ZERO for c in g.components) for g in dist.generators]
-    return Subspace.from_vectors(dist.chart.dim, vectors)
+    # the point was admitted once, not per generator by eval_at
+    return Subspace.from_vectors(dist.chart.dim, [g._value(point) for g in dist.generators])
 
 
 def big_flag(
@@ -439,13 +451,13 @@ def _integral(field: VectorField) -> VectorField:
     multiple with int coefficients, or ``field`` itself when it has them.  s
     is a multiple of every denominator d, so a coefficient n / d becomes the
     int n * (s // d), with no Fraction formed."""
-    denominators = [c.denominator for comp in field.components if comp.terms for c in comp.terms.values() if type(c) is not int]
+    denominators = [c.denominator for _, comp in field.support for c in comp.terms.values() if type(c) is not int]
     if not denominators:
         return field
     scale = lcm(*denominators)
-    return VectorField(field.chart, tuple(
-        Poly._of(comp.arity, {mono: c.numerator * (scale // c.denominator) for mono, c in comp.terms.items()}) if comp.terms else comp
-        for comp in field.components
+    return VectorField._of(field.chart, tuple(
+        (j, Poly._of(comp.arity, {mono: c.numerator * (scale // c.denominator) for mono, c in comp.terms.items()}))
+        for j, comp in field.support
     ))
 
 
@@ -501,35 +513,34 @@ def lie_square(dist: Distribution, cap: int = DEFAULT_GENERATOR_CAP) -> Distribu
 # {j: [(i, dX_j/du_i(p)), ...]}, and its nonzero second partials as
 # (j, a, b, d^2X_j/du_a du_b(p)) with a <= b; a jet of lower order lacks the
 # partials above it
-_Jet = tuple[list, dict[int, list[tuple[int, int | Fraction]]], list[tuple[int, int, int, int | Fraction]]]
+_Jet = tuple[Sequence, dict[int, list[tuple[int, int | Fraction]]], list[tuple[int, int, int, int | Fraction]]]
 
 
 def _jet_at(field: VectorField, point: tuple[Fraction, ...], order: int) -> _Jet:
     """The field's jet at the point to ``order`` (0, 1 or 2), each
     component's read off its Taylor polynomial there (Poly.jet_at): the
     value is the coefficient of (), d/du_a that of v_a, d^2/du_a du_b (a < b)
-    that of v_a v_b, and d^2/du_a^2 twice that of v_a^2.  The nonzero
-    components are found by a scan, not by the occurrence table: the fields
-    new in the last member that small_flag_vectors_at builds are never
-    bracketed, so no table is made for them."""
-    value = [0] * len(field.components)
+    that of v_a v_b, and d^2/du_a^2 twice that of v_a^2; the jet of order 0
+    is the field's value.  Only the components of the support are read."""
+    if not order:
+        return field._value(point), {}, []
+    value = [0] * field.chart.dim
     grad = {}
     seconds = []
-    for j, comp in enumerate(field.components):
-        if comp.terms:
-            partials = []
-            for mono, c in comp.jet_at(point, order).items():
-                if not mono:
-                    value[j] = c
-                elif len(mono) == 2:
-                    (a, _), (b, _) = mono
-                    seconds.append((j, a, b, c))
-                elif mono[0][1] == 1:
-                    partials.append((mono[0][0], c))
-                else:
-                    seconds.append((j, mono[0][0], mono[0][0], 2 * c))
-            if partials:
-                grad[j] = partials
+    for j, comp in field.support:
+        partials = []
+        for mono, c in comp.jet_at(point, order).items():
+            if not mono:
+                value[j] = c
+            elif len(mono) == 2:
+                (a, _), (b, _) = mono
+                seconds.append((j, a, b, c))
+            elif mono[0][1] == 1:
+                partials.append((mono[0][0], c))
+            else:
+                seconds.append((j, mono[0][0], mono[0][0], 2 * c))
+        if partials:
+            grad[j] = partials
     return value, grad, seconds
 
 
@@ -654,9 +665,7 @@ def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int,
 
 @lru_cache(maxsize=4096)
 def _structural_annihilator(generators: tuple[VectorField, ...]) -> tuple[tuple[Poly, ...], ...]:
-    n = generators[0].chart.dim
-    matrix = [[gen.components[i] for gen in generators] for i in range(n)]
-    return tuple(polynomial_nullspace_structural(matrix))
+    return tuple(polynomial_nullspace_structural(list(zip(*(gen.components for gen in generators)))))
 
 
 def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneForm]:
@@ -677,7 +686,7 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
         matrix = RationalMatrix.from_columns(values, ambient=n)
         if corank == 0 or rank_and_nullspace(matrix)[0] == corank:
             return [OneForm(dist.chart, cov) for cov in covectors]
-    matrix = [[gen.components[i] for gen in dist.generators] for i in range(n)]
+    matrix = list(zip(*(gen.components for gen in dist.generators)))
     covectors = polynomial_nullspace(matrix, point, structural_rank=n - len(covectors))
     return [OneForm(dist.chart, cov) for cov in covectors]
 

@@ -6,6 +6,7 @@ The length-6 sweep of the Cauchy and covariant targets against the dense
 pairing oracle runs when the environment variable TWOFLAGS_GENERIC_LEN6 is
 set."""
 
+import hashlib
 import os
 import random
 import re
@@ -55,6 +56,7 @@ from twoflags.geometry import (
     value_at,
     _Dedup,
     _exterior_upper,
+    _integral,
     _integer_pairing,
     _scaled_columns,
 )
@@ -298,8 +300,8 @@ def dense_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 @st.composite
-def sparse_fields(draw, chart=Chart.for_length(2)):
-    """Fields with many zero components and some constant ones (no variable at all)."""
+def sparse_components(draw, chart=Chart.for_length(2)):
+    """Components with many zeros and some constants (no variable at all)."""
     n = chart.dim
     comps = []
     for _ in range(n):
@@ -315,7 +317,50 @@ def sparse_fields(draw, chart=Chart.for_length(2)):
                 mono = tuple((v, draw(st.integers(1, 2))) for v in sorted(variables))
                 terms[mono] = draw(coeffs)
             comps.append(Poly(n, terms))
-    return VectorField(chart, tuple(comps))
+    return tuple(comps)
+
+
+@st.composite
+def sparse_fields(draw, chart=Chart.for_length(2)):
+    """Fields of sparse_components."""
+    return VectorField(chart, draw(sparse_components(chart)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_components(), sparse_fields(), st.lists(st.sampled_from((F(0), F(1), F(-2), F(1, 3))), min_size=7, max_size=7))
+def test_a_field_is_its_support_and_its_value_is_that_of_its_components(comps, other, point):
+    chart = Chart.for_length(2)
+    field = VectorField(chart, comps)
+    assert field.support == tuple((j, comp) for j, comp in enumerate(comps) if comp.terms)
+    assert all(a is b for (_, a), b in zip(field.support, (comp for comp in comps if comp.terms)))
+    assert vars(field) == {"chart": chart, "support": field.support}
+    # the dense view gives the field back, with one shared zero in every empty slot
+    again = VectorField(chart, field.components)
+    assert again == field and hash(again) == hash(field)
+    assert len({id(comp) for comp in field.components if not comp.terms}) <= 1
+    assert field.eval_at(point) == tuple(comp.eval_at(tuple(point)) for comp in comps)
+    for made in (lie_bracket(field, other), lie_bracket(other, field), _integral(field), _integral(lie_bracket(field, other))):
+        indices = [j for j, _ in made.support]
+        assert indices == sorted(set(indices))
+        assert all(comp.terms for _, comp in made.support)
+        assert made == VectorField(chart, made.components)
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda chart: VectorField(chart, (Poly.zero(3), Poly(5, {((4, 1),): 1}), Poly.zero(3))), "component 1"),
+        (lambda chart: VectorField(chart, (Poly.zero(3), Poly.zero(3), 1)), "component 2"),
+        (lambda chart: Distribution(chart, (VectorField.versor(chart, 0), 1)), "generator 1"),
+        (lambda chart: Distribution(chart, (1,)), "generator 0"),
+    ],
+    ids=["a component of another arity", "an int component", "an int generator", "an int alone"],
+)
+def test_fields_and_distributions_refuse_parts_that_are_not_on_their_chart(make, named):
+    # a component of another arity, an int component and an int generator each
+    # built, and failed later with a bare IndexError or AttributeError
+    with pytest.raises(ChartMismatch, match=named):
+        make(Chart.for_length(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,15 +384,16 @@ def test_bracket_coefficients_are_canonical(x, y):
 def test_bracket_differentiates_only_the_pairs_of_the_occurrence_tables(x, y):
     n = x.chart.dim
     for field in (x, y):
-        support, occurs = field.occurrences
-        assert support == tuple(j for j, comp in enumerate(field.components) if comp)
+        scan = {}
         for var in range(n):
-            holders = tuple(j for j, comp in enumerate(field.components) if any(var in dict(m) for m in comp.terms))
-            assert occurs[var] == holders
+            holders = [(j, comp) for j, comp in enumerate(field.components) if any(var in dict(m) for m in comp.terms)]
+            if holders:
+                scan[var] = holders
+        assert field.occurrences == scan
         assert field.occurrences is field.occurrences  # worked out once per field
-    # one partial per nonzero X_i and component Y_j that contains u_i, and back
-    pairs = sum(len(y.occurrences[1][i]) for i in x.occurrences[0])
-    pairs += sum(len(x.occurrences[1][i]) for i in y.occurrences[0])
+    # one partial per X_i of the support and component Y_j that contains u_i, and back
+    pairs = sum(len(y.occurrences.get(i, ())) for i, _ in x.support)
+    pairs += sum(len(x.occurrences.get(i, ())) for i, _ in y.support)
     calls = []
     partial = Poly.partial
     Poly.partial = lambda poly, var: calls.append(var) or partial(poly, var)
@@ -755,6 +801,25 @@ def test_long_gaps_classify_as_the_word_and_their_refined_small_flags_match_the_
                 if not field.is_zero():
                     first.setdefault(normal_form(field).signature(), field)
             assert all(g is first[normal_form(g).signature()] for g in raw[-1].generators), spec
+
+
+@pytest.mark.parametrize(
+    "l, count, digest",
+    [
+        (6, 82, "e462daba1f66b910c72be92f17d40bbee00c3cb487bd854d5e7e5d6f420442b3"),
+        (10, 214, "31087f792002d7c5d9c1e736343b9e5e90bf2b632e3067136ddcfbeceacf2074"),
+        (20, 824, "9b20e1c1ce09f4beec157f78f815df00fcc68a2b1a6f88d35a161f39fc6d2411"),
+    ],
+)
+def test_the_fields_of_a_long_gap_keep_their_count_order_and_text(l, count, digest):
+    # V_(2l+1) of member l + 3 of 1.2.1^l.3 at the origin, the fields that a
+    # refinement after a gap of l letters 1 builds, pinned by the sha256 of
+    # their printed forms in order
+    build = build_ekr(EkrSpec(Word.parse(".".join(["1", "2"] + ["1"] * l + ["3"]))))
+    member = _ClosedGeometry(build, build.chart.origin(), DEFAULT_GENERATOR_CAP).member(l + 3)
+    generators = small_flag(member, 2 * l + 1)[-1].generators
+    assert len(generators) == count
+    assert hashlib.sha256("|".join(map(str, generators)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", [True, 2.0, F(3)])
