@@ -36,6 +36,7 @@ from .geometry import (
     Distribution,
     Subspace,
     VectorField,
+    _check_cap,
     _check_point,
     big_flag,
     cauchy_char_at,
@@ -208,7 +209,7 @@ def singularity_class_at(
     The word is read once, left to right, off the point itself, not off any
     label the input happens to carry.
     """
-    _check_int("cap", cap)
+    _check_cap(cap)
     point = _check_point(obj.chart, point)
     if isinstance(obj, EkrBuild) and not generic:
         geo = _ClosedGeometry(obj, point, cap)

@@ -255,6 +255,7 @@ class Poly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: dict[Mono, Fraction | int] | None = None):
+        _check_int("arity", arity)
         if arity < 1:
             raise ChartMismatch(f"arity must be positive, got {arity}")
         clean: dict[Mono, int | Fraction] = {}
@@ -302,6 +303,7 @@ class Poly:
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "Poly":
+        _check_int("variable index", index)
         if not 0 <= index < arity:
             raise ChartMismatch(f"variable index {index} out of range for arity {arity}")
         return cls(arity, {((index, 1),): 1})

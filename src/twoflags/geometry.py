@@ -35,6 +35,7 @@ from .exactalg import (
     span_includes,
     _canonical,
     _check_int,
+    _integer_rows,
     _mul_into,
     _ZERO,
 )
@@ -138,9 +139,10 @@ class VectorField:
 
     @classmethod
     def versor(cls, chart: Chart, index: int) -> "VectorField":
-        comps = [Poly.zero(chart.dim)] * chart.dim
-        comps[index] = Poly.const(chart.dim, 1)
-        return cls(chart, tuple(comps))
+        _check_int("versor index", index)
+        if not 0 <= index < chart.dim:
+            raise ChartMismatch(f"versor index {index} out of range for a {chart.dim}-dimensional chart")
+        return cls._of(chart, ((index, Poly.const(chart.dim, 1)),))
 
     @property
     def components(self) -> tuple[Poly, ...]:
@@ -319,6 +321,12 @@ def _proportional(a: Sequence[dict], b: Sequence[dict]) -> bool:
     return all(coeff * t == tb[mono] * s for ta, tb in zip(a, b) for mono, coeff in ta.items())
 
 
+def _check_cap(cap: int) -> None:
+    _check_int("cap", cap)
+    if cap < 1:
+        raise ChartMismatch(f"cap must be >= 1, got {cap}")
+
+
 class _Dedup:
     """Generator list that drops zero fields and scalar multiples of kept fields.
 
@@ -329,7 +337,7 @@ class _Dedup:
     """
 
     def __init__(self, cap: int, candidates: Iterable[VectorField] = ()):
-        _check_int("cap", cap)
+        _check_cap(cap)
         self.cap = cap
         self.fields: list[VectorField] = []
         self.buckets: dict[tuple, list[tuple[dict, ...]]] = {}
@@ -691,39 +699,22 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     return [OneForm(dist.chart, cov) for cov in covectors]
 
 
-# a basis v_a of D(p) in integers: the scales s_a, with v_a = u_a / s_a, and for
-# each coordinate i the pairs (a, u_a[i]) with u_a[i] != 0
-_ScaledColumns = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
-
-
-def _scaled_columns(basis: RationalMatrix) -> _ScaledColumns:
-    """The columns v_a of ``basis`` as u_a / s_a, with s_a the lcm of the
-    column's denominators, so that u_a is an integer column."""
-    n, d = basis.rows, basis.cols
-    entries = basis.entries
-    scales = tuple(lcm(*(entries[i * d + a].denominator for i in range(n))) for a in range(d))
-    rows = tuple(
-        tuple((a, v.numerator * (scales[a] // v.denominator)) for a, v in enumerate(entries[i * d : (i + 1) * d]) if v)
-        for i in range(n)
-    )
-    return scales, rows
-
-
 def _integer_pairing(
-    form: OneForm, point: tuple[Fraction, ...], columns: _ScaledColumns
+    form: OneForm, point: tuple[Fraction, ...], columns: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """The pairing of the integer columns u_a of ``columns`` under d(omega)
-    at p, in integers.
+    """The pairing of the integer columns u_a under d(omega) at p, in integers.
 
     With m the lcm of the denominators of d(omega)(p), returns I with
     I[a][b] = m * u_b^T d(omega)(p) u_a.  Only I[a][b] for a < b is summed,
-    over the entries of d(omega)(p) above the diagonal:
+    over the entries of d(omega)(p) above the diagonal and the nonzero
+    entries of the columns in their rows:
     u_b^T W u_a = sum over i < j of W_ij (u_b[i] u_a[j] - u_b[j] u_a[i]).
     W is antisymmetric, so I[b][a] = -I[a][b] and the diagonal is 0.
     """
-    d, rows = len(columns[0]), columns[1]
+    d = len(columns)
     upper = _exterior_upper(form, point)
     m = lcm(*(v.denominator for v in upper.values()))
+    rows = {i: [(a, u[i]) for a, u in enumerate(columns) if u[i]] for key in upper for i in key}
     pairing = [[0] * d for _ in range(d)]
     for (i, j), w in upper.items():
         left, right = rows[i], rows[j]
@@ -747,41 +738,40 @@ def _integer_pairing(
 @_kept_for_the_last_point
 def _curvature_pairings(
     dist: Distribution, point: tuple[Fraction, ...]
-) -> tuple[_ScaledColumns, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The basis columns v_a of D(p) = value_at(dist, point) in integers (see
-    _scaled_columns), and for each annihilating form omega their integer
-    pairing I under d(omega) at p (see _integer_pairing):
-    d(omega)(v_b, v_a)(p) = I[a][b] / (m s_a s_b), with m the lcm of the
-    denominators of the form's d(omega)(p).  The callers scale each condition
-    row to integers, so they need no m.
+) -> tuple[list[list[int]], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The basis columns of D(p) = value_at(dist, point) as integer columns
+    u_a, each a positive multiple (see _integer_rows), and for each
+    annihilating form omega their integer pairing I under d(omega) at p (see
+    _integer_pairing).  The Cauchy and covariant conditions are homogeneous,
+    so the callers solve them on the u_a as they stand and need no m.
 
     The pairings are kept for the last point asked, as value_at keeps D(p):
     the covariant and Cauchy spaces of one member at one point pair once.
     """
-    columns = _scaled_columns(value_at(dist, point).basis)
+    columns = _integer_rows(value_at(dist, point).basis.columns())
     return columns, tuple(_integer_pairing(form, point, columns) for form in annihilator_at(dist, point))
 
 
-def _kernel_image(columns: _ScaledColumns, rows: Sequence[Sequence[int | Fraction]]) -> Subspace:
-    """The span of sum_a lambda_a v_a over the kernel {lambda} of ``rows``,
-    with v_a = u_a / s_a the basis columns of ``columns``.  The v_a are
-    independent, so these images are too and form the basis as they stand.
-    Each image is summed in integers over one common denominator."""
-    scales, by_coordinate = columns
+def _kernel_image(columns: list[list[int]], rows: Sequence[Sequence[int | Fraction]]) -> Subspace:
+    """The span of sum_a lambda_a u_a over the kernel {lambda} of ``rows``,
+    with u_a the integer columns.  The u_a are independent, so these images
+    are too and form the basis as they stand.  Each image is summed in
+    integers over the common denominator of its lambda."""
+    n = len(columns[0])
     flat = tuple(v for row in rows for v in row)
-    _, kernel = rank_and_nullspace(RationalMatrix._of(len(rows), len(scales), flat))
+    _, kernel = rank_and_nullspace(RationalMatrix._of(len(rows), len(columns), flat))
     zero = Fraction(0)
     images = []
     for lam in kernel:
-        dens = [v.denominator * s for v, s in zip(lam, scales)]
-        den = lcm(*dens)
-        coeffs = [v.numerator * (den // e) for v, e in zip(lam, dens)]
-        image = []
-        for pairs in by_coordinate:
-            num = sum(coeffs[a] * u for a, u in pairs)
-            image.append(Fraction(num, den) if num else zero)
-        images.append(image)
-    n = len(by_coordinate)
+        den = lcm(*(v.denominator for v in lam))
+        image = [0] * n
+        for v, u in zip(lam, columns):
+            if v:
+                c = v.numerator * (den // v.denominator)
+                for i, x in enumerate(u):
+                    if x:
+                        image[i] += c * x
+        images.append([Fraction(num, den) if num else zero for num in image])
     return Subspace(RationalMatrix._of(n, len(images), tuple(image[i] for i in range(n) for image in images)))
 
 
@@ -797,13 +787,8 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     columns, pairings = _curvature_pairings(dist, point)
     if not pairings:
         return value
-    # row a of a pairing is the condition d(omega)(v, v_a) = 0 on v = sum_b lambda_b v_b:
-    # entry b is I[a][b] / (m s_a s_b), scaled here by m s_a S with S = lcm(s)
-    scales = columns[0]
-    common = lcm(*scales)
-    factors = [common // s for s in scales]
-    rows = [[x * f for x, f in zip(row, factors)] for pair in pairings for row in pair if any(row)]
-    return _kernel_image(columns, rows)
+    # row a of a pairing is the condition d(omega)(v, u_a) = 0 on v = sum_b lambda_b u_b, times m
+    return _kernel_image(columns, [row for pair in pairings for row in pair if any(row)])
 
 
 def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
@@ -824,9 +809,8 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
             f"covariant subspace needs corank 2, got corank {n - d}"
         )
     columns, pairings = _curvature_pairings(dist, point)
-    s = columns[0]
-    # (alpha wedge d omega)(v_a, v_b, v_c) = a_a P_bc - a_b P_ac + a_c P_ab with
-    # P_bc = I_bc / (m s_b s_c): the row times m s_a s_b s_c is (I_bc s_a, -I_ac s_b, I_ab s_c)
+    # (alpha wedge d omega)(u_a, u_b, u_c) = a_a P_bc - a_b P_ac + a_c P_ab with
+    # P_bc = I_bc / m: the row times m is (I_bc, -I_ac, I_ab)
     rows: list[list[int]] = []
     for pair in pairings:
         for a in range(d):
@@ -836,7 +820,7 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
                     bc, ac = pair[b][c], pair[a][c]
                     if bc or ac or ab:
                         row = [0] * d
-                        row[a], row[b], row[c] = bc * s[a], -ac * s[b], ab * s[c]
+                        row[a], row[b], row[c] = bc, -ac, ab
                         rows.append(row)
     flat = tuple(v for row in rows for v in row)
     _, solutions = rank_and_nullspace(RationalMatrix._of(len(rows), d, flat))

@@ -295,6 +295,16 @@ def test_a_cap_that_is_not_an_int_is_refused_on_every_route_and_word(text, gener
         singularity_class_at(build, build.chart.origin(), generic=generic, cap=cap)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("text, generic", [("1.1.1", False), ("1.2.2", False), ("1.1", True)])
+def test_a_cap_below_one_is_refused_on_every_route_and_word(text, generic, cap):
+    # as the CLI refuses --cap 0: a bad argument, not a generator blowup, and
+    # refused by closed 1.1.1 too, which forms no generator
+    build = build_ekr(EkrSpec(Word.parse(text)))
+    with pytest.raises(ChartMismatch, match=f"^cap must be >= 1, got {cap}$"):
+        singularity_class_at(build, build.chart.origin(), generic=generic, cap=cap)
+
+
 def test_report_json_shape():
     build = build_ekr(appendix_b_spec("E", b3=F(1), c3=F(1)))
     report = singularity_class_at(build, build.chart.origin())

@@ -2,16 +2,16 @@
 covariant subspaces, checked against hand computations, closed forms and
 dense oracles.
 
-The length-6 sweep of the Cauchy and covariant targets against the dense
-pairing oracle runs when the environment variable TWOFLAGS_GENERIC_LEN6 is
-set."""
+The length-6 sweeps of the Cauchy and covariant targets against the dense
+pairing oracle, at the origin and at stress points, run when the environment
+variable TWOFLAGS_GENERIC_LEN6 is set."""
 
 import hashlib
 import os
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +37,7 @@ from twoflags.exactalg import (
     polynomial_nullspace,
     primitive_tuple,
     rank_and_nullspace,
+    _integer_rows,
 )
 from twoflags.geometry import (
     DEFAULT_GENERATOR_CAP,
@@ -58,7 +59,6 @@ from twoflags.geometry import (
     _exterior_upper,
     _integral,
     _integer_pairing,
-    _scaled_columns,
 )
 
 from test_readoff import stress_point
@@ -843,6 +843,39 @@ def test_a_cap_step_count_or_chart_length_that_is_not_an_int_is_named_with_its_t
             call()
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_a_cap_below_one_is_refused_by_every_flag_function(cap):
+    dist = build_ekr(EkrSpec(Word.parse("1.2.1"))).distribution
+    point = dist.chart.origin()
+    calls = [
+        lambda: big_flag(dist, point, cap=cap),
+        lambda: lie_square(dist, cap=cap),
+        lambda: small_flag(dist, 2, cap=cap),
+        lambda: list(small_flag_vectors_at(dist, 2, point, cap=cap)),
+        lambda: _Dedup(cap),
+    ]
+    for call in calls:
+        with pytest.raises(ChartMismatch, match=f"^cap must be >= 1, got {cap}$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda chart: VectorField.versor(chart, -1), "versor index -1 out of range for a 5-dimensional chart"),
+        (lambda chart: VectorField.versor(chart, 5), "versor index 5 out of range for a 5-dimensional chart"),
+        (lambda chart: VectorField.versor(chart, True), "versor index True is not an int but a bool"),
+        (lambda chart: VectorField.versor(chart, 1.0), "versor index 1.0 is not an int but a float"),
+        (lambda chart: Poly.variable(3, True), "variable index True is not an int but a bool"),
+        (lambda chart: Poly(2.0, {}), "arity 2.0 is not an int but a float"),
+    ],
+    ids=["versor-negative", "versor-past-the-chart", "versor-bool", "versor-float", "variable-bool", "arity-float"],
+)
+def test_a_versor_or_variable_index_or_arity_is_an_int_in_range(build, message):
+    with pytest.raises(ChartMismatch, match=f"^{re.escape(message)}$"):
+        build(Chart.for_length(1))
+
+
 def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distribution, point: tuple, label) -> None:
     """D^r, ..., D^1 match the oracle's squares normal signature for normal
     signature.  The last square is decided at the point, so D^0 is the
@@ -1328,17 +1361,27 @@ def dense_pairing(form: OneForm, point, columns) -> list[list[Fraction]]:
     return [[sum((u[i] * image[i] for i in range(n) if u[i]), F(0)) for u in columns] for image in images]
 
 
-def dense_pairings(dist: Distribution, point) -> tuple[Subspace, list]:
-    """D(p) and the dense pairing of its basis columns under each annihilating form."""
+def integer_columns(value: Subspace) -> list[list[Fraction]]:
+    """The basis columns of D(p), each scaled to a primitive integer column:
+    times the lcm of its denominators, over the gcd of the numerators."""
+    columns = []
+    for col in value.basis.columns():
+        scaled = [x * lcm(*(y.denominator for y in col)) for x in col]
+        g = gcd(*(x.numerator for x in scaled))
+        columns.append([x / g for x in scaled])
+    return columns
+
+
+def dense_pairings(dist: Distribution, point) -> tuple[Subspace, list, list]:
+    """D(p), its basis in integer columns, and their dense pairing under each annihilating form."""
     value = value_at(dist, point)
-    columns = value.basis.columns()
-    return value, [dense_pairing(form, point, columns) for form in annihilator_at(dist, point)]
+    columns = integer_columns(value)
+    return value, columns, [dense_pairing(form, point, columns) for form in annihilator_at(dist, point)]
 
 
-def dense_kernel_image(value: Subspace, rows) -> Subspace:
-    n = value.ambient
-    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, value.dim, ()))
-    columns = value.basis.columns()
+def dense_kernel_image(columns, rows) -> Subspace:
+    n = len(columns[0])
+    _, kernel = rank_and_nullspace(RationalMatrix.from_rows(rows) if rows else RationalMatrix(0, len(columns), ()))
     images = []
     for lam in kernel:
         terms = [(x, col) for x, col in zip(lam, columns) if x]
@@ -1346,14 +1389,14 @@ def dense_kernel_image(value: Subspace, rows) -> Subspace:
     return Subspace(RationalMatrix.from_columns(images, ambient=n))
 
 
-def oracle_cauchy_char_at(value: Subspace, pairings) -> Subspace:
+def oracle_cauchy_char_at(value: Subspace, columns, pairings) -> Subspace:
     """cauchy_char_at from the dense Fraction pairings of every annihilating form."""
     if not pairings:
         return value
-    return dense_kernel_image(value, [row for pair in pairings for row in pair])
+    return dense_kernel_image(columns, [row for pair in pairings for row in pair])
 
 
-def oracle_covariant_at(value: Subspace, pairings) -> Subspace:
+def oracle_covariant_at(value: Subspace, columns, pairings) -> Subspace:
     """covariant_at from the dense Fraction pairings, with the same checks and messages."""
     n, d = value.ambient, value.dim
     if n - d != 2:
@@ -1372,7 +1415,7 @@ def oracle_covariant_at(value: Subspace, pairings) -> Subspace:
         raise UnexpectedCovariantDimension(
             f"covariant covector space has dimension {len(solutions) + 2}, expected 3"
         )
-    return dense_kernel_image(value, solutions)
+    return dense_kernel_image(columns, solutions)
 
 
 def entries_or_error(target, *args):
@@ -1382,21 +1425,23 @@ def entries_or_error(target, *args):
         return type(error), str(error)
 
 
-def check_targets_against_the_dense_oracle(words, constants: bool, points: int, tag: str) -> int:
+def check_targets_against_the_dense_oracle(words, constants, points, tag: str) -> int:
     """For each word, spec and point, every big-flag member D^1, ..., D^(r-1):
     cauchy_char_at and, at corank 2, covariant_at give the oracle's basis
-    entries or raise its error.  The first point is the origin, the others
-    stress points.  Returns the number of members checked."""
+    entries or raise its error.  ``constants`` names the specs of a word,
+    "zero" and a "seeded" draw, and ``points`` the points of each spec, the
+    "origin" and a "stress" point, each stress point a new draw of the
+    word's stream.  Returns the number of members checked."""
     checked = 0
     for word in words:
-        specs = [EkrSpec(word)]
-        if constants:
+        specs = [EkrSpec(word)] if "zero" in constants else []
+        if "seeded" in constants:
             specs.append(draw_constants(word, random.Random(f"{tag}-constants|{word}")))
         rng = random.Random(f"{tag}-points|{word}")
         for spec in specs:
             build = build_ekr(spec)
-            for k in range(points):
-                point = stress_point(spec, rng) if k else build.chart.origin()
+            for kind in points:
+                point = stress_point(spec, rng) if kind == "stress" else build.chart.origin()
                 for member in big_flag(build.distribution, point)[1:-1]:
                     targets = [(cauchy_char_at, oracle_cauchy_char_at)]
                     if member.chart.dim - value_at(member, point).dim == 2:
@@ -1415,7 +1460,10 @@ def check_targets_against_the_dense_oracle(words, constants: bool, points: int, 
 
 def test_targets_match_the_dense_oracle_up_to_length_five():
     words = [word for r in range(3, 6) for word in enumerate_words(r)]
-    assert check_targets_against_the_dense_oracle(words, constants=True, points=2, tag="pairing-oracle") == 864
+    checked = check_targets_against_the_dense_oracle(
+        words, constants=("zero", "seeded"), points=("origin", "stress"), tag="pairing-oracle"
+    )
+    assert checked == 864
 
 
 @pytest.mark.skipif(
@@ -1426,7 +1474,20 @@ def test_targets_match_the_dense_oracle_at_length_six():
     # all 122 words of length 6 at the origin with zero constants, D^1 to D^5
     words = list(enumerate_words(6))
     assert len(words) == 122
-    assert check_targets_against_the_dense_oracle(words, constants=False, points=1, tag="pairing-oracle") == 610
+    assert check_targets_against_the_dense_oracle(words, constants=("zero",), points=("origin",), tag="pairing-oracle") == 610
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TWOFLAGS_GENERIC_LEN6"),
+    reason="the length-6 pairing oracle sweep is opt-in (set TWOFLAGS_GENERIC_LEN6=1)",
+)
+def test_targets_match_the_dense_oracle_at_length_six_at_stress_points():
+    # all 122 words of length 6 with one seeded draw of constants at one stress
+    # point, D^1 to D^5: off the origin the basis columns of D(p) have
+    # denominators, which the origin's integral tower members never give
+    words = list(enumerate_words(6))
+    checked = check_targets_against_the_dense_oracle(words, constants=("seeded",), points=("stress",), tag="pairing-oracle")
+    assert checked == 610
 
 
 @st.composite
@@ -1447,18 +1508,21 @@ def scaled_pairing_inputs(draw, chart=Chart.for_length(2)):
 def test_integer_pairing_scales_back_to_the_dense_formula(inputs):
     form, point, columns = inputs
     d = len(columns)
-    scaled = _scaled_columns(RationalMatrix.from_columns(columns))
-    scales, by_coordinate = scaled
-    # u_a = s_a v_a is an integer column
-    for i, pairs in enumerate(by_coordinate):
-        assert dict(pairs) == {a: col[i] * scales[a] for a, col in enumerate(columns) if col[i]}
-        assert all(type(u) is int for _, u in pairs)
-    pairing = _integer_pairing(form, point, scaled)
+    integer = _integer_rows(columns)
+    # u_a is an integer column, a positive multiple of v_a
+    for u, v in zip(integer, columns):
+        assert all(type(x) is int for x in u)
+        k = next((i for i, x in enumerate(v) if x), None)
+        if k is None:
+            assert not any(u)
+        else:
+            assert u[k] / v[k] > 0 and list(u) == [x * (u[k] / v[k]) for x in v]
+    pairing = _integer_pairing(form, point, integer)
     m = lcm(*(v.denominator for v in exterior_derivative_at(form, point).entries))
-    dense = dense_pairing(form, point, columns)
+    dense = dense_pairing(form, point, integer)
     for a in range(d):
         assert pairing[a][a] == 0
         for b in range(d):
             assert type(pairing[a][b]) is int
             assert pairing[b][a] == -pairing[a][b]
-            assert F(pairing[a][b], m * scales[a] * scales[b]) == dense[a][b], (a, b)
+            assert F(pairing[a][b], m) == dense[a][b], (a, b)
