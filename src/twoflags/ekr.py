@@ -31,13 +31,14 @@ from .errors import (
     IndexOutOfRange,
     RuleViolation,
 )
-from .exactalg import Poly, _check_int, _decimal, exact_rational
+from .exactalg import Poly, _canonical, _check_int, _decimal, exact_rational
 from .geometry import Chart, Distribution, VectorField
 
 ALPHABET = (1, 2, 3)
 _LETTERS = frozenset(ALPHABET)
 # a word segment or constant step: ASCII decimal digits without a leading zero
 _SEGMENT_RE = re.compile(r"0|[1-9][0-9]*")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, order=True)
@@ -164,10 +165,10 @@ class EkrSpec:
                     )
 
     def b_at(self, step: int) -> Fraction:
-        return self.b.get(step, Fraction(0))
+        return self.b.get(step, _ZERO)
 
     def c_at(self, step: int) -> Fraction:
-        return self.c.get(step, Fraction(0))
+        return self.c.get(step, _ZERO)
 
     def prefix(self, s: int) -> "EkrSpec":
         return EkrSpec(
@@ -245,30 +246,42 @@ class EkrBuild:
         return build_ekr(self.spec.prefix(s))
 
 
+def _shifted(arity: int, var: int, constant: Fraction) -> Poly:
+    """u_var + constant, its term map written directly, the constant canonicalised once."""
+    terms = {((var, 1),): 1}
+    if constant:
+        terms[()] = _canonical(constant)
+    return Poly._of(arity, terms)
+
+
 def build_ekr(spec: EkrSpec) -> EkrBuild:
     """Run the operations of ``spec`` starting from (d/dt, d/dx0, d/dy0).
 
-    Before operation l, Z2 and Z3 are d/dx_(l-1) and d/dy_(l-1), along which Z1 has no
-    component yet: the operation scales Z1 by x_l (letters 2, 3) and writes those two components."""
+    Z1 is kept as its support, component index -> nonzero Poly.  Before
+    operation l, Z2 and Z3 are d/dx_(l-1) and d/dy_(l-1), along which Z1 has
+    no component yet: the operation scales the support by x_l (letters 2, 3)
+    and writes those two components, both nonzero and past every index of
+    the support, so the support stays in increasing index order."""
     chart = Chart.for_length(spec.word.length)
     n = chart.dim
-    one = Poly.const(n, 1)
-    z1 = [Poly.zero(n)] * n
-    z1[0] = one
+    one = Poly._of(n, {(): 1})
+    z1 = {0: one}
     leading = []
+    prev = chart.x_index(0), chart.y_index(0)
     for step, letter in enumerate(spec.word.letters, start=1):
-        x_l = Poly.variable(n, chart.x_index(step))
-        y_l = Poly.variable(n, chart.y_index(step))
+        x, y = chart.x_index(step), chart.y_index(step)
         if letter == 1:
-            along = (x_l + spec.b_at(step), y_l + spec.c_at(step))
+            along = (_shifted(n, x, spec.b_at(step)), _shifted(n, y, spec.c_at(step)))
         elif letter == 2:
-            along = (one, y_l + spec.c_at(step))
+            along = (one, _shifted(n, y, spec.c_at(step)))
         else:
-            along = (y_l, one)
+            along = (_shifted(n, y, 0), one)
         if letter != 1:
-            z1 = [component * x_l if component.terms else component for component in z1]
-        z1[chart.x_index(step - 1)], z1[chart.y_index(step - 1)] = along
-        leading.append(VectorField(chart, tuple(z1)))
+            x_l = Poly._of(n, {((x, 1),): 1})
+            z1 = {j: component * x_l for j, component in z1.items()}
+        z1[prev[0]], z1[prev[1]] = along
+        leading.append(VectorField._of(chart, tuple(z1.items())))
+        prev = x, y
     dist = Distribution(chart, (leading[-1],) + _versors_from(chart, chart.length))
     return EkrBuild(spec, chart, tuple(leading), dist)
 
@@ -341,7 +354,6 @@ MODELS = {
     "appxB_E": ("1.2.1.3", ("b3", "c3")),  # 2-parameter length-4 family
 }
 MODEL_NAMES = ("ca_2", "ex_2", "bcd", "appxB_D", "appxB_E")
-_ZERO = Fraction(0)
 
 
 def model_spec(name: str, constants: Mapping | None = None) -> EkrSpec:

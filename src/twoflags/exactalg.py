@@ -69,8 +69,9 @@ def parse_rational(text: str) -> Fraction:
 
 def exact_rational(value: Fraction | int | str) -> Fraction:
     """``value`` as a Fraction; a float raises BadSyntax (0.1 would become
-    3602879701896397/36028797018963968), and so does text that
-    parse_rational refuses ("1e3" or "0.1" would become 1000 or 1/10)."""
+    3602879701896397/36028797018963968), and so does a bool (True == 1, but
+    it is no rational) and text that parse_rational refuses ("1e3" or "0.1"
+    would become 1000 or 1/10)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -80,6 +81,8 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
             raise BadSyntax(str(exc)) from None
     if isinstance(value, float):
         raise BadSyntax(f"inexact value {value!r}: give an int, a Fraction or a rational literal")
+    if isinstance(value, bool):
+        raise BadSyntax(f"bool value {value!r}: give an int, a Fraction or a rational literal")
     return Fraction(value)
 
 
@@ -110,13 +113,16 @@ def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     """Merge two sorted exponent tuples, adding exponents of shared variables;
-    when every variable of a comes before every one of b, that is a + b."""
+    when every variable of a comes before every one of b, that is a + b, and
+    b + a the other way round."""
     if not a:
         return b
     if not b:
         return a
     if a[-1][0] < b[0][0]:
         return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out: list[tuple[int, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -373,6 +379,9 @@ class Poly:
         if len(other.terms) == 1:
             # distinct monomials times one monomial stay distinct, so nothing is summed
             ((mb, cb),) = other.terms.items()
+            if cb == 1:
+                # times a monomial alone, the canonical coefficients stay as they are
+                return Poly._of(self.arity, {_mono_mul(ma, mb): ca for ma, ca in self.terms.items()})
             out = {}
             for ma, ca in self.terms.items():
                 c = ca * cb

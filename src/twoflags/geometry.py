@@ -216,6 +216,9 @@ class OneForm:
             raise ChartMismatch(
                 f"{len(self.coefficients)} coefficients on a {self.chart.dim}-dimensional chart"
             )
+        for j, coeff in enumerate(self.coefficients):
+            if not isinstance(coeff, Poly) or coeff.arity != self.chart.dim:
+                raise ChartMismatch(f"coefficient {j} is not a polynomial on the {self.chart.dim}-dimensional chart")
 
 
 @dataclass(frozen=True)
@@ -612,7 +615,9 @@ def small_flag_vectors_at(
     the jets of V_(steps-2)'s fields (the value alone of a field in no pair)
     they stand for V_(steps-1), whose values come first.  The last round then yields
     [g, h](p) for each g and each jet h new in V_(steps-1) (see
-    _bracket_value).  small_flag drops a bracket that is zero or a multiple
+    _bracket_value), but for a pair whose two values vanish at p, whose
+    bracket is zero there; the penultimate round keeps such pairs, as their
+    1-jets need not vanish.  small_flag drops a bracket that is zero or a multiple
     of a kept field; its jet is then zero or proportional to a kept one, or
     adds only the values of brackets that V_steps holds, so the span is the
     same.  A caller that stops early forms no later bracket.  The fields are
@@ -646,8 +651,11 @@ def small_flag_vectors_at(
                 yield jet[0]
         start = len(jets)
         jets += brackets
-    for g, h in _pairs(jets, base, start):
-        yield _bracket_value(g, h, n)
+    # [g, h](p) = 0 when g(p) = 0 and h(p) = 0, so such a pair is skipped
+    marked = [(jet, any(jet[0])) for jet in jets]
+    for (g, g_live), (h, h_live) in _pairs(marked, base, start):
+        if g_live or h_live:
+            yield _bracket_value(g, h, n)
 
 
 # ---------------------------------------------------------------------------

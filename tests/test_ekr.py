@@ -337,6 +337,45 @@ def test_build_matches_the_field_arithmetic_oracle():
             assert signatures(model("bcd", m=m, n=n).generators) == signatures(oracle_bcd_model(m, n)), (m, n)
 
 
+def assert_canonical_support(field, n, label):
+    """build_ekr forms its fields with VectorField._of and Poly._of, which
+    check nothing: the support is in strictly increasing index order with no
+    zero component, each Poly is of the chart's arity with canonical
+    monomials, and each coefficient is canonical, an int when integral (a
+    signature alone would pass Fraction(2, 1))."""
+    indices = [j for j, _ in field.support]
+    assert indices == sorted(set(indices)) and all(0 <= j < n for j in indices), label
+    for j, comp in field.support:
+        assert type(comp) is Poly and comp.arity == n and comp.terms, (label, j)
+        for mono, coeff in comp.terms.items():
+            variables = [var for var, _ in mono]
+            assert variables == sorted(set(variables)) and all(0 <= var < n for var in variables), (label, j, mono)
+            assert all(type(exp) is int and exp >= 1 for _, exp in mono), (label, j, mono)
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1), (label, j, coeff)
+            assert coeff, (label, j, mono)
+
+
+def test_the_unchecked_build_forms_canonical_supports():
+    words = [word for r in range(1, 8) for word in enumerate_words(r)]
+    assert len(words) == 550
+    for word in words:
+        for spec in (EkrSpec(word), draw_constants(word, random.Random(f"build|{word}"))):
+            build = build_ekr(spec)
+            for field in build.leading:
+                assert_canonical_support(field, build.chart.dim, spec)
+    # a gap of 40 letters 1 with seeded constants: Fraction coefficients on a long word
+    for last in ("3", "2"):
+        word = Word.parse(".".join(["1", "2"] + ["1"] * 40 + [last]))
+        spec = draw_constants(word, random.Random(f"build|{word}"))
+        assert spec.b and spec.c
+        build = build_ekr(spec)
+        leading, generators = oracle_build_ekr(spec)
+        assert signatures(build.leading) == signatures(leading), spec
+        assert signatures(build.distribution.generators) == signatures(generators), spec
+        for field in build.leading:
+            assert_canonical_support(field, build.chart.dim, spec)
+
+
 def test_top_flag_member_is_the_stored_distribution():
     for r in range(1, 5):
         for word in enumerate_words(r):

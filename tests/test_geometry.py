@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twoflags.geometry as geometry
 from twoflags.atlas import enumerate_words
 from twoflags.classify import _ClosedGeometry, singularity_class_at
 from twoflags.cli import draw_constants
@@ -56,6 +57,7 @@ from twoflags.geometry import (
     small_flag_vectors_at,
     value_at,
     _Dedup,
+    _bracket_value,
     _exterior_upper,
     _integral,
     _integer_pairing,
@@ -157,6 +159,37 @@ def test_points_reject_floats(make):
 def test_pointwise_matrices_reject_floats(make):
     with pytest.raises(BadSyntax, match=r"inexact value 0\.1"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda chart: chart.point(t=True), True),
+        (lambda chart: Poly.const(3, True), True),
+        (lambda chart: VectorField.versor(chart, 0).eval_at((True, 0, 0, 0, 0)), True),
+        (lambda chart: EkrSpec(Word.parse("1"), {1: True}), True),
+        (lambda chart: EkrSpec(Word.parse("1"), c={1: False}), False),
+    ],
+    ids=["Chart.point", "Poly.const", "VectorField.eval_at", "EkrSpec-b", "EkrSpec-c"],
+)
+def test_a_bool_is_not_a_rational(make, value):
+    # True == 1, so Fraction(True) is 1; every int argument already refuses it
+    with pytest.raises(BadSyntax, match=f"^bool value {value}: "):
+        make(Chart.for_length(1))
+
+
+@pytest.mark.parametrize(
+    "coefficients, j",
+    [
+        ((1, 2, 3, 4, 5), 0),
+        (tuple(Poly.variable(7, i) for i in range(5)), 0),
+        ((Poly.zero(5),) * 4 + (Poly.variable(7, 6),), 4),
+    ],
+    ids=["ints", "arity-7", "last-of-arity-7"],
+)
+def test_a_one_form_checks_its_coefficients(coefficients, j):
+    with pytest.raises(ChartMismatch, match=f"^coefficient {j} is not a polynomial on the 5-dimensional chart$"):
+        OneForm(Chart.for_length(1), coefficients)
 
 
 # each entry point that admits a rational from text, on the text
@@ -820,6 +853,52 @@ def test_the_fields_of_a_long_gap_keep_their_count_order_and_text(l, count, dige
     generators = small_flag(member, 2 * l + 1)[-1].generators
     assert len(generators) == count
     assert hashlib.sha256("|".join(map(str, generators)).encode()).hexdigest() == digest
+
+
+def test_the_last_pointwise_round_skips_exactly_the_pairs_whose_bracket_vanishes(monkeypatch):
+    # [g, h](p) = 0 when g(p) = 0 and h(p) = 0, so the last round of
+    # small_flag_vectors_at forms no vector for such a pair; every pair it
+    # skips is checked to have the zero bracket value, and the vectors it
+    # yields to be the values of the other pairs in order.  The cases are V_2
+    # to V_5 of every big_flag tower member of the words of lengths 2 to 4 at
+    # the origin, and V_(2l+3) of member l + 3 of 1.2.1^l.3 and 1.2.1^l.2
+    # for tier-1's long gaps l = 6, 8, 10
+    rounds = []
+    pairs = geometry._pairs
+
+    def recording(items, base, start):
+        rounds.append(list(pairs(items, base, start)))
+        return iter(rounds[-1])
+
+    cases = []
+    for r in range(2, 5):
+        for word in enumerate_words(r):
+            build = build_ekr(EkrSpec(word))
+            point = build.chart.origin()
+            for dist in big_flag(build.distribution, point)[:-1]:
+                cases += [(dist, k, point, str(word)) for k in range(2, 6)]
+    for l in (6, 8, 10):
+        for last in ("3", "2"):
+            build = build_ekr(EkrSpec(Word.parse(".".join(["1", "2"] + ["1"] * l + [last]))))
+            cases.append((build.flag_member(l + 3), 2 * l + 3, build.chart.origin(), str(build.word)))
+    monkeypatch.setattr(geometry, "_pairs", recording)
+    dead = 0
+    for dist, k, point, label in cases:
+        rounds.clear()
+        vectors = list(small_flag_vectors_at(dist, k, point))
+        kept = []
+        # the last round's pairs, each item a jet with whether its value is nonzero
+        for (g, g_live), (h, h_live) in rounds[-1]:
+            assert (g_live, h_live) == (any(g[0]), any(h[0])), (label, k)
+            value = _bracket_value(g, h, dist.chart.dim)
+            if g_live or h_live:
+                kept.append(value)
+            else:
+                assert not any(value), (label, k)
+                dead += 1
+        assert vectors[len(vectors) - len(kept) :] == kept, (label, k)
+    assert len(cases) == 306
+    assert dead == 3202
 
 
 @pytest.mark.parametrize("value", [True, 2.0, F(3)])
