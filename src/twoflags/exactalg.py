@@ -92,6 +92,13 @@ def _check_int(name: str, value) -> None:
         raise ChartMismatch(f"{name} {value!r} is not an int but a {type(value).__name__}")
 
 
+def _index_error(name: str, index, bound: str) -> ChartMismatch:
+    """The error for an index that is not an int, or is an int out of range for ``bound``."""
+    if type(index) is not int:
+        return ChartMismatch(f"{name} {index!r} is not an int but a {type(index).__name__}")
+    return ChartMismatch(f"{name} {index} out of range for {bound}")
+
+
 def _canonical(value: int | Fraction) -> int | Fraction:
     """A coefficient in canonical form: an integral Fraction becomes its int numerator."""
     return value if type(value) is int or value.denominator != 1 else value.numerator
@@ -377,16 +384,10 @@ class Poly:
         if len(self.terms) == 1:
             self, other = other, self
         if len(other.terms) == 1:
-            # distinct monomials times one monomial stay distinct, so nothing is summed
             ((mb, cb),) = other.terms.items()
             if cb == 1:
-                # times a monomial alone, the canonical coefficients stay as they are
+                # distinct monomials times one monomial stay distinct, and the canonical coefficients as they are
                 return Poly._of(self.arity, {_mono_mul(ma, mb): ca for ma, ca in self.terms.items()})
-            out = {}
-            for ma, ca in self.terms.items():
-                c = ca * cb
-                out[_mono_mul(ma, mb)] = c if type(c) is int else _canonical(c)
-            return Poly._of(self.arity, out)
         out = {}
         _mul_into(out, self.terms, other.terms, 1)
         return Poly._summed(self.arity, out)
@@ -404,17 +405,16 @@ class Poly:
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check_same_arity(d)
-        if d.is_constant():
-            return _divided(self, d.terms[()])
         packing = _Packing(self.arity, max(sum(e for _, e in m) for x in (self, d) for m in x.terms))
         return packing.unpack(packing.divide(packing.pack(self), packing.pack(d)))
 
     # -- calculus and evaluation ---------------------------------------------
 
     def partial(self, var: int) -> "Poly":
-        """Exact formal partial derivative with respect to variable ``var``."""
-        if not 0 <= var < self.arity:
-            raise ChartMismatch(f"variable index {var} out of range for arity {self.arity}")
+        """Exact formal partial derivative with respect to variable ``var``, an int index."""
+        # the inner call of every Lie bracket: the type is tested inline, not by a call
+        if type(var) is not int or not 0 <= var < self.arity:
+            raise _index_error("variable index", var, f"arity {self.arity}")
         out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
@@ -641,14 +641,24 @@ class RationalMatrix:
                 raise ChartMismatch(f"column {j} has {len(col)} entries, expected {nrows}")
         return cls(nrows, len(columns), tuple(col[i] for i in range(nrows) for col in columns))
 
+    # each index must be an int in range: a flat tuple would read a negative
+    # or too large one as another entry, and True as 1
     def at(self, i: int, j: int) -> Fraction:
+        if type(i) is not int or not 0 <= i < self.rows:
+            raise _index_error("row index", i, f"{self.rows} rows")
+        if type(j) is not int or not 0 <= j < self.cols:
+            raise _index_error("column index", j, f"{self.cols} columns")
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        if type(i) is not int or not 0 <= i < self.rows:
+            raise _index_error("row index", i, f"{self.rows} rows")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if type(j) is not int or not 0 <= j < self.cols:
+            raise _index_error("column index", j, f"{self.cols} columns")
+        return self.entries[j :: self.cols]
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
@@ -784,22 +794,11 @@ def span_includes(a: RationalMatrix, b: RationalMatrix) -> bool:
     """True iff the column span of ``a`` lies inside the column span of ``b``.
 
     By duality: exactly when every covector of ker(b^T), ``b.annihilator``,
-    annihilates every column of a.  A covector with one entry, at i, does so
-    when row i of a is zero; for the others each column of a is scaled to
-    integers once.  The test stops at the first nonzero pairing.
+    annihilates every column of a.  The test stops at the first nonzero pairing.
     """
     if a.rows != b.rows:
         raise ChartMismatch(f"ambient mismatch: {a.rows} vs {b.rows}")
-    entries, cols = a.entries, a.cols
-    others = []
-    for covector in b.annihilator:
-        if len(covector) > 1:
-            others.append(covector)
-        elif any(entries[covector[0][0] * cols : (covector[0][0] + 1) * cols]):
-            return False
-    if others:
-        return all(annihilates(others, column) for column in _integer_rows(a.column(j) for j in range(cols)))
-    return True
+    return all(annihilates(b.annihilator, a.column(j)) for j in range(a.cols))
 
 
 def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequence[int | Fraction]) -> bool:
@@ -819,6 +818,7 @@ def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequen
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:
     """A deterministic independent subset of ``columns`` spanning their space:
     each column not in the span of the columns before it."""
+    _check_int("ambient", ambient)
     if not columns:
         return RationalMatrix(ambient, 0, ())
     if any(len(col) != ambient for col in columns):
@@ -850,12 +850,6 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         return Poly.zero(rows[0][0].arity)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
     return work[-1][-1].scaled(-1 if inversions % 2 else 1)
-
-
-def _structural_pivots(rows: Sequence[Sequence[Poly]]) -> tuple[list[int], list[int]]:
-    """Pivot rows (original indices) and columns for the rank over the
-    fraction field, by one forward _eliminate: their minor is nonzero."""
-    return _eliminate([list(row) for row in rows], reduce=False)
 
 
 def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
@@ -900,24 +894,6 @@ def _kernel(
     return covectors, pivots
 
 
-def _kernel_by_echelon(
-    constraints: Sequence[Sequence[Poly]],
-    pivot_rows: Sequence[int],
-    pivot_cols: Sequence[int],
-    ambient: int,
-    arity: int,
-) -> list[tuple[Poly, ...]]:
-    """The _kernel of the pivot rows, with the pivot columns first in their
-    given order and the free columns after them.  Raises ArithmeticError
-    when the pass does not pivot on exactly the given columns (the pivot
-    minor is singular)."""
-    columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    covectors, pivots = _kernel(constraints, pivot_rows, columns, arity)
-    if pivots != list(range(len(pivot_cols))):
-        raise ArithmeticError("pivot minor is singular")
-    return covectors
-
-
 def polynomial_nullspace(
     matrix: Sequence[Sequence[Poly]],
     at_point: Sequence[Fraction],
@@ -926,12 +902,14 @@ def polynomial_nullspace(
 ) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
-    Pivots are chosen by exact elimination of M at ``at_point``, and
-    _kernel_by_echelon reads the kernel off those rows: the symbolic pivot
-    minor in the free slot and the Cramer minors in the pivot slots, so each
-    output annihilates every generator identically.  Raises DegeneratePivot
-    when the rank at the point is below the structural rank, which a
-    symbolic elimination finds unless given as ``structural_rank``.
+    Pivots are chosen by exact elimination of M at ``at_point``, and _kernel
+    reads the kernel off those rows, with the pivot columns first: the
+    symbolic pivot minor in the free slot and the Cramer minors in the pivot
+    slots, so each output annihilates every generator identically.  Raises
+    DegeneratePivot when the rank at the point is below the structural rank,
+    which a symbolic elimination finds unless given as ``structural_rank``,
+    and ArithmeticError when the pass does not pivot on exactly those
+    columns (the pivot minor is singular).
     """
     constraints = _constraints(matrix)
     ambient = len(matrix)
@@ -943,12 +921,16 @@ def polynomial_nullspace(
     evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
     pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
     if structural_rank is None:
-        structural_rank = len(_structural_pivots(constraints)[1])
+        structural_rank = len(_eliminate([list(row) for row in constraints], reduce=False)[1])
     if structural_rank > len(pivot_cols):
         raise DegeneratePivot(
             "generator matrix drops rank at the reference point; no valid pivot permutation"
         )
-    return _kernel_by_echelon(constraints, pivot_rows, pivot_cols, ambient, matrix[0][0].arity)
+    columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
+    covectors, pivots = _kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
+    if pivots != list(range(len(pivot_cols))):
+        raise ArithmeticError("pivot minor is singular")
+    return covectors
 
 
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:

@@ -5,6 +5,7 @@ independent oracle (term-by-term multiplication, determinant-minor rank),
 or checked as algebraic identities on randomized inputs.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,10 +22,9 @@ from twoflags.exactalg import (
     _descending_key,
     _eliminate,
     _integer_rows,
-    _kernel_by_echelon,
+    _kernel,
     _mono_mul,
     _Packing,
-    _structural_pivots,
     column_space_basis,
     parse_rational,
     poly_content,
@@ -127,6 +127,23 @@ def oracle_cramer_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) ->
             replaced = [row[:j] + [rhs[i]] + row[j + 1 :] for i, row in enumerate(base)]
             entries[pcol] = -poly_det(replaced)
         covectors.append(primitive_tuple(entries))
+    return covectors
+
+
+def structural_pivots(rows) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns for the rank over the fraction field: one
+    forward _eliminate of a copy, as polynomial_nullspace runs it when no
+    structural rank is given."""
+    return _eliminate([list(row) for row in rows], reduce=False)
+
+
+def echelon_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) -> list[tuple[Poly, ...]]:
+    """The _kernel of the given pivot rows, in any order, with the pivot
+    columns first and the free columns after them, as polynomial_nullspace
+    reads it; the pass must pivot on exactly the given columns."""
+    columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
+    covectors, pivots = _kernel(constraints, pivot_rows, columns, arity)
+    assert pivots == list(range(len(pivot_cols)))
     return covectors
 
 
@@ -780,6 +797,34 @@ def test_from_columns_refuses_a_column_of_another_length():
         RationalMatrix.from_columns([(1, 2), (3, 4)], ambient=5)
 
 
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda m: m.at(0, 2), "column index 2 out of range for 2 columns"),
+        (lambda m: m.at(-1, -1), "row index -1 out of range for 2 rows"),
+        (lambda m: m.at(1, True), "column index True is not an int but a bool"),
+        (lambda m: m.row(7), "row index 7 out of range for 2 rows"),
+        (lambda m: m.row(-1), "row index -1 out of range for 2 rows"),
+        (lambda m: m.row(True), "row index True is not an int but a bool"),
+        (lambda m: m.column(-1), "column index -1 out of range for 2 columns"),
+        (lambda m: m.column(5), "column index 5 out of range for 2 columns"),
+        (lambda m: m.column(1.0), "column index 1.0 is not an int but a float"),
+        (lambda m: column_space_basis([(1,)], True), "ambient True is not an int but a bool"),
+    ],
+    ids=[
+        "at-past-the-columns", "at-negative", "at-bool", "row-past-the-rows", "row-negative", "row-bool",
+        "column-negative", "column-past-the-columns", "column-float", "basis-ambient-bool",
+    ],
+)
+def test_a_matrix_index_is_an_int_in_range(read, message):
+    # a flat row-major tuple read (0, 2) as entry (1, 0), column -1 as one
+    # entry of each column, row 7 as () and row True as row 1
+    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    assert (m.at(1, 0), m.row(1), m.column(1)) == (3, (3, 4), (2, 4))
+    with pytest.raises(ChartMismatch, match=f"^{re.escape(message)}$"):
+        read(m)
+
+
 def test_span_includes_basic():
     e1 = (F(1), F(0), F(0))
     e2 = (F(0), F(1), F(0))
@@ -820,17 +865,21 @@ def test_span_includes_reads_versor_covectors_without_scaling(monkeypatch):
     e1, e2, e3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
     b = RationalMatrix.from_columns([(F(1), F(1), F(0))])
     assert sorted(map(len, b.annihilator)) == [1, 2]
-    scaled = []
-    original = exactalg._integer_rows
-    monkeypatch.setattr(exactalg, "_integer_rows", lambda rows: scaled.append(1) or original(rows))
+    scaled, tested = [], []
+    original_scaling, original_test = exactalg._integer_rows, exactalg.annihilates
+    monkeypatch.setattr(exactalg, "_integer_rows", lambda rows: scaled.append(1) or original_scaling(rows))
+    monkeypatch.setattr(exactalg, "annihilates", lambda covectors, column: tested.append(column) or original_test(covectors, column))
     assert not span_includes(RationalMatrix.from_columns([(F(1, 3), F(1, 3), F(1, 5))]), b)
-    assert scaled == []  # the versor e3 decides on row 3 as it stands
     assert not span_includes(RationalMatrix.from_columns([e1]), b)
     assert span_includes(RationalMatrix.from_columns([(F(2, 3), F(2, 3), F(0))]), b)
-    assert len(scaled) == 2
-    # a target spanned by versors has versor covectors only: nothing is scaled
+    # one annihilates test per column, the column as it stands, up to the first outside
+    assert tested == [(F(1, 3), F(1, 3), F(1, 5)), e1, (F(2, 3), F(2, 3), F(0))]
+    tested.clear()
+    assert not span_includes(RationalMatrix.from_columns([(F(-1), F(-1), F(0)), e3, e1]), b)
+    assert tested == [(F(-1), F(-1), F(0)), e3]
+    assert scaled == []  # no column is scaled to integers
     plane = RationalMatrix.from_columns([e1, e2])
-    assert len(plane.annihilator) == 1  # worked out once, by elimination
+    assert plane.annihilator == (((2, 1),),)  # worked out once, by elimination
     worked_out = len(scaled)
     assert span_includes(RationalMatrix.from_columns([(F(1, 7), F(-2, 9), F(0))]), plane)
     assert not span_includes(RationalMatrix.from_columns([e3]), plane)
@@ -912,7 +961,7 @@ def test_one_pivot_rule_for_integer_and_polynomial_rows(rows, reduce):
     polys = [[Poly.const(1, v) for v in row] for row in rows]
     pivots = _eliminate(ints, reduce)
     if not reduce:
-        assert _structural_pivots(polys) == pivots
+        assert structural_pivots(polys) == pivots
     assert _eliminate(polys, reduce) == pivots
     # the same Bareiss step in both rings leaves the same entries
     assert polys == [[Poly.const(1, v) for v in row] for row in ints]
@@ -1076,7 +1125,7 @@ def kernel_problems(draw):
         else:
             rows.append([draw(entry) for _ in range(ambient)])
     if draw(st.booleans()):
-        pivot_rows, pivot_cols = _structural_pivots(rows)
+        pivot_rows, pivot_cols = structural_pivots(rows)
     else:
         point = [draw(coeffs) for _ in range(ambient)]
         pivot_rows, pivot_cols = _eliminate(
@@ -1093,7 +1142,7 @@ def kernel_problems(draw):
 @given(kernel_problems())
 def test_echelon_kernel_matches_the_cramer_oracle(problem):
     rows, pivot_rows, pivot_cols, ambient = problem
-    kernel = _kernel_by_echelon(rows, pivot_rows, pivot_cols, ambient, ambient)
+    kernel = echelon_kernel(rows, pivot_rows, pivot_cols, ambient, ambient)
     assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient))
 
 
@@ -1101,7 +1150,7 @@ def test_echelon_kernel_matches_the_cramer_oracle(problem):
 @given(kernel_problems())
 def test_structural_nullspace_matches_the_cramer_oracle(problem):
     rows, _, _, ambient = problem
-    pivot_rows, pivot_cols = _structural_pivots(rows)
+    pivot_rows, pivot_cols = structural_pivots(rows)
     matrix = [[row[i] for row in rows] for i in range(ambient)]
     expected = oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient)
     assert terms_of(polynomial_nullspace_structural(matrix)) == terms_of(expected)
@@ -1114,7 +1163,7 @@ def test_structural_nullspace_reduces_rows_above_a_skipped_column():
     zero, one = Poly.zero(4), Poly.const(4, 1)
     rows = [[u1, u0, one, zero], [zero, zero, u0, u1 + one]]
     matrix = [[row[i] for row in rows] for i in range(4)]
-    assert _structural_pivots(rows) == ([0, 1], [0, 2])
+    assert structural_pivots(rows) == ([0, 1], [0, 2])
     kernel = polynomial_nullspace_structural(matrix)
     assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, [0, 1], [0, 2], 4, 4))
     for cov in kernel:
@@ -1127,7 +1176,7 @@ def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():
     u0, u1 = Poly.variable(3, 0), Poly.variable(3, 1)
     zero, one = Poly.zero(3), Poly.const(3, 1)
     rows = [[zero, u0, one], [one, u1, u1 * u1]]
-    kernel = _kernel_by_echelon(rows, [0, 1], [0, 1], 3, 3)
+    kernel = echelon_kernel(rows, [0, 1], [0, 1], 3, 3)
     assert terms_of(kernel) == terms_of(oracle_cramer_kernel(rows, [0, 1], [0, 1], 3, 3))
     # v = (u1 - u0*u1^2, -1, u0) up to sign annihilates both rows
     (cov,) = kernel

@@ -947,8 +947,14 @@ def test_a_cap_below_one_is_refused_by_every_flag_function(cap):
         (lambda chart: VectorField.versor(chart, 1.0), "versor index 1.0 is not an int but a float"),
         (lambda chart: Poly.variable(3, True), "variable index True is not an int but a bool"),
         (lambda chart: Poly(2.0, {}), "arity 2.0 is not an int but a float"),
+        # partial(True) and partial(1.0) differentiated by u1
+        (lambda chart: Poly.variable(3, 1).partial(True), "variable index True is not an int but a bool"),
+        (lambda chart: Poly.variable(3, 1).partial(1.0), "variable index 1.0 is not an int but a float"),
     ],
-    ids=["versor-negative", "versor-past-the-chart", "versor-bool", "versor-float", "variable-bool", "arity-float"],
+    ids=[
+        "versor-negative", "versor-past-the-chart", "versor-bool", "versor-float", "variable-bool", "arity-float",
+        "partial-bool", "partial-float",
+    ],
 )
 def test_a_versor_or_variable_index_or_arity_is_an_int_in_range(build, message):
     with pytest.raises(ChartMismatch, match=f"^{re.escape(message)}$"):
@@ -1543,6 +1549,30 @@ def test_targets_match_the_dense_oracle_up_to_length_five():
         words, constants=("zero", "seeded"), points=("origin", "stress"), tag="pairing-oracle"
     )
     assert checked == 864
+
+
+def test_generic_targets_are_coordinate_subspaces_up_to_length_four():
+    # the generic route's target of position nu, covariant_at(D^1, p) for
+    # nu = 2 and cauchy_char_at(D^(nu-2), p) above, is {v : v_i = 0 for
+    # i < 2 nu - 1}, like _closed_target(nu, r): its annihilator is the unit
+    # covectors e_0, ..., e_(2 nu - 2), each one entry, which is all that
+    # span_includes and annihilates then read
+    checked = 0
+    for r in range(2, 5):
+        for word in enumerate_words(r):
+            rng = random.Random(f"coordinate-targets|{word}")
+            for spec in (EkrSpec(word), draw_constants(word, rng)):
+                build = build_ekr(spec)
+                for point in (build.chart.origin(), stress_point(spec, rng)):
+                    tower = big_flag(build.distribution, point)  # [D^r, ..., D^0]
+                    targets = {2: covariant_at(tower[r - 1], point)}
+                    for nu in range(3, r + 1):
+                        targets[nu] = cauchy_char_at(tower[r - nu + 2], point)
+                    for nu, target in targets.items():
+                        units = tuple(((i, 1),) for i in range(2 * nu - 1))
+                        assert target.basis.annihilator == units, (str(spec.to_json()), point, nu)
+                        checked += 1
+    assert checked == 216
 
 
 @pytest.mark.skipif(
