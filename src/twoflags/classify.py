@@ -11,11 +11,11 @@ from the 2-jets of the fields of V_{2l+1}, never as polynomial fields.
 
 Two geometry sources are available.  For a pseudo-normal form a sandwich
 letter s reads only the value of the step-s leading field, a refinement
-builds flag member s on the chart of the length-s prefix, and the
-covariant/Cauchy spaces come from their closed forms.  The generic source
-recomputes everything from scratch: big flag by brute-force Lie squares,
-covariant and Cauchy subspaces by pointwise linear algebra, small flags on
-the full chart.  A source supplies only flag members and targets; one
+reads flag member s on chart s, where the build keeps that field, and the
+covariant/Cauchy spaces come from their closed forms, one per position.
+The generic source recomputes everything from scratch: big flag by Lie
+squares, covariant and Cauchy subspaces by pointwise linear algebra, small
+flags on the full chart.  A source supplies only flag members and targets; one
 inclusion test, ``_included``, decides every sandwich letter and every
 refinement on both.
 """
@@ -32,10 +32,8 @@ from .errors import ChartMismatch, NotSpecialFlag
 from .ekr import EkrBuild, Word, _versors_from, closed_form_F, closed_form_L
 from .geometry import (
     DEFAULT_GENERATOR_CAP,
-    Chart,
     Distribution,
     Subspace,
-    VectorField,
     _check_cap,
     _check_point,
     big_flag,
@@ -44,7 +42,7 @@ from .geometry import (
     small_flag_vectors_at,
     value_at,
 )
-from .exactalg import Poly, RationalMatrix, _check_int, annihilates, span_includes
+from .exactalg import RationalMatrix, _check_int, annihilates, span_includes
 
 
 @dataclass(frozen=True)
@@ -106,25 +104,25 @@ class ClassificationReport:
 
 
 @lru_cache(maxsize=256)
-def _closed_target(nu: int, r: int) -> Subspace:
-    """The target of position nu on the length-r chart: F, or L(D^(nu-2)) for nu > 2.
+def _closed_target(nu: int) -> Subspace:
+    """The target of position nu on chart nu: F, or L(D^(nu-2)) for nu > 2.
 
     Both are spanned by coordinate versors, so the value is the same at
-    every point; it is computed once per (nu, r), and so is the annihilator
-    that span_includes keeps on its basis: one covector per coordinate
-    outside the target.
+    every point; it is computed once per position, and so is the annihilator
+    that span_includes keeps on its basis: e_0, ..., e_(2nu-2), which cut out
+    the target of nu on every chart s >= nu, that of a refinement at s.
     """
-    target = closed_form_F(r) if nu == 2 else closed_form_L(nu - 2, r)
+    target = closed_form_F(nu) if nu == 2 else closed_form_L(nu - 2, nu)
     return value_at(target, target.chart.origin())
 
 
 class _ClosedGeometry:
     """Flag members and subflag targets of a pseudo-normal form.
 
-    Flag member j lives on the length-j prefix chart: the step-j leading
-    field depends on no later variable and has no later component, and every
-    later versor lies in both the member and its target, so cutting them off
-    changes no inclusion.  F and L come from their closed forms.
+    Flag member j lives on chart j, where the build keeps the step-j leading
+    field: every later versor lies in both the member and its target, so
+    leaving them off changes no inclusion.  F and L come from their closed
+    forms, one target per position.
     """
 
     target = staticmethod(_closed_target)
@@ -136,21 +134,17 @@ class _ClosedGeometry:
         self.r = build.length
 
     def member(self, j: int) -> Distribution:
-        """The step-j leading field, its terms taken as they stand (see value),
-        plus d/dx_j and d/dy_j, on Chart.for_length(j): built for a refinement."""
-        chart = Chart.for_length(j)
-        lead = VectorField._of(chart, tuple((i, Poly._of(chart.dim, c.terms)) for i, c in self.build.leading[j - 1].support))
-        return Distribution(chart, (lead,) + _versors_from(chart, j))
+        """The step-j leading field plus d/dx_j and d/dy_j, on chart j: asked for by a refinement."""
+        lead = self.build.leading[j - 1]
+        return Distribution._of(lead.chart, (lead,) + _versors_from(lead.chart, j))
 
     def value(self, j: int) -> RationalMatrix:
         """Z_j(p), the step-j leading field at the point cut to chart j, as one
         column.  It decides the sandwich letter: each target of chart j (F, or
         L(D^(j-2)) for j >= 3) holds d/dx_j and d/dy_j, so D^j(p) lies in it
-        exactly when Z_j(p) does.  Z_j uses only the variables of chart j
-        (tests/test_classify.py checks this up to length 7), so its value at
-        the full point, cut to chart j, is its value on that chart."""
-        dim = Chart.for_length(j).dim
-        return RationalMatrix._of(dim, 1, self.build.leading[j - 1]._value(self.point)[:dim])
+        exactly when Z_j(p) does."""
+        lead = self.build.leading[j - 1]
+        return RationalMatrix._of(lead.chart.dim, 1, lead._value(self.point[: lead.chart.dim]))
 
 
 class _GenericGeometry:
@@ -170,7 +164,7 @@ class _GenericGeometry:
     def member(self, j: int) -> Distribution:
         return self.tower[self.r - j]
 
-    def target(self, nu: int, s: int) -> Subspace:
+    def target(self, nu: int) -> Subspace:
         return self.targets[nu]
 
     def value(self, j: int) -> RationalMatrix:
@@ -187,7 +181,7 @@ def _included(geo, s: int, nu: int, member: int) -> bool:
     small_flag_vectors_at, which add the values at p of the last two rounds'
     brackets, are tested against the target's annihilator one at a time, and
     the first one outside the target decides (the letter is then a 2)."""
-    target = geo.target(nu, s).basis
+    target = geo.target(nu).basis
     if member == 1:
         return span_includes(geo.value(s), target)
     dist = geo.member(s)
@@ -205,11 +199,14 @@ def singularity_class_at(
     """The singularity class of the germ at ``point``, with its sandwich word
     and refinement evidence.
 
-    The cap and the point are admitted once, before any geometry is built.
+    The cap, the route flag (a bool) and the point are admitted once, before
+    any geometry is built.
     The word is read once, left to right, off the point itself, not off any
     label the input happens to carry.
     """
     _check_cap(cap)
+    if type(generic) is not bool:
+        raise ChartMismatch(f"generic {generic!r} is not a bool but a {type(generic).__name__}")
     point = _check_point(obj.chart, point)
     if isinstance(obj, EkrBuild) and not generic:
         geo = _ClosedGeometry(obj, point, cap)

@@ -137,11 +137,12 @@ def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
 class EkrSpec:
     """A word plus its admitted shift constants (1-based step -> value).
 
-    b constants exist only at steps with letter 1, c constants at steps with
-    letter 1 or 2; any other key raises ConstantNotAdmitted.  A step is an
-    int (not a bool): any other key raises BadSyntax, since int() would move
-    "1_0", " 1 ", True or 1.0 to another step.  Missing constants default
-    to 0.
+    The word is a Word, text having gone through Word.parse; any other value
+    raises BadSyntax.  b constants exist only at steps with letter 1, c
+    constants at steps with letter 1 or 2; any other key raises
+    ConstantNotAdmitted.  A step is an int (not a bool): any other key
+    raises BadSyntax, since int() would move "1_0", " 1 ", True or 1.0 to
+    another step.  Missing constants default to 0.
     """
 
     word: Word
@@ -149,6 +150,10 @@ class EkrSpec:
     c: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.word, Word):
+            raise BadSyntax(
+                f"spec word {self.word!r} is not a Word but a {type(self.word).__name__}: parse text with Word.parse"
+            )
         for kind, admits in (("b", _admits_b), ("c", _admits_c)):
             values = {}
             for step, value in getattr(self, kind).items():
@@ -208,8 +213,8 @@ class EkrSpec:
 class EkrBuild:
     """The result of running the operations of a spec: the final rank-3
     distribution plus the per-step leading fields, kept for flag-member
-    shortcuts (the step-l leading field depends only on variables of
-    index <= l)."""
+    shortcuts.  The step-l leading field depends only on the variables of
+    index <= l, and lives on their chart, Chart.for_length(l)."""
 
     spec: EkrSpec
     chart: Chart
@@ -228,7 +233,8 @@ class EkrBuild:
         """Flag member number j (j = length is the distribution itself, j = 0 all of TM).
 
         For 1 <= j <= length the member is spanned by the step-j leading
-        field together with the versors d/dx_k, d/dy_k for k >= j.
+        field, lifted onto the build's chart, together with the versors
+        d/dx_k, d/dy_k for k >= j.
         """
         _check_int("flag member", j)
         r = self.length
@@ -238,7 +244,8 @@ class EkrBuild:
             return Distribution.frame(self.chart)
         if j == r:
             return self.distribution
-        return Distribution(self.chart, (self.leading[j - 1],) + _versors_from(self.chart, j))
+        lifted = tuple((i, Poly._of(self.chart.dim, c.terms)) for i, c in self.leading[j - 1].support)
+        return Distribution(self.chart, (VectorField._of(self.chart, lifted),) + _versors_from(self.chart, j))
 
     def prefix_build(self, s: int) -> "EkrBuild":
         """The length-s build of the word prefix; its distribution is the
@@ -257,31 +264,29 @@ def _shifted(arity: int, var: int, constant: Fraction) -> Poly:
 def build_ekr(spec: EkrSpec) -> EkrBuild:
     """Run the operations of ``spec`` starting from (d/dt, d/dx0, d/dy0).
 
-    Z1 is kept as its support, component index -> nonzero Poly.  Before
-    operation l, Z2 and Z3 are d/dx_(l-1) and d/dy_(l-1), along which Z1 has
-    no component yet: the operation scales the support by x_l (letters 2, 3)
-    and writes those two components, both nonzero and past every index of
-    the support, so the support stays in increasing index order."""
-    chart = Chart.for_length(spec.word.length)
-    n = chart.dim
-    one = Poly._of(n, {(): 1})
-    z1 = {0: one}
+    Z1 is kept as its support, component index -> nonzero Poly.  Operation l
+    adds x_l and y_l, at 2l + 1 and 2l + 2, and wraps the support's term maps
+    at the arity of its chart, Chart.for_length(l).  Before it, Z2 and Z3 are
+    d/dx_(l-1) and d/dy_(l-1), along which Z1 has no component yet: the
+    operation scales the support by x_l (letters 2, 3) and writes those two
+    components, both nonzero and past every index of the support, so the
+    support stays in increasing index order."""
+    z1 = {0: Poly._of(3, {(): 1})}
     leading = []
-    prev = chart.x_index(0), chart.y_index(0)
     for step, letter in enumerate(spec.word.letters, start=1):
-        x, y = chart.x_index(step), chart.y_index(step)
+        chart = Chart.for_length(step)
+        n = chart.dim
+        x, y = 2 * step + 1, 2 * step + 2
         if letter == 1:
             along = (_shifted(n, x, spec.b_at(step)), _shifted(n, y, spec.c_at(step)))
-        elif letter == 2:
-            along = (one, _shifted(n, y, spec.c_at(step)))
+            z1 = {j: Poly._of(n, component.terms) for j, component in z1.items()}
         else:
-            along = (_shifted(n, y, 0), one)
-        if letter != 1:
+            one = Poly._of(n, {(): 1})
+            along = (one, _shifted(n, y, spec.c_at(step))) if letter == 2 else (_shifted(n, y, 0), one)
             x_l = Poly._of(n, {((x, 1),): 1})
-            z1 = {j: component * x_l for j, component in z1.items()}
-        z1[prev[0]], z1[prev[1]] = along
+            z1 = {j: Poly._of(n, component.terms) * x_l for j, component in z1.items()}
+        z1[x - 2], z1[y - 2] = along
         leading.append(VectorField._of(chart, tuple(z1.items())))
-        prev = x, y
     dist = Distribution(chart, (leading[-1],) + _versors_from(chart, chart.length))
     return EkrBuild(spec, chart, tuple(leading), dist)
 
@@ -293,16 +298,13 @@ def build_ekr(spec: EkrSpec) -> EkrBuild:
 
 @lru_cache(maxsize=256)
 def _versors_from(chart: Chart, first: int) -> tuple[VectorField, ...]:
-    """The versors d/dx_k, d/dy_k for k = first, ..., length of a flag chart.
+    """The versors d/dx_k, d/dy_k for k = first, ..., length of a flag chart,
+    at 2k + 1 and 2k + 2.
 
     One shared tuple per (chart, first), kept for the last 256 asked: the
     builds and closed members of one length share their versors, and with
     them the one-entry occurrence table of each that lie_bracket reads."""
-    return tuple(
-        VectorField.versor(chart, index(k))
-        for k in range(first, chart.length + 1)
-        for index in (chart.x_index, chart.y_index)
-    )
+    return tuple(VectorField.versor(chart, index) for index in range(2 * first + 1, chart.dim))
 
 
 def closed_form_F(r: int) -> Distribution:

@@ -12,6 +12,7 @@ covariant conditions are solved in the coordinates of the basis of D(p).
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
@@ -101,6 +102,10 @@ class Chart:
 
 
 def _check_point(chart: Chart, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    # one type test for the tuples the library passes; text would be read a
+    # character per coordinate, and an iterator has no length
+    if type(point) is not tuple and (isinstance(point, (str, bytes)) or not isinstance(point, abc.Sequence)):
+        raise ChartMismatch(f"a point is a sequence of coordinates, not a {type(point).__name__}")
     if len(point) != chart.dim:
         raise ChartMismatch(f"point has {len(point)} coordinates, chart has {chart.dim}")
     return tuple(exact_rational(v) for v in point)

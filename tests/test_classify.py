@@ -156,6 +156,31 @@ def test_class_rejects_a_float_point(generic):
         singularity_class_at(build, (0, 0.5, 0, 0, 0), generic=generic)
 
 
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("point", ["0000010", b"0000010", (0 for _ in range(7))], ids=["str", "bytes", "generator"])
+def test_a_point_that_is_not_a_sequence_of_coordinates_is_refused(point, generic):
+    # text was read a character per coordinate: "0000010" classified as 1.1 at
+    # x2 = 1, and a generator raised a bare TypeError from len()
+    build = build_ekr(EkrSpec(Word.parse("1.2")))
+    message = re.escape(f"a point is a sequence of coordinates, not a {type(point).__name__}")
+    with pytest.raises(ChartMismatch, match=message):
+        singularity_class_at(build, point, generic=generic)
+    with pytest.raises(ChartMismatch, match=message):
+        value_at(build.distribution, point)
+    # any other sequence is a point
+    assert str(singularity_class_at(build, [0] * 7, generic=generic).word) == "1.2"
+
+
+@pytest.mark.parametrize("generic", ["False", 1, 0.0, None])
+def test_the_route_flag_is_a_bool(generic):
+    # any truthy value took the generic route: "False" and 1 ran out of the
+    # cap of 1 on it, while 0.0 classified on the closed route
+    build = build_ekr(EkrSpec(Word.parse("1.1.1")))
+    message = re.escape(f"generic {generic!r} is not a bool but a {type(generic).__name__}")
+    with pytest.raises(ChartMismatch, match=message):
+        singularity_class_at(build, build.chart.origin(), generic=generic, cap=1)
+
+
 def test_a_length_zero_germ_has_no_class():
     # TM on a 3-dimensional chart: the tower is D^0 alone, with no Lie square to read
     chart = Chart(("a", "b", "c"))
@@ -391,34 +416,43 @@ def test_closed_members_are_the_prefix_distributions():
 
 
 def test_closed_targets_hold_the_last_two_versors_of_their_chart():
-    # the premise of _ClosedGeometry.value: D^s = (Z_s, d/dx_s, d/dy_s) lies
-    # in the target of position nu on chart s exactly when Z_s does
-    for s in range(2, 14):
-        chart = Chart.for_length(s)
-        for nu in range(2, s + 1):
-            target = _closed_target(nu, s)
-            for index in (chart.x_index(s), chart.y_index(s)):
-                unit = [F(0)] * chart.dim
-                unit[index] = F(1)
-                assert target.contains_vector(unit), (nu, s, index)
+    # the target of position nu is {v : v_i = 0 for i < 2 nu - 1} on chart
+    # nu, its annihilator the unit covectors e_0, ..., e_(2 nu - 2).  So it
+    # holds d/dx_nu and d/dy_nu, the premise of _ClosedGeometry.value, and on
+    # every chart s >= nu those covectors cut out the target of nu, the
+    # premise of testing a refinement's chart-s vectors against them
+    for nu in range(2, 41):
+        assert _closed_target(nu).basis.annihilator == tuple(((i, 1),) for i in range(2 * nu - 1)), nu
 
 
 def test_leading_fields_use_only_the_variables_of_their_prefix_charts_up_to_length_seven():
-    # _ClosedGeometry.member wraps the first dim components of the step-j
-    # leading field without checking their monomials; this is the property
-    # that makes that safe: no later variable and no later component
+    # build_ekr wraps the step-j leading field on Chart.for_length(j) with
+    # VectorField._of and Poly._of, which check nothing: every component has
+    # arity 2j + 3, and no component or variable lies past the chart.  The
+    # 43-letter words 1.2.1^40.3 and 1.2.1^40.2, with zero constants and with
+    # the seeded constants of the CI long-gap step, pin this past length 7
+    specs = [
+        spec
+        for r in range(1, 8)
+        for word in enumerate_words(r)
+        for spec in (EkrSpec(word), random_spec(word, f"prefix-chart|{word}"))
+    ]
+    for last in (3, 2):
+        word = Word((1, 2) + (1,) * 40 + (last,))
+        b = {s: F(s % 7 + 1, s % 5 + 2) for s, letter in enumerate(word.letters, 1) if letter == 1}
+        c = {s: -F(s % 3 + 1, s % 4 + 1) for s, letter in enumerate(word.letters, 1) if letter in (1, 2)}
+        specs += [EkrSpec(word), EkrSpec(word, b, c)]
     checked = 0
-    for r in range(1, 8):
-        for word in enumerate_words(r):
-            for spec in (EkrSpec(word), random_spec(word, f"prefix-chart|{word}")):
-                build = build_ekr(spec)
-                for j, lead in enumerate(build.leading, start=1):
-                    n = Chart.for_length(j).dim
-                    assert not any(c.terms for c in lead.components[n:]), (str(word), j)
-                    used = {var for c in lead.components[:n] for mono in c.terms for var, _ in mono}
-                    assert all(var < n for var in used), (str(word), j, used)
-                    checked += 1
-    assert checked == 2 * sum(r * len(enumerate_words(r)) for r in range(1, 8))
+    for spec in specs:
+        build = build_ekr(spec)
+        for j, lead in enumerate(build.leading, start=1):
+            n = 2 * j + 3
+            assert lead.chart == Chart.for_length(j), (str(spec.word), j)
+            assert all(i < n and c.arity == n for i, c in lead.support), (str(spec.word), j)
+            used = {var for _, c in lead.support for mono in c.terms for var, _ in mono}
+            assert all(var < n for var in used), (str(spec.word), j, used)
+            checked += 1
+    assert checked == 2 * sum(r * len(enumerate_words(r)) for r in range(1, 8)) + 4 * 43
 
 
 def test_classification_on_and_off_locus():

@@ -185,6 +185,14 @@ def test_spec_json_rejects_unknown_and_non_admitted():
         EkrSpec.from_json('{"b": {}}')
 
 
+@pytest.mark.parametrize("word", ["1.2", (1, 2), None])
+def test_a_spec_takes_a_word(word):
+    # text was taken, and build_ekr then failed on word.length with an AttributeError
+    message = re.escape(f"spec word {word!r} is not a Word but a {type(word).__name__}: parse text with Word.parse")
+    with pytest.raises(BadSyntax, match=message):
+        EkrSpec(word)
+
+
 # ---------------------------------------------------------------------------
 # The builder
 # ---------------------------------------------------------------------------
@@ -323,6 +331,19 @@ def signatures(fields):
     return [field.signature() for field in fields]
 
 
+def on_prefix_charts(leading):
+    """The oracle's step-l field on Chart.for_length(l), for each l: every
+    component past that chart is zero, and each one on it is rewrapped at
+    arity 2l + 3 by Poly's constructor, which refuses a later variable."""
+    fields = []
+    for l, field in enumerate(leading, start=1):
+        chart = Chart.for_length(l)
+        n = chart.dim
+        assert not any(c.terms for c in field.components[n:]), l
+        fields.append(VectorField(chart, [Poly(n, c.terms) for c in field.components[:n]]))
+    return fields
+
+
 def test_build_matches_the_field_arithmetic_oracle():
     words = [word for r in range(1, 8) for word in enumerate_words(r)]
     assert len(words) == 550
@@ -330,7 +351,7 @@ def test_build_matches_the_field_arithmetic_oracle():
         for spec in (EkrSpec(word), draw_constants(word, random.Random(f"build|{word}"))):
             build = build_ekr(spec)
             leading, generators = oracle_build_ekr(spec)
-            assert signatures(build.leading) == signatures(leading), spec
+            assert signatures(build.leading) == signatures(on_prefix_charts(leading)), spec
             assert signatures(build.distribution.generators) == signatures(generators), spec
     for n in range(1, 5):
         for m in range(1, n + 1):
@@ -361,8 +382,8 @@ def test_the_unchecked_build_forms_canonical_supports():
     for word in words:
         for spec in (EkrSpec(word), draw_constants(word, random.Random(f"build|{word}"))):
             build = build_ekr(spec)
-            for field in build.leading:
-                assert_canonical_support(field, build.chart.dim, spec)
+            for l, field in enumerate(build.leading, start=1):
+                assert_canonical_support(field, 2 * l + 3, spec)
     # a gap of 40 letters 1 with seeded constants: Fraction coefficients on a long word
     for last in ("3", "2"):
         word = Word.parse(".".join(["1", "2"] + ["1"] * 40 + [last]))
@@ -370,10 +391,10 @@ def test_the_unchecked_build_forms_canonical_supports():
         assert spec.b and spec.c
         build = build_ekr(spec)
         leading, generators = oracle_build_ekr(spec)
-        assert signatures(build.leading) == signatures(leading), spec
+        assert signatures(build.leading) == signatures(on_prefix_charts(leading)), spec
         assert signatures(build.distribution.generators) == signatures(generators), spec
-        for field in build.leading:
-            assert_canonical_support(field, build.chart.dim, spec)
+        for l, field in enumerate(build.leading, start=1):
+            assert_canonical_support(field, 2 * l + 3, spec)
 
 
 def test_top_flag_member_is_the_stored_distribution():
@@ -392,7 +413,10 @@ def test_flag_member_takes_only_an_int():
     for j in (True, 1.0, Fraction(1)):
         with pytest.raises(ChartMismatch, match=re.escape(f"flag member {j!r} is not an int but a {type(j).__name__}")):
             build.flag_member(j)
-    assert build.flag_member(1).generators[0] is build.leading[0]
+    # leading[0] lives on the length-1 chart; member 1 lifts it onto the build's
+    n = build.chart.dim
+    lifted = VectorField(build.chart, [Poly(n, c.terms) for c in build.leading[0].components] + [Poly.zero(n)] * (n - 5))
+    assert build.flag_member(1).generators[0] == lifted
 
 
 # ---------------------------------------------------------------------------

@@ -1554,7 +1554,7 @@ def test_targets_match_the_dense_oracle_up_to_length_five():
 def test_generic_targets_are_coordinate_subspaces_up_to_length_four():
     # the generic route's target of position nu, covariant_at(D^1, p) for
     # nu = 2 and cauchy_char_at(D^(nu-2), p) above, is {v : v_i = 0 for
-    # i < 2 nu - 1}, like _closed_target(nu, r): its annihilator is the unit
+    # i < 2 nu - 1}, like _closed_target(nu): its annihilator is the unit
     # covectors e_0, ..., e_(2 nu - 2), each one entry, which is all that
     # span_includes and annihilates then read
     checked = 0

@@ -36,13 +36,12 @@ from twoflags.exactalg import RationalMatrix, rank_and_nullspace
 from twoflags.geometry import DEFAULT_GENERATOR_CAP, Chart, small_flag
 
 
-def _outside(nu: int, s: int, field) -> list:
-    """The components of ``field`` off the coordinate versors that span the target of nu on the length-s chart."""
-    inside = set()
-    for column in _closed_target(nu, s).basis.columns():
-        (index,) = [i for i, v in enumerate(column) if v]
-        inside.add(index)
-    return [c for i, c in enumerate(field.components) if i not in inside and c.terms]
+def _outside(nu: int, field) -> list:
+    """The components of ``field`` off the coordinate versors that span the
+    target of nu: those at the indices of the target's annihilator, one unit
+    covector per coordinate outside it, on every chart from nu up."""
+    indices = {i for ((i, _),) in _closed_target(nu).basis.annihilator}
+    return [c for i, c in field.support if i in indices]
 
 
 def closed_conditions(build) -> list:
@@ -54,11 +53,11 @@ def closed_conditions(build) -> list:
     for s, letter in enumerate(letters, start=1):
         if letter == 1:
             continue
-        conditions += _outside(s, s, geo.member(s).generators[0])
+        conditions += _outside(s, geo.member(s).generators[0])
         if letter == 3:
             l = s - nu - 1
             for field in small_flag(geo.member(s), 2 * l + 3)[-1].generators:
-                conditions += _outside(nu, s, field)
+                conditions += _outside(nu, field)
         nu = s
     return conditions
 
