@@ -6,7 +6,8 @@ wherever a rational enters, as its binary expansion is rarely the rational
 meant.  A polynomial maps monomials to nonzero coefficients.  A monomial is
 a tuple of ``(variable index, positive exponent)`` pairs sorted by variable,
 () being the monomial 1, except inside the elimination kernel
-(``_eliminate``, ``Poly // Poly``), where it is an int (_Packing): fields
+(``_eliminate`` and the packed rows it leaves, ``Poly // Poly``), where it
+is an int (_Packing): fields
 [total degree | e_0 | ... | e_(n-1)], each with a guard bit and as wide as
 the largest degree the work reaches, twice the sum of the largest
 min(rows, cols) row degrees in an elimination.  An integral coefficient is
@@ -28,7 +29,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadSyntax, ChartMismatch, DegeneratePivot
 
@@ -686,7 +687,7 @@ def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
+def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int], Callable]:
     """In-place fraction-free (Bareiss) elimination of ``int`` or ``Poly`` rows.
 
     Column by column, the pivot is the first unused row, in original order,
@@ -699,29 +700,32 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
     pivot minor and, with ``reduce``, entry (j, c) is that minor with column
     j swapped for column c, with the sign of P.  So no update passes twice
     the sum of the largest min(rows, cols) row degrees, the bound of the
-    _Packing that polynomial rows are in until the end.
+    _Packing that polynomial rows are in.
 
     Only steps that can change an entry are done: f * pivot_row is formed
     only where the pivot row is nonzero, and elsewhere x becomes
     (p * x) // (previous pivot), x itself when p is the previous pivot (1
     before the first): such entries, and rows with f = 0, are skipped.
 
-    Returns (pivot row indices, pivot column indices) in pivot order; slot j
-    then holds pivot row j.
+    Returns (pivot row indices, pivot column indices, unpack) in pivot
+    order; slot j then holds pivot row j.  Polynomial rows are left packed,
+    every entry a term map, and ``unpack`` (the _Packing's) makes the Poly
+    of an entry a caller reads, so only what is read is unpacked; for int
+    rows ``unpack`` is ``int``, which gives each entry back as it is.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     polynomial = bool(ncols) and isinstance(rows[0][0], Poly)
     prev = 1  # the previous pivot, 1 before the first
+    unpack = int
     if polynomial:
         degrees = [max((sum(e for _, e in m) for x in row for m in x.terms), default=0) for row in rows]
         degrees.sort(reverse=True)
         packing = _Packing(rows[0][0].arity, 2 * sum(degrees[: min(nrows, ncols)]))
-        given = [row[:] for row in rows]
         for row in rows:
             row[:] = [packing.pack(x) if x.terms else {} for x in row]
-        packed = [row[:] for row in rows]
         prev = {0: 1}
+        unpack = packing.unpack
     order = list(range(nrows))
     live = list(range(ncols))  # columns without a pivot so far
     pivot_cols: list[int] = []
@@ -760,10 +764,7 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
                     row[c] = packing.divide(entry, prev) if polynomial else entry // prev
         prev = p
         pivot_cols.append(col)
-    if polynomial:  # an entry the pass left alone is the Poly it was given
-        for row, r in zip(rows, order):
-            row[:] = [g if x is q else packing.unpack(x) for x, q, g in zip(row, packed[r], given[r])]
-    return order[: len(pivot_cols)], pivot_cols
+    return order[: len(pivot_cols)], pivot_cols, unpack
 
 
 def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
@@ -774,7 +775,7 @@ def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction
     (Cramer's rule): the reduced echelon form's basis, which is unique.
     """
     rows = _integer_rows(matrix.row(i) for i in range(matrix.rows))
-    _, pivot_cols = _eliminate(rows, reduce=True)
+    _, pivot_cols, _ = _eliminate(rows, reduce=True)
     last = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     basis = []
     for free in range(matrix.cols):
@@ -825,7 +826,7 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
         raise ChartMismatch(f"columns must have {ambient} entries")
     # each entry is admitted once, here; the selected columns are not admitted again
     columns = [tuple(map(exact_rational, col)) for col in columns]
-    _, pivot_cols = _eliminate(_integer_rows(zip(*columns)), reduce=False)
+    _, pivot_cols, _ = _eliminate(_integer_rows(zip(*columns)), reduce=False)
     chosen = [columns[c] for c in pivot_cols]
     return RationalMatrix._of(ambient, len(chosen), tuple(col[i] for i in range(ambient) for col in chosen))
 
@@ -845,11 +846,12 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     if any(len(row) != n for row in rows):
         raise ChartMismatch(f"determinant needs a square matrix; {n} rows are not all of length {n}")
     work = [list(row) for row in rows]
-    order, pivot_cols = _eliminate(work, reduce=False)
+    order, pivot_cols, unpack = _eliminate(work, reduce=False)
     if len(pivot_cols) < n:
         return Poly.zero(rows[0][0].arity)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-    return work[-1][-1].scaled(-1 if inversions % 2 else 1)
+    det = unpack(work[-1][-1])
+    return -det if inversions % 2 else det
 
 
 def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
@@ -877,9 +879,9 @@ def _kernel(
     primitive_tuple removes).  P must be ±det of the pivot minor by poly_det.
     """
     work = [[constraints[r][c] for c in columns] for r in rows]
-    slots, pivots = _eliminate(work, reduce=True)
+    slots, pivots, unpack = _eliminate(work, reduce=True)
     k = len(pivots)
-    last = work[k - 1][pivots[-1]] if k else Poly.const(arity, 1)
+    last = unpack(work[k - 1][pivots[-1]]) if k else Poly.const(arity, 1)
     if k:
         det = poly_det([[constraints[rows[r]][columns[c]] for c in pivots] for r in slots])
         if last != det and last != -det:
@@ -889,7 +891,7 @@ def _kernel(
         entries = [Poly.zero(arity)] * len(columns)
         entries[columns[f]] = last
         for j, pivot in enumerate(pivots):
-            entries[columns[pivot]] = -work[j][f]
+            entries[columns[pivot]] = -unpack(work[j][f])
         covectors.append(primitive_tuple(entries))
     return covectors, pivots
 
@@ -919,7 +921,7 @@ def polynomial_nullspace(
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
     at_point = tuple(map(exact_rational, at_point))
     evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
-    pivot_rows, pivot_cols = _eliminate(evaluated, reduce=False)
+    pivot_rows, pivot_cols, _ = _eliminate(evaluated, reduce=False)
     if structural_rank is None:
         structural_rank = len(_eliminate([list(row) for row in constraints], reduce=False)[1])
     if structural_rank > len(pivot_cols):
@@ -938,8 +940,35 @@ def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tu
     every generator row, in column order.  The covectors annihilate every
     generator identically; their values are a basis of the pointwise
     annihilator wherever the rank is structural and they stay independent.
+
+    A tall matrix, with more generator rows than twice its coordinates,
+    first has its rows eliminated at the integral probe u_i = i + 2: the
+    _kernel of the rows up to that pass's last pivot row is returned once
+    each of its covectors annihilates every later generator identically.
+    That certifies every later row to lie in the span of the prefix over
+    the fraction field, so the all-row pass would pivot on the same rows and
+    columns, whose entries alone give the covectors: the output is the same
+    term for term.  When the probe under-ranks, a check fails and every row
+    is eliminated.  On a shorter matrix the probe costs about what it saves.
     """
     constraints = _constraints(matrix)
     if not matrix:
         return []
-    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]
+    arity, columns = matrix[0][0].arity, range(len(matrix))
+    if len(constraints) > 2 * len(matrix):
+        probe = tuple(range(2, arity + 2))
+        values = _integer_rows([x.eval_at(probe) if x.terms else _ZERO for x in row] for row in constraints)
+        prefix = max(_eliminate(values, reduce=False)[0], default=-1) + 1
+        covectors = _kernel(constraints, range(prefix), columns, arity)[0]
+        if all(_annihilates_identically(cov, row) for row in constraints[prefix:] for cov in covectors):
+            return covectors
+    return _kernel(constraints, range(len(constraints)), columns, arity)[0]
+
+
+def _annihilates_identically(covector: Sequence[Poly], row: Sequence[Poly]) -> bool:
+    """Whether the sum of covector[j] * row[j] is the zero polynomial."""
+    pairing: dict[Mono, int | Fraction] = {}
+    for w, g in zip(covector, row):
+        if w.terms and g.terms:
+            _mul_into(pairing, w.terms, g.terms, 1)
+    return not pairing

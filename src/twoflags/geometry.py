@@ -84,12 +84,6 @@ class Chart:
         except ValueError:
             raise ChartMismatch(f"no coordinate {name!r} on chart {self.names}") from None
 
-    def x_index(self, k: int) -> int:
-        return self.index(f"x{k}")
-
-    def y_index(self, k: int) -> int:
-        return self.index(f"y{k}")
-
     def origin(self) -> tuple[Fraction, ...]:
         return (Fraction(0),) * self.dim
 

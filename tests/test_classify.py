@@ -264,9 +264,9 @@ def test_generic_mode_agrees_on_full_reports_at_length_five():
         locus = [F(rng.randint(1, 7), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(seeded.chart.dim)]
         for k, letter in enumerate(word.letters, start=1):
             if letter >= 2:
-                locus[seeded.chart.x_index(k)] = F(0)
+                locus[seeded.chart.index(f"x{k}")] = F(0)
             if letter == 3:
-                locus[seeded.chart.y_index(k)] = F(0)
+                locus[seeded.chart.index(f"y{k}")] = F(0)
         for build, point in ((zero, zero.chart.origin()), (seeded, tuple(locus))):
             closed = singularity_class_at(build, point)
             generic = singularity_class_at(build, point, generic=True)

@@ -204,13 +204,13 @@ def test_build_single_letter():
     n = chart.dim
     expected_lead = (
         VectorField.versor(chart, 0)
-        + VectorField.versor(chart, chart.x_index(0)).scaled(Poly.variable(n, chart.x_index(1)))
-        + VectorField.versor(chart, chart.y_index(0)).scaled(Poly.variable(n, chart.y_index(1)))
+        + VectorField.versor(chart, chart.index("x0")).scaled(Poly.variable(n, chart.index("x1")))
+        + VectorField.versor(chart, chart.index("y0")).scaled(Poly.variable(n, chart.index("y1")))
     )
     assert build.distribution.generators == (
         expected_lead,
-        VectorField.versor(chart, chart.x_index(1)),
-        VectorField.versor(chart, chart.y_index(1)),
+        VectorField.versor(chart, chart.index("x1")),
+        VectorField.versor(chart, chart.index("y1")),
     )
 
 
@@ -218,7 +218,7 @@ def test_leading_fields_depend_on_early_variables_only():
     spec = EkrSpec(Word.parse("1.2.1.3"), b={3: F(2)}, c={2: F(1, 2)})
     build = build_ekr(spec)
     for step, lead in enumerate(build.leading, start=1):
-        top = build.chart.y_index(step)
+        top = build.chart.index(f"y{step}")
         for index, comp in enumerate(lead.components):
             if index > top:
                 assert comp.is_zero()
@@ -295,12 +295,12 @@ def oracle_build_ekr(spec):
         return Poly.variable(n, index)
 
     z1 = versor(0)
-    z2 = versor(chart.x_index(0))
-    z3 = versor(chart.y_index(0))
+    z2 = versor(chart.index("x0"))
+    z3 = versor(chart.index("y0"))
     leading = []
     for step, letter in enumerate(spec.word.letters, start=1):
-        x_l = coordinate(chart.x_index(step))
-        y_l = coordinate(chart.y_index(step))
+        x_l = coordinate(chart.index(f"x{step}"))
+        y_l = coordinate(chart.index(f"y{step}"))
         if letter == 1:
             shift_x = x_l + spec.b_at(step)
             shift_y = y_l + spec.c_at(step)
@@ -310,8 +310,8 @@ def oracle_build_ekr(spec):
             z1 = z1.scaled(x_l) + z2 + z3.scaled(shift_y)
         else:
             z1 = z1.scaled(x_l) + z2.scaled(y_l) + z3
-        z2 = versor(chart.x_index(step))
-        z3 = versor(chart.y_index(step))
+        z2 = versor(chart.index(f"x{step}"))
+        z3 = versor(chart.index(f"y{step}"))
         leading.append(z1)
     return tuple(leading), (z1, z2, z3)
 
@@ -469,10 +469,10 @@ def test_model_ca2_components():
     lead = dist.generators[0]
     expected = (
         VectorField.versor(chart, 0)
-        + VectorField.versor(chart, chart.x_index(0)).scaled(Poly.variable(n, chart.x_index(1)))
-        + VectorField.versor(chart, chart.y_index(0)).scaled(Poly.variable(n, chart.y_index(1)))
-        + VectorField.versor(chart, chart.x_index(1)).scaled(Poly.variable(n, chart.x_index(2)))
-        + VectorField.versor(chart, chart.y_index(1)).scaled(Poly.variable(n, chart.y_index(2)))
+        + VectorField.versor(chart, chart.index("x0")).scaled(Poly.variable(n, chart.index("x1")))
+        + VectorField.versor(chart, chart.index("y0")).scaled(Poly.variable(n, chart.index("y1")))
+        + VectorField.versor(chart, chart.index("x1")).scaled(Poly.variable(n, chart.index("x2")))
+        + VectorField.versor(chart, chart.index("y1")).scaled(Poly.variable(n, chart.index("y2")))
     )
     assert lead == expected
 
@@ -484,13 +484,13 @@ def test_model_ex2_components():
     lead = dist.generators[0]
     core = (
         VectorField.versor(chart, 0)
-        + VectorField.versor(chart, chart.x_index(0)).scaled(Poly.variable(n, chart.x_index(1)))
-        + VectorField.versor(chart, chart.y_index(0)).scaled(Poly.variable(n, chart.y_index(1)))
+        + VectorField.versor(chart, chart.index("x0")).scaled(Poly.variable(n, chart.index("x1")))
+        + VectorField.versor(chart, chart.index("y0")).scaled(Poly.variable(n, chart.index("y1")))
     )
     expected = (
-        core.scaled(Poly.variable(n, chart.x_index(2)))
-        + VectorField.versor(chart, chart.x_index(1))
-        + VectorField.versor(chart, chart.y_index(1)).scaled(Poly.variable(n, chart.y_index(2)))
+        core.scaled(Poly.variable(n, chart.index("x2")))
+        + VectorField.versor(chart, chart.index("x1"))
+        + VectorField.versor(chart, chart.index("y1")).scaled(Poly.variable(n, chart.index("y2")))
     )
     assert lead == expected
 

@@ -5,6 +5,7 @@ independent oracle (term-by-term multiplication, determinant-minor rank),
 or checked as algebraic identities on randomized inputs.
 """
 
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -15,10 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twoflags.exactalg as exactalg
+from twoflags.atlas import enumerate_words
+from twoflags.cli import draw_constants
+from twoflags.ekr import EkrSpec, build_ekr
 from twoflags.errors import BadSyntax, ChartMismatch, DegeneratePivot
 from twoflags.exactalg import (
     Poly,
     RationalMatrix,
+    _constraints,
     _descending_key,
     _eliminate,
     _integer_rows,
@@ -35,6 +41,7 @@ from twoflags.exactalg import (
     rank_and_nullspace,
     span_includes,
 )
+from twoflags.geometry import big_flag
 
 F = Fraction
 
@@ -134,7 +141,12 @@ def structural_pivots(rows) -> tuple[list[int], list[int]]:
     """Pivot rows and columns for the rank over the fraction field: one
     forward _eliminate of a copy, as polynomial_nullspace runs it when no
     structural rank is given."""
-    return _eliminate([list(row) for row in rows], reduce=False)
+    return _eliminate([list(row) for row in rows], reduce=False)[:2]
+
+
+def unpacked(rows, unpack) -> list[list]:
+    """The entries of rows that _eliminate left, each through its unpack."""
+    return [[unpack(x) for x in row] for row in rows]
 
 
 def echelon_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) -> list[tuple[Poly, ...]]:
@@ -582,8 +594,9 @@ def test_eliminate_and_det_at_the_field_width_boundary(k, edge, var, reduce):
     a = 2**k + edge
     rows = _width_rows(var, a)
     got, expected = [list(r) for r in rows], [list(r) for r in rows]
-    assert _eliminate(got, reduce) == oracle_eliminate(expected, reduce)
-    assert got == expected
+    *pivots, unpack = _eliminate(got, reduce)
+    assert tuple(pivots) == oracle_eliminate(expected, reduce)
+    assert unpacked(got, unpack) == expected
     u = rows[0][0]
     w = Poly.variable(3, (var + 2) % 3)
     square = [rows[0], rows[1], [u * w, w, u]]
@@ -959,12 +972,14 @@ def integer_rows(draw):
 def test_one_pivot_rule_for_integer_and_polynomial_rows(rows, reduce):
     ints = [list(row) for row in rows]
     polys = [[Poly.const(1, v) for v in row] for row in rows]
-    pivots = _eliminate(ints, reduce)
+    *pivots, unpack_ints = _eliminate(ints, reduce)
+    pivots = tuple(pivots)
     if not reduce:
         assert structural_pivots(polys) == pivots
-    assert _eliminate(polys, reduce) == pivots
+    *poly_pivots, unpack = _eliminate(polys, reduce)
+    assert tuple(poly_pivots) == pivots
     # the same Bareiss step in both rings leaves the same entries
-    assert polys == [[Poly.const(1, v) for v in row] for row in ints]
+    assert unpacked(polys, unpack) == [[Poly.const(1, v) for v in row] for row in unpacked(ints, unpack_ints)]
 
 
 def oracle_eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int]]:
@@ -1038,8 +1053,10 @@ def zero_heavy_poly_rows(draw):
 def test_eliminate_matches_the_dense_oracle(rows, reduce):
     got = [list(row) for row in rows]
     expected = [list(row) for row in rows]
-    assert _eliminate(got, reduce) == oracle_eliminate(expected, reduce)
+    *pivots, unpack = _eliminate(got, reduce)
+    assert tuple(pivots) == oracle_eliminate(expected, reduce)
     # the same entries in the same rows, stale pivot-column entries included
+    got = unpacked(got, unpack)
     assert got == expected
     assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in expected]
 
@@ -1128,7 +1145,7 @@ def kernel_problems(draw):
         pivot_rows, pivot_cols = structural_pivots(rows)
     else:
         point = [draw(coeffs) for _ in range(ambient)]
-        pivot_rows, pivot_cols = _eliminate(
+        pivot_rows, pivot_cols, _ = _eliminate(
             _integer_rows([p.eval_at(point) for p in row] for row in rows), reduce=False
         )
     pivot_rows = draw(st.permutations(pivot_rows))
@@ -1169,6 +1186,102 @@ def test_structural_nullspace_reduces_rows_above_a_skipped_column():
     for cov in kernel:
         for row in rows:
             assert sum((c * e for c, e in zip(cov, row)), Poly.zero(4)).is_zero()
+
+
+def all_row_kernel(matrix) -> list[tuple[Poly, ...]]:
+    """The _kernel of every generator row: polynomial_nullspace_structural's
+    answer with no prefix tried."""
+    constraints = _constraints(matrix)
+    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]
+
+
+@pytest.fixture
+def kernel_row_counts(monkeypatch):
+    """The number of constraint rows of each _kernel call, in call order."""
+    counts = []
+    kernel = exactalg._kernel
+
+    def spy(constraints, rows, columns, arity):
+        counts.append(len(rows))
+        return kernel(constraints, rows, columns, arity)
+
+    monkeypatch.setattr(exactalg, "_kernel", spy)
+    return counts
+
+
+def test_structural_nullspace_of_every_tower_member_up_to_length_five(kernel_row_counts):
+    """D^r, ..., D^1 of every word of lengths 2-5 at the origin, with zero
+    constants and one seeded draw: the same covectors, term for term, as
+    the _kernel of every row; each tall member (its rows more than twice its
+    coordinates) is answered from the certified prefix alone."""
+    tall = 0
+    for r in range(2, 6):
+        for word in enumerate_words(r):
+            for spec in (EkrSpec(word, {}, {}), draw_constants(word, random.Random(f"prefix|{word}"))):
+                build = build_ekr(spec)
+                for member in big_flag(build.distribution, build.chart.origin())[:-1]:
+                    matrix = list(zip(*(gen.components for gen in member.generators)))
+                    kernel_row_counts.clear()
+                    got = polynomial_nullspace_structural(matrix)
+                    (rows,) = kernel_row_counts
+                    assert terms_of(got) == terms_of(all_row_kernel(matrix)), (spec, len(member.generators))
+                    if len(member.generators) > 2 * len(matrix):
+                        tall += 1
+                        assert rows < len(member.generators), (spec, rows)
+                    else:
+                        assert rows == len(member.generators)
+    # the 55- and 44-row D^1 of the deep length-5 words, among others
+    assert tall > 0
+
+
+def test_structural_nullspace_rejects_a_prefix_that_the_probe_under_ranks(kernel_row_counts):
+    """Row 1 and its multiples vanish at the probe u_i = i + 2, as u0 - 2
+    divides them, so the probe pass pivots on row 0 alone: the prefix's
+    two covectors do not annihilate row 1, and every row is eliminated."""
+    u0, u1, u2 = (Poly.variable(3, i) for i in range(3))
+    one, zero = Poly.const(3, 1), Poly.zero(3)
+    a = [one, u1, u2]
+    b = [x * (u0 - 2) for x in (u1, zero, one)]
+    rows = [a, b, [x * u2 for x in a], [x * u1 for x in b], [x + y for x, y in zip(a, b)], [x * u0 for x in a], b]
+    matrix = [list(column) for column in zip(*rows)]
+    assert len(rows) > 2 * len(matrix)
+    got = polynomial_nullspace_structural(matrix)
+    assert kernel_row_counts == [1, len(rows)]
+    assert terms_of(got) == terms_of(all_row_kernel(matrix))
+    (cov,) = got
+    for row in rows:
+        assert sum((c * e for c, e in zip(cov, row)), Poly.zero(3)).is_zero()
+
+
+@st.composite
+def tall_matrices(draw):
+    """An ambient x generators matrix with more than twice as many generators
+    as coordinates, entries of degree at most 2.  Later generators may be
+    rational combinations of earlier ones, and some carry the factor u0 - 2,
+    which vanishes at the probe."""
+    ambient = draw(st.integers(min_value=1, max_value=3))
+    ngens = draw(st.integers(min_value=2 * ambient + 1, max_value=2 * ambient + 4))
+    linear = polys(arity=ambient, max_terms=2, max_exp=1).filter(lambda p: all(len(m) <= 1 for m in p.terms))
+    entry = st.one_of(st.just(Poly.zero(ambient)), st.builds(lambda a, b: a * b, linear, linear))
+    vanishing = Poly.variable(ambient, 0) - 2
+    rows = []
+    for _ in range(ngens):
+        kind = draw(st.integers(min_value=0, max_value=3)) if rows else 0
+        if kind == 0:
+            rows.append([draw(entry) for _ in range(ambient)])
+        elif kind == 1:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            fa, fb = draw(coeffs), draw(coeffs)
+            rows.append([u.scaled(fa) + v.scaled(fb) for u, v in zip(a, b)])
+        else:
+            rows.append([vanishing * draw(linear) for _ in range(ambient)])
+    return [[row[i] for row in rows] for i in range(ambient)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_matrices())
+def test_structural_nullspace_of_tall_matrices_matches_every_row(matrix):
+    assert terms_of(polynomial_nullspace_structural(matrix)) == terms_of(all_row_kernel(matrix))
 
 
 def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():

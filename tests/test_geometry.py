@@ -91,7 +91,8 @@ def test_flag_chart_layout():
     chart = Chart.for_length(2)
     assert chart.names == ("t", "x0", "y0", "x1", "y1", "x2", "y2")
     assert chart.dim == 7 and chart.length == 2
-    assert chart.x_index(1) == 3 and chart.y_index(2) == 6
+    # x_k and y_k sit at 2k + 1 and 2k + 2
+    assert all(chart.index(f"x{k}") == 2 * k + 1 and chart.index(f"y{k}") == 2 * k + 2 for k in range(3))
 
 
 def test_one_chart_and_one_versor_tuple_per_length():
@@ -254,8 +255,8 @@ def test_bracket_constant_coefficient():
     # [d/dx1, x1 d/dt] = d/dt
     chart = Chart.for_length(1)
     n = chart.dim
-    dx1 = VectorField.versor(chart, chart.x_index(1))
-    x1_dt = VectorField.versor(chart, 0).scaled(Poly.variable(n, chart.x_index(1)))
+    dx1 = VectorField.versor(chart, chart.index("x1"))
+    x1_dt = VectorField.versor(chart, 0).scaled(Poly.variable(n, chart.index("x1")))
     assert lie_bracket(dx1, x1_dt) == VectorField.versor(chart, 0)
 
 
@@ -265,12 +266,12 @@ def test_bracket_with_singular_model_lead():
     dist = model("ex_2")
     chart = dist.chart
     n = chart.dim
-    dx2 = VectorField.versor(chart, chart.x_index(2))
+    dx2 = VectorField.versor(chart, chart.index("x2"))
     bracket = lie_bracket(dx2, dist.generators[0])
     expected = (
         VectorField.versor(chart, 0)
-        + VectorField.versor(chart, chart.x_index(0)).scaled(Poly.variable(n, chart.x_index(1)))
-        + VectorField.versor(chart, chart.y_index(0)).scaled(Poly.variable(n, chart.y_index(1)))
+        + VectorField.versor(chart, chart.index("x0")).scaled(Poly.variable(n, chart.index("x1")))
+        + VectorField.versor(chart, chart.index("y0")).scaled(Poly.variable(n, chart.index("y1")))
     )
     assert bracket == expected
 
