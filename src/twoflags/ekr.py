@@ -334,6 +334,8 @@ def bcd_chart(m: int, n: int) -> Chart:
 
 
 def _bcd_model(m: int, n: int) -> Distribution:
+    _check_int("m", m)
+    _check_int("n", n)
     if not 1 <= m <= n:
         raise BadModelName(f"bcd model needs 1 <= m <= n, got m={m}, n={n}")
     chart = bcd_chart(m, n)

@@ -900,19 +900,21 @@ def polynomial_nullspace(
     matrix: Sequence[Sequence[Poly]],
     at_point: Sequence[Fraction],
     *,
-    structural_rank: int | None = None,
+    structural_rank: int,
 ) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
     Pivots are chosen by exact elimination of M at ``at_point``, and _kernel
     reads the kernel off those rows, with the pivot columns first: the
     symbolic pivot minor in the free slot and the Cramer minors in the pivot
-    slots, so each output annihilates every generator identically.  Raises
-    DegeneratePivot when the rank at the point is below the structural rank,
-    which a symbolic elimination finds unless given as ``structural_rank``,
-    and ArithmeticError when the pass does not pivot on exactly those
-    columns (the pivot minor is singular).
+    slots, so each output annihilates every generator identically.
+    ``structural_rank`` is the rank of M over the polynomials, the ambient
+    dimension minus the size of polynomial_nullspace_structural(M); a rank
+    that is not an int raises ChartMismatch.  Raises DegeneratePivot when
+    the rank at the point is below it, and ArithmeticError when the pass
+    does not pivot on exactly those columns (the pivot minor is singular).
     """
+    _check_int("structural_rank", structural_rank)
     constraints = _constraints(matrix)
     ambient = len(matrix)
     if ambient == 0:
@@ -922,8 +924,6 @@ def polynomial_nullspace(
     at_point = tuple(map(exact_rational, at_point))
     evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
     pivot_rows, pivot_cols, _ = _eliminate(evaluated, reduce=False)
-    if structural_rank is None:
-        structural_rank = len(_eliminate([list(row) for row in constraints], reduce=False)[1])
     if structural_rank > len(pivot_cols):
         raise DegeneratePivot(
             "generator matrix drops rank at the reference point; no valid pivot permutation"

@@ -678,7 +678,7 @@ def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int,
     return {key: value for key, value in entries.items() if value}
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8)
 def _structural_annihilator(generators: tuple[VectorField, ...]) -> tuple[tuple[Poly, ...], ...]:
     return tuple(polynomial_nullspace_structural(list(zip(*(gen.components for gen in generators)))))
 
@@ -688,9 +688,12 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
 
     The covector basis is point-independent (it annihilates the generators
     identically), so it is cached per generator tuple, which keeps no
-    distribution alive with the values kept on it; when the cached basis
-    degenerates at the requested point the elimination is redone with pivots
-    chosen there, which raises DegeneratePivot if none exist.
+    distribution alive with the values kept on it, and holds the last 8
+    tuples: classifying a germ of length up to 10 again at another point
+    reuses its tower D^1 ... D^(r-2), while a sweep keeps no more than 8
+    members' generators.  When the cached basis degenerates at the requested
+    point the elimination is redone with pivots chosen there, at structural
+    rank n minus the basis size, which raises DegeneratePivot if none exist.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
@@ -699,7 +702,7 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     if len(covectors) == corank:
         values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
         matrix = RationalMatrix.from_columns(values, ambient=n)
-        if corank == 0 or rank_and_nullspace(matrix)[0] == corank:
+        if rank_and_nullspace(matrix)[0] == corank:
             return [OneForm(dist.chart, cov) for cov in covectors]
     matrix = list(zip(*(gen.components for gen in dist.generators)))
     covectors = polynomial_nullspace(matrix, point, structural_rank=n - len(covectors))

@@ -510,6 +510,14 @@ def test_model_bcd_components():
     assert len(dist.generators) == 4
 
 
+@pytest.mark.parametrize("m, n", [(True, 3), (2.0, 3), (2, 3.0), (1, True)])
+def test_model_bcd_takes_only_int_m_and_n(m, n):
+    # m = True would build the m = 1 model, and range(2.0) raises a bare TypeError
+    name, bad = ("m", m) if type(m) is not int else ("n", n)
+    with pytest.raises(ChartMismatch, match=f"^{name} {re.escape(repr(bad))} is not an int but a {type(bad).__name__}$"):
+        model("bcd", m=m, n=n)
+
+
 def test_builds_behind_length_two_models():
     # both length-2 models are themselves zero-constant builds
     assert model_build("ex_2").distribution.generators == model("ex_2").generators

@@ -1299,7 +1299,7 @@ def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():
 
 def test_nullspace_full_tangent_bundle_is_empty():
     versors = [[Poly.const(3, 1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert polynomial_nullspace(versors, [F(0)] * 3) == []
+    assert polynomial_nullspace(versors, [F(0)] * 3, structural_rank=3) == []
 
 
 def test_nullspace_annihilates_generators_identically():
@@ -1311,7 +1311,7 @@ def test_nullspace_annihilates_generators_identically():
     g1 = [one, zero, u1, zero]
     g2 = [zero, one, zero, zero]
     matrix = [[g1[i], g2[i]] for i in range(arity)]
-    covectors = polynomial_nullspace(matrix, [F(0)] * arity)
+    covectors = polynomial_nullspace(matrix, [F(0)] * arity, structural_rank=2)
     assert len(covectors) == 2
     for cov in covectors:
         for gen in (g1, g2):
@@ -1324,7 +1324,7 @@ def test_nullspace_annihilates_generators_identically():
 def test_nullspaces_reject_a_matrix_without_generator_columns():
     # two ambient rows and no generator column: not a distribution
     with pytest.raises(ChartMismatch):
-        polynomial_nullspace([[], []], (F(0), F(0)))
+        polynomial_nullspace([[], []], (F(0), F(0)), structural_rank=0)
     with pytest.raises(ChartMismatch):
         polynomial_nullspace_structural([[], []])
 
@@ -1334,10 +1334,19 @@ def test_nullspace_degenerate_pivot():
     arity = 2
     matrix = [[Poly.variable(arity, 0)], [Poly.zero(arity)]]
     with pytest.raises(DegeneratePivot):
-        polynomial_nullspace(matrix, [F(0), F(0)])
+        polynomial_nullspace(matrix, [F(0), F(0)], structural_rank=1)
     # at a regular point the corank is 1
-    covs = polynomial_nullspace(matrix, [F(1), F(0)])
+    covs = polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=1)
     assert len(covs) == 1
+
+
+@pytest.mark.parametrize("rank", [True, 1.0])
+def test_nullspace_rejects_a_structural_rank_that_is_not_an_int(rank):
+    # True == 1 and 1.0 == 1 would pass the rank comparison as the rank 1
+    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
+    message = f"^structural_rank {re.escape(repr(rank))} is not an int but a {type(rank).__name__}$"
+    with pytest.raises(ChartMismatch, match=message):
+        polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=rank)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1351,7 +1360,9 @@ def test_nullspace_annihilates_identically_randomized(data):
     ]
     point = tuple(data.draw(coeffs) for _ in range(ambient))
     try:
-        covectors = polynomial_nullspace(matrix, point)
+        covectors = polynomial_nullspace(
+            matrix, point, structural_rank=len(matrix) - len(polynomial_nullspace_structural(matrix))
+        )
     except DegeneratePivot:
         return
     # the rank at the point plus the corank accounts for all of the ambient space

@@ -6,10 +6,12 @@ The length-6 sweeps of the Cauchy and covariant targets against the dense
 pairing oracle, at the origin and at stress points, run when the environment
 variable TWOFLAGS_GENERIC_LEN6 is set."""
 
+import gc
 import hashlib
 import os
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import twoflags.geometry as geometry
 from twoflags.atlas import enumerate_words
 from twoflags.classify import _ClosedGeometry, singularity_class_at
-from twoflags.cli import draw_constants
+from twoflags.cli import draw_constants, run_verification
 from twoflags.ekr import EkrSpec, Word, build_ekr, closed_form_F, closed_form_L, model
 from twoflags.errors import (
     BadSyntax,
@@ -131,7 +133,7 @@ def test_point_builder():
         lambda chart: value_at(Distribution(chart, (VectorField.versor(chart, 0),)), (0, 0, 0, 0.5, 0)),
         lambda chart: Poly.variable(2, 0).eval_at((0.5, 0)),
         lambda chart: Poly.variable(3, 1).jet_at((0, 0.5, 0), 0),
-        lambda chart: polynomial_nullspace([[Poly.variable(2, 0)], [Poly.const(2, 1)]], (0.5, 0)),
+        lambda chart: polynomial_nullspace([[Poly.variable(2, 0)], [Poly.const(2, 1)]], (0.5, 0), structural_rank=1),
     ],
     ids=["Chart.point", "VectorField.eval_at", "value_at", "Poly.eval_at", "Poly.jet_at", "polynomial_nullspace"],
 )
@@ -1356,6 +1358,44 @@ def test_annihilator_raises_where_the_distribution_drops_rank():
     with pytest.raises(DegeneratePivot):
         annihilator_at(dist, chart.origin())
     assert len(annihilator_at(dist, chart.point(u0=1))) == 1
+
+
+def test_structural_annihilator_memo_keeps_few_towers():
+    # the length-4 generic sweep classifies 28 germs at the origin; what the
+    # memo keeps after it is the generators and covectors of its last 8 tower
+    # members, about 150 KiB, not those of all 56 members, about 800 KiB
+    geometry._structural_annihilator.cache_clear()
+    tracemalloc.start()
+    try:
+        assert all(outcome.passed for outcome in run_verification(4, 1, 0, True, generic=True))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 400 * 2**10, kept
+
+
+def test_structural_annihilator_memo_serves_a_germ_classified_again_at_another_point(monkeypatch):
+    # a length-4 germ at the origin, then at a seeded point: every annihilator
+    # of the second classification comes from the memo
+    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("memo")))
+    p = flag_point(build.chart, random.Random(34))
+    calls = []
+    original = geometry.annihilator_at
+
+    def counted(dist, point):
+        calls.append(point)
+        return original(dist, point)
+
+    monkeypatch.setattr(geometry, "annihilator_at", counted)
+    geometry._structural_annihilator.cache_clear()
+    singularity_class_at(build, build.chart.origin(), generic=True)
+    before = geometry._structural_annihilator.cache_info()
+    calls.clear()
+    singularity_class_at(build, p, generic=True)
+    after = geometry._structural_annihilator.cache_info()
+    assert calls and all(point == p for point in calls)
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(calls), 0)
 
 
 def test_cauchy_bcd_model():
