@@ -277,8 +277,12 @@ class Poly:
             coeff = _coefficient(coeff)
             if not coeff:
                 continue
+            if type(mono) is not tuple or not all(type(pair) is tuple and len(pair) == 2 for pair in mono):
+                raise ChartMismatch(f"monomial {mono!r} is not a tuple of (variable, exponent) pairs")
             previous = -1
             for var, exp in mono:
+                _check_int("variable index", var)
+                _check_int("exponent", exp)
                 if var <= previous or exp < 1:
                     raise ValueError(f"monomial {mono!r} is not canonical (increasing variables, positive exponents)")
                 previous = var
@@ -910,13 +914,20 @@ def polynomial_nullspace(
     slots, so each output annihilates every generator identically.
     ``structural_rank`` is the rank of M over the polynomials, the ambient
     dimension minus the size of polynomial_nullspace_structural(M); a rank
-    that is not an int raises ChartMismatch.  Raises DegeneratePivot when
-    the rank at the point is below it, and ArithmeticError when the pass
-    does not pivot on exactly those columns (the pivot minor is singular).
+    that is not an int, is outside 0..ambient or is below the rank at the
+    point, which never exceeds it, raises ChartMismatch.  Raises
+    DegeneratePivot when the rank at the point is below it, and
+    ArithmeticError when the pass does not pivot on exactly those columns
+    (the pivot minor is singular).  A rank equal to the rank at the point but
+    below the structural rank is trusted: the covectors then need not
+    annihilate the generators identically.  Certifying them would cost an
+    identity test of every non-pivot generator row.
     """
     _check_int("structural_rank", structural_rank)
     constraints = _constraints(matrix)
     ambient = len(matrix)
+    if not 0 <= structural_rank <= ambient:
+        raise ChartMismatch(f"structural_rank {structural_rank} out of range 0..{ambient}")
     if ambient == 0:
         return []
     if len(at_point) != ambient:
@@ -924,6 +935,8 @@ def polynomial_nullspace(
     at_point = tuple(map(exact_rational, at_point))
     evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
     pivot_rows, pivot_cols, _ = _eliminate(evaluated, reduce=False)
+    if structural_rank < len(pivot_cols):
+        raise ChartMismatch(f"structural_rank {structural_rank} is below the rank {len(pivot_cols)} at the point")
     if structural_rank > len(pivot_cols):
         raise DegeneratePivot(
             "generator matrix drops rank at the reference point; no valid pivot permutation"

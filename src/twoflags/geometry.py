@@ -50,6 +50,10 @@ class Chart:
 
     names: tuple[str, ...]
 
+    def __post_init__(self):
+        # a list would make the chart unhashable and unequal to its tuple twin
+        object.__setattr__(self, "names", tuple(self.names))
+
     @classmethod
     @lru_cache(maxsize=64, typed=True)
     def for_length(cls, r: int) -> "Chart":
@@ -211,6 +215,7 @@ class OneForm:
     coefficients: tuple[Poly, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if len(self.coefficients) != self.chart.dim:
             raise ChartMismatch(
                 f"{len(self.coefficients)} coefficients on a {self.chart.dim}-dimensional chart"
@@ -228,6 +233,7 @@ class Distribution:
     generators: tuple[VectorField, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ChartMismatch("a distribution needs at least one generator")
         for k, gen in enumerate(self.generators):
@@ -408,6 +414,7 @@ def big_flag(
     the generators of D^1 count against ``cap``.  D^0 is then the
     coordinate frame, which spans TM; no caller reads its value.
     """
+    _check_cap(cap)
     point = _check_point(dist.chart, point)
     dim = dist.chart.dim
     if dim % 2 == 0 or dim < 3:
@@ -658,24 +665,8 @@ def small_flag_vectors_at(
 
 
 # ---------------------------------------------------------------------------
-# Exterior derivative, Cauchy characteristics, covariant subspace
+# Annihilators, curvature pairings, Cauchy characteristics, covariant subspace
 # ---------------------------------------------------------------------------
-
-
-def _exterior_upper(form: OneForm, point: Sequence[Fraction]) -> dict[tuple[int, int], int | Fraction]:
-    """Nonzero entries (i, j) with i < j of the d(omega) matrix at a point;
-    the matrix is antisymmetric, so entry (j, i) is minus entry (i, j)."""
-    entries: dict[tuple[int, int], int | Fraction] = {}
-    for j, coeff in enumerate(form.coefficients):
-        for mono, value in coeff.jet_at(point, 1).items():
-            if not mono:
-                continue
-            i = mono[0][0]
-            if i < j:
-                entries[(i, j)] = entries.get((i, j), 0) + value
-            elif i > j:
-                entries[(j, i)] = entries.get((j, i), 0) - value
-    return {key: value for key, value in entries.items() if value}
 
 
 @lru_cache(maxsize=8)
@@ -709,39 +700,52 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     return [OneForm(dist.chart, cov) for cov in covectors]
 
 
+def _integer_gradient(form: OneForm, point: Sequence[Fraction]) -> dict[int, list[tuple[int, int]]]:
+    """m times the gradient G of the coefficients at p, G[i][j] =
+    d(omega_j)/du_i (p), as sparse integer rows i -> [(j, m * G_ij)] of its
+    nonzero entries, with m the lcm of the denominators of G.  Each
+    coefficient's first partials are read off its 1-jet, so no partial is
+    built as a polynomial."""
+    entries = [
+        (mono[0][0], j, value)
+        for j, coeff in enumerate(form.coefficients)
+        for mono, value in coeff.jet_at(point, 1).items()
+        if mono
+    ]
+    m = lcm(*(value.denominator for _, _, value in entries))
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for i, j, value in entries:
+        rows.setdefault(i, []).append((j, value.numerator * (m // value.denominator)))
+    return rows
+
+
 def _integer_pairing(
-    form: OneForm, point: tuple[Fraction, ...], columns: Sequence[Sequence[int]]
+    grad: dict[int, list[tuple[int, int]]], columns: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The pairing of the integer columns u_a under d(omega) at p, in integers.
 
-    With m the lcm of the denominators of d(omega)(p), returns I with
-    I[a][b] = m * u_b^T d(omega)(p) u_a.  Only I[a][b] for a < b is summed,
-    over the entries of d(omega)(p) above the diagonal and the nonzero
-    entries of the columns in their rows:
-    u_b^T W u_a = sum over i < j of W_ij (u_b[i] u_a[j] - u_b[j] u_a[i]).
-    W is antisymmetric, so I[b][a] = -I[a][b] and the diagonal is 0.
+    With mG the integer gradient (see _integer_gradient) and t_a = u_a^T mG,
+    returns I with I[a][b] = t_b . u_a - t_a . u_b, which is
+    m * u_b^T d(omega)(p) u_a, as d(omega)(p) = G - G^T.  Each t_a is summed
+    over the nonzero entries of u_a in the rows of mG, and each t_a . u_b
+    over the nonzero entries of the columns in the entries of t_a.
+    I[b][a] = -I[a][b] and the diagonal is 0.
     """
     d = len(columns)
-    upper = _exterior_upper(form, point)
-    m = lcm(*(v.denominator for v in upper.values()))
-    rows = {i: [(a, u[i]) for a, u in enumerate(columns) if u[i]] for key in upper for i in key}
+    reached = {j for row in grad.values() for j, _ in row}
+    at = {j: [(b, u[j]) for b, u in enumerate(columns) if u[j]] for j in reached}
     pairing = [[0] * d for _ in range(d)]
-    for (i, j), w in upper.items():
-        left, right = rows[i], rows[j]
-        if not (left and right):
-            continue
-        w = w.numerator * (m // w.denominator)
-        for a, x in right:
-            wx = w * x
-            for b, y in left:
-                # W_ij u_b[i] u_a[j] adds to I[a][b] when a < b, and to I[b][a] with the opposite sign when b < a
-                if a < b:
-                    pairing[a][b] += wx * y
-                elif b < a:
-                    pairing[b][a] -= wx * y
-    for a in range(d):
-        for b in range(a + 1, d):
-            pairing[b][a] = -pairing[a][b]
+    for a, u in enumerate(columns):
+        t: dict[int, int] = {}
+        for i, row in grad.items():
+            if u[i]:
+                for j, g in row:
+                    t[j] = t.get(j, 0) + u[i] * g
+        # t_a . u_b enters I[a][b] with a minus sign and I[b][a] with a plus sign
+        for j, v in t.items():
+            for b, y in at[j]:
+                pairing[a][b] -= v * y
+                pairing[b][a] += v * y
     return tuple(map(tuple, pairing))
 
 
@@ -759,7 +763,7 @@ def _curvature_pairings(
     the covariant and Cauchy spaces of one member at one point pair once.
     """
     columns = _integer_rows(value_at(dist, point).basis.columns())
-    return columns, tuple(_integer_pairing(form, point, columns) for form in annihilator_at(dist, point))
+    return columns, tuple(_integer_pairing(_integer_gradient(form, point), columns) for form in annihilator_at(dist, point))
 
 
 def _kernel_image(columns: list[list[int]], rows: Sequence[Sequence[int | Fraction]]) -> Subspace:

@@ -250,6 +250,26 @@ def test_poly_rejects_non_canonical_monomials(mono):
         Poly(3, {mono: F(1)})
 
 
+@pytest.mark.parametrize(
+    "mono, message",
+    [
+        (((True, 1),), "variable index True is not an int but a bool"),
+        (((0.0, 1),), "variable index 0.0 is not an int but a float"),
+        (((0, 2.0),), "exponent 2.0 is not an int but a float"),
+        (((0, True),), "exponent True is not an int but a bool"),
+        ((0,), "monomial (0,) is not a tuple of (variable, exponent) pairs"),
+        (((0, 1, 2),), "monomial ((0, 1, 2),) is not a tuple of (variable, exponent) pairs"),
+        ("u0", "monomial 'u0' is not a tuple of (variable, exponent) pairs"),
+    ],
+    ids=["bool-variable", "float-variable", "float-exponent", "bool-exponent", "bare-int", "triple", "text"],
+)
+def test_poly_admits_only_int_variables_and_exponents_in_pairs(mono, message):
+    # a bool index printed as uTrue and evaluated as u1, a float exponent
+    # printed as u0^2.0, and the rest raised a bare TypeError or ValueError
+    with pytest.raises(ChartMismatch, match=f"^{re.escape(message)}$"):
+        Poly(2, {mono: 1})
+
+
 def test_poly_canonical_monomials_compare_equal():
     assert Poly(3, {((0, 1), (1, 1)): F(1)}) == Poly.variable(3, 0) * Poly.variable(3, 1)
     with pytest.raises(ChartMismatch):
@@ -1347,6 +1367,27 @@ def test_nullspace_rejects_a_structural_rank_that_is_not_an_int(rank):
     message = f"^structural_rank {re.escape(repr(rank))} is not an int but a {type(rank).__name__}$"
     with pytest.raises(ChartMismatch, match=message):
         polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=rank)
+
+
+@pytest.mark.parametrize("point", [(F(0), F(0)), (F(1), F(0))], ids=["origin", "regular"])
+@pytest.mark.parametrize("rank", [-1, 3, 5])
+def test_nullspace_refuses_a_structural_rank_outside_the_ambient_range(point, rank):
+    # -1 at the origin returned both unit covectors, and 5 raised DegeneratePivot
+    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
+    with pytest.raises(ChartMismatch, match=f"^structural_rank {rank} out of range 0\\.\\.2$"):
+        polynomial_nullspace(matrix, point, structural_rank=rank)
+
+
+def test_nullspace_refuses_a_structural_rank_below_the_rank_at_the_point():
+    # u0 d/du0 has rank 1 at u0 = 1, and the rank at a point never exceeds the structural rank
+    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
+    with pytest.raises(ChartMismatch, match="^structural_rank 0 is below the rank 1 at the point$"):
+        polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=0)
+    # a rank equal to the rank at the point stays trusted: at the origin, where
+    # the generator vanishes, rank 0 returns both unit covectors, and du0 does
+    # not annihilate u0 d/du0 identically
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    assert polynomial_nullspace(matrix, [F(0), F(0)], structural_rank=0) == [(one, zero), (zero, one)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,8 +60,8 @@ from twoflags.geometry import (
     value_at,
     _Dedup,
     _bracket_value,
-    _exterior_upper,
     _integral,
+    _integer_gradient,
     _integer_pairing,
 )
 
@@ -397,6 +397,23 @@ def test_fields_and_distributions_refuse_parts_that_are_not_on_their_chart(make,
     # built, and failed later with a bare IndexError or AttributeError
     with pytest.raises(ChartMismatch, match=named):
         make(Chart.for_length(0))
+
+
+def test_charts_distributions_and_forms_hold_their_sequences_as_tuples():
+    # a list was kept as given: the chart was unequal to its tuple twin, and
+    # annihilator_at and cauchy_char_at raised TypeError: unhashable type: 'list'
+    dist = build_ekr(EkrSpec(Word.parse("1.2.1"))).distribution
+    chart = Chart(list(dist.chart.names))
+    assert chart.names == dist.chart.names and type(chart.names) is tuple
+    assert chart == dist.chart and hash(chart) == hash(dist.chart)
+    listed = Distribution(chart, list(dist.generators))
+    assert type(listed.generators) is tuple and listed == dist
+    point = chart.point(y0=F(1, 2))
+    forms = annihilator_at(listed, point)
+    assert forms == annihilator_at(dist, point)
+    assert cauchy_char_at(listed, point) == cauchy_char_at(dist, point)
+    form = OneForm(chart, list(forms[0].coefficients))
+    assert type(form.coefficients) is tuple and form == forms[0] and hash(form) == hash(forms[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -911,8 +928,11 @@ def test_a_cap_step_count_or_chart_length_that_is_not_an_int_is_named_with_its_t
     dist = build_ekr(EkrSpec(Word.parse("1.2.1"))).distribution
     point = dist.chart.origin()
     assert Chart.for_length(1).dim == 5
+    # on the 3-dimensional chart the tower is the frame alone, so no square meets the cap
+    frame = Distribution.frame(Chart.for_length(0))
     calls = [
         lambda: big_flag(dist, point, cap=value),
+        lambda: big_flag(frame, frame.chart.origin(), cap=value),
         lambda: lie_square(dist, cap=value),
         lambda: small_flag(dist, value),
         lambda: small_flag(dist, 2, cap=value),
@@ -929,8 +949,11 @@ def test_a_cap_step_count_or_chart_length_that_is_not_an_int_is_named_with_its_t
 def test_a_cap_below_one_is_refused_by_every_flag_function(cap):
     dist = build_ekr(EkrSpec(Word.parse("1.2.1"))).distribution
     point = dist.chart.origin()
+    frame = Distribution.frame(Chart.for_length(0))
+    assert big_flag(frame, frame.chart.origin()) == [frame]
     calls = [
         lambda: big_flag(dist, point, cap=cap),
+        lambda: big_flag(frame, frame.chart.origin(), cap=cap),
         lambda: lie_square(dist, cap=cap),
         lambda: small_flag(dist, 2, cap=cap),
         lambda: list(small_flag_vectors_at(dist, 2, point, cap=cap)),
@@ -1264,8 +1287,6 @@ def test_exterior_derivative_of_closed_forms():
     coeffs = [Poly.zero(n) for _ in range(n)]
     coeffs[chart.index("x0")] = Poly.variable(n, chart.index("x0"))
     assert exterior_derivative_at(OneForm(chart, tuple(coeffs)), chart.origin()) == zero
-    for form in (constant_form(chart, "x0"), OneForm(chart, tuple(coeffs))):
-        assert _exterior_upper(form, chart.origin()) == {}
 
 
 @settings(max_examples=50, deadline=None)
@@ -1299,17 +1320,31 @@ def test_exterior_derivative_contact_form():
                 elif (a, b) == (j, i):
                     expected = F(1)
                 assert matrix.at(a, b) == expected
-        assert _exterior_upper(OneForm(chart, tuple(coeffs)), p) == {(j, i): 1}
+
+
+def gradient_at(form: OneForm, point) -> list[list[Fraction]]:
+    """The dense gradient oracle: G[i][j] = da_j/du_i (p), from each
+    coefficient's partial derivatives as polynomials."""
+    n = form.chart.dim
+    return [[form.coefficients[j].partial(i).eval_at(point) for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_fields(), st.lists(coeffs, min_size=7, max_size=7))
-def test_exterior_upper_is_the_dense_oracle_above_the_diagonal(field, point):
+def test_integer_gradient_is_the_dense_gradient_times_its_lcm(field, point):
     form = OneForm(field.chart, field.components)
-    matrix = exterior_derivative_at(form, tuple(point))
+    dense = gradient_at(form, tuple(point))
+    m = lcm(*(v.denominator for row in dense for v in row))
+    grad = _integer_gradient(form, tuple(point))
     n = field.chart.dim
-    upper = _exterior_upper(form, tuple(point))
-    assert upper == {(i, j): matrix.at(i, j) for i in range(n) for j in range(i + 1, n) if matrix.at(i, j)}
+    # sparse rows of the nonzero entries, in integers, each m times the dense entry
+    assert all(grad[i] and all(type(v) is int and v for _, v in grad[i]) for i in grad)
+    assert {(i, j): v for i in grad for j, v in grad[i]} == {
+        (i, j): dense[i][j] * m for i in range(n) for j in range(n) if dense[i][j]
+    }
+    # d(omega)(p) = G - G^T
+    w = exterior_derivative_at(form, tuple(point))
+    assert all(w.at(i, j) == dense[i][j] - dense[j][i] for i in range(n) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1667,8 +1702,8 @@ def test_integer_pairing_scales_back_to_the_dense_formula(inputs):
             assert not any(u)
         else:
             assert u[k] / v[k] > 0 and list(u) == [x * (u[k] / v[k]) for x in v]
-    pairing = _integer_pairing(form, point, integer)
-    m = lcm(*(v.denominator for v in exterior_derivative_at(form, point).entries))
+    pairing = _integer_pairing(_integer_gradient(form, point), integer)
+    m = lcm(*(v.denominator for row in gradient_at(form, point) for v in row))
     dense = dense_pairing(form, point, integer)
     for a in range(d):
         assert pairing[a][a] == 0
