@@ -10,7 +10,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .classify import _locus_equations, singularity_locus_equations
-from .ekr import Word
+from .ekr import Word, _check_word
 from .errors import ChartMismatch
 from .exactalg import _check_int
 
@@ -98,8 +98,10 @@ def adjacencies(word: Word) -> list[Word]:
 
     Lowering j_l -> j_l - 1 is guaranteed when j_l = 3, or when j_l = 2
     and no letter 3 occurs past position l.  The full adjacency question
-    is open; only these edges are emitted.
+    is open; only these edges are emitted.  Text raises BadSyntax: parse
+    it with Word.parse.
     """
+    _check_word("word", word)
     threes, twos = _lowered(str(word))
     return [Word.parse(text) for text in threes + twos]
 

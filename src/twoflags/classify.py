@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import ChartMismatch, NotSpecialFlag
-from .ekr import EkrBuild, Word, _versors_from, closed_form_F, closed_form_L
+from .ekr import EkrBuild, Word, _check_word, _versors_from, closed_form_F, closed_form_L
 from .geometry import (
     DEFAULT_GENERATOR_CAP,
     Distribution,
@@ -244,6 +244,8 @@ def singularity_locus_equations(word: Word) -> tuple[str, ...]:
 
     x_k = 0 for every position k carrying the letter 2, and x_s = 0 = y_s
     for every position s carrying the letter 3; the number of equations is
-    the codimension of the class.
+    the codimension of the class.  Text raises BadSyntax: parse it with
+    Word.parse.
     """
+    _check_word("word", word)
     return _locus_equations(word.letters, 1)

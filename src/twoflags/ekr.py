@@ -133,6 +133,12 @@ def _parse_constants(data: Mapping, kind: str) -> dict[int, Fraction]:
     return out
 
 
+def _check_word(name: str, value) -> None:
+    """Admit only a Word: text has to go through Word.parse first."""
+    if not isinstance(value, Word):
+        raise BadSyntax(f"{name} {value!r} is not a Word but a {type(value).__name__}: parse text with Word.parse")
+
+
 @dataclass(frozen=True)
 class EkrSpec:
     """A word plus its admitted shift constants (1-based step -> value).
@@ -150,10 +156,7 @@ class EkrSpec:
     c: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.word, Word):
-            raise BadSyntax(
-                f"spec word {self.word!r} is not a Word but a {type(self.word).__name__}: parse text with Word.parse"
-            )
+        _check_word("spec word", self.word)
         for kind, admits in (("b", _admits_b), ("c", _admits_c)):
             values = {}
             for step, value in getattr(self, kind).items():
@@ -309,6 +312,7 @@ def _versors_from(chart: Chart, first: int) -> tuple[VectorField, ...]:
 
 def closed_form_F(r: int) -> Distribution:
     """F = (d/dx1, d/dy1, ..., d/dxr, d/dyr) on the length-r flag chart."""
+    _check_int("length", r)
     if r < 1:
         raise IndexOutOfRange(f"length must be >= 1, got {r}")
     chart = Chart.for_length(r)
@@ -318,6 +322,7 @@ def closed_form_F(r: int) -> Distribution:
 def closed_form_L(j: int, r: int) -> Distribution:
     """L of flag member j: (d/dx_{j+1}, ..., d/dyr) for 1 <= j <= r - 1."""
     _check_int("flag member", j)
+    _check_int("length", r)
     if not 1 <= j <= r - 1:
         raise IndexOutOfRange(f"L is a distribution only for 1 <= j <= {r - 1}, got {j}")
     chart = Chart.for_length(r)

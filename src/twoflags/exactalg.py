@@ -900,51 +900,51 @@ def _kernel(
     return covectors, pivots
 
 
-def polynomial_nullspace(
-    matrix: Sequence[Sequence[Poly]],
-    at_point: Sequence[Fraction],
-    *,
-    structural_rank: int,
-) -> list[tuple[Poly, ...]]:
+def _pivots_at(constraints: Sequence[Sequence[Poly]], point: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """Pivot rows and columns of one forward _eliminate of the constraint
+    rows evaluated at ``point``."""
+    values = _integer_rows([x.eval_at(point) if x.terms else _ZERO for x in row] for row in constraints)
+    return _eliminate(values, reduce=False)[:2]
+
+
+def _certified_kernel(
+    constraints: Sequence[Sequence[Poly]], rows: Sequence[int], columns: Sequence[int], arity: int
+) -> tuple[list[tuple[Poly, ...]] | None, list[int]]:
+    """_kernel of the constraint ``rows``, with None for the covectors unless
+    each annihilates every other row identically, which puts those rows in
+    the span of ``rows`` over the fraction field."""
+    covectors, pivots = _kernel(constraints, rows, columns, arity)
+    chosen = set(rows)
+    others = [row for r, row in enumerate(constraints) if r not in chosen]
+    certified = all(_annihilates_identically(cov, row) for row in others for cov in covectors)
+    return covectors if certified else None, pivots
+
+
+def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fraction]) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
     Pivots are chosen by exact elimination of M at ``at_point``, and _kernel
     reads the kernel off those rows, with the pivot columns first: the
     symbolic pivot minor in the free slot and the Cramer minors in the pivot
-    slots, so each output annihilates every generator identically.
-    ``structural_rank`` is the rank of M over the polynomials, the ambient
-    dimension minus the size of polynomial_nullspace_structural(M); a rank
-    that is not an int, is outside 0..ambient or is below the rank at the
-    point, which never exceeds it, raises ChartMismatch.  Raises
-    DegeneratePivot when the rank at the point is below it, and
-    ArithmeticError when the pass does not pivot on exactly those columns
-    (the pivot minor is singular).  A rank equal to the rank at the point but
-    below the structural rank is trusted: the covectors then need not
-    annihilate the generators identically.  Certifying them would cost an
-    identity test of every non-pivot generator row.
+    slots.  Each covector is certified to annihilate every other generator
+    identically; a failed certificate means the rank at the point is below
+    the rank of M over the polynomials, and raises DegeneratePivot.  Raises
+    ArithmeticError when the pass does not pivot on exactly the pivot
+    columns (the pivot minor is singular).
     """
-    _check_int("structural_rank", structural_rank)
     constraints = _constraints(matrix)
     ambient = len(matrix)
-    if not 0 <= structural_rank <= ambient:
-        raise ChartMismatch(f"structural_rank {structural_rank} out of range 0..{ambient}")
     if ambient == 0:
         return []
     if len(at_point) != ambient:
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
-    at_point = tuple(map(exact_rational, at_point))
-    evaluated = _integer_rows([entry.eval_at(at_point) if entry.terms else _ZERO for entry in row] for row in constraints)
-    pivot_rows, pivot_cols, _ = _eliminate(evaluated, reduce=False)
-    if structural_rank < len(pivot_cols):
-        raise ChartMismatch(f"structural_rank {structural_rank} is below the rank {len(pivot_cols)} at the point")
-    if structural_rank > len(pivot_cols):
-        raise DegeneratePivot(
-            "generator matrix drops rank at the reference point; no valid pivot permutation"
-        )
+    pivot_rows, pivot_cols = _pivots_at(constraints, tuple(map(exact_rational, at_point)))
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    covectors, pivots = _kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
+    covectors, pivots = _certified_kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
     if pivots != list(range(len(pivot_cols))):
         raise ArithmeticError("pivot minor is singular")
+    if covectors is None:
+        raise DegeneratePivot("generator matrix drops rank at the reference point; no valid pivot permutation")
     return covectors
 
 
@@ -957,23 +957,21 @@ def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tu
     A tall matrix, with more generator rows than twice its coordinates,
     first has its rows eliminated at the integral probe u_i = i + 2: the
     _kernel of the rows up to that pass's last pivot row is returned once
-    each of its covectors annihilates every later generator identically.
-    That certifies every later row to lie in the span of the prefix over
-    the fraction field, so the all-row pass would pivot on the same rows and
-    columns, whose entries alone give the covectors: the output is the same
-    term for term.  When the probe under-ranks, a check fails and every row
-    is eliminated.  On a shorter matrix the probe costs about what it saves.
+    it is certified against every later generator.  Every later row then
+    lies in the span of the prefix over the fraction field, so the all-row
+    pass would pivot on the same rows and columns, whose entries alone give
+    the covectors: the output is the same term for term.  When the probe
+    under-ranks, the certificate fails and every row is eliminated.  On a
+    shorter matrix the probe costs about what it saves.
     """
     constraints = _constraints(matrix)
     if not matrix:
         return []
     arity, columns = matrix[0][0].arity, range(len(matrix))
     if len(constraints) > 2 * len(matrix):
-        probe = tuple(range(2, arity + 2))
-        values = _integer_rows([x.eval_at(probe) if x.terms else _ZERO for x in row] for row in constraints)
-        prefix = max(_eliminate(values, reduce=False)[0], default=-1) + 1
-        covectors = _kernel(constraints, range(prefix), columns, arity)[0]
-        if all(_annihilates_identically(cov, row) for row in constraints[prefix:] for cov in covectors):
+        prefix = max(_pivots_at(constraints, tuple(range(2, arity + 2)))[0], default=-1) + 1
+        covectors = _certified_kernel(constraints, range(prefix), columns, arity)[0]
+        if covectors is not None:
             return covectors
     return _kernel(constraints, range(len(constraints)), columns, arity)[0]
 

@@ -682,22 +682,19 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     distribution alive with the values kept on it, and holds the last 8
     tuples: classifying a germ of length up to 10 again at another point
     reuses its tower D^1 ... D^(r-2), while a sweep keeps no more than 8
-    members' generators.  When the cached basis degenerates at the requested
-    point the elimination is redone with pivots chosen there, at structural
-    rank n minus the basis size, which raises DegeneratePivot if none exist.
+    members' generators.  When the cached basis's values at the requested
+    point do not span the annihilator of D(p), polynomial_nullspace redoes
+    the elimination with pivots chosen there, which raises DegeneratePivot
+    when the rank at the point is below the rank over the polynomials.
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
     covectors = _structural_annihilator(dist.generators)
-    corank = n - value_at(dist, point).dim
-    if len(covectors) == corank:
-        values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
-        matrix = RationalMatrix.from_columns(values, ambient=n)
-        if rank_and_nullspace(matrix)[0] == corank:
-            return [OneForm(dist.chart, cov) for cov in covectors]
+    values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
+    if rank_and_nullspace(RationalMatrix.from_columns(values, ambient=n))[0] == n - value_at(dist, point).dim:
+        return [OneForm(dist.chart, cov) for cov in covectors]
     matrix = list(zip(*(gen.components for gen in dist.generators)))
-    covectors = polynomial_nullspace(matrix, point, structural_rank=n - len(covectors))
-    return [OneForm(dist.chart, cov) for cov in covectors]
+    return [OneForm(dist.chart, cov) for cov in polynomial_nullspace(matrix, point)]
 
 
 def _integer_gradient(form: OneForm, point: Sequence[Fraction]) -> dict[int, list[tuple[int, int]]]:

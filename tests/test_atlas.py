@@ -28,7 +28,7 @@ from twoflags.atlas import (
 from twoflags.classify import singularity_class_at, singularity_locus_equations
 from twoflags.cli import main, run_verification
 from twoflags.ekr import EkrSpec, Word, build_ekr
-from twoflags.errors import ChartMismatch
+from twoflags.errors import BadSyntax, ChartMismatch
 
 # the fourteen classes of length 4
 LENGTH_FOUR_CLASSES = [
@@ -142,6 +142,16 @@ def test_adjacency_examples():
     assert {str(w) for w in adjacencies(Word.parse("1.2.3"))} == {"1.2.2"}
     assert {str(w) for w in adjacencies(Word.parse("1.2.3.2"))} == {"1.2.2.2", "1.2.3.1"}
     assert adjacencies(Word.parse("1.1.1")) == []
+
+
+@pytest.mark.parametrize("function", [adjacencies, codimension, singularity_locus_equations])
+@pytest.mark.parametrize("value", ["1.3", "1.2", (1, 2)])
+def test_word_functions_take_only_a_word(function, value):
+    # adjacencies("1.3") returned [Word(1.2)] for text that is no word, and
+    # codimension("1.2") and singularity_locus_equations("1.2") raised AttributeError
+    message = re.escape(f"word {value!r} is not a Word but a {type(value).__name__}: parse text with Word.parse")
+    with pytest.raises(BadSyntax, match=message):
+        function(value)
 
 
 def test_adjacency_chains_from_the_text():

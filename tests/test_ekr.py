@@ -457,6 +457,17 @@ def test_closed_form_L_takes_only_an_int():
             closed_form_L(j, 4)
 
 
+@pytest.mark.parametrize("r", ["3", True])
+def test_closed_forms_take_only_an_int_length(r):
+    # "3" raised a bare TypeError, and True == 1 made closed_form_L(1, True)
+    # report the empty range 1 <= j <= 0
+    message = re.escape(f"length {r!r} is not an int but a {type(r).__name__}")
+    with pytest.raises(ChartMismatch, match=message):
+        closed_form_F(r)
+    with pytest.raises(ChartMismatch, match=message):
+        closed_form_L(1, r)
+
+
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------

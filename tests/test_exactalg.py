@@ -139,8 +139,7 @@ def oracle_cramer_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) ->
 
 def structural_pivots(rows) -> tuple[list[int], list[int]]:
     """Pivot rows and columns for the rank over the fraction field: one
-    forward _eliminate of a copy, as polynomial_nullspace runs it when no
-    structural rank is given."""
+    forward _eliminate of a copy."""
     return _eliminate([list(row) for row in rows], reduce=False)[:2]
 
 
@@ -1319,7 +1318,7 @@ def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():
 
 def test_nullspace_full_tangent_bundle_is_empty():
     versors = [[Poly.const(3, 1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert polynomial_nullspace(versors, [F(0)] * 3, structural_rank=3) == []
+    assert polynomial_nullspace(versors, [F(0)] * 3) == []
 
 
 def test_nullspace_annihilates_generators_identically():
@@ -1331,7 +1330,7 @@ def test_nullspace_annihilates_generators_identically():
     g1 = [one, zero, u1, zero]
     g2 = [zero, one, zero, zero]
     matrix = [[g1[i], g2[i]] for i in range(arity)]
-    covectors = polynomial_nullspace(matrix, [F(0)] * arity, structural_rank=2)
+    covectors = polynomial_nullspace(matrix, [F(0)] * arity)
     assert len(covectors) == 2
     for cov in covectors:
         for gen in (g1, g2):
@@ -1344,50 +1343,22 @@ def test_nullspace_annihilates_generators_identically():
 def test_nullspaces_reject_a_matrix_without_generator_columns():
     # two ambient rows and no generator column: not a distribution
     with pytest.raises(ChartMismatch):
-        polynomial_nullspace([[], []], (F(0), F(0)), structural_rank=0)
+        polynomial_nullspace([[], []], (F(0), F(0)))
     with pytest.raises(ChartMismatch):
         polynomial_nullspace_structural([[], []])
 
 
 def test_nullspace_degenerate_pivot():
-    # single generator u0 d/du0 vanishes at the origin but not generically
+    # single generator u0 d/du0 vanishes at the origin but not generically:
+    # the pivots at the origin give du0 and du1, and du0 does not annihilate
+    # u0 d/du0 identically, so the certificate fails
     arity = 2
     matrix = [[Poly.variable(arity, 0)], [Poly.zero(arity)]]
     with pytest.raises(DegeneratePivot):
-        polynomial_nullspace(matrix, [F(0), F(0)], structural_rank=1)
+        polynomial_nullspace(matrix, [F(0), F(0)])
     # at a regular point the corank is 1
-    covs = polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=1)
+    covs = polynomial_nullspace(matrix, [F(1), F(0)])
     assert len(covs) == 1
-
-
-@pytest.mark.parametrize("rank", [True, 1.0])
-def test_nullspace_rejects_a_structural_rank_that_is_not_an_int(rank):
-    # True == 1 and 1.0 == 1 would pass the rank comparison as the rank 1
-    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
-    message = f"^structural_rank {re.escape(repr(rank))} is not an int but a {type(rank).__name__}$"
-    with pytest.raises(ChartMismatch, match=message):
-        polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=rank)
-
-
-@pytest.mark.parametrize("point", [(F(0), F(0)), (F(1), F(0))], ids=["origin", "regular"])
-@pytest.mark.parametrize("rank", [-1, 3, 5])
-def test_nullspace_refuses_a_structural_rank_outside_the_ambient_range(point, rank):
-    # -1 at the origin returned both unit covectors, and 5 raised DegeneratePivot
-    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
-    with pytest.raises(ChartMismatch, match=f"^structural_rank {rank} out of range 0\\.\\.2$"):
-        polynomial_nullspace(matrix, point, structural_rank=rank)
-
-
-def test_nullspace_refuses_a_structural_rank_below_the_rank_at_the_point():
-    # u0 d/du0 has rank 1 at u0 = 1, and the rank at a point never exceeds the structural rank
-    matrix = [[Poly.variable(2, 0)], [Poly.zero(2)]]
-    with pytest.raises(ChartMismatch, match="^structural_rank 0 is below the rank 1 at the point$"):
-        polynomial_nullspace(matrix, [F(1), F(0)], structural_rank=0)
-    # a rank equal to the rank at the point stays trusted: at the origin, where
-    # the generator vanishes, rank 0 returns both unit covectors, and du0 does
-    # not annihilate u0 d/du0 identically
-    one, zero = Poly.const(2, 1), Poly.zero(2)
-    assert polynomial_nullspace(matrix, [F(0), F(0)], structural_rank=0) == [(one, zero), (zero, one)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1400,15 +1371,16 @@ def test_nullspace_annihilates_identically_randomized(data):
         for _ in range(ambient)
     ]
     point = tuple(data.draw(coeffs) for _ in range(ambient))
-    try:
-        covectors = polynomial_nullspace(
-            matrix, point, structural_rank=len(matrix) - len(polynomial_nullspace_structural(matrix))
-        )
-    except DegeneratePivot:
-        return
-    # the rank at the point plus the corank accounts for all of the ambient space
+    # the rank over the polynomials, derived without the pointwise certificate
+    polynomial_rank = ambient - len(polynomial_nullspace_structural(matrix))
     values = [[matrix[i][g].eval_at(point) for g in range(ngens)] for i in range(ambient)]
     rank, _ = rank_and_nullspace(RationalMatrix.from_rows(values))
+    if rank < polynomial_rank:
+        with pytest.raises(DegeneratePivot):
+            polynomial_nullspace(matrix, point)
+        return
+    covectors = polynomial_nullspace(matrix, point)
+    # the rank at the point plus the corank accounts for all of the ambient space
     assert len(covectors) == ambient - rank
     for cov in covectors:
         for g in range(ngens):

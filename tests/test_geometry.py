@@ -133,7 +133,7 @@ def test_point_builder():
         lambda chart: value_at(Distribution(chart, (VectorField.versor(chart, 0),)), (0, 0, 0, 0.5, 0)),
         lambda chart: Poly.variable(2, 0).eval_at((0.5, 0)),
         lambda chart: Poly.variable(3, 1).jet_at((0, 0.5, 0), 0),
-        lambda chart: polynomial_nullspace([[Poly.variable(2, 0)], [Poly.const(2, 1)]], (0.5, 0), structural_rank=1),
+        lambda chart: polynomial_nullspace([[Poly.variable(2, 0)], [Poly.const(2, 1)]], (0.5, 0)),
     ],
     ids=["Chart.point", "VectorField.eval_at", "value_at", "Poly.eval_at", "Poly.jet_at", "polynomial_nullspace"],
 )
