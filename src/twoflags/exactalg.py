@@ -861,12 +861,22 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
     """The rows of an ambient x generators matrix, transposed: one constraint
     row per generator, one column per ambient coordinate.  Like a
-    Distribution, a matrix with ambient rows needs a generator column."""
+    Distribution, a matrix with ambient rows needs a generator column, and
+    every entry must be a Poly of the arity of entry (0, 0)."""
     ngens = len(matrix[0]) if matrix else 0
     if matrix and not ngens:
         raise ChartMismatch("polynomial matrix needs at least one generator column")
     if any(len(row) != ngens for row in matrix):
         raise ChartMismatch("ragged polynomial matrix")
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            # entry (0, 0) is checked first, so it is a Poly when later entries are compared with it
+            if not isinstance(x, Poly):
+                raise ChartMismatch(f"entry ({i}, {j}) of the polynomial matrix is not a Poly but a {type(x).__name__}")
+            if x.arity != matrix[0][0].arity:
+                raise ChartMismatch(
+                    f"entry ({i}, {j}) of the polynomial matrix has arity {x.arity}, entry (0, 0) {matrix[0][0].arity}"
+                )
     return list(zip(*matrix))
 
 
@@ -900,26 +910,6 @@ def _kernel(
     return covectors, pivots
 
 
-def _pivots_at(constraints: Sequence[Sequence[Poly]], point: Sequence[Fraction]) -> tuple[list[int], list[int]]:
-    """Pivot rows and columns of one forward _eliminate of the constraint
-    rows evaluated at ``point``."""
-    values = _integer_rows([x.eval_at(point) if x.terms else _ZERO for x in row] for row in constraints)
-    return _eliminate(values, reduce=False)[:2]
-
-
-def _certified_kernel(
-    constraints: Sequence[Sequence[Poly]], rows: Sequence[int], columns: Sequence[int], arity: int
-) -> tuple[list[tuple[Poly, ...]] | None, list[int]]:
-    """_kernel of the constraint ``rows``, with None for the covectors unless
-    each annihilates every other row identically, which puts those rows in
-    the span of ``rows`` over the fraction field."""
-    covectors, pivots = _kernel(constraints, rows, columns, arity)
-    chosen = set(rows)
-    others = [row for r, row in enumerate(constraints) if r not in chosen]
-    certified = all(_annihilates_identically(cov, row) for row in others for cov in covectors)
-    return covectors if certified else None, pivots
-
-
 def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fraction]) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
@@ -938,12 +928,16 @@ def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fr
         return []
     if len(at_point) != ambient:
         raise ChartMismatch(f"point has {len(at_point)} coordinates, ambient is {ambient}")
-    pivot_rows, pivot_cols = _pivots_at(constraints, tuple(map(exact_rational, at_point)))
+    point = tuple(map(exact_rational, at_point))
+    values = _integer_rows([x.eval_at(point) if x.terms else _ZERO for x in row] for row in constraints)
+    pivot_rows, pivot_cols, _ = _eliminate(values, reduce=False)
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    covectors, pivots = _certified_kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
+    covectors, pivots = _kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
     if pivots != list(range(len(pivot_cols))):
         raise ArithmeticError("pivot minor is singular")
-    if covectors is None:
+    chosen = set(pivot_rows)
+    others = [row for r, row in enumerate(constraints) if r not in chosen]
+    if not all(_annihilates_identically(cov, row) for row in others for cov in covectors):
         raise DegeneratePivot("generator matrix drops rank at the reference point; no valid pivot permutation")
     return covectors
 
@@ -953,27 +947,11 @@ def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tu
     every generator row, in column order.  The covectors annihilate every
     generator identically; their values are a basis of the pointwise
     annihilator wherever the rank is structural and they stay independent.
-
-    A tall matrix, with more generator rows than twice its coordinates,
-    first has its rows eliminated at the integral probe u_i = i + 2: the
-    _kernel of the rows up to that pass's last pivot row is returned once
-    it is certified against every later generator.  Every later row then
-    lies in the span of the prefix over the fraction field, so the all-row
-    pass would pivot on the same rows and columns, whose entries alone give
-    the covectors: the output is the same term for term.  When the probe
-    under-ranks, the certificate fails and every row is eliminated.  On a
-    shorter matrix the probe costs about what it saves.
     """
     constraints = _constraints(matrix)
     if not matrix:
         return []
-    arity, columns = matrix[0][0].arity, range(len(matrix))
-    if len(constraints) > 2 * len(matrix):
-        prefix = max(_pivots_at(constraints, tuple(range(2, arity + 2)))[0], default=-1) + 1
-        covectors = _certified_kernel(constraints, range(prefix), columns, arity)[0]
-        if covectors is not None:
-            return covectors
-    return _kernel(constraints, range(len(constraints)), columns, arity)[0]
+    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]
 
 
 def _annihilates_identically(covector: Sequence[Poly], row: Sequence[Poly]) -> bool:

@@ -34,8 +34,10 @@ from .exactalg import (
     polynomial_nullspace_structural,
     rank_and_nullspace,
     span_includes,
+    _annihilates_identically,
     _canonical,
     _check_int,
+    _eliminate,
     _integer_rows,
     _mul_into,
     _ZERO,
@@ -401,18 +403,28 @@ def big_flag(
     point: Sequence[Fraction],
     cap: int = DEFAULT_GENERATOR_CAP,
 ) -> list[Distribution]:
-    """Tower of consecutive Lie squares (D^r, D^(r-1), ..., D^0), validated at ``point``.
+    """Tower of certified frames of consecutive Lie squares (D^r, D^(r-1),
+    ..., D^0) at ``point``.
 
     Raises NotSpecialFlag unless the pointwise ranks run 3, 5, ..., dim and
     the tower reaches full rank within (dim - 3) / 2 steps.
 
-    The value at ``point`` of each member D^r, ..., D^1 stays with it (see
-    value_at).
+    D^r is ``dist`` as given.  Each of D^(r-1), ..., D^1 is a frame: the
+    fields of lie_square(previous member) whose values at ``point`` are each
+    independent of the values before them (one forward elimination), so the
+    frames are nested, as a square lists the member's own fields first.  A
+    frame is certified: every other field of the square is annihilated
+    identically by the frame's structural covectors, so it lies in the
+    frame's span over the rational functions, and with the frame
+    independent at p the square is locally free there with the frame as its
+    basis.  Otherwise NotSpecialFlag names the square that is not locally
+    free.  The certificate leaves the frame's covectors in the memo that
+    annihilator_at reads, and the frame's value at ``point`` stays with it
+    (see value_at).
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
-    decided at the point and built as no field (see _square_rank_at): only
-    the generators of D^1 count against ``cap``.  D^0 is then the
-    coordinate frame, which spans TM; no caller reads its value.
+    decided at the point and built as no field (see _square_rank_at).  D^0
+    is then the coordinate frame, which spans TM; no caller reads its value.
     """
     _check_cap(cap)
     point = _check_point(dist.chart, point)
@@ -424,18 +436,24 @@ def big_flag(
     rank = value_at(dist, point).dim
     if rank != 3:
         raise NotSpecialFlag(f"bottom member has pointwise rank {rank}, expected 3")
-    for step in range(steps):
-        expected = 3 + 2 * (step + 1)
-        if step < steps - 1:
-            nxt = lie_square(tower[-1], cap=cap)
+    for step in range(1, steps + 1):
+        expected = 3 + 2 * step
+        if step < steps:
+            square = lie_square(tower[-1], cap=cap).generators
+            _, pivots, _ = _eliminate(_integer_rows(zip(*(g._value(point) for g in square))), reduce=False)
+            nxt = Distribution._of(dist.chart, tuple(square[c] for c in pivots))
             rank = value_at(nxt, point).dim
         else:
             rank = _square_rank_at(tower[-1], point, cap)
             nxt = Distribution.frame(dist.chart)
         if rank != expected:
-            raise NotSpecialFlag(
-                f"Lie square number {step + 1} has pointwise rank {rank}, expected {expected}"
-            )
+            raise NotSpecialFlag(f"Lie square number {step} has pointwise rank {rank}, expected {expected}")
+        if step < steps:
+            covectors = _structural_annihilator(nxt.generators)
+            chosen = set(pivots)
+            others = (g for c, g in enumerate(square) if c not in chosen)
+            if not all(_annihilates_identically(cov, g.components) for g in others for cov in covectors):
+                raise NotSpecialFlag(f"Lie square number {step} is not locally free at the point")
         tower.append(nxt)
     return tower
 
@@ -680,9 +698,10 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     The covector basis is point-independent (it annihilates the generators
     identically), so it is cached per generator tuple, which keeps no
     distribution alive with the values kept on it, and holds the last 8
-    tuples: classifying a germ of length up to 10 again at another point
-    reuses its tower D^1 ... D^(r-2), while a sweep keeps no more than 8
-    members' generators.  When the cached basis's values at the requested
+    tuples: big_flag's certificate fills it for each frame, so the targets
+    of a germ of length up to 10 read the covectors of its frames D^1 ...
+    D^(r-2) from it, while a sweep keeps no more than 8 members'
+    generators.  When the cached basis's values at the requested
     point do not span the annihilator of D(p), polynomial_nullspace redoes
     the elimination with pivots chosen there, which raises DegeneratePivot
     when the rank at the point is below the rank over the polynomials.

@@ -1,7 +1,6 @@
 """Sandwich and singularity classification, locus equations, report format."""
 
 import json
-import os
 import random
 import re
 from fractions import Fraction
@@ -208,6 +207,26 @@ def test_a_germ_without_a_covariant_subdistribution_is_not_a_special_flag():
             singularity_class_at(dist, point, generic=True)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_first_square_that_is_not_locally_free_is_named(r):
+    # D = <d0, d1 + u0 d3, d2 + u0 d4 + u0 u1 d5 + u3 d6 (+ u5 d7 + u6 d8)>:
+    # [D, D] adds d3, d4 + u1 d5 and u0 (d5 + d6), so the first square has
+    # rank 5 at the origin, as a special 2-flag's must, but rank 6 off u0 = 0
+    chart = Chart.for_length(r)
+    n = chart.dim
+    u = [Poly.variable(n, i) for i in range(n)]
+    versor = lambda i: VectorField.versor(chart, i)
+    third = versor(2) + versor(4).scaled(u[0]) + versor(5).scaled(u[0] * u[1]) + versor(6).scaled(u[3])
+    if r == 3:
+        third = third + versor(7).scaled(u[5]) + versor(8).scaled(u[6])
+    dist = Distribution(chart, (versor(0), versor(1) + versor(3).scaled(u[0]), third))
+    square = lie_square(dist)
+    assert value_at(square, chart.origin()).dim == 5
+    assert value_at(square, chart.point(t=1)).dim == 6
+    with pytest.raises(NotSpecialFlag, match="^Lie square number 1 is not locally free at the point$"):
+        singularity_class_at(dist, chart.origin(), generic=True)
+
+
 def test_generic_mode_agrees_on_models():
     for name in ("ca_2", "ex_2"):
         build = model_build(name)
@@ -276,13 +295,9 @@ def test_generic_mode_agrees_on_full_reports_at_length_five():
     assert refined == 36
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TWOFLAGS_GENERIC_LEN6"),
-    reason="the length-6 closed-vs-generic gate is opt-in (set TWOFLAGS_GENERIC_LEN6=1)",
-)
 def test_generic_mode_agrees_on_full_reports_at_length_six():
     # every one of the 122 words of length 6 at the origin with zero constants;
-    # the worst word, 1.2.3.3.3.3, builds its generic tower in about 16 s
+    # the generic towers are frames, so the whole sweep takes about 2 s
     from twoflags.atlas import enumerate_words
 
     words = list(enumerate_words(6))
@@ -296,13 +311,17 @@ def test_generic_mode_agrees_on_full_reports_at_length_six():
 
 
 def test_generic_route_decides_with_a_cap_below_the_polynomial_last_square():
-    # D^1 of 1.2.3.3 has 15 generators and [D^1, D^1] 55; the last square is
-    # decided at the point, so only D^1's generators count against the cap
+    # the frames D^3, D^2, D^1 of 1.2.3.3 come from squares of 5, 8 and 13
+    # fields, and [D^1, D^1] of its frame of 9 has 22; the last square is
+    # decided at the point, so only the squares that big_flag builds count
+    # against the cap
     build = build_ekr(EkrSpec(Word.parse("1.2.3.3")))
     point = build.chart.origin()
-    d1 = big_flag(build.distribution, point)[-2]
-    cap, square = len(d1.generators), len(lie_square(d1).generators)
-    assert (cap, square) == (15, 55)
+    tower = big_flag(build.distribution, point)
+    built = [len(lie_square(member).generators) for member in tower[:-2]]
+    d1 = tower[-2]
+    cap, square = max(built), len(lie_square(d1).generators)
+    assert (built, len(d1.generators), square) == ([5, 8, 13], 9, 22)
     expected = singularity_class_at(build, point)
     for c in (cap, square - 1):
         assert singularity_class_at(build, point, generic=True, cap=c) == expected, c

@@ -1207,13 +1207,6 @@ def test_structural_nullspace_reduces_rows_above_a_skipped_column():
             assert sum((c * e for c, e in zip(cov, row)), Poly.zero(4)).is_zero()
 
 
-def all_row_kernel(matrix) -> list[tuple[Poly, ...]]:
-    """The _kernel of every generator row: polynomial_nullspace_structural's
-    answer with no prefix tried."""
-    constraints = _constraints(matrix)
-    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]
-
-
 @pytest.fixture
 def kernel_row_counts(monkeypatch):
     """The number of constraint rows of each _kernel call, in call order."""
@@ -1229,78 +1222,23 @@ def kernel_row_counts(monkeypatch):
 
 
 def test_structural_nullspace_of_every_tower_member_up_to_length_five(kernel_row_counts):
-    """D^r, ..., D^1 of every word of lengths 2-5 at the origin, with zero
-    constants and one seeded draw: the same covectors, term for term, as
-    the _kernel of every row; each tall member (its rows more than twice its
-    coordinates) is answered from the certified prefix alone."""
-    tall = 0
+    """D^r and the frames D^(r-1), ..., D^1 of every word of lengths 2-5 at
+    the origin, with zero constants and one seeded draw: no member has more
+    generator rows than coordinates, one _kernel pass reads every row, and
+    the covectors are the Cramer oracle's, term for term."""
     for r in range(2, 6):
         for word in enumerate_words(r):
             for spec in (EkrSpec(word, {}, {}), draw_constants(word, random.Random(f"prefix|{word}"))):
                 build = build_ekr(spec)
                 for member in big_flag(build.distribution, build.chart.origin())[:-1]:
                     matrix = list(zip(*(gen.components for gen in member.generators)))
+                    rows = [gen.components for gen in member.generators]
                     kernel_row_counts.clear()
                     got = polynomial_nullspace_structural(matrix)
-                    (rows,) = kernel_row_counts
-                    assert terms_of(got) == terms_of(all_row_kernel(matrix)), (spec, len(member.generators))
-                    if len(member.generators) > 2 * len(matrix):
-                        tall += 1
-                        assert rows < len(member.generators), (spec, rows)
-                    else:
-                        assert rows == len(member.generators)
-    # the 55- and 44-row D^1 of the deep length-5 words, among others
-    assert tall > 0
-
-
-def test_structural_nullspace_rejects_a_prefix_that_the_probe_under_ranks(kernel_row_counts):
-    """Row 1 and its multiples vanish at the probe u_i = i + 2, as u0 - 2
-    divides them, so the probe pass pivots on row 0 alone: the prefix's
-    two covectors do not annihilate row 1, and every row is eliminated."""
-    u0, u1, u2 = (Poly.variable(3, i) for i in range(3))
-    one, zero = Poly.const(3, 1), Poly.zero(3)
-    a = [one, u1, u2]
-    b = [x * (u0 - 2) for x in (u1, zero, one)]
-    rows = [a, b, [x * u2 for x in a], [x * u1 for x in b], [x + y for x, y in zip(a, b)], [x * u0 for x in a], b]
-    matrix = [list(column) for column in zip(*rows)]
-    assert len(rows) > 2 * len(matrix)
-    got = polynomial_nullspace_structural(matrix)
-    assert kernel_row_counts == [1, len(rows)]
-    assert terms_of(got) == terms_of(all_row_kernel(matrix))
-    (cov,) = got
-    for row in rows:
-        assert sum((c * e for c, e in zip(cov, row)), Poly.zero(3)).is_zero()
-
-
-@st.composite
-def tall_matrices(draw):
-    """An ambient x generators matrix with more than twice as many generators
-    as coordinates, entries of degree at most 2.  Later generators may be
-    rational combinations of earlier ones, and some carry the factor u0 - 2,
-    which vanishes at the probe."""
-    ambient = draw(st.integers(min_value=1, max_value=3))
-    ngens = draw(st.integers(min_value=2 * ambient + 1, max_value=2 * ambient + 4))
-    linear = polys(arity=ambient, max_terms=2, max_exp=1).filter(lambda p: all(len(m) <= 1 for m in p.terms))
-    entry = st.one_of(st.just(Poly.zero(ambient)), st.builds(lambda a, b: a * b, linear, linear))
-    vanishing = Poly.variable(ambient, 0) - 2
-    rows = []
-    for _ in range(ngens):
-        kind = draw(st.integers(min_value=0, max_value=3)) if rows else 0
-        if kind == 0:
-            rows.append([draw(entry) for _ in range(ambient)])
-        elif kind == 1:
-            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            fa, fb = draw(coeffs), draw(coeffs)
-            rows.append([u.scaled(fa) + v.scaled(fb) for u, v in zip(a, b)])
-        else:
-            rows.append([vanishing * draw(linear) for _ in range(ambient)])
-    return [[row[i] for row in rows] for i in range(ambient)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(tall_matrices())
-def test_structural_nullspace_of_tall_matrices_matches_every_row(matrix):
-    assert terms_of(polynomial_nullspace_structural(matrix)) == terms_of(all_row_kernel(matrix))
+                    assert kernel_row_counts == [len(rows)] and len(rows) <= len(matrix), (spec, len(rows))
+                    pivot_rows, pivot_cols = structural_pivots(rows)
+                    expected = oracle_cramer_kernel(rows, pivot_rows, pivot_cols, len(matrix), len(matrix))
+                    assert terms_of(got) == terms_of(expected), (spec, len(rows))
 
 
 def test_echelon_kernel_swaps_rows_and_keeps_the_cramer_sign():
@@ -1346,6 +1284,23 @@ def test_nullspaces_reject_a_matrix_without_generator_columns():
         polynomial_nullspace([[], []], (F(0), F(0)))
     with pytest.raises(ChartMismatch):
         polynomial_nullspace_structural([[], []])
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[Poly.variable(2, 0)], [0]], "entry (1, 0) of the polynomial matrix is not a Poly but a int"),
+        ([[Poly.variable(2, 0), F(1)], [Poly.zero(2), Poly.const(2, 1)]], "entry (0, 1) of the polynomial matrix is not a Poly but a Fraction"),
+        ([[Poly.variable(2, 0)], [Poly.variable(3, 1)]], "entry (1, 0) of the polynomial matrix has arity 3, entry (0, 0) 2"),
+    ],
+    ids=["int", "fraction", "mixed-arity"],
+)
+@pytest.mark.parametrize("structural", [False, True])
+def test_nullspaces_name_an_entry_that_is_not_a_poly_of_the_matrix_arity(matrix, message, structural):
+    # an int entry raised a bare AttributeError, and a structural matrix of
+    # arities 2 and 3 returned a covector
+    with pytest.raises(ChartMismatch, match=f"^{re.escape(message)}$"):
+        polynomial_nullspace_structural(matrix) if structural else polynomial_nullspace(matrix, (0, 0))
 
 
 def test_nullspace_degenerate_pivot():

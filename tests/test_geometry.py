@@ -875,33 +875,11 @@ def test_the_fields_of_a_long_gap_keep_their_count_order_and_text(l, count, dige
     assert hashlib.sha256("|".join(map(str, generators)).encode()).hexdigest() == digest
 
 
-def test_the_last_pointwise_round_skips_exactly_the_pairs_whose_bracket_vanishes(monkeypatch):
-    # [g, h](p) = 0 when g(p) = 0 and h(p) = 0, so the last round of
-    # small_flag_vectors_at forms no vector for such a pair; every pair it
-    # skips is checked to have the zero bracket value, and the vectors it
-    # yields to be the values of the other pairs in order.  The cases are V_2
-    # to V_5 of every big_flag tower member of the words of lengths 2 to 4 at
-    # the origin, and V_(2l+3) of member l + 3 of 1.2.1^l.3 and 1.2.1^l.2
-    # for tier-1's long gaps l = 6, 8, 10
-    rounds = []
-    pairs = geometry._pairs
-
-    def recording(items, base, start):
-        rounds.append(list(pairs(items, base, start)))
-        return iter(rounds[-1])
-
-    cases = []
-    for r in range(2, 5):
-        for word in enumerate_words(r):
-            build = build_ekr(EkrSpec(word))
-            point = build.chart.origin()
-            for dist in big_flag(build.distribution, point)[:-1]:
-                cases += [(dist, k, point, str(word)) for k in range(2, 6)]
-    for l in (6, 8, 10):
-        for last in ("3", "2"):
-            build = build_ekr(EkrSpec(Word.parse(".".join(["1", "2"] + ["1"] * l + [last]))))
-            cases.append((build.flag_member(l + 3), 2 * l + 3, build.chart.origin(), str(build.word)))
-    monkeypatch.setattr(geometry, "_pairs", recording)
+def count_dead_pairs(cases, rounds) -> int:
+    """The pairs of the last rounds of small_flag_vectors_at over ``cases``
+    whose two values vanish at the point, each checked to have the zero
+    bracket value; the other pairs' values are checked to be the last vectors
+    yielded, in order.  ``rounds`` collects the pairs of each round."""
     dead = 0
     for dist, k, point, label in cases:
         rounds.clear()
@@ -917,8 +895,44 @@ def test_the_last_pointwise_round_skips_exactly_the_pairs_whose_bracket_vanishes
                 assert not any(value), (label, k)
                 dead += 1
         assert vectors[len(vectors) - len(kept) :] == kept, (label, k)
+    return dead
+
+
+def test_the_last_pointwise_round_skips_exactly_the_pairs_whose_bracket_vanishes(monkeypatch):
+    # [g, h](p) = 0 when g(p) = 0 and h(p) = 0, so the last round of
+    # small_flag_vectors_at forms no vector for such a pair; every pair it
+    # skips is checked to have the zero bracket value, and the vectors it
+    # yields to be the values of the other pairs in order.  The cases are V_2
+    # to V_5 of D^r and its full Lie squares D^(r-1), ..., D^1 of the words
+    # of lengths 2 to 4 at the origin, and V_(2l+3) of member l + 3 of
+    # 1.2.1^l.3 and 1.2.1^l.2 for tier-1's long gaps l = 6, 8, 10.  Every
+    # pair takes one of D's fields, so the frames D^(r-1), ..., D^1 of
+    # big_flag, whose fields are independent at the point, have no such pair
+    rounds = []
+    pairs = geometry._pairs
+
+    def recording(items, base, start):
+        rounds.append(list(pairs(items, base, start)))
+        return iter(rounds[-1])
+
+    cases, frames = [], []
+    for r in range(2, 5):
+        for word in enumerate_words(r):
+            build = build_ekr(EkrSpec(word))
+            point = build.chart.origin()
+            members = [build.distribution]
+            for _ in range(r - 1):
+                members.append(lie_square(members[-1]))
+            cases += [(dist, k, point, str(word)) for dist in members for k in range(2, 6)]
+            frames += [(dist, k, point, str(word)) for dist in big_flag(build.distribution, point)[1:-1] for k in range(2, 6)]
+    for l in (6, 8, 10):
+        for last in ("3", "2"):
+            build = build_ekr(EkrSpec(Word.parse(".".join(["1", "2"] + ["1"] * l + [last]))))
+            cases.append((build.flag_member(l + 3), 2 * l + 3, build.chart.origin(), str(build.word)))
+    monkeypatch.setattr(geometry, "_pairs", recording)
+    assert count_dead_pairs(frames, rounds) == 0
     assert len(cases) == 306
-    assert dead == 3202
+    assert count_dead_pairs(cases, rounds) == 3202
 
 
 @pytest.mark.parametrize("value", [True, 2.0, F(3)])
@@ -988,16 +1002,25 @@ def test_a_versor_or_variable_index_or_arity_is_an_int_in_range(build, message):
 
 
 def assert_tower_matches_the_oracle(tower: list[Distribution], dist: Distribution, point: tuple, label) -> None:
-    """D^r, ..., D^1 match the oracle's squares normal signature for normal
-    signature.  The last square is decided at the point, so D^0 is the
-    coordinate frame, and the oracle's polynomial D^0 has full rank there."""
-    oracle = [dist]
-    for _ in range(len(tower) - 1):
-        oracle.append(oracle_lie_square(oracle[-1]))
-    assert [normal_signatures(m) for m in tower[:-1]] == [normal_signatures(m) for m in oracle[:-1]], label
+    """D^r is ``dist``, and each frame D^(r-1), ..., D^1 matches the oracle's
+    square of the member before it where the answer lives: the same value at
+    the point, with the frame's fields independent there; the frame's fields
+    among the square's, normal signature for normal signature; and every
+    field of the square annihilated identically by the frame's covectors,
+    pivoted at the point.  The last square is decided at the point, so D^0 is
+    the coordinate frame, and the oracle's square of D^1 has full rank there."""
+    assert tower[0] is dist, label
     chart = dist.chart
+    for member, frame in zip(tower[:-2], tower[1:-1]):
+        square = oracle_lie_square(member)
+        value = value_at(frame, point)
+        assert value == value_at(square, point) and value.dim == len(frame.generators), label
+        assert set(normal_signatures(frame)) <= set(signatures(square)), label
+        matrix = [list(column) for column in zip(*(g.components for g in frame.generators))]
+        forms = [OneForm(chart, cov) for cov in polynomial_nullspace(matrix, point)]
+        assert all(pair_with(form, g).is_zero() for form in forms for g in square.generators), label
     assert signatures(tower[-1]) == [VectorField.versor(chart, i).signature() for i in range(chart.dim)], label
-    assert value_at(oracle[-1], point).dim == chart.dim, label
+    assert value_at(oracle_lie_square(tower[-2]), point).dim == chart.dim, label
 
 
 def test_big_flag_matches_the_ordered_pair_oracle_at_length_five():
@@ -1054,10 +1077,10 @@ def test_a_deficient_last_square_names_its_pointwise_rank():
 
 
 def generic_tower_members(r: int, salt: str):
-    """(spec, j, D^j, a fresh copy of D^j) for each member D^j, 0 < j < r,
-    that lie_square built in the generic tower of every length-r word, with
-    zero and seeded constants; the copy is a new Distribution with the same
-    generators."""
+    """(spec, j, D^j, a fresh copy of D^j) for each frame D^j, 0 < j < r,
+    of fields that lie_square built, in the generic tower of every length-r
+    word, with zero and seeded constants; the copy is a new Distribution
+    with the same generators."""
     for word in enumerate_words(r):
         for spec in (EkrSpec(word), draw_constants(word, random.Random(f"{salt}|{word}"))):
             build = build_ekr(spec)
@@ -1411,26 +1434,29 @@ def test_structural_annihilator_memo_keeps_few_towers():
 
 
 def test_structural_annihilator_memo_serves_a_germ_classified_again_at_another_point(monkeypatch):
-    # a length-4 germ at the origin, then at a seeded point: every annihilator
-    # of the second classification comes from the memo
+    # a length-4 germ at the origin and at a seeded point: big_flag's
+    # certificate puts each frame's covectors in the memo, so every
+    # annihilator_at call of the classification's targets is one hit and no miss
     build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("memo")))
-    p = flag_point(build.chart, random.Random(34))
     calls = []
     original = geometry.annihilator_at
 
     def counted(dist, point):
-        calls.append(point)
-        return original(dist, point)
+        before = geometry._structural_annihilator.cache_info()
+        forms = original(dist, point)
+        after = geometry._structural_annihilator.cache_info()
+        calls.append((after.hits - before.hits, after.misses - before.misses))
+        return forms
 
     monkeypatch.setattr(geometry, "annihilator_at", counted)
-    geometry._structural_annihilator.cache_clear()
-    singularity_class_at(build, build.chart.origin(), generic=True)
-    before = geometry._structural_annihilator.cache_info()
-    calls.clear()
-    singularity_class_at(build, p, generic=True)
-    after = geometry._structural_annihilator.cache_info()
-    assert calls and all(point == p for point in calls)
-    assert (after.hits - before.hits, after.misses - before.misses) == (len(calls), 0)
+    for point in (build.chart.origin(), flag_point(build.chart, random.Random(34))):
+        geometry._structural_annihilator.cache_clear()
+        calls.clear()
+        singularity_class_at(build, point, generic=True)
+        # the covariant and Cauchy targets of D^1 pair once, and the Cauchy
+        # target of D^2 once; the certificates of D^3, D^2 and D^1 missed
+        assert calls == [(1, 0)] * 2, point
+        assert geometry._structural_annihilator.cache_info().misses == 3, point
 
 
 def test_cauchy_bcd_model():
