@@ -168,7 +168,7 @@ class _GenericGeometry:
         return self.targets[nu]
 
     def value(self, j: int) -> RationalMatrix:
-        """A basis of D^j(p), which big_flag computed and left with the member."""
+        """A basis of D^j(p), kept with the member by value_at for the germ's other readers."""
         return value_at(self.member(j), self.point).basis
 
 

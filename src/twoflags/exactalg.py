@@ -771,6 +771,13 @@ def _eliminate(rows: list[list], reduce: bool) -> tuple[list[int], list[int], Ca
     return order[: len(pivot_cols)], pivot_cols, unpack
 
 
+def _independent(vectors: Iterable[Sequence[Fraction | int]]) -> list[int]:
+    """The indices, in order, of the vectors not in the span of the vectors
+    before them: the pivot columns of one forward _eliminate over their
+    integer scalings, so their number is the rank."""
+    return _eliminate(_integer_rows(zip(*vectors)), reduce=False)[1]
+
+
 def rank_and_nullspace(matrix: RationalMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Exact rank and a basis of the (right) kernel {v : Mv = 0}.
 
@@ -822,7 +829,7 @@ def annihilates(covectors: Iterable[tuple[tuple[int, int], ...]], column: Sequen
 
 def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> RationalMatrix:
     """A deterministic independent subset of ``columns`` spanning their space:
-    each column not in the span of the columns before it."""
+    each column not in the span of the columns before it (_independent)."""
     _check_int("ambient", ambient)
     if not columns:
         return RationalMatrix(ambient, 0, ())
@@ -830,8 +837,7 @@ def column_space_basis(columns: Sequence[Sequence[Fraction]], ambient: int) -> R
         raise ChartMismatch(f"columns must have {ambient} entries")
     # each entry is admitted once, here; the selected columns are not admitted again
     columns = [tuple(map(exact_rational, col)) for col in columns]
-    _, pivot_cols, _ = _eliminate(_integer_rows(zip(*columns)), reduce=False)
-    chosen = [columns[c] for c in pivot_cols]
+    chosen = [columns[c] for c in _independent(columns)]
     return RationalMatrix._of(ambient, len(chosen), tuple(col[i] for i in range(ambient) for col in chosen))
 
 

@@ -37,7 +37,7 @@ from .exactalg import (
     _annihilates_identically,
     _canonical,
     _check_int,
-    _eliminate,
+    _independent,
     _integer_rows,
     _mul_into,
     _ZERO,
@@ -390,9 +390,11 @@ def _kept_for_the_last_point(compute):
 def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """Pointwise value of the distribution: the span of the evaluated generators.
 
-    The value is kept for the last point asked: big_flag evaluates each
-    tower member once, and the Cauchy, covariant and sandwich computations
-    at the same point reuse it.
+    The value is kept for the last point asked, so a classification
+    evaluates each tower member D^r, ..., D^1 once: its first reader
+    (big_flag for D^r, a target or a sandwich letter for a frame) computes
+    it, and the Cauchy, covariant and sandwich computations at the same
+    point reuse it.
     """
     # the point was admitted once, not per generator by eval_at
     return Subspace.from_vectors(dist.chart.dim, [g._value(point) for g in dist.generators])
@@ -411,20 +413,21 @@ def big_flag(
 
     D^r is ``dist`` as given.  Each of D^(r-1), ..., D^1 is a frame: the
     fields of lie_square(previous member) whose values at ``point`` are each
-    independent of the values before them (one forward elimination), so the
-    frames are nested, as a square lists the member's own fields first.  A
+    independent of the values before them (_independent), so the frames are
+    nested, as a square lists the member's own fields first.  A
     frame is certified: every other field of the square is annihilated
     identically by the frame's structural covectors, so it lies in the
     frame's span over the rational functions, and with the frame
     independent at p the square is locally free there with the frame as its
     basis.  Otherwise NotSpecialFlag names the square that is not locally
     free.  The certificate leaves the frame's covectors in the memo that
-    annihilator_at reads, and the frame's value at ``point`` stays with it
-    (see value_at).
+    annihilator_at reads; big_flag computes no frame's value (see value_at).
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
-    decided at the point and built as no field (see _square_rank_at).  D^0
-    is then the coordinate frame, which spans TM; no caller reads its value.
+    decided at the point and built as no field: its rank is the number of
+    _independent vectors of small_flag_vectors_at(D^1, 2, point), which
+    span (D^1 + [D^1, D^1])(p).  D^0 is then the coordinate frame, which
+    spans TM; no caller reads its value.
     """
     _check_cap(cap)
     point = _check_point(dist.chart, point)
@@ -440,11 +443,11 @@ def big_flag(
         expected = 3 + 2 * step
         if step < steps:
             square = lie_square(tower[-1], cap=cap).generators
-            _, pivots, _ = _eliminate(_integer_rows(zip(*(g._value(point) for g in square))), reduce=False)
+            pivots = _independent([g._value(point) for g in square])
             nxt = Distribution._of(dist.chart, tuple(square[c] for c in pivots))
-            rank = value_at(nxt, point).dim
+            rank = len(pivots)
         else:
-            rank = _square_rank_at(tower[-1], point, cap)
+            rank = len(_independent(small_flag_vectors_at(tower[-1], 2, point, cap)))
             nxt = Distribution.frame(dist.chart)
         if rank != expected:
             raise NotSpecialFlag(f"Lie square number {step} has pointwise rank {rank}, expected {expected}")
@@ -456,29 +459,6 @@ def big_flag(
                 raise NotSpecialFlag(f"Lie square number {step} is not locally free at the point")
         tower.append(nxt)
     return tower
-
-
-def _square_rank_at(dist: Distribution, point: tuple[Fraction, ...], cap: int) -> int:
-    """dim (D + [D, D])(p) for a D of corank 2 at p, from D(p) and the
-    bracket values at p of small_flag_vectors_at(dist, 2, point), which span
-    (D + [D, D])(p).
-
-    Each vector is paired with the two covectors of the annihilator of D(p);
-    the rank of those pairings is the dimension the vectors add to D(p).  No
-    later vector is formed once a pairing row is independent of the first
-    nonzero one.
-    """
-    value = value_at(dist, point)
-    c0, c1 = value.basis.annihilator
-    first = None
-    for vector in small_flag_vectors_at(dist, 2, point, cap):
-        row = (sum(vector[i] * v for i, v in c0), sum(vector[i] * v for i, v in c1))
-        if first is None:
-            if any(row):
-                first = row
-        elif first[0] * row[1] - first[1] * row[0]:
-            return value.dim + 2
-    return value.dim + (first is not None)
 
 
 def _integral(field: VectorField) -> VectorField:
@@ -701,16 +681,16 @@ def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneFor
     tuples: big_flag's certificate fills it for each frame, so the targets
     of a germ of length up to 10 read the covectors of its frames D^1 ...
     D^(r-2) from it, while a sweep keeps no more than 8 members'
-    generators.  When the cached basis's values at the requested
-    point do not span the annihilator of D(p), polynomial_nullspace redoes
-    the elimination with pivots chosen there, which raises DegeneratePivot
-    when the rank at the point is below the rank over the polynomials.
+    generators.  The cached basis serves ``point`` when its values there
+    span the annihilator of D(p), that is when n - dim D(p) of them are
+    _independent.  Otherwise polynomial_nullspace redoes the elimination
+    with pivots chosen there, which raises DegeneratePivot when the rank at
+    the point is below the rank over the polynomials.
     """
     point = _check_point(dist.chart, point)
-    n = dist.chart.dim
     covectors = _structural_annihilator(dist.generators)
     values = [tuple(p.eval_at(point) if p.terms else _ZERO for p in cov) for cov in covectors]
-    if rank_and_nullspace(RationalMatrix.from_columns(values, ambient=n))[0] == n - value_at(dist, point).dim:
+    if len(_independent(values)) == dist.chart.dim - value_at(dist, point).dim:
         return [OneForm(dist.chart, cov) for cov in covectors]
     matrix = list(zip(*(gen.components for gen in dist.generators)))
     return [OneForm(dist.chart, cov) for cov in polynomial_nullspace(matrix, point)]

@@ -1,15 +1,11 @@
 """Acceptance suite: one test per criterion, every check exact (no tolerances).
 
 Each test prints one PASS line when its criterion holds; a failed assertion
-is the FAIL line.  The optional length-6 classification sweep runs when the
-environment variable TWOFLAGS_SWEEP_LEN6 is set.
+is the FAIL line.
 """
 
-import os
 import random
 from fractions import Fraction
-
-import pytest
 
 from twoflags.atlas import adjacencies, codimension, count_classes, enumerate_words
 from twoflags.classify import singularity_class_at, singularity_locus_equations
@@ -59,15 +55,11 @@ def test_criterion_1_theorem_sweep():
     print("PASS criterion 1: classification sweep, lengths 1-5, zero + 3 random draws")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TWOFLAGS_SWEEP_LEN6"),
-    reason="length-6 sweep is opt-in (set TWOFLAGS_SWEEP_LEN6=1)",
-)
-def test_criterion_1_optional_length_six():
+def test_criterion_1_length_six():
     outcomes = run_verification(length=6, trials=3, seed=0, zero_constants=True)
     assert len({o.word for o in outcomes}) == (1 + 3 ** 5) // 2
     assert all(o.passed for o in outcomes)
-    print("PASS criterion 1 (opt-in): classification sweep, length 6")
+    print("PASS criterion 1: classification sweep, length 6")
 
 
 def test_criterion_2_counting_table():

@@ -27,6 +27,7 @@ from twoflags.exactalg import (
     _constraints,
     _descending_key,
     _eliminate,
+    _independent,
     _integer_rows,
     _kernel,
     _mono_mul,
@@ -797,6 +798,35 @@ def test_column_space_basis_picks_the_oracle_pivot_columns(m):
     chosen = column_space_basis(columns, m.rows)
     assert chosen.rows == m.rows
     assert chosen.columns() == [columns[c] for c in pivot_cols]
+
+
+@st.composite
+def vector_lists(draw):
+    """(ambient, vectors): up to 7 vectors of Fractions and ints, mixed as the
+    values of fields at a point are, with some zero and some repeated vectors."""
+    ambient = draw(st.integers(min_value=1, max_value=6))
+    vector = st.tuples(*[st.one_of(entries, st.integers(-9, 9))] * ambient)
+    vectors = draw(st.lists(vector, max_size=7))
+    if vectors:
+        slots = st.integers(0, len(vectors) - 1)
+        for k in draw(st.sets(slots, max_size=2)):
+            vectors[k] = (0,) * ambient
+        for dst, src in draw(st.lists(st.tuples(slots, slots), max_size=2)):
+            vectors[dst] = vectors[src]
+    return ambient, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+@example((3, []))
+@example((2, [(0, 0), (1, F(1, 2)), (0, 0), (2, 1), (1, F(1, 2))]))
+def test_independent_picks_the_oracle_pivot_columns_and_counts_the_rank(case):
+    ambient, vectors = case
+    matrix = RationalMatrix.from_columns(vectors, ambient=ambient)
+    _, _, pivot_cols = oracle_gauss_jordan(matrix)
+    chosen = _independent(vectors)
+    assert chosen == pivot_cols
+    assert len(chosen) == rank_and_nullspace(matrix)[0]
 
 
 @st.composite

@@ -13,6 +13,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -1234,28 +1235,37 @@ def test_value_is_kept_for_the_last_point_only():
         assert value_at(member, p) is value_at(member, p)
 
 
-def test_targets_reuse_the_values_that_big_flag_computed(monkeypatch):
-    import twoflags.geometry as geometry
+def test_a_generic_classification_evaluates_each_member_once(monkeypatch):
+    import twoflags.classify as classify
 
-    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("reuse")))
-    p = flag_point(build.chart, random.Random(32))
-    tower = big_flag(build.distribution, p)
-    calls = []
-    original = geometry.column_space_basis
+    towers, evaluated = [], []
+    original_big_flag, original_basis = classify.big_flag, geometry.column_space_basis
+
+    def kept_tower(dist, point, cap):
+        towers.append(original_big_flag(dist, point, cap))
+        return towers[-1]
 
     def counted(columns, ambient):
-        calls.append(ambient)
-        return original(columns, ambient)
+        evaluated.append(tuple(map(tuple, columns)))
+        return original_basis(columns, ambient)
 
-    monkeypatch.setattr(geometry, "column_space_basis", counted)
-    # D^0 is the coordinate frame, whose value no target reads, so big_flag leaves none on it
-    assert "_value_at" not in tower[-1].__dict__
-    for member in tower[:-1]:
-        cauchy_char_at(member, p)
-    covariant_at(tower[-2], p)
-    assert calls == []
-    value_at(tower[0], build.chart.origin())
-    assert calls == [build.chart.dim]
+    for text, seeded in product(("1.2.1.3", "1.2.3.2.3"), (False, True)):
+        word = Word.parse(text)
+        rng = random.Random(f"evaluate-{text}")
+        build = build_ekr(draw_constants(word, rng) if seeded else EkrSpec(word))
+        p = flag_point(build.chart, rng) if seeded else build.chart.origin()
+        closed = singularity_class_at(build, p)
+        towers.clear()
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "big_flag", kept_tower)
+            patch.setattr(geometry, "column_space_basis", counted)
+            assert singularity_class_at(build, p, generic=True) == closed
+        [tower] = towers
+        # one value for each of D^r, ..., D^1, whichever reader asks first, and none for D^0
+        members = [tuple(tuple(g.eval_at(p)) for g in member.generators) for member in tower[:-1]]
+        assert len(evaluated) == word.length, (text, seeded)
+        assert sorted(evaluated) == sorted(members), (text, seeded)
 
 
 def test_covariant_then_cauchy_of_one_member_pair_once(monkeypatch):

@@ -10,16 +10,10 @@ tangent of the vertical line after a vertical level, and after a regular
 level the tangent at d_k of the line through d_k and the previous delta,
 written in the new chart.  The stress sampler puts points on the strata
 where these cases occur.
-
-The opt-in sweeps (closed route at length 7, generic route at length 5)
-run when the environment variable TWOFLAGS_READOFF_LONG is set.
 """
 
-import os
 import random
 from fractions import Fraction
-
-import pytest
 
 from twoflags.atlas import enumerate_words
 from twoflags.classify import singularity_class_at
@@ -156,20 +150,12 @@ def test_generic_route_equals_the_read_off_up_to_length_four():
     assert germs == 176
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TWOFLAGS_READOFF_LONG"),
-    reason="the length-7 closed read-off sweep is opt-in (set TWOFLAGS_READOFF_LONG=1)",
-)
 def test_closed_route_equals_the_read_off_at_length_seven():
     germs, new_threes = _sweep([7], points=1, generic=False, tag="closed-7")
     assert germs == 730
     assert new_threes > 0, new_threes
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TWOFLAGS_READOFF_LONG"),
-    reason="the length-5 generic read-off sweep is opt-in (set TWOFLAGS_READOFF_LONG=1)",
-)
 def test_generic_route_equals_the_read_off_at_length_five():
     germs, _ = _sweep([5], points=1, generic=True, tag="generic-5")
     assert germs == 82
