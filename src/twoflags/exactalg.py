@@ -886,47 +886,19 @@ def _constraints(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
     return list(zip(*matrix))
 
 
-def _kernel(
-    constraints: Sequence[Sequence[Poly]],
-    rows: Sequence[int],
-    columns: Sequence[int],
-    arity: int,
-) -> tuple[list[tuple[Poly, ...]], list[int]]:
-    """Kernel covectors of the constraint ``rows`` and the pivot work columns,
-    from one reduced _eliminate pass with coordinate ``columns[c]`` in work
-    column c: free column f gives the last pivot P in slot f and minus entry
-    (j, f) in the slot of pivot j (Cramer's rule, up to the sign of P, which
-    primitive_tuple removes).  P must be ±det of the pivot minor by poly_det.
-    """
-    work = [[constraints[r][c] for c in columns] for r in rows]
-    slots, pivots, unpack = _eliminate(work, reduce=True)
-    k = len(pivots)
-    last = unpack(work[k - 1][pivots[-1]]) if k else Poly.const(arity, 1)
-    if k:
-        det = poly_det([[constraints[rows[r]][columns[c]] for c in pivots] for r in slots])
-        if last != det and last != -det:
-            raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
-    covectors = []
-    for f in (c for c in range(len(columns)) if c not in pivots):
-        entries = [Poly.zero(arity)] * len(columns)
-        entries[columns[f]] = last
-        for j, pivot in enumerate(pivots):
-            entries[columns[pivot]] = -unpack(work[j][f])
-        covectors.append(primitive_tuple(entries))
-    return covectors, pivots
-
-
 def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fraction]) -> list[tuple[Poly, ...]]:
     """Polynomial covectors v with v^T M = 0 for an ambient x generators matrix M.
 
-    Pivots are chosen by exact elimination of M at ``at_point``, and _kernel
-    reads the kernel off those rows, with the pivot columns first: the
-    symbolic pivot minor in the free slot and the Cramer minors in the pivot
-    slots.  Each covector is certified to annihilate every other generator
+    Pivot rows (generators) and pivot columns (coordinates) are chosen by
+    exact elimination of M at ``at_point``, and the covectors are the
+    polynomial_nullspace_structural of the chosen generators with the pivot
+    coordinates first, put back in coordinate order and normalised by
+    primitive_tuple.  The chosen minor is nonzero at the point, so the
+    symbolic pass pivots on exactly those coordinates: each covector's only
+    nonzero free slot is its own, or ArithmeticError says the pivot minor is
+    singular.  Each covector is certified to annihilate every other generator
     identically; a failed certificate means the rank at the point is below
-    the rank of M over the polynomials, and raises DegeneratePivot.  Raises
-    ArithmeticError when the pass does not pivot on exactly the pivot
-    columns (the pivot minor is singular).
+    the rank of M over the polynomials, and raises DegeneratePivot.
     """
     constraints = _constraints(matrix)
     ambient = len(matrix)
@@ -937,10 +909,16 @@ def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fr
     point = tuple(map(exact_rational, at_point))
     values = _integer_rows([x.eval_at(point) if x.terms else _ZERO for x in row] for row in constraints)
     pivot_rows, pivot_cols, _ = _eliminate(values, reduce=False)
+    k = len(pivot_cols)
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    covectors, pivots = _kernel(constraints, pivot_rows, columns, matrix[0][0].arity)
-    if pivots != list(range(len(pivot_cols))):
+    # with no generator nonzero at the point a zero one stands in: its kernel is every coordinate covector
+    stand_in = [Poly.zero(matrix[0][0].arity)]
+    kernel = polynomial_nullspace_structural([[constraints[r][c] for r in pivot_rows] or stand_in for c in columns])
+    # the pass pivots on the first k slots exactly when each covector's only nonzero free slot is its own
+    if len(kernel) != ambient - k or any([c for c in range(k, ambient) if cov[c]] != [k + f] for f, cov in enumerate(kernel)):
         raise ArithmeticError("pivot minor is singular")
+    slots = sorted(range(ambient), key=columns.__getitem__)  # coordinate c sits in slot slots[c]
+    covectors = [primitive_tuple([cov[s] for s in slots]) for cov in kernel]
     chosen = set(pivot_rows)
     others = [row for r, row in enumerate(constraints) if r not in chosen]
     if not all(_annihilates_identically(cov, row) for row in others for cov in covectors):
@@ -949,15 +927,35 @@ def polynomial_nullspace(matrix: Sequence[Sequence[Poly]], at_point: Sequence[Fr
 
 
 def polynomial_nullspace_structural(matrix: Sequence[Sequence[Poly]]) -> list[tuple[Poly, ...]]:
-    """Like polynomial_nullspace, but pivoted symbolically: the _kernel of
-    every generator row, in column order.  The covectors annihilate every
-    generator identically; their values are a basis of the pointwise
-    annihilator wherever the rank is structural and they stay independent.
+    """Polynomial covectors v with v^T M = 0, pivoted symbolically, in
+    coordinate order: one reduced _eliminate pass over every generator row,
+    where free column f gives the last pivot P in slot f and minus entry
+    (j, f) in the slot of pivot j (Cramer's rule, up to the sign of P, which
+    primitive_tuple removes).  P must be ±det of the pivot minor by poly_det,
+    or ArithmeticError.  The covectors annihilate every generator
+    identically; polynomial_nullspace reads its own off the generators it
+    chooses at a point.
     """
     constraints = _constraints(matrix)
     if not matrix:
         return []
-    return _kernel(constraints, range(len(constraints)), range(len(matrix)), matrix[0][0].arity)[0]
+    ambient, arity = len(matrix), matrix[0][0].arity
+    work = [list(row) for row in constraints]
+    slots, pivots, unpack = _eliminate(work, reduce=True)
+    k = len(pivots)
+    last = unpack(work[k - 1][pivots[-1]]) if k else Poly.const(arity, 1)
+    if k:
+        det = poly_det([[constraints[r][c] for c in pivots] for r in slots])
+        if last != det and last != -det:
+            raise ArithmeticError("last pivot of the Gauss-Jordan pass is not ±det of the pivot minor")
+    covectors = []
+    for f in (c for c in range(ambient) if c not in pivots):
+        entries = [Poly.zero(arity)] * ambient
+        entries[f] = last
+        for j, pivot in enumerate(pivots):
+            entries[pivot] = -unpack(work[j][f])
+        covectors.append(primitive_tuple(entries))
+    return covectors
 
 
 def _annihilates_identically(covector: Sequence[Poly], row: Sequence[Poly]) -> bool:

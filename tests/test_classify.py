@@ -32,7 +32,7 @@ from twoflags.geometry import (
 )
 from twoflags.exactalg import Poly, span_includes
 
-from test_readoff import stress_point
+from test_readoff import oracle_read_class, stress_point
 
 F = Fraction
 
@@ -308,6 +308,25 @@ def test_generic_mode_agrees_on_full_reports_at_length_six():
         closed = singularity_class_at(build, origin)
         generic = singularity_class_at(build, origin, generic=True)
         assert closed.to_json() == generic.to_json(), str(word)
+
+
+def test_generic_mode_agrees_on_full_reports_at_length_six_stress_points():
+    # each of the 122 words of length 6 with seeded constants at one stress
+    # point, which puts levels on the strata where a 2 or a 3 is read: the
+    # two routes' full reports are equal and name the read-off's class
+    words = list(enumerate_words(6))
+    assert len(words) == 122
+    refined = 0
+    for word in words:
+        spec = draw_constants(word, random.Random(f"stress-six-constants|{word}"))
+        point = stress_point(spec, random.Random(f"stress-six-point|{word}"))
+        build = build_ekr(spec)
+        closed = singularity_class_at(build, point)
+        generic = singularity_class_at(build, point, generic=True)
+        assert closed.to_json() == generic.to_json(), (str(word), point)
+        assert closed.word == oracle_read_class(spec, point), (str(word), point)
+        refined += bool(closed.evidence)
+    assert refined == 94, refined
 
 
 def test_generic_route_decides_with_a_cap_below_the_polynomial_last_square():

@@ -29,7 +29,6 @@ from twoflags.exactalg import (
     _eliminate,
     _independent,
     _integer_rows,
-    _kernel,
     _mono_mul,
     _Packing,
     column_space_basis,
@@ -150,13 +149,18 @@ def unpacked(rows, unpack) -> list[list]:
 
 
 def echelon_kernel(constraints, pivot_rows, pivot_cols, ambient, arity) -> list[tuple[Poly, ...]]:
-    """The _kernel of the given pivot rows, in any order, with the pivot
-    columns first and the free columns after them, as polynomial_nullspace
-    reads it; the pass must pivot on exactly the given columns."""
+    """The polynomial_nullspace_structural of the given pivot rows, in any
+    order, with the pivot columns first and the free columns after them (a
+    zero row when there is no pivot row), put back in coordinate order and
+    normalised, as polynomial_nullspace reads it; the pass must pivot on
+    exactly the given columns, so each covector's only nonzero free slot is
+    its own."""
     columns = [*pivot_cols, *(c for c in range(ambient) if c not in pivot_cols)]
-    covectors, pivots = _kernel(constraints, pivot_rows, columns, arity)
-    assert pivots == list(range(len(pivot_cols)))
-    return covectors
+    matrix = [[constraints[r][c] for r in pivot_rows] or [Poly.zero(arity)] for c in columns]
+    kernel = polynomial_nullspace_structural(matrix)
+    k = len(pivot_cols)
+    assert [[c for c in range(k, ambient) if cov[c]] for cov in kernel] == [[c] for c in range(k, ambient)]
+    return [primitive_tuple([cov[columns.index(c)] for c in range(ambient)]) for cov in kernel]
 
 
 def mat_vec(matrix: RationalMatrix, vec) -> tuple[Fraction, ...]:
@@ -1222,6 +1226,43 @@ def test_structural_nullspace_matches_the_cramer_oracle(problem):
     assert terms_of(polynomial_nullspace_structural(matrix)) == terms_of(expected)
 
 
+@st.composite
+def pointwise_problems(draw):
+    """A kernel_problems matrix and a point, each coordinate 0 a third of
+    the time; half the time every variable of the first symbolic pivot
+    entry is 0 there as well, so that pivot vanishes at the point unless it
+    has a constant term."""
+    rows, _, _, ambient = draw(kernel_problems())
+    point = [draw(st.one_of(st.just(F(0)), coeffs, coeffs)) for _ in range(ambient)]
+    pivot_rows, pivot_cols = structural_pivots(rows)
+    if pivot_cols and draw(st.booleans()):
+        for mono in rows[pivot_rows[0]][pivot_cols[0]].terms:
+            for var, _ in mono:
+                point[var] = F(0)
+    return rows, ambient, tuple(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointwise_problems())
+@example(([[Poly.zero(1)], [Poly.zero(1)]], 1, (F(0),)))  # the matrix [[0, 0]]: no generator is nonzero at p
+def test_pointwise_nullspace_is_the_cramer_oracle_on_the_rows_and_columns_it_picks(problem):
+    # polynomial_nullspace takes its covectors from the structural nullspace
+    # of the generators it picks at p; they must be the Cramer covectors of
+    # exactly those rows and columns, or DegeneratePivot where a generator
+    # left out is not annihilated identically (the rank drops at p)
+    rows, ambient, point = problem
+    matrix = [[row[i] for row in rows] for i in range(ambient)]
+    values = _integer_rows([p.eval_at(point) for p in row] for row in rows)
+    pivot_rows, pivot_cols, _ = _eliminate(values, reduce=False)
+    expected = oracle_cramer_kernel(rows, pivot_rows, pivot_cols, ambient, ambient)
+    zero = Poly.zero(ambient)
+    if any(sum((c * e for c, e in zip(cov, row)), zero) for cov in expected for row in rows):
+        with pytest.raises(DegeneratePivot):
+            polynomial_nullspace(matrix, point)
+    else:
+        assert terms_of(polynomial_nullspace(matrix, point)) == terms_of(expected)
+
+
 def test_structural_nullspace_reduces_rows_above_a_skipped_column():
     # column 1 has no pivot, so the first row's entry there must still be
     # carried through the step that pivots on column 2
@@ -1239,22 +1280,24 @@ def test_structural_nullspace_reduces_rows_above_a_skipped_column():
 
 @pytest.fixture
 def kernel_row_counts(monkeypatch):
-    """The number of constraint rows of each _kernel call, in call order."""
+    """The number of rows of each reduced _eliminate pass, in call order:
+    one per structural nullspace, whose pass reads its generator rows."""
     counts = []
-    kernel = exactalg._kernel
+    eliminate = exactalg._eliminate
 
-    def spy(constraints, rows, columns, arity):
-        counts.append(len(rows))
-        return kernel(constraints, rows, columns, arity)
+    def spy(rows, reduce):
+        if reduce:
+            counts.append(len(rows))
+        return eliminate(rows, reduce)
 
-    monkeypatch.setattr(exactalg, "_kernel", spy)
+    monkeypatch.setattr(exactalg, "_eliminate", spy)
     return counts
 
 
 def test_structural_nullspace_of_every_tower_member_up_to_length_five(kernel_row_counts):
     """D^r and the frames D^(r-1), ..., D^1 of every word of lengths 2-5 at
     the origin, with zero constants and one seeded draw: no member has more
-    generator rows than coordinates, one _kernel pass reads every row, and
+    generator rows than coordinates, one reduced pass reads every row, and
     the covectors are the Cramer oracle's, term for term."""
     for r in range(2, 6):
         for word in enumerate_words(r):

@@ -41,6 +41,7 @@ from twoflags.exactalg import (
     polynomial_nullspace,
     primitive_tuple,
     rank_and_nullspace,
+    _independent,
     _integer_rows,
 )
 from twoflags.geometry import (
@@ -1467,6 +1468,48 @@ def test_structural_annihilator_memo_serves_a_germ_classified_again_at_another_p
         # target of D^2 once; the certificates of D^3, D^2 and D^1 missed
         assert calls == [(1, 0)] * 2, point
         assert geometry._structural_annihilator.cache_info().misses == 3, point
+
+
+def test_each_frame_annihilator_is_one_nullspace_pivoted_at_the_point(monkeypatch):
+    # every word of lengths 2-5, zero constants at the origin and seeded
+    # constants at one stress point: with the memo cleared, one generic
+    # classification runs polynomial_nullspace r - 1 times, once in the
+    # certificate of each frame D^(r-1), ..., D^1, every annihilator_at call
+    # of its targets is a memo hit, and the n - dim D^j(p) covectors it
+    # returns are independent at p
+    nullspaces, calls = [], []
+    original_nullspace, original_annihilator = geometry.polynomial_nullspace, geometry.annihilator_at
+
+    def counted_nullspace(matrix, point):
+        nullspaces.append(point)
+        return original_nullspace(matrix, point)
+
+    def counted_annihilator(dist, point):
+        before = geometry._structural_annihilator.cache_info()
+        forms = original_annihilator(dist, point)
+        after = geometry._structural_annihilator.cache_info()
+        values = [tuple(c.eval_at(point) for c in form.coefficients) for form in forms]
+        independent = len(forms) == dist.chart.dim - value_at(dist, point).dim == len(_independent(values))
+        calls.append((after.hits - before.hits, after.misses - before.misses, independent))
+        return forms
+
+    monkeypatch.setattr(geometry, "polynomial_nullspace", counted_nullspace)
+    monkeypatch.setattr(geometry, "annihilator_at", counted_annihilator)
+    germs = 0
+    for r in range(2, 6):
+        for word in enumerate_words(r):
+            seeded = draw_constants(word, random.Random(f"one-nullspace-constants|{word}"))
+            stress = stress_point(seeded, random.Random(f"one-nullspace-point|{word}"))
+            for spec, point in ((EkrSpec(word), None), (seeded, stress)):
+                build = build_ekr(spec)
+                geometry._structural_annihilator.cache_clear()
+                nullspaces.clear()
+                calls.clear()
+                singularity_class_at(build, point or build.chart.origin(), generic=True)
+                assert len(nullspaces) == r - 1, (str(word), point)
+                assert calls and calls == [(1, 0, True)] * len(calls), (str(word), point, calls)
+                germs += 1
+    assert germs == 124, germs
 
 
 def test_cauchy_bcd_model():
