@@ -225,10 +225,6 @@ def _dot_lines(texts: Iterable[str], records: Iterable[AtlasRecord]) -> Iterator
     yield "}\n"
 
 
-def atlas_json(records: list[AtlasRecord]) -> str:
-    return "".join(_json_lines(records))
-
-
 def atlas_jsonl(records: list[AtlasRecord]) -> str:
     return "".join(map(_jsonl_line, records))
 

@@ -66,13 +66,19 @@ class SandwichWord:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Refinement record for one non-first non-1 position."""
+    """Refinement record for one non-first non-1 position: whether V_member of D^position lies in nu's target."""
 
     position: int
     nu: int
-    l: int
-    member: int
     included: bool
+
+    @property
+    def l(self) -> int:
+        return self.position - self.nu - 1
+
+    @property
+    def member(self) -> int:
+        return 2 * self.l + 3
 
     def to_json(self) -> dict:
         return {
@@ -219,9 +225,8 @@ def singularity_class_at(
         letter = 2 if _included(geo, s, s, 1) else 1
         sandwich.append(letter)
         if letter == 2 and nu is not None:
-            l = s - nu - 1
-            included = _included(geo, s, nu, 2 * l + 3)
-            evidence.append(Evidence(position=s, nu=nu, l=l, member=2 * l + 3, included=included))
+            included = _included(geo, s, nu, 2 * (s - nu - 1) + 3)  # V_(2l+3), l = s - nu - 1
+            evidence.append(Evidence(position=s, nu=nu, included=included))
             letter = 3 if included else 2
         letters.append(letter)
         if letter != 1:

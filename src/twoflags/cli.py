@@ -39,7 +39,10 @@ class VerificationOutcome:
     word: Word
     spec: EkrSpec
     computed: Word
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.computed == self.word
 
 
 def draw_nonzero_rational(rng: random.Random) -> Fraction:
@@ -83,7 +86,7 @@ def run_verification(
         for spec in specs:
             build = build_ekr(spec)
             report = singularity_class_at(build, build.chart.origin(), generic=generic, cap=cap)
-            outcomes.append(VerificationOutcome(word=word, spec=spec, computed=report.word, passed=report.word == word))
+            outcomes.append(VerificationOutcome(word=word, spec=spec, computed=report.word))
     return outcomes
 
 

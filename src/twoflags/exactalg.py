@@ -438,8 +438,8 @@ class Poly:
         """Exact value at a rational point (length must equal the arity), as
         a Fraction.  The sum stays an int while every term is one, and a
         Fraction is made once, at the end.  A float coordinate that enters a
-        term makes the sum a float, which raises BadSyntax: one check per
-        call, none per term."""
+        term makes the sum a float, which raises BadSyntax, one check per
+        call; a True one (a bool) raises BadSyntax where it enters a term."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         total = 0
@@ -449,6 +449,8 @@ class Poly:
                 base = point[var]
                 if not base:
                     break
+                if base is True:  # the one bool that is not 0
+                    exact_rational(base)  # raises BadSyntax
                 value *= base**exp
             else:
                 total += value
@@ -472,7 +474,7 @@ class Poly:
         own v-monomial.  Each other factor (p_a + v_a)^e adds
         C(e, k) p_a^(e - k) v_a^k for each k up to the degree left.  Only
         products are formed, and each coefficient is canonicalised once, at
-        the end, where a float that entered a term raises BadSyntax."""
+        the end, where a float that entered a term raises BadSyntax, as True does on entering one."""
         if len(point) != self.arity:
             raise ChartMismatch(f"point has {len(point)} coordinates, arity is {self.arity}")
         _check_int("order", order)
@@ -498,6 +500,8 @@ class Poly:
                 if not base:
                     parts = [(m + ((var, exp),), d, c) for m, d, c in parts]
                     continue
+                if base is True:  # the one bool that is not 0
+                    exact_rational(base)  # raises BadSyntax
                 # the v^0 and v^e terms of (p + v)^e are p^e and 1: no binomial is formed for them
                 grown = []
                 for m, d, c in parts:

@@ -391,9 +391,9 @@ def value_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
 
     The value is kept for the last point asked, so a classification
     evaluates each tower member D^r, ..., D^1 once: its first reader
-    (big_flag for D^r, a target or a sandwich letter for a frame) computes
-    it, and the Cauchy, covariant and sandwich computations at the same
-    point reuse it.
+    (sandwich letter r for D^r, a target or a sandwich letter for a frame)
+    computes it, and the Cauchy, covariant and sandwich computations at the
+    same point reuse it.
     """
     # the point was admitted once, not per generator by eval_at
     return Subspace.from_vectors(dist.chart.dim, [g._value(point) for g in dist.generators])
@@ -419,9 +419,9 @@ def big_flag(
     at p, so it lies in the frame's span over the rational functions, and
     with the frame independent at p the square is locally free there with
     the frame as its basis.  Otherwise NotSpecialFlag names the square that
-    is not locally free.  The certificate leaves the frame's covectors in
-    the memo that annihilator_at reads, the one derivation of each frame's
-    annihilator; big_flag computes no frame's value (see value_at).
+    is not locally free.  annihilator_at keeps the covectors on the frame
+    for the targets, so each frame's annihilator is derived once.  big_flag
+    computes no value (see value_at) and writes nothing on ``dist``.
 
     The last square, D^0 = [D^1, D^1], only has to reach T_pM, so it is
     decided at the point and built as no field: its rank is the number of
@@ -436,7 +436,7 @@ def big_flag(
         raise NotSpecialFlag(f"chart dimension {dim} cannot carry a special 2-flag")
     steps = (dim - 3) // 2
     tower = [dist]
-    rank = value_at(dist, point).dim
+    rank = len(_independent([g._value(point) for g in dist.generators]))  # as each square's
     if rank != 3:
         raise NotSpecialFlag(f"bottom member has pointwise rank {rank}, expected 3")
     for step in range(1, steps + 1):
@@ -452,10 +452,9 @@ def big_flag(
         if rank != expected:
             raise NotSpecialFlag(f"Lie square number {step} has pointwise rank {rank}, expected {expected}")
         if step < steps:
-            covectors = _structural_annihilator(nxt.generators, point)
-            chosen = set(pivots)
-            others = (g for c, g in enumerate(square) if c not in chosen)
-            if not all(_annihilates_identically(cov, g.components) for g in others for cov in covectors):
+            covectors = [form.coefficients for form in annihilator_at(nxt, point)]
+            others = (g.components for c, g in enumerate(square) if c not in pivots)
+            if not all(_annihilates_identically(cov, row) for row in others for cov in covectors):
                 raise NotSpecialFlag(f"Lie square number {step} is not locally free at the point")
         tower.append(nxt)
     return tower
@@ -667,30 +666,25 @@ def small_flag_vectors_at(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _structural_annihilator(
-    generators: tuple[VectorField, ...], point: tuple[Fraction, ...]
-) -> tuple[tuple[Poly, ...], ...]:
-    """The polynomial_nullspace of the generators, pivoted at an admitted
-    point; the benchmark reads this memo's statistics under this name."""
-    return tuple(polynomial_nullspace(list(zip(*(gen.components for gen in generators))), point))
+@lru_cache(maxsize=0)
+def _structural_annihilator(generators: tuple[VectorField, ...], point: tuple[Fraction, ...]) -> list[tuple[Poly, ...]]:
+    """polynomial_nullspace of the generators at an admitted point.  It caches nothing: the
+    benchmark reads its statistics under this name, and each miss is one nullspace derived."""
+    return polynomial_nullspace(list(zip(*(gen.components for gen in generators))), point)
 
 
-def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> list[OneForm]:
+@_kept_for_the_last_point
+def annihilator_at(dist: Distribution, point: Sequence[Fraction]) -> tuple[OneForm, ...]:
     """Polynomial 1-forms annihilating the distribution, with pivots regular at ``point``.
 
-    The covectors are polynomial_nullspace's, pivoted at the point and kept
-    in a memo keyed by the generator tuple and the point, which keeps no
-    distribution alive with the values kept on it, and holds the last 8
-    keys: big_flag's certificate fills it for each frame, so the targets of
-    a germ of length up to 10 read the covectors of its frames D^1 ...
-    D^(r-2) from it, while a sweep keeps no more than 8 members'
-    generators; a germ classified at another point reuses nothing.  A frame
-    is independent at p, so its covectors are independent there and span
-    the annihilator of D(p).  polynomial_nullspace raises DegeneratePivot
-    when the rank at the point is below the rank over the polynomials.
+    polynomial_nullspace's covectors, pivoted at the point and kept on the
+    distribution for the last point asked, as value_at keeps D(p): big_flag's
+    certificate derives a frame's, and the targets read them off the frame.
+    A frame is independent at p, so they span the annihilator of D(p) there.
+    polynomial_nullspace raises DegeneratePivot when the rank at the point
+    is below the rank over the polynomials.
     """
-    return [OneForm(dist.chart, cov) for cov in _structural_annihilator(dist.generators, _check_point(dist.chart, point))]
+    return tuple(OneForm(dist.chart, cov) for cov in _structural_annihilator(dist.generators, point))
 
 
 def _integer_gradient(form: OneForm, point: Sequence[Fraction]) -> dict[int, list[tuple[int, int]]]:
@@ -742,7 +736,6 @@ def _integer_pairing(
     return tuple(map(tuple, pairing))
 
 
-@_kept_for_the_last_point
 def _curvature_pairings(
     dist: Distribution, point: tuple[Fraction, ...]
 ) -> tuple[list[list[int]], tuple[tuple[tuple[int, ...], ...], ...]]:
@@ -752,8 +745,8 @@ def _curvature_pairings(
     _integer_pairing).  The Cauchy and covariant conditions are homogeneous,
     so the callers solve them on the u_a as they stand and need no m.
 
-    The pairings are kept for the last point asked, as value_at keeps D(p):
-    the covariant and Cauchy spaces of one member at one point pair once.
+    Nothing is kept: D^1's pairings are formed twice, for the covariant
+    target and for the Cauchy target of position 3.
     """
     columns = _integer_rows(value_at(dist, point).basis.columns())
     return columns, tuple(_integer_pairing(_integer_gradient(form, point), columns) for form in annihilator_at(dist, point))
@@ -790,10 +783,9 @@ def cauchy_char_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     module this equals the value of the Cauchy-characteristic module.
     """
     point = _check_point(dist.chart, point)
-    value = value_at(dist, point)
     columns, pairings = _curvature_pairings(dist, point)
     if not pairings:
-        return value
+        return value_at(dist, point)
     # row a of a pairing is the condition d(omega)(v, u_a) = 0 on v = sum_b lambda_b u_b, times m
     return _kernel_image(columns, [row for pair in pairings for row in pair if any(row)])
 
@@ -809,8 +801,7 @@ def covariant_at(dist: Distribution, point: Sequence[Fraction]) -> Subspace:
     """
     point = _check_point(dist.chart, point)
     n = dist.chart.dim
-    value = value_at(dist, point)
-    d = value.dim
+    d = value_at(dist, point).dim
     if n - d != 2:
         raise UnexpectedCovariantDimension(
             f"covariant subspace needs corank 2, got corank {n - d}"

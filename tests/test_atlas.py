@@ -17,13 +17,13 @@ from twoflags.atlas import (
     adjacencies,
     adjacency_dot,
     atlas_csv,
-    atlas_json,
     atlas_jsonl,
     build_atlas,
     codimension,
     count_classes,
     enumerate_words,
     iter_atlas,
+    _json_lines,
 )
 from twoflags.classify import singularity_class_at, singularity_locus_equations
 from twoflags.cli import main, run_verification
@@ -272,7 +272,7 @@ def test_atlas_jsonl_and_json():
     records = build_atlas(2)
     lines = atlas_jsonl(records).strip().split("\n")
     assert [json.loads(line)["word"] for line in lines] == ["1.1", "1.2"]
-    payload = json.loads(atlas_json(records))
+    payload = json.loads(json_text(records))
     assert payload[1]["sandwich"] == "1.2"
 
 
@@ -281,6 +281,11 @@ def test_adjacency_dot_output():
     assert text.startswith("digraph")
     assert '"1.2.3" -> "1.2.2";' in text
     assert '"1.1.1" ->' not in text
+
+
+def json_text(records):
+    """The JSON array the atlas command streams, joined."""
+    return "".join(_json_lines(records))
 
 
 # the emitters as they were before each format had its own line formatter:
@@ -316,7 +321,7 @@ def oracle_dot(records):
 
 
 EMITTERS = {
-    "json": (atlas_json, oracle_json),
+    "json": (json_text, oracle_json),
     "jsonl": (atlas_jsonl, oracle_jsonl),
     "csv": (atlas_csv, oracle_csv),
     "dot": (adjacency_dot, oracle_dot),

@@ -1,5 +1,6 @@
 """Sandwich and singularity classification, locus equations, report format."""
 
+import dataclasses
 import json
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from twoflags.atlas import enumerate_words
 from twoflags.classify import (
+    Evidence,
     SandwichWord,
     _ClosedGeometry,
     _closed_target,
@@ -114,6 +116,14 @@ def test_family_E_report():
     assert str(report.word) == "1.2.1.3"
     (ev,) = report.evidence
     assert (ev.position, ev.nu, ev.l, ev.member, ev.included) == (4, 2, 1, 5, True)
+
+
+def test_evidence_derives_l_and_member_from_position_and_nu():
+    # l = s - nu - 1 and member = 2l + 3 are read off the record, not stored in it
+    ev = Evidence(position=6, nu=2, included=True)
+    assert [field.name for field in dataclasses.fields(Evidence)] == ["position", "nu", "included"]
+    assert (ev.l, ev.member) == (3, 9)
+    assert ev.to_json() == {"position": 6, "nu": 2, "l": 3, "member": "V_9", "included": True}
 
 
 def test_family_witness_vectors_in_small_flag():

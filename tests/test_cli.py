@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoflags.atlas import count_classes
-from twoflags.cli import main
-from twoflags.ekr import MODEL_NAMES
+from twoflags.cli import VerificationOutcome, main
+from twoflags.ekr import MODEL_NAMES, EkrSpec, Word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -421,3 +421,9 @@ def test_malformed_arguments_exit_0_to_3_with_at_most_one_error_line(argv):
     assert "set_int_max_str_digits" not in errors, (argv, errors)
     if code in (2, 3) or "--out" in argv:
         assert out.getvalue() == "", argv
+
+
+def test_a_verification_outcome_passes_exactly_when_it_computed_its_word():
+    word = Word.parse("1.2.3")
+    assert VerificationOutcome(word, EkrSpec(word), Word.parse("1.2.3")).passed
+    assert not VerificationOutcome(word, EkrSpec(word), Word.parse("1.2.2")).passed

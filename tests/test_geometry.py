@@ -172,10 +172,16 @@ def test_pointwise_matrices_reject_floats(make):
         (lambda chart: chart.point(t=True), True),
         (lambda chart: Poly.const(3, True), True),
         (lambda chart: VectorField.versor(chart, 0).eval_at((True, 0, 0, 0, 0)), True),
+        (lambda chart: Poly(3, {((0, 1),): 2}).eval_at((True, 0, 0)), True),
+        (lambda chart: Poly(3, {((0, 1),): 2}).jet_at((True, 0, 0), 1), True),
+        (lambda chart: (Poly.variable(3, 0) * Poly.variable(3, 1)).jet_at((0, True, 0), 2), True),
         (lambda chart: EkrSpec(Word.parse("1"), {1: True}), True),
         (lambda chart: EkrSpec(Word.parse("1"), c={1: False}), False),
     ],
-    ids=["Chart.point", "Poly.const", "VectorField.eval_at", "EkrSpec-b", "EkrSpec-c"],
+    ids=[
+        "Chart.point", "Poly.const", "VectorField.eval_at", "Poly.eval_at", "Poly.jet_at",
+        "Poly.jet_at-after-a-vanishing-factor", "EkrSpec-b", "EkrSpec-c",
+    ],
 )
 def test_a_bool_is_not_a_rational(make, value):
     # True == 1, so Fraction(True) is 1; every int argument already refuses it
@@ -1269,28 +1275,26 @@ def test_a_generic_classification_evaluates_each_member_once(monkeypatch):
         assert sorted(evaluated) == sorted(members), (text, seeded)
 
 
-def test_covariant_then_cauchy_of_one_member_pair_once(monkeypatch):
-    import twoflags.geometry as geometry
-
+def test_covariant_then_cauchy_of_one_member_derive_its_covectors_once(monkeypatch):
     build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("pairings")))
     rng = random.Random(33)
     p, q = flag_point(build.chart, rng), flag_point(build.chart, rng)
     member = big_flag(build.distribution, p)[-2]  # D^1, of corank 2
     fresh = Distribution(member.chart, member.generators)
     expected = covariant_at(fresh, p), cauchy_char_at(fresh, p), cauchy_char_at(fresh, q)
-    calls = []
-    original = geometry.annihilator_at
-
-    def counted(dist, point):
-        calls.append(point)
-        return original(dist, point)
-
-    monkeypatch.setattr(geometry, "annihilator_at", counted)
+    nullspaces = []
+    counted_derivations(monkeypatch, nullspaces, [])
+    # big_flag's certificate derived the tower member's covectors at p, and keeps them on it
     assert (covariant_at(member, p), cauchy_char_at(member, p)) == expected[:2]
-    assert calls == [p]
-    # the pairings are kept for the last point only
-    assert cauchy_char_at(member, q) == expected[2]
-    assert calls == [p, q]
+    assert nullspaces == []
+    again = Distribution(member.chart, member.generators)
+    assert (covariant_at(again, p), cauchy_char_at(again, p)) == expected[:2]
+    assert nullspaces == [p]
+    forms = annihilator_at(again, p)
+    assert type(forms) is tuple and forms is annihilator_at(again, p)
+    # the covectors are kept for the last point only
+    assert cauchy_char_at(again, q) == expected[2]
+    assert nullspaces == [p, q]
 
 
 # ---------------------------------------------------------------------------
@@ -1429,11 +1433,11 @@ def test_annihilator_raises_where_the_distribution_drops_rank():
     assert len(annihilator_at(dist, chart.point(u0=1))) == 1
 
 
-def test_structural_annihilator_memo_keeps_few_towers():
-    # the length-4 generic sweep classifies 28 germs at the origin; what the
-    # memo keeps after it is the generators and covectors of its last 8 tower
-    # members, about 150 KiB, not those of all 56 members, about 800 KiB
-    geometry._structural_annihilator.cache_clear()
+def test_a_generic_sweep_leaves_no_germs_covectors_behind():
+    # the length-4 generic sweep classifies 28 germs at the origin; each
+    # member's covectors are kept on the member, so none outlives its germ:
+    # the memo name caches nothing, and what the sweep leaves is under
+    # 400 KiB, where all 56 members' generators and covectors take about 800 KiB
     tracemalloc.start()
     try:
         assert all(outcome.passed for outcome in run_verification(4, 1, 0, True, generic=True))
@@ -1441,43 +1445,14 @@ def test_structural_annihilator_memo_keeps_few_towers():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert geometry._structural_annihilator.cache_info().currsize == 0
     assert kept < 400 * 2**10, kept
 
 
-def test_structural_annihilator_memo_serves_a_germ_classified_again_at_another_point(monkeypatch):
-    # a length-4 germ at the origin and at a seeded point: big_flag's
-    # certificate puts each frame's covectors in the memo, so every
-    # annihilator_at call of the classification's targets is one hit and no miss
-    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("memo")))
-    calls = []
-    original = geometry.annihilator_at
-
-    def counted(dist, point):
-        before = geometry._structural_annihilator.cache_info()
-        forms = original(dist, point)
-        after = geometry._structural_annihilator.cache_info()
-        calls.append((after.hits - before.hits, after.misses - before.misses))
-        return forms
-
-    monkeypatch.setattr(geometry, "annihilator_at", counted)
-    for point in (build.chart.origin(), flag_point(build.chart, random.Random(34))):
-        geometry._structural_annihilator.cache_clear()
-        calls.clear()
-        singularity_class_at(build, point, generic=True)
-        # the covariant and Cauchy targets of D^1 pair once, and the Cauchy
-        # target of D^2 once; the certificates of D^3, D^2 and D^1 missed
-        assert calls == [(1, 0)] * 2, point
-        assert geometry._structural_annihilator.cache_info().misses == 3, point
-
-
-def test_each_frame_annihilator_is_one_nullspace_pivoted_at_the_point(monkeypatch):
-    # every word of lengths 2-5, zero constants at the origin and seeded
-    # constants at one stress point: with the memo cleared, one generic
-    # classification runs polynomial_nullspace r - 1 times, once in the
-    # certificate of each frame D^(r-1), ..., D^1, every annihilator_at call
-    # of its targets is a memo hit, and the n - dim D^j(p) covectors it
-    # returns are independent at p
-    nullspaces, calls = [], []
+def counted_derivations(monkeypatch, nullspaces: list, calls: list) -> None:
+    """Record the point of each polynomial_nullspace call in ``nullspaces``,
+    and for each annihilator_at call the number of nullspaces it ran, and
+    whether its n - dim D(p) covectors are independent at p, in ``calls``."""
     original_nullspace, original_annihilator = geometry.polynomial_nullspace, geometry.annihilator_at
 
     def counted_nullspace(matrix, point):
@@ -1485,16 +1460,42 @@ def test_each_frame_annihilator_is_one_nullspace_pivoted_at_the_point(monkeypatc
         return original_nullspace(matrix, point)
 
     def counted_annihilator(dist, point):
-        before = geometry._structural_annihilator.cache_info()
+        before = len(nullspaces)
         forms = original_annihilator(dist, point)
-        after = geometry._structural_annihilator.cache_info()
         values = [tuple(c.eval_at(point) for c in form.coefficients) for form in forms]
         independent = len(forms) == dist.chart.dim - value_at(dist, point).dim == len(_independent(values))
-        calls.append((after.hits - before.hits, after.misses - before.misses, independent))
+        calls.append((len(nullspaces) - before, independent))
         return forms
 
     monkeypatch.setattr(geometry, "polynomial_nullspace", counted_nullspace)
     monkeypatch.setattr(geometry, "annihilator_at", counted_annihilator)
+
+
+def test_a_germ_classified_at_two_points_derives_its_frame_covectors_at_each(monkeypatch):
+    # a length-4 germ at the origin and at a seeded point: big_flag's
+    # certificate of each frame D^3, D^2 and D^1 derives its covectors through
+    # annihilator_at, and the targets' calls derive none: the covariant and
+    # Cauchy targets of D^1 and the Cauchy target of D^2 read the covectors
+    # kept on the tower's frames
+    build = build_ekr(draw_constants(Word.parse("1.2.1.3"), random.Random("memo")))
+    nullspaces, calls = [], []
+    counted_derivations(monkeypatch, nullspaces, calls)
+    for point in (build.chart.origin(), flag_point(build.chart, random.Random(34))):
+        nullspaces.clear()
+        calls.clear()
+        singularity_class_at(build, point, generic=True)
+        assert nullspaces == [point] * 3, point
+        assert calls == [(1, True)] * 3 + [(0, True)] * 3, point
+
+
+def test_each_frame_annihilator_is_one_nullspace_pivoted_at_the_point(monkeypatch):
+    # every word of lengths 2-5, zero constants at the origin and seeded
+    # constants at one stress point: one generic classification runs
+    # polynomial_nullspace r - 1 times, once in the certificate of each frame
+    # D^(r-1), ..., D^1, no annihilator_at call of its targets runs one, and
+    # the n - dim D^j(p) covectors of every call are independent at p
+    nullspaces, calls = [], []
+    counted_derivations(monkeypatch, nullspaces, calls)
     germs = 0
     for r in range(2, 6):
         for word in enumerate_words(r):
@@ -1502,14 +1503,27 @@ def test_each_frame_annihilator_is_one_nullspace_pivoted_at_the_point(monkeypatc
             stress = stress_point(seeded, random.Random(f"one-nullspace-point|{word}"))
             for spec, point in ((EkrSpec(word), None), (seeded, stress)):
                 build = build_ekr(spec)
-                geometry._structural_annihilator.cache_clear()
                 nullspaces.clear()
                 calls.clear()
                 singularity_class_at(build, point or build.chart.origin(), generic=True)
                 assert len(nullspaces) == r - 1, (str(word), point)
-                assert calls and calls == [(1, 0, True)] * len(calls), (str(word), point, calls)
+                targets = len(calls) - (r - 1)
+                assert targets > 0 and calls == [(1, True)] * (r - 1) + [(0, True)] * targets, (str(word), point, calls)
                 germs += 1
     assert germs == 124, germs
+
+
+def test_big_flag_writes_nothing_on_the_germ_it_is_given():
+    # big_flag reads D^r's rank from its generators' values; D^r(p) is kept
+    # by its first reader, sandwich letter r, not by big_flag
+    for text in ("1.2", "1.2.1.3", "1.2.3.2.3"):
+        rng = random.Random(f"untouched-{text}")
+        build = build_ekr(draw_constants(Word.parse(text), rng))
+        dist = build.distribution
+        for point in (build.chart.origin(), flag_point(build.chart, rng)):
+            before = dict(vars(dist))
+            tower = big_flag(dist, point)
+            assert tower[0] is dist and vars(dist) == before, (text, point)
 
 
 def test_cauchy_bcd_model():
